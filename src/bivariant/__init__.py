@@ -10,7 +10,6 @@ from .exactalg import (
     GroupElement,
     GroupHom,
     IntMatrix,
-    hom_algebra,
     hom_group,
     kernel,
     image,
@@ -19,14 +18,13 @@ from .exactalg import (
     snf,
 )
 from .report import ValidationReport, Violation
-from .site import GradedFunctor, NaturalTransf, PullbackSquare, Site, paste_comparison, validate_site
+from .site import GradedFunctor, NaturalTransf, PullbackSquare, Site, validate_site
 from .bivcore import GrothTransf, TabulatedBivTheory, image_subtheory, validate_axioms, validate_groth
-from .operational import OpClass, op_from_bivariant, op_group, op_operations
+from .operational import OpClass, op_from_bivariant, op_group
 from .cooperational import (
     CoopClass,
     coop_from_bivariant,
     coop_group,
-    coop_operations,
     cup_class,
     power_family,
     transfer_subgroup,
@@ -37,7 +35,6 @@ __all__ = [
     "GroupElement",
     "GroupHom",
     "IntMatrix",
-    "hom_algebra",
     "hom_group",
     "kernel",
     "image",
@@ -50,7 +47,6 @@ __all__ = [
     "NaturalTransf",
     "PullbackSquare",
     "Site",
-    "paste_comparison",
     "validate_site",
     "GrothTransf",
     "TabulatedBivTheory",
@@ -60,11 +56,9 @@ __all__ = [
     "OpClass",
     "op_from_bivariant",
     "op_group",
-    "op_operations",
     "CoopClass",
     "coop_from_bivariant",
     "coop_group",
-    "coop_operations",
     "cup_class",
     "power_family",
     "transfer_subgroup",

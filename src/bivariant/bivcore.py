@@ -140,6 +140,28 @@ class TabulatedBivTheory:
     def pullback(self, f: str, g: str, i: int, a: GroupElement) -> GroupElement:
         return self.pullback_hom(f, g, i)(a)
 
+    # -- the protocol of verify_axioms ---------------------------------------
+
+    def gens(self, f: str, i: int):
+        return self.group(f, i).gens()
+
+    def allows(self, *degrees) -> bool:
+        """Every degree sum is checked: out of the window the groups are zero."""
+        return True
+
+    def can_push(self, f: str) -> bool:
+        return self.site.is_confined(f)
+
+    def nonstrict(self, rb: ReportBuilder, phrase: str, bases, new_base: str, iso: str, **where):
+        """Tables cannot be compared across a non-strict paste: report it when
+        every base in bases has a nontrivial group, and skip the check."""
+        if all(any(not self.group(f, i).is_trivial for i in self.degrees()) for f in bases):
+            rb.add("nonstrict-pasting", f"tabulated {phrase} needs strictly pasted chosen squares", **where)
+        return None
+
+    def witness(self, **elements) -> dict:
+        return {name: e.coords for name, e in elements.items()}
+
     # -- associated functors --------------------------------------------------
 
     @cached_property
@@ -182,10 +204,6 @@ class TabulatedBivTheory:
 
 # ---------------------------------------------------------------------------
 # axiom verification
-
-
-def _gens(theory, f, i):
-    return theory.group(f, i).gens()
 
 
 def _structural(theory: TabulatedBivTheory, rb: ReportBuilder) -> None:
@@ -264,9 +282,36 @@ def validate_axioms(theory: TabulatedBivTheory) -> ValidationReport:
     _structural(theory, rb)
     if not rb.done().ok:
         return rb.done()
+    return verify_axioms(theory)
 
+
+def _unchanged(a):
+    return a
+
+
+def verify_axioms(theory) -> ValidationReport:
+    """The seven axioms plus units, checked exhaustively on generators.
+
+    theory is a tabulated theory or a computed family theory
+    (famsolve.FamilyTheory).  Both provide site, degrees(), gens(f, i),
+    product(f, g, i, j, a, b), pushforward(f, g, i, a), pullback(f, g, i, a)
+    and unit(obj), whose values compare with ==, and:
+      - can_push(f): whether pushforward along f exists;
+      - allows(*degrees): whether the degree sums of a check are in range;
+      - nonstrict(rb, phrase, bases, new_base, iso, **where): what to do
+        when a check crosses a non-strictly pasted square: a map moving the
+        pasted side to (new_base, along iso), or None to skip the check;
+      - witness(**elements): extra witness fields naming the elements.
+    """
     site = theory.site
     degrees = list(theory.degrees())
+    gens, product, push, pull = theory.gens, theory.product, theory.pushforward, theory.pullback
+    rb = ReportBuilder()
+
+    def aligned(paste, phrase, bases, new_base, iso, **where):
+        if paste.is_identity(site):
+            return _unchanged
+        return theory.nonstrict(rb, phrase, bases, new_base, iso, **where)
 
     # associativity
     for f, g, h in site.composable_triples():
@@ -275,124 +320,120 @@ def validate_axioms(theory: TabulatedBivTheory) -> ValidationReport:
         for i in degrees:
             for j in degrees:
                 for k in degrees:
-                    for a in _gens(theory, f, i):
-                        for b in _gens(theory, g, j):
-                            ab = theory.product(f, g, i, j, a, b)
-                            for c in _gens(theory, h, k):
-                                lhs = theory.product(gf, h, i + j, k, ab, c)
-                                rhs = theory.product(f, hg, i, j + k, a, theory.product(g, h, j, k, b, c))
+                    if not theory.allows(i + j, j + k, i + j + k):
+                        continue
+                    for a in gens(f, i):
+                        for b in gens(g, j):
+                            ab = product(f, g, i, j, a, b)
+                            for c in gens(h, k):
+                                lhs = product(gf, h, i + j, k, ab, c)
+                                rhs = product(f, hg, i, j + k, a, product(g, h, j, k, b, c))
                                 if lhs != rhs:
-                                    rb.add("associativity", "(a.b).c != a.(b.c)", f=f, g=g, h=h, i=i, j=j, k=k, a=a.coords, b=b.coords, c=c.coords)
+                                    rb.add("associativity", "(a.b).c != a.(b.c)", f=f, g=g, h=h, i=i, j=j, k=k, **theory.witness(a=a, b=b, c=c))
 
     # pushforward functoriality: identities act trivially and composites agree
     for x in site.objects:
         idx = site.identity(x)
         for g in site.morphisms_out_of(x):
             for i in degrees:
-                ph = theory.pushforward_hom(idx, g, i)
-                if not ph.equals(GroupHom.identity(theory.group(g, i))):
+                if any(push(idx, g, i, a) != a for a in gens(g, i)):
                     rb.add("pushforward-functorial", "pushforward along identity is not the identity", obj=x, g=g, i=i)
     for f, g, h in site.composable_triples():
-        if not (site.is_confined(f) and site.is_confined(g)):
+        if not (theory.can_push(f) and theory.can_push(g)):
             continue
         gf = site.compose(g, f)
         hg = site.compose(h, g)
         for i in degrees:
-            for a in _gens(theory, site.compose(h, gf), i):
-                lhs = theory.pushforward(gf, h, i, a)
-                rhs = theory.pushforward(g, h, i, theory.pushforward(f, hg, i, a))
+            for a in gens(site.compose(h, gf), i):
+                lhs = push(gf, h, i, a)
+                rhs = push(g, h, i, push(f, hg, i, a))
                 if lhs != rhs:
-                    rb.add("pushforward-functorial", "(g o f)_* != g_* o f_*", f=f, g=g, h=h, i=i, a=a.coords)
+                    rb.add("pushforward-functorial", "(g o f)_* != g_* o f_*", f=f, g=g, h=h, i=i, **theory.witness(a=a))
 
     # pullback functoriality
     for f in site.morphisms:
         idt = site.identity(f.tgt)
         for i in degrees:
-            ph = theory.pullback_hom(f.name, idt, i)
-            if not ph.equals(GroupHom.identity(theory.group(f.name, i))):
+            if any(pull(f.name, idt, i, a) != a for a in gens(f.name, i)):
                 rb.add("pullback-functorial", "pullback along identity is not the identity", f=f.name, i=i)
     for f in site.morphisms:
         for g in site.morphisms_into(f.tgt):
             sq = site.chosen_pullback(f.name, g)
             for h in site.morphisms_into(site.src(g)):
                 paste = site.cospan_paste(f.name, g, h)
-                if not paste.is_identity(site):
-                    if any(not theory.group(f.name, i).is_trivial for i in degrees):
-                        rb.add("nonstrict-pasting", "tabulated pullback functoriality needs strictly pasted chosen squares", f=f.name, g=g, h=h)
+                move = aligned(paste, "pullback functoriality", [f.name], paste.direct.left, paste.to_pasted, f=f.name, g=g, h=h)
+                if move is None:
                     continue
                 gh = site.compose(g, h)
                 for i in degrees:
-                    for a in _gens(theory, f.name, i):
-                        lhs = theory.pullback(f.name, gh, i, a)
-                        rhs = theory.pullback(sq.left, h, i, theory.pullback(f.name, g, i, a))
+                    for a in gens(f.name, i):
+                        lhs = pull(f.name, gh, i, a)
+                        rhs = move(pull(sq.left, h, i, pull(f.name, g, i, a)))
                         if lhs != rhs:
-                            rb.add("pullback-functorial", "(g o h)^* != h^* o g^*", f=f.name, g=g, h=h, i=i, a=a.coords)
+                            rb.add("pullback-functorial", "(g o h)^* != h^* o g^*", f=f.name, g=g, h=h, i=i, **theory.witness(a=a))
 
     # product and pushforward commute
     for f, g, h in site.composable_triples():
-        if not site.is_confined(f):
+        if not theory.can_push(f):
             continue
         gf = site.compose(g, f)
         hg = site.compose(h, g)
         for i in degrees:
             for j in degrees:
-                for a in _gens(theory, gf, i):
-                    for b in _gens(theory, h, j):
-                        lhs = theory.pushforward(f, hg, i + j, theory.product(gf, h, i, j, a, b))
-                        rhs = theory.product(g, h, i, j, theory.pushforward(f, g, i, a), b)
+                if not theory.allows(i + j):
+                    continue
+                for a in gens(gf, i):
+                    for b in gens(h, j):
+                        lhs = push(f, hg, i + j, product(gf, h, i, j, a, b))
+                        rhs = product(g, h, i, j, push(f, g, i, a), b)
                         if lhs != rhs:
-                            rb.add("product-pushforward", "f_*(a.b) != f_*a . b", f=f, g=g, h=h, i=i, j=j, a=a.coords, b=b.coords)
+                            rb.add("product-pushforward", "f_*(a.b) != f_*a . b", f=f, g=g, h=h, i=i, j=j, **theory.witness(a=a, b=b))
 
     # product and pullback commute
     for f, g in site.composable_pairs():
         gf = site.compose(g, f)
         for h in site.morphisms_into(site.tgt(g)):
             sq_g = site.chosen_pullback(g, h)
+            sq_f = site.chosen_pullback(f, sq_g.top)
             paste = site.tower_paste(f, g, h)
-            if not paste.is_identity(site):
-                if any(
-                    not theory.group(f, i).is_trivial and not theory.group(g, j).is_trivial
-                    for i in degrees
-                    for j in degrees
-                ):
-                    rb.add("nonstrict-pasting", "tabulated product-pullback needs strictly pasted chosen squares", f=f, g=g, h=h)
+            move = aligned(paste, "product-pullback", [f, g], paste.direct.left, paste.to_pasted, f=f, g=g, h=h)
+            if move is None:
                 continue
             for i in degrees:
                 for j in degrees:
-                    for a in _gens(theory, f, i):
-                        for b in _gens(theory, g, j):
-                            lhs = theory.pullback(gf, h, i + j, theory.product(f, g, i, j, a, b))
-                            pa = theory.pullback(f, sq_g.top, i, a)
-                            pb = theory.pullback(g, h, j, b)
-                            sq_f = site.chosen_pullback(f, sq_g.top)
-                            rhs = theory.product(sq_f.left, sq_g.left, i, j, pa, pb)
+                    if not theory.allows(i + j):
+                        continue
+                    for a in gens(f, i):
+                        for b in gens(g, j):
+                            lhs = pull(gf, h, i + j, product(f, g, i, j, a, b))
+                            rhs = move(product(sq_f.left, sq_g.left, i, j, pull(f, sq_g.top, i, a), pull(g, h, j, b)))
                             if lhs != rhs:
-                                rb.add("product-pullback", "h^*(a.b) != h'^*a . h^*b", f=f, g=g, h=h, i=i, j=j, a=a.coords, b=b.coords)
+                                rb.add("product-pullback", "h^*(a.b) != h'^*a . h^*b", f=f, g=g, h=h, i=i, j=j, **theory.witness(a=a, b=b))
 
     # pushforward and pullback commute
     for f, g in site.composable_pairs():
-        if not site.is_confined(f):
+        if not theory.can_push(f):
             continue
         gf = site.compose(g, f)
         for h in site.morphisms_into(site.tgt(g)):
             sq_g = site.chosen_pullback(g, h)
-            paste = site.tower_paste(f, g, h)
-            if not paste.is_identity(site):
-                if any(not theory.group(gf, i).is_trivial for i in degrees):
-                    rb.add("nonstrict-pasting", "tabulated pushforward-pullback needs strictly pasted chosen squares", f=f, g=g, h=h)
-                continue
             sq_f = site.chosen_pullback(f, sq_g.top)
+            paste = site.tower_paste(f, g, h)
+            pasted_left = site.compose(paste.first.left, paste.second.left)
+            move = aligned(paste, "pushforward-pullback", [gf], pasted_left, paste.to_direct, f=f, g=g, h=h)
+            if move is None:
+                continue
             for i in degrees:
-                for a in _gens(theory, gf, i):
-                    lhs = theory.pushforward(sq_f.left, sq_g.left, i, theory.pullback(gf, h, i, a))
-                    rhs = theory.pullback(g, h, i, theory.pushforward(f, g, i, a))
+                for a in gens(gf, i):
+                    lhs = push(sq_f.left, sq_g.left, i, move(pull(gf, h, i, a)))
+                    rhs = pull(g, h, i, push(f, g, i, a))
                     if lhs != rhs:
-                        rb.add("pushforward-pullback", "f'_*(h^*a) != h^*(f_*a)", f=f, g=g, h=h, i=i, a=a.coords)
+                        rb.add("pushforward-pullback", "f'_*(h^*a) != h^*(f_*a)", f=f, g=g, h=h, i=i, **theory.witness(a=a))
 
     # projection formula
     for f in site.morphisms:
         for g in site.morphisms_into(f.tgt):
-            if not site.is_confined(g):
+            if not theory.can_push(g):
                 continue
             sq = site.chosen_pullback(f.name, g)
             for h in site.morphisms_out_of(f.tgt):
@@ -400,14 +441,15 @@ def validate_axioms(theory: TabulatedBivTheory) -> ValidationReport:
                 hf = site.compose(h, f.name)
                 for i in degrees:
                     for j in degrees:
-                        for a in _gens(theory, f.name, i):
-                            ga = theory.pullback(f.name, g, i, a)
-                            for b in _gens(theory, hg, j):
-                                prod = theory.product(sq.left, hg, i, j, ga, b)
-                                lhs = theory.pushforward(sq.top, hf, i + j, prod)
-                                rhs = theory.product(f.name, h, i, j, a, theory.pushforward(g, h, j, b))
+                        if not theory.allows(i + j):
+                            continue
+                        for a in gens(f.name, i):
+                            ga = pull(f.name, g, i, a)
+                            for b in gens(hg, j):
+                                lhs = push(sq.top, hf, i + j, product(sq.left, hg, i, j, ga, b))
+                                rhs = product(f.name, h, i, j, a, push(g, h, j, b))
                                 if lhs != rhs:
-                                    rb.add("projection-formula", "g'_*(g^*a . b) != a . g_*b", f=f.name, g=g, h=h, i=i, j=j, a=a.coords, b=b.coords)
+                                    rb.add("projection-formula", "g'_*(g^*a . b) != a . g_*b", f=f.name, g=g, h=h, i=i, j=j, **theory.witness(a=a, b=b))
 
     # units
     for x in site.objects:
@@ -415,18 +457,16 @@ def validate_axioms(theory: TabulatedBivTheory) -> ValidationReport:
         idx = site.identity(x)
         for f in site.morphisms_into(x):
             for i in degrees:
-                for a in _gens(theory, f, i):
-                    if theory.product(f, idx, i, 0, a, u) != a:
-                        rb.add("units", "a . 1_X != a", obj=x, f=f, i=i, a=a.coords)
+                for a in gens(f, i):
+                    if product(f, idx, i, 0, a, u) != a:
+                        rb.add("units", "a . 1_X != a", obj=x, f=f, i=i, **theory.witness(a=a))
         for f in site.morphisms_out_of(x):
             for i in degrees:
-                for b in _gens(theory, f, i):
-                    if theory.product(idx, f, 0, i, u, b) != b:
-                        rb.add("units", "1_X . b != b", obj=x, f=f, i=i, b=b.coords)
+                for b in gens(f, i):
+                    if product(idx, f, 0, i, u, b) != b:
+                        rb.add("units", "1_X . b != b", obj=x, f=f, i=i, **theory.witness(b=b))
         for g in site.morphisms_into(x):
-            pulled = theory.pullback(idx, g, 0, u)
-            expected = theory.unit(site.src(g))
-            if pulled != expected:
+            if pull(idx, g, 0, u) != theory.unit(site.src(g)):
                 rb.add("units", "g^*1_X != 1_X'", obj=x, g=g)
 
     return rb.done()
@@ -482,8 +522,8 @@ def validate_groth(t: GrothTransf) -> ValidationReport:
         gf = site.compose(g, f)
         for i in degrees:
             for j in degrees:
-                for a in _gens(t.src, f, i):
-                    for b in _gens(t.src, g, j):
+                for a in t.src.gens(f, i):
+                    for b in t.src.gens(g, j):
                         lhs = t(gf, i + j, t.src.product(f, g, i, j, a, b))
                         rhs = t.tgt.product(f, g, i, j, t(f, i, a), t(g, j, b))
                         if lhs != rhs:
@@ -493,14 +533,14 @@ def validate_groth(t: GrothTransf) -> ValidationReport:
             continue
         gf = site.compose(g, f)
         for i in degrees:
-            for a in _gens(t.src, gf, i):
+            for a in t.src.gens(gf, i):
                 lhs = t(g, i, t.src.pushforward(f, g, i, a))
                 rhs = t.tgt.pushforward(f, g, i, t(gf, i, a))
                 if lhs != rhs:
                     rb.add("preserves-pushforward", "gamma(f_*a) != f_*gamma(a)", f=f, g=g, i=i, a=a.coords)
     for (f, g), sq in sorted(site._pullbacks.items()):
         for i in degrees:
-            for a in _gens(t.src, f, i):
+            for a in t.src.gens(f, i):
                 lhs = t(sq.left, i, t.src.pullback(f, g, i, a))
                 rhs = t.tgt.pullback(f, g, i, t(f, i, a))
                 if lhs != rhs:

@@ -82,48 +82,29 @@ def _cmd_validate(args, started):
     )
 
 
-def _cmd_coop(args, started):
+def _cmd_family(args, started):
+    """op and coop: the group of operational or co-operational classes."""
     bundle = load_instance(args.file)
     functor = _need(bundle, bundle.functors, args.functor, "functor")
     if not bundle.site.has_morphism(args.morphism):
         raise InstanceFileError("morphism", f"unknown morphism {args.morphism!r}")
+    inputs = {"file": args.file, "functor": args.functor, "morphism": args.morphism, "degree": args.degree}
     pre = ValidationReport.merged(validate_site(bundle.site), functor.validate())
     if not pre.ok:
-        return _emit(args, {"inputs": vars_of(args), "lines": []}, pre, started)
-    result = coop.coop_group(functor, args.morphism, args.degree)
+        return _emit(args, {"inputs": inputs, "lines": []}, pre, started)
+    if args.command == "op":
+        name, result = "operational", op.op_group(functor, args.morphism, args.degree)
+    else:
+        name, result = "co-operational", coop.coop_group(functor, args.morphism, args.degree)
     gens = result.decoded_gens()
     payload = {
-        "inputs": {"file": args.file, "functor": args.functor, "morphism": args.morphism, "degree": args.degree},
+        "inputs": inputs,
         "result": {
             "group": _group_json(result.group),
             "generators": [_class_json(c.components) for c in gens],
         },
         "lines": [
-            f"co-operational group ({args.functor}, {args.morphism}, degree {args.degree}): {result.group.pretty()}"
-        ]
-        + [f"generator {i}: {len(c.components)} components" for i, c in enumerate(gens)],
-    }
-    return _emit(args, payload, ValidationReport(), started)
-
-
-def _cmd_op(args, started):
-    bundle = load_instance(args.file)
-    functor = _need(bundle, bundle.functors, args.functor, "functor")
-    if not bundle.site.has_morphism(args.morphism):
-        raise InstanceFileError("morphism", f"unknown morphism {args.morphism!r}")
-    pre = ValidationReport.merged(validate_site(bundle.site), functor.validate())
-    if not pre.ok:
-        return _emit(args, {"inputs": {}, "lines": []}, pre, started)
-    result = op.op_group(functor, args.morphism, args.degree)
-    gens = result.decoded_gens()
-    payload = {
-        "inputs": {"file": args.file, "functor": args.functor, "morphism": args.morphism, "degree": args.degree},
-        "result": {
-            "group": _group_json(result.group),
-            "generators": [_class_json(c.components) for c in gens],
-        },
-        "lines": [
-            f"operational group ({args.functor}, {args.morphism}, degree {args.degree}): {result.group.pretty()}"
+            f"{name} group ({args.functor}, {args.morphism}, degree {args.degree}): {result.group.pretty()}"
         ]
         + [f"generator {i}: {len(c.components)} components" for i, c in enumerate(gens)],
     }
@@ -133,7 +114,9 @@ def _cmd_op(args, started):
 def _cmd_axioms(args, started):
     bundle = load_instance(args.file)
     theory = _need(bundle, bundle.theories, args.theory, "theory")
-    report = ValidationReport.merged(validate_site(bundle.site), validate_axioms(theory))
+    report = validate_site(bundle.site)
+    if report.ok:
+        report = validate_axioms(theory)
     lines = [
         f"theory {args.theory}: 7 axioms + Units: " + ("PASS" if report.ok else "FAIL")
     ]
@@ -148,7 +131,9 @@ def _cmd_axioms(args, started):
 def _cmd_groth(args, started):
     bundle = load_instance(args.file)
     transf = _need(bundle, bundle.groth, args.map, "groth")
-    report = validate_groth(transf)
+    report = validate_site(bundle.site)
+    if report.ok:
+        report = validate_groth(transf)
     lines = [f"transformation {args.map}: " + ("PASS" if report.ok else "FAIL")]
     return _emit(
         args,
@@ -163,11 +148,12 @@ def _cmd_bcoopt(args, started):
     transf = _need(bundle, bundle.transformations, args.nat, "transformation")
     if not bundle.site.has_morphism(args.morphism):
         raise InstanceFileError("morphism", f"unknown morphism {args.morphism!r}")
+    inputs = {"file": args.file, "nat": args.nat, "morphism": args.morphism, "degree": args.degree}
     pre = ValidationReport.merged(
         validate_site(bundle.site), transf.src.validate(), transf.tgt.validate(), transf.validate()
     )
     if not pre.ok:
-        return _emit(args, {"inputs": {}, "lines": []}, pre, started)
+        return _emit(args, {"inputs": inputs, "lines": []}, pre, started)
     tsr = coop.transfer_subgroup(transf, args.morphism, args.degree)
     gens_info = []
     for x in tsr.subgroup.group.gens():
@@ -181,7 +167,7 @@ def _cmd_bcoopt(args, started):
             }
         )
     payload = {
-        "inputs": {"file": args.file, "nat": args.nat, "morphism": args.morphism, "degree": args.degree},
+        "inputs": inputs,
         "result": {
             "ambient": _group_json(tsr.source_result.group),
             "subgroup": _group_json(tsr.subgroup.group),
@@ -214,10 +200,6 @@ def _cmd_demo(args, started):
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def vars_of(args):
-    return {k: v for k, v in vars(args).items() if k not in ("func", "json", "timings")}
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="bivariant",
@@ -236,14 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--functor", required=True)
     sp.add_argument("--morphism", required=True)
     sp.add_argument("--degree", type=int, required=True)
-    sp.set_defaults(func=_cmd_coop)
+    sp.set_defaults(func=_cmd_family)
 
     sp = sub.add_parser("op", help="compute an operational group")
     sp.add_argument("file")
     sp.add_argument("--functor", required=True)
     sp.add_argument("--morphism", required=True)
     sp.add_argument("--degree", type=int, required=True)
-    sp.set_defaults(func=_cmd_op)
+    sp.set_defaults(func=_cmd_family)
 
     sp = sub.add_parser("axioms", help="check the seven axioms plus units of a theory")
     sp.add_argument("file")

@@ -4,13 +4,16 @@ A class of degree i over f: X->Y is a family of homomorphisms
 c_g: F^m(X'_g) -> F^{m+i}(Y'), one per morphism g: Y'->Y and grade m,
 compatible with pullback along every h: Y''->Y'.  Over an identity
 morphism such a family is exactly a natural self-transformation, i.e. a
-cohomology operation.  Pushforward here needs no confined hypothesis;
-only the comparison map from a tabulated theory does.
+cohomology operation.  The classes, their groups and operations are the
+family engine of famsolve at contravariant variance, where pushforward
+needs no confined hypothesis; only the comparison map from a tabulated
+theory does.  This module adds that comparison map, the transfer subgroup
+along a natural transformation, and cup and power families.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exactalg import (
     FgAbGroup,
@@ -19,179 +22,43 @@ from .exactalg import (
     Subgroup,
     image,
     IntMatrix,
-    is_surjective,
     kernel,
 )
-from .famsolve import ConstraintSpec, FamilySolution, SummandSpec, TermSpec, solve_family
-from .bivcore import DegreeWindowError, GrothTransf, InvalidTransformationError, TabulatedBivTheory, validate_groth
+from .famsolve import (
+    ConstraintSpec,
+    FamilyClass,
+    FamilyGroup,
+    FamilyTheory,
+    ImageTransfer,
+    SummandSpec,
+    TermSpec,
+    comparison_hom,
+    family_group,
+    family_product,
+    family_pullback,
+    family_pushforward,
+    family_transport,
+    family_unit,
+    image_transfer,
+    require_variance,
+    solve_family,
+    surjectivity_witness,
+    verify_comparison_identities,
+)
+from .bivcore import GrothTransf, TabulatedBivTheory, verify_axioms
 from .report import ReportBuilder, ValidationReport
-from .site import GradedFunctor, NaturalTransf, NonConfinedError, Site
+from .site import GradedFunctor, NaturalTransf, NonConfinedError
+
+CoopClass = FamilyClass
 
 
 class RingStructureError(ValueError):
     """The theory's identity-morphism groups do not form a commutative ring."""
 
 
-def _require_contra(functor: GradedFunctor):
-    if functor.variance != "contra":
-        raise ValueError("co-operational classes need a contravariant functor")
-
-
-def feasible_degrees(functor: GradedFunctor):
-    lo, hi = functor.window
-    span = hi - lo
-    return range(-span, span + 1)
-
-
-@dataclass(eq=False)
-class CoopClass:
-    """A single co-operational class: base morphism, degree, components."""
-
-    functor: GradedFunctor
-    base: str
-    degree: int
-    components: dict = field(default_factory=dict)
-
-    @property
-    def site(self) -> Site:
-        return self.functor.site
-
-    def component(self, g: str, m: int) -> GroupHom:
-        stored = self.components.get((g, m))
-        if stored is not None:
-            return stored
-        site = self.site
-        apex = site.chosen_pullback(self.base, g).apex
-        return GroupHom.zero(
-            self.functor.group(apex, m), self.functor.group(site.src(g), m + self.degree)
-        )
-
-    def _keys(self):
-        site = self.site
-        for g in site.morphisms_into(site.tgt(self.base)):
-            for m in self.functor.grades():
-                yield (g, m)
-
-    def _same_context(self, other: "CoopClass") -> bool:
-        return (
-            self.site is other.site
-            and self.functor.variance == other.functor.variance
-            and self.functor.window == other.functor.window
-            and self.base == other.base
-            and self.degree == other.degree
-        )
-
-    def _compatible(self, other: "CoopClass"):
-        if not self._same_context(other):
-            raise ValueError("classes live over different data")
-
-    def __eq__(self, other):
-        if not isinstance(other, CoopClass):
-            return NotImplemented
-        if not self._same_context(other):
-            return False
-        return all(self.component(g, m).equals(other.component(g, m)) for g, m in self._keys())
-
-    def __add__(self, other: "CoopClass") -> "CoopClass":
-        self._compatible(other)
-        comps = {k: self.component(*k) + other.component(*k) for k in self._keys()}
-        return CoopClass(self.functor, self.base, self.degree, comps)
-
-    def __neg__(self) -> "CoopClass":
-        return CoopClass(self.functor, self.base, self.degree, {k: -self.component(*k) for k in self._keys()})
-
-    def __sub__(self, other: "CoopClass") -> "CoopClass":
-        return self + (-other)
-
-    def compatibility_report(self) -> ValidationReport:
-        rb = ReportBuilder()
-        site = self.site
-        for g in site.morphisms_into(site.tgt(self.base)):
-            for h in site.morphisms_into(site.src(g)):
-                if site.is_identity(h):
-                    continue
-                paste = site.cospan_paste(self.base, g, h)
-                w = site.compose(paste.second.top, paste.to_pasted)
-                gh = site.compose(g, h)
-                for m in self.functor.grades():
-                    lhs = self.component(gh, m) @ self.functor.map(w, m)
-                    rhs = self.functor.map(h, m + self.degree) @ self.component(g, m)
-                    if not lhs.equals(rhs):
-                        rb.add(
-                            "pullback-compatibility",
-                            "c_(g o h) o w^* != h^* o c_g",
-                            g=g,
-                            h=h,
-                            grade=m,
-                        )
-        return rb.done()
-
-
-@dataclass(frozen=True)
-class CoopGroupResult:
-    """The group of co-operational classes for (functor, base, degree)."""
-
-    functor: GradedFunctor
-    base: str
-    degree: int
-    solution: FamilySolution
-
-    @property
-    def group(self):
-        return self.solution.group
-
-    def decode(self, x: GroupElement) -> CoopClass:
-        comps = self.solution.decode(x)
-        return CoopClass(self.functor, self.base, self.degree, comps)
-
-    def encode(self, cls: CoopClass) -> GroupElement:
-        if not isinstance(cls, CoopClass):
-            raise TypeError("only additive classes encode; map families are not classes")
-        comps = {key: cls.component(*key) for key in (s.key for s in self.solution.summands)}
-        return self.solution.encode(comps)
-
-    def decoded_gens(self) -> list[CoopClass]:
-        return [self.decode(e) for e in self.group.gens()]
-
-
-def coop_group(functor: GradedFunctor, base: str, degree: int) -> CoopGroupResult:
+def coop_group(functor: GradedFunctor, base: str, degree: int) -> FamilyGroup:
     """Solve for all pullback-compatible families over the base morphism."""
-    _require_contra(functor)
-    site = functor.site
-    target = site.tgt(base)
-    summands = []
-    for g in site.morphisms_into(target):
-        apex = site.chosen_pullback(base, g).apex
-        for m in functor.grades():
-            summands.append(
-                SummandSpec(
-                    (g, m),
-                    functor.group(apex, m),
-                    functor.group(site.src(g), m + degree),
-                )
-            )
-    constraints = []
-    for g in site.morphisms_into(target):
-        sq = site.chosen_pullback(base, g)
-        for h in site.morphisms_into(site.src(g)):
-            if site.is_identity(h):
-                continue
-            paste = site.cospan_paste(base, g, h)
-            w = site.compose(paste.second.top, paste.to_pasted)
-            gh = site.compose(g, h)
-            for m in functor.grades():
-                constraints.append(
-                    ConstraintSpec(
-                        (g, h, m),
-                        functor.group(sq.apex, m),
-                        functor.group(site.src(h), m + degree),
-                        (
-                            TermSpec(1, (gh, m), functor.map(w, m), None),
-                            TermSpec(-1, (g, m), None, functor.map(h, m + degree)),
-                        ),
-                    )
-                )
-    return CoopGroupResult(functor, base, degree, solve_family(summands, constraints))
+    return family_group(require_variance(functor, "contra"), base, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -200,106 +67,27 @@ def coop_group(functor: GradedFunctor, base: str, degree: int) -> CoopGroupResul
 
 def coop_unit(functor: GradedFunctor, obj: str) -> CoopClass:
     """The family of identity operations over id_X."""
-    _require_contra(functor)
-    site = functor.site
-    idx = site.identity(obj)
-    comps = {}
-    for g in site.morphisms_into(obj):
-        for m in functor.grades():
-            comps[(g, m)] = GroupHom.identity(functor.group(site.src(g), m))
-    return CoopClass(functor, idx, 0, comps)
-
-
-def _check_degree(functor, degree):
-    if degree not in feasible_degrees(functor):
-        raise DegreeWindowError(f"degree {degree} exceeds the grade window span")
+    return family_unit(require_variance(functor, "contra"), obj)
 
 
 def coop_product(c: CoopClass, d: CoopClass) -> CoopClass:
     """(c.d)_h := d_h o c_{h'} over the composite base."""
-    if c.site is not d.site or c.functor.window != d.functor.window:
-        raise ValueError("classes over different functors")
-    functor, site = c.functor, c.site
-    base = site.compose(d.base, c.base)
-    degree = c.degree + d.degree
-    _check_degree(functor, degree)
-    comps = {}
-    for h in site.morphisms_into(site.tgt(d.base)):
-        paste = site.tower_paste(c.base, d.base, h)
-        hp = paste.first.top
-        for m in functor.grades():
-            inner = c.component(hp, m) @ functor.map(paste.to_direct, m)
-            comps[(h, m)] = d.component(h, m + c.degree) @ inner
-    return CoopClass(functor, base, degree, comps)
+    return family_product(c, d)
 
 
 def coop_pushforward(c: CoopClass, f: str, rest: str) -> CoopClass:
     """(f_* c)_h := c_h o (f')^*; no confined hypothesis is needed."""
-    functor, site = c.functor, c.site
-    if site.compose(rest, f) != c.base:
-        raise ValueError("base morphism does not factor as rest o f")
-    comps = {}
-    for h in site.morphisms_into(site.tgt(rest)):
-        paste = site.tower_paste(f, rest, h)
-        fp = paste.second.left
-        for m in functor.grades():
-            pull = functor.map(paste.to_pasted, m) @ functor.map(fp, m)
-            comps[(h, m)] = c.component(h, m) @ pull
-    return CoopClass(functor, rest, c.degree, comps)
+    return family_pushforward(c, f, rest)
 
 
 def coop_pullback(c: CoopClass, g: str) -> CoopClass:
     """(g^* c)_h := c_{g o h}, transported to the pasted apex."""
-    functor, site = c.functor, c.site
-    if site.tgt(g) != site.tgt(c.base):
-        raise ValueError(f"{g} is not a morphism into the base target")
-    fprime = site.chosen_pullback(c.base, g).left
-    comps = {}
-    for h in site.morphisms_into(site.src(g)):
-        paste = site.cospan_paste(c.base, g, h)
-        gh = site.compose(g, h)
-        for m in functor.grades():
-            comps[(h, m)] = c.component(gh, m) @ functor.map(paste.to_pasted, m)
-    return CoopClass(functor, fprime, c.degree, comps)
+    return family_pullback(c, g)
 
 
 def coop_transport(cls: CoopClass, new_base: str, iso: str) -> CoopClass:
-    """Move a class along an isomorphism of base morphisms.
-
-    iso: src(new_base) -> src(cls.base) with cls.base o iso == new_base;
-    every component is precomposed with the canonical apex comparison.
-    """
-    functor, site = cls.functor, cls.site
-    if site.compose(cls.base, iso) != new_base:
-        raise ValueError("iso does not relate the two base morphisms")
-    iso_inv = site.inverse_of(iso)
-    comps = {}
-    for k in site.morphisms_into(site.tgt(new_base)):
-        sq_new = site.chosen_pullback(new_base, k)
-        sq_old = site.chosen_pullback(cls.base, k)
-        v_inv = site._mediator(
-            sq_old.apex,
-            [
-                (sq_new.top, site.compose(iso_inv, sq_old.top), sq_new.apex),
-                (sq_new.left, sq_old.left, sq_new.apex),
-            ],
-        )
-        for m in functor.grades():
-            comps[(k, m)] = cls.component(k, m) @ functor.map(v_inv, m)
-    return CoopClass(functor, new_base, cls.degree, comps)
-
-
-def coop_operations(kind: str, **kwargs):
-    """Dispatcher: kind in {product, pushforward, pullback, unit}."""
-    if kind == "product":
-        return coop_product(kwargs["c"], kwargs["d"])
-    if kind == "pushforward":
-        return coop_pushforward(kwargs["c"], kwargs["f"], kwargs["rest"])
-    if kind == "pullback":
-        return coop_pullback(kwargs["c"], kwargs["g"])
-    if kind == "unit":
-        return coop_unit(kwargs["functor"], kwargs["obj"])
-    raise ValueError(f"unknown co-operational operation {kind!r}")
+    """Move a class along an isomorphism of base morphisms (see family_transport)."""
+    return family_transport(cls, new_base, iso)
 
 
 # ---------------------------------------------------------------------------
@@ -343,90 +131,25 @@ def identity_recovery(b: TabulatedBivTheory, c: CoopClass, obj: str) -> GroupEle
     return b.group(idx, c.degree).element(val.coords)
 
 
-def coop_hom(b: TabulatedBivTheory, base: str, degree: int, result: CoopGroupResult | None = None) -> GroupHom:
+def coop_hom(b: TabulatedBivTheory, base: str, degree: int, result: FamilyGroup | None = None) -> GroupHom:
     """The canonical map B(f)^i -> co-operational group, alpha |-> coop(alpha)."""
     if result is None:
         result = coop_group(b.contravariant_part, base, degree)
-    src = b.group(base, degree)
-    cols = [result.encode(coop_from_bivariant(b, base, degree, a)).coords for a in src.gens()]
-    return GroupHom(src, result.group, IntMatrix.from_columns(cols, result.group.ngens))
+    return comparison_hom(b, base, degree, result, coop_from_bivariant)
 
 
-def coop_image_subgroup(b: TabulatedBivTheory, base: str, degree: int, result: CoopGroupResult | None = None) -> Subgroup:
+def coop_image_subgroup(b: TabulatedBivTheory, base: str, degree: int, result: FamilyGroup | None = None) -> Subgroup:
     return image(coop_hom(b, base, degree, result))
 
 
 def contravariant_surjectivity_witness(t: GrothTransf):
     """An (object, degree) where gamma fails to be onto on the contravariant part."""
-    site = t.site
-    for x in site.objects:
-        idx = site.identity(x)
-        for i in t.src.degrees():
-            if not is_surjective(t.component(idx, i)):
-                return (x, i)
-    return None
-
-
-class NotContravariantSurjectiveError(InvalidTransformationError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"contravariant part not surjective at {witness}")
-
-
-@dataclass(frozen=True)
-class ImageTransfer:
-    source_theory: TabulatedBivTheory
-    target_theory: TabulatedBivTheory
-    base: str
-    degree: int
-    source: Subgroup
-    target: Subgroup
-    mapping: GroupHom
+    return surjectivity_witness(t, "contra")
 
 
 def coop_image_transfer(t: GrothTransf, base: str, degree: int, mode: str = "image") -> ImageTransfer:
     """Transfer coop(alpha) |-> coop(gamma(alpha)) between coop images."""
-    rep = validate_groth(t)
-    if not rep.ok:
-        raise InvalidTransformationError("; ".join(rep.lines()))
-    if mode == "full":
-        witness = contravariant_surjectivity_witness(t)
-        if witness is not None:
-            raise NotContravariantSurjectiveError(witness)
-        target_theory = t.tgt
-        to_target = t.component(base, degree)
-    elif mode == "image":
-        from .bivcore import image_subtheory
-
-        target_theory = image_subtheory(t)
-        to_target = GroupHom(
-            t.src.group(base, degree),
-            target_theory.group(base, degree),
-            IntMatrix.identity(t.src.group(base, degree).ngens),
-        )
-    else:
-        raise ValueError("mode must be 'image' or 'full'")
-
-    src_result = coop_group(t.src.contravariant_part, base, degree)
-    src_hom = coop_hom(t.src, base, degree, src_result)
-    tgt_result = coop_group(target_theory.contravariant_part, base, degree)
-    tgt_hom = coop_hom(target_theory, base, degree, tgt_result)
-
-    composed = tgt_hom @ to_target
-    src_kernel = kernel(src_hom)
-    for k in src_kernel.group.gens():
-        if not composed(src_kernel.inclusion(k)).is_zero:
-            raise InvalidTransformationError(
-                "transfer is not well-defined: coop(alpha)=coop(beta) but images differ"
-            )
-
-    source_sub = image(src_hom)
-    target_sub = image(tgt_hom)
-    cols = [to_target(a).coords for a in t.src.group(base, degree).gens()]
-    mapping = GroupHom(
-        source_sub.group, target_sub.group, IntMatrix.from_columns(cols, target_sub.group.ngens)
-    )
-    return ImageTransfer(t.src, target_theory, base, degree, source_sub, target_sub, mapping)
+    return image_transfer(t, base, degree, mode, "contra", coop_hom)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +167,7 @@ class CompanionSolutions:
 
     particular: CoopClass | None
     homogeneous: Subgroup
-    target_result: CoopGroupResult
+    target_result: FamilyGroup
 
     @property
     def is_empty(self) -> bool:
@@ -464,7 +187,7 @@ class TransferSubgroupResult:
     """
 
     def __init__(self, transf: NaturalTransf, base: str, degree: int):
-        _require_contra(transf.src)
+        require_variance(transf.src, "contra")
         self.transf = transf
         self.base = base
         self.degree = degree
@@ -775,207 +498,15 @@ def cup_transform_compatibility(t: GrothTransf, obj: str, degree: int) -> Valida
 # exhaustive verification suites
 
 
-def _coop_groups_cache(functor):
-    cache = {}
-
-    def get(base, i):
-        key = (base, i)
-        if key not in cache:
-            cache[key] = coop_group(functor, base, i)
-        return cache[key]
-
-    return get
-
-
 def verify_coop_axioms(functor: GradedFunctor, degrees=None) -> ValidationReport:
     """Re-prove the seven axioms plus units on computed co-operational groups."""
-    _require_contra(functor)
-    site = functor.site
-    if degrees is None:
-        degrees = [i for i in feasible_degrees(functor)]
-    rb = ReportBuilder()
-    get = _coop_groups_cache(functor)
-
-    def gens(base, i):
-        return get(base, i).decoded_gens()
-
-    for f, g, h in site.composable_triples():
-        for i in degrees:
-            for j in degrees:
-                for k in degrees:
-                    if i + j not in degrees or j + k not in degrees or i + j + k not in degrees:
-                        continue
-                    for a in gens(f, i):
-                        for b in gens(g, j):
-                            ab = coop_product(a, b)
-                            for c in gens(h, k):
-                                if coop_product(ab, c) != coop_product(a, coop_product(b, c)):
-                                    rb.add("associativity", "(a.b).c != a.(b.c)", f=f, g=g, h=h, i=i, j=j, k=k)
-
-    for x in site.objects:
-        idx = site.identity(x)
-        for g in site.morphisms_out_of(x):
-            for i in degrees:
-                for a in gens(g, i):
-                    if coop_pushforward(a, idx, g) != a:
-                        rb.add("pushforward-functorial", "identity pushforward is not trivial", obj=x, g=g, i=i)
-    for f, g, h in site.composable_triples():
-        gf = site.compose(g, f)
-        hg = site.compose(h, g)
-        for i in degrees:
-            for a in gens(site.compose(h, gf), i):
-                lhs = coop_pushforward(a, gf, h)
-                rhs = coop_pushforward(coop_pushforward(a, f, hg), g, h)
-                if lhs != rhs:
-                    rb.add("pushforward-functorial", "(g o f)_* != g_* o f_*", f=f, g=g, h=h, i=i)
-
-    for f in site.morphisms:
-        idt = site.identity(f.tgt)
-        for i in degrees:
-            for a in gens(f.name, i):
-                if coop_pullback(a, idt) != a:
-                    rb.add("pullback-functorial", "identity pullback is not trivial", f=f.name, i=i)
-    for f in site.morphisms:
-        for g in site.morphisms_into(f.tgt):
-            for h in site.morphisms_into(site.src(g)):
-                gh = site.compose(g, h)
-                paste = site.cospan_paste(f.name, g, h)
-                strict = paste.is_identity(site)
-                for i in degrees:
-                    for a in gens(f.name, i):
-                        lhs = coop_pullback(a, gh)
-                        rhs = coop_pullback(coop_pullback(a, g), h)
-                        if not strict:
-                            rhs = coop_transport(rhs, paste.direct.left, paste.to_pasted)
-                        if lhs != rhs:
-                            rb.add("pullback-functorial", "(g o h)^* != h^* o g^*", f=f.name, g=g, h=h, i=i)
-
-    for f, g, h in site.composable_triples():
-        gf = site.compose(g, f)
-        hg = site.compose(h, g)
-        for i in degrees:
-            for j in degrees:
-                if i + j not in degrees:
-                    continue
-                for a in gens(gf, i):
-                    for b in gens(h, j):
-                        lhs = coop_pushforward(coop_product(a, b), f, hg)
-                        rhs = coop_product(coop_pushforward(a, f, g), b)
-                        if lhs != rhs:
-                            rb.add("product-pushforward", "f_*(a.b) != f_*a . b", f=f, g=g, h=h, i=i, j=j)
-
-    for f, g in site.composable_pairs():
-        gf = site.compose(g, f)
-        for h in site.morphisms_into(site.tgt(g)):
-            hp = site.chosen_pullback(g, h).top
-            paste = site.tower_paste(f, g, h)
-            strict = paste.is_identity(site)
-            for i in degrees:
-                for j in degrees:
-                    if i + j not in degrees:
-                        continue
-                    for a in gens(f, i):
-                        for b in gens(g, j):
-                            lhs = coop_pullback(coop_product(a, b), h)
-                            rhs = coop_product(coop_pullback(a, hp), coop_pullback(b, h))
-                            if not strict:
-                                rhs = coop_transport(rhs, paste.direct.left, paste.to_pasted)
-                            if lhs != rhs:
-                                rb.add("product-pullback", "h^*(a.b) != h'^*a . h^*b", f=f, g=g, h=h, i=i, j=j)
-
-    for f, g in site.composable_pairs():
-        gf = site.compose(g, f)
-        for h in site.morphisms_into(site.tgt(g)):
-            sq_g = site.chosen_pullback(g, h)
-            sq_f = site.chosen_pullback(f, sq_g.top)
-            paste = site.tower_paste(f, g, h)
-            strict = paste.is_identity(site)
-            pasted_left = site.compose(paste.first.left, paste.second.left)
-            for i in degrees:
-                for a in gens(gf, i):
-                    pulled = coop_pullback(a, h)
-                    if not strict:
-                        pulled = coop_transport(pulled, pasted_left, paste.to_direct)
-                    lhs = coop_pushforward(pulled, sq_f.left, sq_g.left)
-                    rhs = coop_pullback(coop_pushforward(a, f, g), h)
-                    if lhs != rhs:
-                        rb.add("pushforward-pullback", "f'_*(h^*a) != h^*(f_*a)", f=f, g=g, h=h, i=i)
-
-    for f in site.morphisms:
-        for g in site.morphisms_into(f.tgt):
-            sq = site.chosen_pullback(f.name, g)
-            for h in site.morphisms_out_of(f.tgt):
-                hg = site.compose(h, g)
-                hf = site.compose(h, f.name)
-                for i in degrees:
-                    for j in degrees:
-                        if i + j not in degrees:
-                            continue
-                        for a in gens(f.name, i):
-                            ga = coop_pullback(a, g)
-                            for b in gens(hg, j):
-                                lhs = coop_pushforward(coop_product(ga, b), sq.top, hf)
-                                rhs = coop_product(a, coop_pushforward(b, g, h))
-                                if lhs != rhs:
-                                    rb.add("projection-formula", "g'_*(g^*a . b) != a . g_*b", f=f.name, g=g, h=h, i=i, j=j)
-
-    for x in site.objects:
-        u = coop_unit(functor, x)
-        for f in site.morphisms_into(x):
-            for i in degrees:
-                for a in gens(f, i):
-                    if coop_product(a, u) != a:
-                        rb.add("units", "a . 1_X != a", obj=x, f=f, i=i)
-        for f in site.morphisms_out_of(x):
-            for i in degrees:
-                for b in gens(f, i):
-                    if coop_product(u, b) != b:
-                        rb.add("units", "1_X . b != b", obj=x, f=f, i=i)
-        for g in site.morphisms_into(x):
-            if coop_pullback(u, g) != coop_unit(functor, site.src(g)):
-                rb.add("units", "g^*1_X != 1_X'", obj=x, g=g)
-
-    return rb.done()
+    return verify_axioms(FamilyTheory(require_variance(functor, "contra"), degrees))
 
 
 def verify_coop_transform_identities(b: TabulatedBivTheory) -> ValidationReport:
-    """coop(a.b) = coop(a).coop(b) and the pushforward/pullback analogues."""
-    site = b.site
-    rb = ReportBuilder()
-    degrees = list(b.degrees())
-    for f, g in site.composable_pairs():
-        if not (site.is_confined(f) and site.is_confined(g)):
-            continue
-        gf = site.compose(g, f)
-        for i in degrees:
-            for j in degrees:
-                for a in b.group(f, i).gens():
-                    ca = coop_from_bivariant(b, f, i, a)
-                    for bb in b.group(g, j).gens():
-                        lhs = coop_from_bivariant(b, gf, i + j, b.product(f, g, i, j, a, bb))
-                        rhs = coop_product(ca, coop_from_bivariant(b, g, j, bb))
-                        if lhs != rhs:
-                            rb.add("coop-product", "coop(a.b) != coop(a).coop(b)", f=f, g=g, i=i, j=j, a=a.coords, b=bb.coords)
-    for f, g in site.composable_pairs():
-        if not (site.is_confined(f) and site.is_confined(g)):
-            continue
-        gf = site.compose(g, f)
-        for i in degrees:
-            for a in b.group(gf, i).gens():
-                lhs = coop_from_bivariant(b, g, i, b.pushforward(f, g, i, a))
-                rhs = coop_pushforward(coop_from_bivariant(b, gf, i, a), f, g)
-                if lhs != rhs:
-                    rb.add("coop-pushforward", "coop(f_*a) != f_*coop(a)", f=f, g=g, i=i, a=a.coords)
-    for (f, g), sq in sorted(b.site._pullbacks.items()):
-        if not site.is_confined(f):
-            continue
-        for i in degrees:
-            for a in b.group(f, i).gens():
-                lhs = coop_from_bivariant(b, sq.left, i, b.pullback(f, g, i, a))
-                rhs = coop_pullback(coop_from_bivariant(b, f, i, a), g)
-                if lhs != rhs:
-                    rb.add("coop-pullback", "coop(g^*a) != g^*coop(a)", f=f, g=g, i=i, a=a.coords)
-    return rb.done()
+    """coop(a.b) = coop(a).coop(b) and the pushforward/pullback analogues,
+    over the confined bases, where coop(alpha) is defined."""
+    return verify_comparison_identities(b, "contra", coop_from_bivariant, b.site.is_confined)
 
 
 def verify_identity_isomorphism(b: TabulatedBivTheory) -> ValidationReport:

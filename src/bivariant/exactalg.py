@@ -631,32 +631,6 @@ class GroupHom:
         return f"<hom {self.src.pretty()} -> {self.tgt.pretty()}>"
 
 
-def hom_algebra(op: str, *args):
-    """Dispatcher over the basic hom operations.
-
-    op is one of compose, add, negate, is_zero, is_equal, identity_of.
-    """
-    if op == "compose":
-        f, g = args
-        return f @ g
-    if op == "add":
-        f, g = args
-        return f + g
-    if op == "negate":
-        (f,) = args
-        return -f
-    if op == "is_zero":
-        (f,) = args
-        return f.is_zero_hom
-    if op == "is_equal":
-        f, g = args
-        return f.equals(g)
-    if op == "identity_of":
-        (g,) = args
-        return GroupHom.identity(g)
-    raise ValueError(f"unknown hom_algebra operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Hom groups with codecs
 

@@ -3,189 +3,43 @@
 A class of degree i over f: X->Y is a family of homomorphisms
 c_g: h_m(Y') -> h_{m-i}(X'_g), one per morphism g: Y'->Y and grade m,
 where X'_g is the chosen pullback apex, compatible with pushforward along
-every confined k: Y''->Y'.  Groups of such classes are computed exactly as
-kernels of an integer constraint map; products, pushforwards and pullbacks
-act componentwise by composition.
+every confined k: Y''->Y'.  The classes, their groups and operations are
+the family engine of famsolve at covariant variance; this module adds the
+comparison map from a tabulated theory and its checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .exactalg import (
-    GroupElement,
-    GroupHom,
-    Subgroup,
-    image,
-    IntMatrix,
-    is_surjective,
-    kernel,
+from .exactalg import GroupElement, GroupHom, IntMatrix, Subgroup, image, kernel
+from .famsolve import (
+    FamilyClass,
+    FamilyGroup,
+    FamilyTheory,
+    ImageTransfer,
+    NotSurjectiveError,
+    comparison_hom,
+    family_group,
+    family_product,
+    family_pullback,
+    family_pushforward,
+    family_transport,
+    family_unit,
+    image_transfer,
+    require_variance,
+    surjectivity_witness,
+    verify_comparison_identities,
 )
-from .famsolve import ConstraintSpec, FamilySolution, SummandSpec, TermSpec, solve_family
-from .bivcore import DegreeWindowError, GrothTransf, InvalidTransformationError, TabulatedBivTheory, validate_groth
+from .bivcore import GrothTransf, TabulatedBivTheory, verify_axioms
 from .report import ReportBuilder, ValidationReport
-from .site import GradedFunctor, NonConfinedError, Site
+from .site import GradedFunctor
+
+OpClass = FamilyClass
+NotCovariantSurjectiveError = NotSurjectiveError
 
 
-def _require_cov(functor: GradedFunctor):
-    if functor.variance != "cov":
-        raise ValueError("operational classes need a covariant functor")
-
-
-def feasible_degrees(functor: GradedFunctor):
-    lo, hi = functor.window
-    span = hi - lo
-    return range(-span, span + 1)
-
-
-@dataclass(eq=False)
-class OpClass:
-    """A single operational class: base morphism, degree, components."""
-
-    functor: GradedFunctor
-    base: str
-    degree: int
-    components: dict = field(default_factory=dict)
-
-    @property
-    def site(self) -> Site:
-        return self.functor.site
-
-    def component(self, g: str, m: int) -> GroupHom:
-        stored = self.components.get((g, m))
-        if stored is not None:
-            return stored
-        site = self.site
-        apex = site.chosen_pullback(self.base, g).apex
-        return GroupHom.zero(
-            self.functor.group(site.src(g), m), self.functor.group(apex, m - self.degree)
-        )
-
-    def _keys(self):
-        site = self.site
-        for g in site.morphisms_into(site.tgt(self.base)):
-            for m in self.functor.grades():
-                yield (g, m)
-
-    def _same_context(self, other: "OpClass") -> bool:
-        return (
-            self.site is other.site
-            and self.functor.variance == other.functor.variance
-            and self.functor.window == other.functor.window
-            and self.base == other.base
-            and self.degree == other.degree
-        )
-
-    def _compatible(self, other: "OpClass"):
-        if not self._same_context(other):
-            raise ValueError("classes live over different data")
-
-    def __eq__(self, other):
-        if not isinstance(other, OpClass):
-            return NotImplemented
-        if not self._same_context(other):
-            return False
-        return all(self.component(g, m).equals(other.component(g, m)) for g, m in self._keys())
-
-    def __add__(self, other: "OpClass") -> "OpClass":
-        self._compatible(other)
-        comps = {k: self.component(*k) + other.component(*k) for k in self._keys()}
-        return OpClass(self.functor, self.base, self.degree, comps)
-
-    def __neg__(self) -> "OpClass":
-        return OpClass(self.functor, self.base, self.degree, {k: -self.component(*k) for k in self._keys()})
-
-    def __sub__(self, other: "OpClass") -> "OpClass":
-        return self + (-other)
-
-    def compatibility_report(self) -> ValidationReport:
-        rb = ReportBuilder()
-        site = self.site
-        for g in site.morphisms_into(site.tgt(self.base)):
-            sq = site.chosen_pullback(self.base, g)
-            for k in site.morphisms_into(site.src(g)):
-                if site.is_identity(k) or not site.is_confined(k):
-                    continue
-                paste = site.cospan_paste(self.base, g, k)
-                w = site.compose(paste.second.top, paste.to_pasted)
-                gk = site.compose(g, k)
-                for m in self.functor.grades():
-                    lhs = self.functor.map(w, m - self.degree) @ self.component(gk, m)
-                    rhs = self.component(g, m) @ self.functor.map(k, m)
-                    if not lhs.equals(rhs):
-                        rb.add(
-                            "pushforward-compatibility",
-                            "w_* o c_(g o k) != c_g o k_*",
-                            g=g,
-                            k=k,
-                            grade=m,
-                        )
-        return rb.done()
-
-
-@dataclass(frozen=True)
-class OpGroupResult:
-    """The group of operational classes for (functor, base, degree)."""
-
-    functor: GradedFunctor
-    base: str
-    degree: int
-    solution: FamilySolution
-
-    @property
-    def group(self):
-        return self.solution.group
-
-    def decode(self, x: GroupElement) -> OpClass:
-        comps = self.solution.decode(x)
-        return OpClass(self.functor, self.base, self.degree, comps)
-
-    def encode(self, cls: OpClass) -> GroupElement:
-        comps = {key: cls.component(*key) for key in (s.key for s in self.solution.summands)}
-        return self.solution.encode(comps)
-
-    def decoded_gens(self) -> list[OpClass]:
-        return [self.decode(e) for e in self.group.gens()]
-
-
-def op_group(functor: GradedFunctor, base: str, degree: int) -> OpGroupResult:
+def op_group(functor: GradedFunctor, base: str, degree: int) -> FamilyGroup:
     """Solve for all pushforward-compatible families over the base morphism."""
-    _require_cov(functor)
-    site = functor.site
-    target = site.tgt(base)
-    summands = []
-    for g in site.morphisms_into(target):
-        apex = site.chosen_pullback(base, g).apex
-        for m in functor.grades():
-            summands.append(
-                SummandSpec(
-                    (g, m),
-                    functor.group(site.src(g), m),
-                    functor.group(apex, m - degree),
-                )
-            )
-    constraints = []
-    for g in site.morphisms_into(target):
-        sq = site.chosen_pullback(base, g)
-        for k in site.morphisms_into(site.src(g)):
-            if site.is_identity(k) or not site.is_confined(k):
-                continue
-            paste = site.cospan_paste(base, g, k)
-            w = site.compose(paste.second.top, paste.to_pasted)
-            gk = site.compose(g, k)
-            for m in functor.grades():
-                constraints.append(
-                    ConstraintSpec(
-                        (g, k, m),
-                        functor.group(site.src(k), m),
-                        functor.group(sq.apex, m - degree),
-                        (
-                            TermSpec(1, (gk, m), None, functor.map(w, m - degree)),
-                            TermSpec(-1, (g, m), functor.map(k, m), None),
-                        ),
-                    )
-                )
-    return OpGroupResult(functor, base, degree, solve_family(summands, constraints))
+    return family_group(require_variance(functor, "cov"), base, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -194,110 +48,27 @@ def op_group(functor: GradedFunctor, base: str, degree: int) -> OpGroupResult:
 
 def op_unit(functor: GradedFunctor, obj: str) -> OpClass:
     """Degree-zero identity family over id_X."""
-    _require_cov(functor)
-    site = functor.site
-    idx = site.identity(obj)
-    comps = {}
-    for g in site.morphisms_into(obj):
-        for m in functor.grades():
-            grp = functor.group(site.src(g), m)
-            comps[(g, m)] = GroupHom.identity(grp)
-    return OpClass(functor, idx, 0, comps)
-
-
-def _check_degree(functor, degree):
-    if degree not in feasible_degrees(functor):
-        raise DegreeWindowError(f"degree {degree} exceeds the grade window span")
+    return family_unit(require_variance(functor, "cov"), obj)
 
 
 def op_product(c: OpClass, d: OpClass) -> OpClass:
     """(c.d)_h := c_{h'} o d_h over the composite base."""
-    if c.site is not d.site or c.functor.window != d.functor.window:
-        raise ValueError("classes over different functors")
-    functor, site = c.functor, c.site
-    base = site.compose(d.base, c.base)
-    degree = c.degree + d.degree
-    _check_degree(functor, degree)
-    comps = {}
-    for h in site.morphisms_into(site.tgt(d.base)):
-        paste = site.tower_paste(c.base, d.base, h)
-        hp = paste.first.top  # h': Y' -> Y
-        for m in functor.grades():
-            inner = c.component(hp, m - d.degree) @ d.component(h, m)
-            comps[(h, m)] = functor.map(paste.to_direct, m - degree) @ inner
-    return OpClass(functor, base, degree, comps)
+    return family_product(c, d)
 
 
 def op_pushforward(c: OpClass, f: str, rest: str) -> OpClass:
     """(f_* c)_h := f'_* o c_h for confined f with c over rest o f."""
-    functor, site = c.functor, c.site
-    if not site.is_confined(f):
-        raise NonConfinedError(f"pushforward along non-confined morphism {f}")
-    if site.compose(rest, f) != c.base:
-        raise ValueError("base morphism does not factor as rest o f")
-    comps = {}
-    for h in site.morphisms_into(site.tgt(rest)):
-        paste = site.tower_paste(f, rest, h)
-        fp = paste.second.left  # f': X' -> Y'
-        for m in functor.grades():
-            step = functor.map(paste.to_pasted, m - c.degree) @ c.component(h, m)
-            comps[(h, m)] = functor.map(fp, m - c.degree) @ step
-    return OpClass(functor, rest, c.degree, comps)
+    return family_pushforward(c, f, rest)
 
 
 def op_pullback(c: OpClass, g: str) -> OpClass:
     """(g^* c)_k := c_{g o k}, transported to the pasted apex."""
-    functor, site = c.functor, c.site
-    if site.tgt(g) != site.tgt(c.base):
-        raise ValueError(f"{g} is not a morphism into the base target")
-    fprime = site.chosen_pullback(c.base, g).left
-    comps = {}
-    for k in site.morphisms_into(site.src(g)):
-        paste = site.cospan_paste(c.base, g, k)
-        gk = site.compose(g, k)
-        for m in functor.grades():
-            comps[(k, m)] = functor.map(paste.to_pasted, m - c.degree) @ c.component(gk, m)
-    return OpClass(functor, fprime, c.degree, comps)
+    return family_pullback(c, g)
 
 
 def op_transport(cls: OpClass, new_base: str, iso: str) -> OpClass:
-    """Move a class along an isomorphism of base morphisms.
-
-    iso: src(new_base) -> src(cls.base) with cls.base o iso == new_base;
-    every component is postcomposed with the canonical apex comparison,
-    which must be confined for the covariant functor to act.
-    """
-    functor, site = cls.functor, cls.site
-    if site.compose(cls.base, iso) != new_base:
-        raise ValueError("iso does not relate the two base morphisms")
-    iso_inv = site.inverse_of(iso)
-    comps = {}
-    for k in site.morphisms_into(site.tgt(new_base)):
-        sq_new = site.chosen_pullback(new_base, k)
-        sq_old = site.chosen_pullback(cls.base, k)
-        v_inv = site._mediator(
-            sq_old.apex,
-            [
-                (sq_new.top, site.compose(iso_inv, sq_old.top), sq_new.apex),
-                (sq_new.left, sq_old.left, sq_new.apex),
-            ],
-        )
-        for m in functor.grades():
-            comps[(k, m)] = functor.map(v_inv, m - cls.degree) @ cls.component(k, m)
-    return OpClass(functor, new_base, cls.degree, comps)
-
-
-def op_operations(kind: str, **kwargs):
-    """Dispatcher: kind in {product, pushforward, pullback, unit}."""
-    if kind == "product":
-        return op_product(kwargs["c"], kwargs["d"])
-    if kind == "pushforward":
-        return op_pushforward(kwargs["c"], kwargs["f"], kwargs["rest"])
-    if kind == "pullback":
-        return op_pullback(kwargs["c"], kwargs["g"])
-    if kind == "unit":
-        return op_unit(kwargs["functor"], kwargs["obj"])
-    raise ValueError(f"unknown operational operation {kind!r}")
+    """Move a class along an isomorphism of base morphisms (see family_transport)."""
+    return family_transport(cls, new_base, iso)
 
 
 # ---------------------------------------------------------------------------
@@ -336,319 +107,40 @@ def evaluation(b: TabulatedBivTheory, c: OpClass) -> GroupElement:
     return b.group(c.base, c.degree).element(val.coords)
 
 
-def op_hom(b: TabulatedBivTheory, base: str, degree: int, result: OpGroupResult | None = None) -> GroupHom:
+def op_hom(b: TabulatedBivTheory, base: str, degree: int, result: FamilyGroup | None = None) -> GroupHom:
     """The canonical map B(f)^i -> operational group, alpha |-> op(alpha)."""
     if result is None:
         result = op_group(b.covariant_part, base, degree)
-    src = b.group(base, degree)
-    cols = [result.encode(op_from_bivariant(b, base, degree, a)).coords for a in src.gens()]
-    return GroupHom(src, result.group, IntMatrix.from_columns(cols, result.group.ngens))
+    return comparison_hom(b, base, degree, result, op_from_bivariant)
 
 
-def op_image_subgroup(b: TabulatedBivTheory, base: str, degree: int, result: OpGroupResult | None = None) -> Subgroup:
+def op_image_subgroup(b: TabulatedBivTheory, base: str, degree: int, result: FamilyGroup | None = None) -> Subgroup:
     """Image of op inside the operational group."""
     return image(op_hom(b, base, degree, result))
 
 
 def covariant_surjectivity_witness(t: GrothTransf):
     """An (object, degree) where gamma fails to be onto on the covariant part, or None."""
-    site = t.site
-    for x in site.objects:
-        ax = site.to_point(x)
-        for i in t.src.degrees():
-            if not is_surjective(t.component(ax, i)):
-                return (x, i)
-    return None
-
-
-class NotCovariantSurjectiveError(InvalidTransformationError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"covariant part not surjective at {witness}")
-
-
-@dataclass(frozen=True)
-class ImageTransfer:
-    """Map op(alpha) |-> op(gamma(alpha)) between image subtheories."""
-
-    source_theory: TabulatedBivTheory
-    target_theory: TabulatedBivTheory
-    base: str
-    degree: int
-    source: Subgroup
-    target: Subgroup
-    mapping: GroupHom  # source.group -> target.group
+    return surjectivity_witness(t, "cov")
 
 
 def op_image_transfer(t: GrothTransf, base: str, degree: int, mode: str = "image") -> ImageTransfer:
-    """Transfer on operational images; mode 'full' needs covariant surjectivity.
-
-    Well-definedness is certified computationally: every kernel generator of
-    op on the source side must map to a kernel element on the target side.
-    """
-    rep = validate_groth(t)
-    if not rep.ok:
-        raise InvalidTransformationError("; ".join(rep.lines()))
-    if mode == "full":
-        witness = covariant_surjectivity_witness(t)
-        if witness is not None:
-            raise NotCovariantSurjectiveError(witness)
-        target_theory = t.tgt
-        to_target = t.component(base, degree)
-    elif mode == "image":
-        from .bivcore import image_subtheory
-
-        target_theory = image_subtheory(t)
-        # in the image presentation, gamma(alpha) keeps alpha's coordinates
-        to_target = GroupHom(
-            t.src.group(base, degree),
-            target_theory.group(base, degree),
-            IntMatrix.identity(t.src.group(base, degree).ngens),
-        )
-    else:
-        raise ValueError("mode must be 'image' or 'full'")
-
-    src_result = op_group(t.src.covariant_part, base, degree)
-    src_hom = op_hom(t.src, base, degree, src_result)
-    tgt_result = op_group(target_theory.covariant_part, base, degree)
-    tgt_hom = op_hom(target_theory, base, degree, tgt_result)
-
-    composed = tgt_hom @ to_target
-    src_kernel = kernel(src_hom)
-    for k in src_kernel.group.gens():
-        if not composed(src_kernel.inclusion(k)).is_zero:
-            raise InvalidTransformationError(
-                "transfer is not well-defined: op(alpha)=op(beta) but images differ"
-            )
-
-    source_sub = image(src_hom)
-    target_sub = image(tgt_hom)
-    cols = []
-    for a in t.src.group(base, degree).gens():
-        val = to_target(a)
-        cols.append(val.coords)
-    mapping = GroupHom(
-        source_sub.group, target_sub.group, IntMatrix.from_columns(cols, target_sub.group.ngens)
-    )
-    return ImageTransfer(t.src, target_theory, base, degree, source_sub, target_sub, mapping)
+    """Transfer on operational images; mode 'full' needs covariant surjectivity."""
+    return image_transfer(t, base, degree, mode, "cov", op_hom)
 
 
 # ---------------------------------------------------------------------------
 # exhaustive verification suites
 
 
-def _op_groups_cache(functor, degrees):
-    cache = {}
-
-    def get(base, i):
-        key = (base, i)
-        if key not in cache:
-            cache[key] = op_group(functor, base, i)
-        return cache[key]
-
-    return get
-
-
 def verify_op_axioms(functor: GradedFunctor, degrees=None) -> ValidationReport:
     """Re-prove the seven axioms plus units for computed operational groups."""
-    _require_cov(functor)
-    site = functor.site
-    if degrees is None:
-        degrees = [i for i in feasible_degrees(functor)]
-    rb = ReportBuilder()
-    get = _op_groups_cache(functor, degrees)
-
-    def gens(base, i):
-        return get(base, i).decoded_gens()
-
-    # associativity
-    for f, g, h in site.composable_triples():
-        for i in degrees:
-            for j in degrees:
-                for k in degrees:
-                    if i + j not in degrees or j + k not in degrees or i + j + k not in degrees:
-                        continue
-                    for a in gens(f, i):
-                        for b in gens(g, j):
-                            ab = op_product(a, b)
-                            for c in gens(h, k):
-                                if op_product(ab, c) != op_product(a, op_product(b, c)):
-                                    rb.add("associativity", "(a.b).c != a.(b.c)", f=f, g=g, h=h, i=i, j=j, k=k)
-
-    # pushforward functoriality
-    for x in site.objects:
-        idx = site.identity(x)
-        for g in site.morphisms_out_of(x):
-            for i in degrees:
-                for a in gens(g, i):
-                    if op_pushforward(a, idx, g) != a:
-                        rb.add("pushforward-functorial", "identity pushforward is not trivial", obj=x, g=g, i=i)
-    for f, g, h in site.composable_triples():
-        if not (site.is_confined(f) and site.is_confined(g)):
-            continue
-        gf = site.compose(g, f)
-        hg = site.compose(h, g)
-        for i in degrees:
-            for a in gens(site.compose(h, gf), i):
-                lhs = op_pushforward(a, gf, h)
-                rhs = op_pushforward(op_pushforward(a, f, hg), g, h)
-                if lhs != rhs:
-                    rb.add("pushforward-functorial", "(g o f)_* != g_* o f_*", f=f, g=g, h=h, i=i)
-
-    # pullback functoriality
-    for f in site.morphisms:
-        idt = site.identity(f.tgt)
-        for i in degrees:
-            for a in gens(f.name, i):
-                if op_pullback(a, idt) != a:
-                    rb.add("pullback-functorial", "identity pullback is not trivial", f=f.name, i=i)
-    for f in site.morphisms:
-        for g in site.morphisms_into(f.tgt):
-            for h in site.morphisms_into(site.src(g)):
-                gh = site.compose(g, h)
-                paste = site.cospan_paste(f.name, g, h)
-                strict = paste.is_identity(site)
-                for i in degrees:
-                    for a in gens(f.name, i):
-                        lhs = op_pullback(a, gh)
-                        rhs = op_pullback(op_pullback(a, g), h)
-                        if not strict:
-                            rhs = op_transport(rhs, paste.direct.left, paste.to_pasted)
-                        if lhs != rhs:
-                            rb.add("pullback-functorial", "(g o h)^* != h^* o g^*", f=f.name, g=g, h=h, i=i)
-
-    # product and pushforward commute
-    for f, g, h in site.composable_triples():
-        if not site.is_confined(f):
-            continue
-        gf = site.compose(g, f)
-        hg = site.compose(h, g)
-        for i in degrees:
-            for j in degrees:
-                if i + j not in degrees:
-                    continue
-                for a in gens(gf, i):
-                    for b in gens(h, j):
-                        lhs = op_pushforward(op_product(a, b), f, hg)
-                        rhs = op_product(op_pushforward(a, f, g), b)
-                        if lhs != rhs:
-                            rb.add("product-pushforward", "f_*(a.b) != f_*a . b", f=f, g=g, h=h, i=i, j=j)
-
-    # product and pullback commute
-    for f, g in site.composable_pairs():
-        for h in site.morphisms_into(site.tgt(g)):
-            hp = site.chosen_pullback(g, h).top
-            paste = site.tower_paste(f, g, h)
-            strict = paste.is_identity(site)
-            for i in degrees:
-                for j in degrees:
-                    if i + j not in degrees:
-                        continue
-                    for a in gens(f, i):
-                        for b in gens(g, j):
-                            lhs = op_pullback(op_product(a, b), h)
-                            rhs = op_product(op_pullback(a, hp), op_pullback(b, h))
-                            if not strict:
-                                rhs = op_transport(rhs, paste.direct.left, paste.to_pasted)
-                            if lhs != rhs:
-                                rb.add("product-pullback", "h^*(a.b) != h'^*a . h^*b", f=f, g=g, h=h, i=i, j=j)
-
-    # pushforward and pullback commute
-    for f, g in site.composable_pairs():
-        if not site.is_confined(f):
-            continue
-        gf = site.compose(g, f)
-        for h in site.morphisms_into(site.tgt(g)):
-            sq_g = site.chosen_pullback(g, h)
-            sq_f = site.chosen_pullback(f, sq_g.top)
-            paste = site.tower_paste(f, g, h)
-            strict = paste.is_identity(site)
-            pasted_left = site.compose(paste.first.left, paste.second.left)
-            for i in degrees:
-                for a in gens(gf, i):
-                    pulled = op_pullback(a, h)
-                    if not strict:
-                        pulled = op_transport(pulled, pasted_left, paste.to_direct)
-                    lhs = op_pushforward(pulled, sq_f.left, sq_g.left)
-                    rhs = op_pullback(op_pushforward(a, f, g), h)
-                    if lhs != rhs:
-                        rb.add("pushforward-pullback", "f'_*(h^*a) != h^*(f_*a)", f=f, g=g, h=h, i=i)
-
-    # projection formula
-    for f in site.morphisms:
-        for g in site.morphisms_into(f.tgt):
-            if not site.is_confined(g):
-                continue
-            sq = site.chosen_pullback(f.name, g)
-            for h in site.morphisms_out_of(f.tgt):
-                hg = site.compose(h, g)
-                hf = site.compose(h, f.name)
-                for i in degrees:
-                    for j in degrees:
-                        if i + j not in degrees:
-                            continue
-                        for a in gens(f.name, i):
-                            ga = op_pullback(a, g)
-                            for b in gens(hg, j):
-                                lhs = op_pushforward(op_product(ga, b), sq.top, hf)
-                                rhs = op_product(a, op_pushforward(b, g, h))
-                                if lhs != rhs:
-                                    rb.add("projection-formula", "g'_*(g^*a . b) != a . g_*b", f=f.name, g=g, h=h, i=i, j=j)
-
-    # units
-    for x in site.objects:
-        u = op_unit(functor, x)
-        for f in site.morphisms_into(x):
-            for i in degrees:
-                for a in gens(f, i):
-                    if op_product(a, u) != a:
-                        rb.add("units", "a . 1_X != a", obj=x, f=f, i=i)
-        for f in site.morphisms_out_of(x):
-            for i in degrees:
-                for b in gens(f, i):
-                    if op_product(u, b) != b:
-                        rb.add("units", "1_X . b != b", obj=x, f=f, i=i)
-        for g in site.morphisms_into(x):
-            if op_pullback(u, g) != op_unit(functor, site.src(g)):
-                rb.add("units", "g^*1_X != 1_X'", obj=x, g=g)
-
-    return rb.done()
+    return verify_axioms(FamilyTheory(require_variance(functor, "cov"), degrees))
 
 
 def verify_op_transform_identities(b: TabulatedBivTheory) -> ValidationReport:
     """op(a.b) = op(a).op(b), op(f_*a) = f_*op(a), op(g^*a) = g^*op(a) on generators."""
-    site = b.site
-    rb = ReportBuilder()
-    degrees = list(b.degrees())
-    for f, g in site.composable_pairs():
-        gf = site.compose(g, f)
-        for i in degrees:
-            for j in degrees:
-                for a in b.group(f, i).gens():
-                    ca = op_from_bivariant(b, f, i, a)
-                    for bb in b.group(g, j).gens():
-                        lhs = op_from_bivariant(b, gf, i + j, b.product(f, g, i, j, a, bb))
-                        rhs = op_product(ca, op_from_bivariant(b, g, j, bb))
-                        if lhs != rhs:
-                            rb.add("op-product", "op(a.b) != op(a).op(b)", f=f, g=g, i=i, j=j, a=a.coords, b=bb.coords)
-    for f, g in site.composable_pairs():
-        if not site.is_confined(f):
-            continue
-        gf = site.compose(g, f)
-        for i in degrees:
-            for a in b.group(gf, i).gens():
-                lhs = op_from_bivariant(b, g, i, b.pushforward(f, g, i, a))
-                rhs = op_pushforward(op_from_bivariant(b, gf, i, a), f, g)
-                if lhs != rhs:
-                    rb.add("op-pushforward", "op(f_*a) != f_*op(a)", f=f, g=g, i=i, a=a.coords)
-    for (f, g), sq in sorted(site._pullbacks.items()):
-        for i in degrees:
-            for a in b.group(f, i).gens():
-                lhs = op_from_bivariant(b, sq.left, i, b.pullback(f, g, i, a))
-                rhs = op_pullback(op_from_bivariant(b, f, i, a), g)
-                if lhs != rhs:
-                    rb.add("op-pullback", "op(g^*a) != g^*op(a)", f=f, g=g, i=i, a=a.coords)
-    return rb.done()
+    return verify_comparison_identities(b, "cov", op_from_bivariant, lambda f: True)
 
 
 def verify_point_isomorphism(b: TabulatedBivTheory) -> ValidationReport:

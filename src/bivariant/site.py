@@ -323,12 +323,6 @@ class Site:
         return PasteComparison(direct, first, second, to_direct, to_pasted)
 
 
-def paste_comparison(site: Site, f: str, g: str, h: str) -> PasteComparison:
-    """Canonical comparison between the pullback of a composite cospan and
-    the pullback-of-pullback; identity on poset sites."""
-    return site.cospan_paste(f, g, h)
-
-
 def validate_site(site: Site) -> ValidationReport:
     rb = ReportBuilder()
 
@@ -585,11 +579,3 @@ class NaturalTransf:
                 if not lhs.equals(rhs):
                     rb.add("naturality", "naturality square does not commute", morphism=mor, grade=m)
         return rb.done()
-
-
-def validate_functor(f: GradedFunctor) -> ValidationReport:
-    return f.validate()
-
-
-def validate_natural(t: NaturalTransf) -> ValidationReport:
-    return t.validate()

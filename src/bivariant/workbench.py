@@ -49,13 +49,18 @@ class InstanceBundle:
         rb = ReportBuilder()
         from .site import validate_site
 
-        rb.extend(validate_site(self.site))
+        site_report = validate_site(self.site)
+        rb.extend(site_report)
         for name in sorted(self.functors):
             for v in self.functors[name].validate().violations:
                 rb.add(v.kind, f"functor {name}: {v.message}", **v.witness_dict())
         for name in sorted(self.transformations):
             for v in self.transformations[name].validate().violations:
                 rb.add(v.kind, f"transformation {name}: {v.message}", **v.witness_dict())
+        if not site_report.ok:
+            # theories and Grothendieck maps paste chosen squares, which
+            # needs a valid site
+            return rb.done()
         for name in sorted(self.theories):
             for v in validate_axioms(self.theories[name]).violations:
                 rb.add(v.kind, f"theory {name}: {v.message}", **v.witness_dict())

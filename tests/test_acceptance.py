@@ -85,16 +85,8 @@ def test_criterion_01_snf_suite():
     announce(1, elapsed < 5.0, f"500 random SNF checks with divisor oracle in {elapsed:.2f}s")
 
 
-def test_criterion_02_axiom_suite(bundle):
-    started = time.monotonic()
-    ok = validate_axioms(build_subsets_instance(1).theories["B"]).ok
-    ok = ok and validate_axioms(bundle.theories["B"]).ok
-    ok = ok and validate_axioms(bundle.theories["B2"]).ok
-    site1 = subsets_site(1)
-    zero = TabulatedBivTheory(site1, (0, 0), {}, {}, {}, {}, {x: () for x in site1.objects})
-    ok = ok and validate_axioms(zero).ok
-
-    theory = bundle.theories["B"]
+def mutation_fixtures(theory):
+    """(axiom kind, theory) pairs: B with one table entry broken per axiom."""
 
     def rebuild(**over):
         return TabulatedBivTheory(
@@ -143,6 +135,19 @@ def test_criterion_02_axiom_suite(bundle):
     units = dict(theory._units)
     units["01"] = theory.group("01>01", 0).zero_element()
     mutations.append(("units", rebuild(units=units)))
+    return mutations
+
+
+def test_criterion_02_axiom_suite(bundle):
+    started = time.monotonic()
+    ok = validate_axioms(build_subsets_instance(1).theories["B"]).ok
+    ok = ok and validate_axioms(bundle.theories["B"]).ok
+    ok = ok and validate_axioms(bundle.theories["B2"]).ok
+    site1 = subsets_site(1)
+    zero = TabulatedBivTheory(site1, (0, 0), {}, {}, {}, {}, {x: () for x in site1.objects})
+    ok = ok and validate_axioms(zero).ok
+
+    mutations = mutation_fixtures(bundle.theories["B"])
 
     from bivariant.bivcore import AXIOM_NAMES
 

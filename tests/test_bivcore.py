@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +233,30 @@ class TestAssociatedFunctors:
         assert f.variance == "contra"
         assert f.group("0", 0).canonical() == (1, ())
         assert f.validate().ok
+
+
+def golden_reports():
+    """Axiom reports of the criterion-2 mutation fixtures and the flip-site constant theory."""
+    from test_acceptance import mutation_fixtures
+    from test_nonposet_and_degrees import constant_theory, flip_site
+
+    cases = mutation_fixtures(build_subsets_instance(2).theories["B"])
+    cases.append(("nonstrict-pasting", constant_theory(flip_site())))
+    return {kind: validate_axioms(theory).to_json() for kind, theory in cases}
+
+
+class TestGoldenReports:
+    """Kinds, messages, witnesses and order of tabulated axiom reports are pinned.
+
+    Regenerate the fixture only for an intended change of a report.
+    """
+
+    def test_reports_match_fixture(self):
+        path = Path(__file__).parent / "fixtures" / "axiom_reports.json"
+        expected = json.loads(path.read_text(encoding="utf-8"))
+        assert normalise(golden_reports()) == expected
+
+
+def normalise(doc):
+    """The document as it reads back from JSON, so tuples compare as lists."""
+    return json.loads(json.dumps(doc, sort_keys=True))

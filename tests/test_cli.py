@@ -168,18 +168,69 @@ class TestDeterminism:
         assert a.stdout == b.stdout
 
 
+def broken_functor_file(tmp_path, subsets_file, functor):
+    doc = json.loads(Path(subsets_file).read_text())
+    # break functoriality of a non-identity map on purpose
+    doc["functors"][functor]["maps"]["01>01@0"] = [[1, 1], [0, 1]]
+    bad = tmp_path / "badfunctor.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    return bad
+
+
 class TestUsedComponentValidation:
     def test_coop_on_broken_functor_exits_one(self, tmp_path, subsets_file):
-        doc = json.loads(Path(subsets_file).read_text())
-        # break functoriality of a non-identity restriction on purpose
-        doc["functors"]["F"]["maps"]["01>01@0"] = [[1, 1], [0, 1]]
-        bad = tmp_path / "badfunctor.json"
-        bad.write_text(json.dumps(doc), encoding="utf-8")
+        bad = broken_functor_file(tmp_path, subsets_file, "F")
         result = run_cli("coop", str(bad), "--functor", "F", "--morphism", "01>01", "--degree", "0")
         assert result.returncode == 1
         assert "identity-map" in result.stdout or "functoriality" in result.stdout
+
+    @pytest.mark.parametrize(
+        "command, functor, args",
+        [
+            ("coop", "F", ["--functor", "F"]),
+            ("op", "h", ["--functor", "h"]),
+            ("bcoopt", "F", ["--nat", "T"]),
+        ],
+    )
+    def test_precheck_failure_reports_inputs(self, tmp_path, subsets_file, command, functor, args):
+        bad = broken_functor_file(tmp_path, subsets_file, functor)
+        argv = [*args, "--morphism", "01>01", "--degree", "0"]
+        result = run_cli("--json", command, str(bad), *argv)
+        assert result.returncode == 1
+        doc = json.loads(result.stdout)
+        assert doc["violations"]
+        expected = {"file": str(bad), "morphism": "01>01", "degree": 0}
+        expected.update({args[0].lstrip("-"): args[1]})
+        assert doc["inputs"] == expected
 
     def test_timings_flag(self, subsets_file):
         result = run_cli("--json", "--timings", "axioms", str(subsets_file), "--theory", "B")
         doc = json.loads(result.stdout)
         assert isinstance(doc["timing_ms"], int)
+
+
+class TestBrokenSite:
+    """A chosen square that does not commute is reported, never pasted."""
+
+    @pytest.fixture(scope="class")
+    def flip_file(self, tmp_path_factory):
+        from bivariant.workbench import InstanceBundle
+        from test_nonposet_and_degrees import constant_theory, flip_site
+
+        site = flip_site()
+        doc = bundle_to_json(InstanceBundle(site, theories={"B": constant_theory(site)}))
+        for entry in doc["pullbacks"]:
+            if entry["f"] == "e" and entry["g"] == "e":
+                entry.update(apex="x", top="e", left="s")
+        path = tmp_path_factory.mktemp("instances") / "flip_broken.json"
+        path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("argv", [["axioms", "--theory", "B"], ["validate"]])
+    def test_reports_square_commutes(self, flip_file, argv):
+        command, *rest = argv
+        result = run_cli("--json", command, str(flip_file), *rest)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        doc = json.loads(result.stdout)
+        assert "square-commutes" in {v["kind"] for v in doc["violations"]}

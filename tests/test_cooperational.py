@@ -12,7 +12,6 @@ from bivariant.cooperational import (
     coop_hom,
     coop_image_subgroup,
     coop_image_transfer,
-    coop_operations,
     coop_product,
     coop_pullback,
     coop_pushforward,
@@ -150,10 +149,9 @@ class TestCoopOperations:
                 for e in es:
                     assert coop_product(cd, e) == coop_product(c, coop_product(d, e))
 
-    def test_dispatcher(self, F):
-        unit = coop_operations("unit", functor=F, obj="01")
-        pulled = coop_operations("pullback", c=unit, g="0>01")
-        assert pulled == coop_operations("unit", functor=F, obj="0")
+    def test_unit_pulls_back_to_unit(self, F):
+        unit = coop_unit(F, "01")
+        assert coop_pullback(unit, "0>01") == coop_unit(F, "0")
 
 
 class TestCoopFromBivariant:

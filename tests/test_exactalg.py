@@ -9,7 +9,6 @@ from bivariant.exactalg import (
     IntMatrix,
     ShapeMismatchError,
     direct_sum,
-    hom_algebra,
     hom_group,
     hom_preimage,
     image,
@@ -194,31 +193,33 @@ class TestHomGroup:
 class TestHomAlgebra:
     def test_compose_identity(self):
         ident = GroupHom.identity(Z)
-        assert hom_algebra("compose", ident, ident).equals(ident)
+        assert (ident @ ident).equals(ident)
 
     def test_three_equals_zero_mod_three(self):
         z3 = FgAbGroup.from_invariants(0, (3,))
         times3 = GroupHom(z3, z3, IntMatrix.from_rows([[3]]))
-        assert hom_algebra("is_equal", times3, GroupHom.zero(z3, z3))
+        assert times3.equals(GroupHom.zero(z3, z3))
 
     def test_additivity(self):
         one = GroupHom.identity(Z)
-        two = hom_algebra("add", one, one)
+        two = one + one
         assert two.mat == IntMatrix.from_rows([[2]])
 
     def test_negate_and_is_zero(self):
         one = GroupHom.identity(Z)
-        assert hom_algebra("is_zero", hom_algebra("add", one, hom_algebra("negate", one)))
+        assert (one + (-one)).is_zero_hom
 
     def test_identity_of(self):
-        assert hom_algebra("identity_of", Z).equals(GroupHom.identity(Z))
+        two = GroupHom.identity(Z).scaled(2)
+        assert GroupHom.identity(Z).mat == IntMatrix.identity(1)
+        assert (GroupHom.identity(Z) @ two).equals(two)
 
     def test_shape_mismatch(self):
         z3 = FgAbGroup.from_invariants(0, (3,))
         with pytest.raises(ShapeMismatchError):
-            hom_algebra("add", GroupHom.identity(Z), GroupHom.identity(z3))
+            GroupHom.identity(Z) + GroupHom.identity(z3)
         with pytest.raises(ShapeMismatchError):
-            hom_algebra("is_equal", GroupHom.identity(Z), GroupHom.identity(z3))
+            GroupHom.identity(Z).equals(GroupHom.identity(z3))
 
 
 class TestKernelImage:

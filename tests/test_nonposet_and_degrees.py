@@ -170,24 +170,26 @@ class TestNonzeroDegrees:
         assert coop_group(F, "0>0", 5).group.is_trivial
 
 
+def constant_theory(site):
+    """The constant theory Z with every table the identity."""
+    from bivariant.bivcore import TabulatedBivTheory
+
+    grp = FgAbGroup.free(1)
+    groups = {(m.name, 0): grp for m in site.morphisms}
+    products = {}
+    for f, g in site.composable_pairs():
+        products[(f, g, 0, 0)] = (((1,),),)
+    pushforwards = {
+        (f, g, 0): GroupHom.identity(grp) for f, g in site.composable_pairs()
+    }
+    pullbacks = {
+        (f, g, 0): GroupHom.identity(grp) for (f, g) in site._pullbacks
+    }
+    units = {x: (1,) for x in site.objects}
+    return TabulatedBivTheory(site, (0, 0), groups, products, pushforwards, pullbacks, units)
+
+
 class TestTabulatedOnNonStrictSite:
-    def constant_theory(self, site):
-        from bivariant.bivcore import TabulatedBivTheory
-
-        grp = FgAbGroup.free(1)
-        groups = {(m.name, 0): grp for m in site.morphisms}
-        products = {}
-        for f, g in site.composable_pairs():
-            products[(f, g, 0, 0)] = (((1,),),)
-        pushforwards = {
-            (f, g, 0): GroupHom.identity(grp) for f, g in site.composable_pairs()
-        }
-        pullbacks = {
-            (f, g, 0): GroupHom.identity(grp) for (f, g) in site._pullbacks
-        }
-        units = {x: (1,) for x in site.objects}
-        return TabulatedBivTheory(site, (0, 0), groups, products, pushforwards, pullbacks, units)
-
     def test_zero_theory_passes_vacuously(self):
         from bivariant.bivcore import TabulatedBivTheory, validate_axioms
 
@@ -199,7 +201,7 @@ class TestTabulatedOnNonStrictSite:
         from bivariant.bivcore import validate_axioms
 
         site = flip_site()
-        report = validate_axioms(self.constant_theory(site))
+        report = validate_axioms(constant_theory(site))
         kinds = set(report.kinds())
         assert kinds <= {"nonstrict-pasting"}
         assert "nonstrict-pasting" in kinds

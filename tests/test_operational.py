@@ -13,7 +13,6 @@ from bivariant.operational import (
     op_hom,
     op_image_subgroup,
     op_image_transfer,
-    op_operations,
     op_product,
     op_pullback,
     op_pushforward,
@@ -137,13 +136,9 @@ class TestOpOperations:
                 for cls in classes:
                     assert op_pullback(cls, gk) == op_pullback(op_pullback(cls, g), k)
 
-    def test_dispatcher(self, h):
-        unit = op_operations("unit", functor=h, obj="01")
-        assert op_operations("pullback", c=unit, g="0>01") == op_operations(
-            "unit", functor=h, obj="0"
-        )
-        with pytest.raises(ValueError):
-            op_operations("frobnicate")
+    def test_unit_pulls_back_to_unit(self, h):
+        unit = op_unit(h, "01")
+        assert op_pullback(unit, "0>01") == op_unit(h, "0")
 
 
 class TestOpFromBivariant:

@@ -9,7 +9,6 @@ from bivariant.site import (
     NonConfinedError,
     Site,
     SiteStructureError,
-    paste_comparison,
     validate_site,
 )
 from bivariant.workbench import (
@@ -242,19 +241,19 @@ class TestPasteComparison:
         for f in s2.morphisms:
             for g in s2.morphisms_into(f.tgt):
                 for h in s2.morphisms_into(s2.src(g)):
-                    pc = paste_comparison(s2, f.name, g, h)
+                    pc = s2.cospan_paste(f.name, g, h)
                     assert pc.is_identity(s2)
                     count += 1
         assert count > 0
 
     def test_degenerate_chain(self, s2):
-        pc = paste_comparison(s2, "0>01", "01>01", "01>01")
+        pc = s2.cospan_paste("0>01", "01>01", "01>01")
         assert pc.is_identity(s2)
 
     def test_three_element_lattice(self):
         s3 = subsets_site(3)
         # nested inclusions: intersections associate strictly
-        pc = paste_comparison(s3, "01>012", "12>012", "2>12")
+        pc = s3.cospan_paste("01>012", "12>012", "2>12")
         assert pc.is_identity(s3)
         assert pc.direct.apex == "E"
 
