@@ -14,6 +14,7 @@ along a natural transformation, and cup and power families.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exactalg import (
     FgAbGroup,
@@ -28,8 +29,10 @@ from .famsolve import (
     ConstraintSpec,
     FamilyClass,
     FamilyGroup,
+    FamilySolution,
     FamilyTheory,
     ImageTransfer,
+    NotAClassError,
     SummandSpec,
     TermSpec,
     comparison_hom,
@@ -259,15 +262,17 @@ class TransferSubgroupResult:
         x = self.source_result.encode(c)
         return self.subgroup.contains(x)
 
-    def companions(self, c: CoopClass) -> CompanionSolutions:
-        """All d in coop(G) with T o c_g = d_g o T, as a coset."""
+    @cached_property
+    def _companion_system(self) -> tuple[FamilySolution, Subgroup]:
+        """The companion system and its homogeneous solutions inside coop(G).
+
+        Unknowns are the components d_g of coop(G); the constraints are
+        coop(G)'s own plus one link d_g o T = T o c_g per (g, m).  Only the
+        links' right sides depend on the class c, so the system is built on
+        first use and solved once per class.
+        """
         transf, site = self.transf, self.transf.site
         g_sol = self.target_result.solution
-        link_rhs = {}
-        for (g, m) in self._link_keys:
-            link_rhs[(g, m)] = transf.component(site.src(g), m + self.degree) @ c.component(g, m)
-
-        summands = list(g_sol.summands)
         constraints = list(g_sol.constraints)
         for (g, m) in self._link_keys:
             apex = site.chosen_pullback(self.base, g).apex
@@ -279,15 +284,7 @@ class TransferSubgroupResult:
                     (TermSpec(1, (g, m), transf.component(apex, m), None),),
                 )
             )
-        system = solve_family(summands, constraints)
-        rhs_homs = {("link", key): hom for key, hom in link_rhs.items()}
-        u = system.solve_affine(rhs_homs)
-        particular = None
-        if u is not None:
-            particular = CoopClass(
-                transf.tgt, self.base, self.degree, system.decode_unknowns(u)
-            )
-        # homogeneous solutions, expressed inside coop(G)
+        system = solve_family(g_sol.summands, constraints)
         hom_cols = []
         for k in system.kernel.group.gens():
             comps = system.decode_unknowns(system.kernel.inclusion(k))
@@ -297,7 +294,21 @@ class TransferSubgroupResult:
             g_sol.group,
             IntMatrix.from_columns(hom_cols, g_sol.group.ngens),
         )
-        return CompanionSolutions(particular, image(to_coop_g), self.target_result)
+        return system, image(to_coop_g)
+
+    def companions(self, c: CoopClass) -> CompanionSolutions:
+        """All d in coop(G) with T o c_g = d_g o T, as a coset."""
+        transf, site = self.transf, self.transf.site
+        system, homogeneous = self._companion_system
+        rhs = {
+            ("link", (g, m)): transf.component(site.src(g), m + self.degree) @ c.component(g, m)
+            for (g, m) in self._link_keys
+        }
+        u = system.solve_affine(rhs)
+        particular = None
+        if u is not None:
+            particular = CoopClass(transf.tgt, self.base, self.degree, system.decode_unknowns(u))
+        return CompanionSolutions(particular, homogeneous, self.target_result)
 
 
 def transfer_subgroup(transf: NaturalTransf, base: str, degree: int) -> TransferSubgroupResult:
@@ -517,7 +528,11 @@ def verify_identity_isomorphism(b: TabulatedBivTheory) -> ValidationReport:
         idx = site.identity(x)
         for i in b.degrees():
             result = coop_group(b.contravariant_part, idx, i)
-            ch = coop_hom(b, idx, i, result)
+            try:
+                ch = coop_hom(b, idx, i, result)
+            except NotAClassError as exc:
+                rb.add("identity-isomorphism", "coop(a) is not a co-operational class", obj=x, i=i, a=exc.generator.coords)
+                continue
             ker = kernel(ch)
             if not ker.group.is_trivial:
                 rb.add("identity-isomorphism", "coop has nontrivial kernel over id_X", obj=x, i=i, kernel=ker.group.pretty())
@@ -569,12 +584,10 @@ def naturality_cube_report(tsr: TransferSubgroupResult) -> ValidationReport:
                     continue
                 gh = site.compose(g, h)
                 apex_gh = site.chosen_pullback(tsr.base, gh).apex
+                paste = site.cospan_paste(tsr.base, g, h)
+                w = site.compose(paste.second.top, paste.to_pasted)
                 for m in F.grades():
                     # naturality faces of T
-                    w = site.compose(
-                        site.cospan_paste(tsr.base, g, h).second.top,
-                        site.cospan_paste(tsr.base, g, h).to_pasted,
-                    )
                     topface = transf.component(apex_gh, m) @ F.map(w, m)
                     topface2 = G.map(w, m) @ transf.component(apex, m)
                     if not topface.equals(topface2):

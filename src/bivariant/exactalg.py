@@ -808,11 +808,35 @@ def is_injective(f: GroupHom) -> bool:
 
 @dataclass(frozen=True)
 class DirectSum:
+    """The sum of parts; part k sits at coordinates offsets[k] onwards.
+
+    The injection and projection homs are built, and checked, on first use.
+    """
+
     group: FgAbGroup
     parts: tuple
     offsets: tuple
-    injections: tuple
-    projections: tuple
+
+    @cached_property
+    def injections(self) -> tuple:
+        total = self.group.ngens
+        out = []
+        for off, p in zip(self.offsets, self.parts):
+            rows = [
+                tuple(1 if (i - off) == j and off <= i < off + p.ngens else 0 for j in range(p.ngens))
+                for i in range(total)
+            ]
+            out.append(GroupHom(p, self.group, IntMatrix(total, p.ngens, tuple(rows))))
+        return tuple(out)
+
+    @cached_property
+    def projections(self) -> tuple:
+        total = self.group.ngens
+        out = []
+        for off, p in zip(self.offsets, self.parts):
+            rows = [tuple(1 if j == off + i else 0 for j in range(total)) for i in range(p.ngens)]
+            out.append(GroupHom(self.group, p, IntMatrix(p.ngens, total, tuple(rows))))
+        return tuple(out)
 
 
 def direct_sum(parts) -> DirectSum:
@@ -830,19 +854,7 @@ def direct_sum(parts) -> DirectSum:
                 col[off + i] = v
             rel_cols.append(tuple(col))
     grp = FgAbGroup(total, IntMatrix.from_columns(rel_cols, total))
-    injections = []
-    projections = []
-    for off, p in zip(offsets, parts):
-        inj_rows = [
-            tuple(1 if (i - off) == j and off <= i < off + p.ngens else 0 for j in range(p.ngens))
-            for i in range(total)
-        ]
-        injections.append(GroupHom(p, grp, IntMatrix.from_rows(inj_rows)))
-        proj_rows = [
-            tuple(1 if j == off + i else 0 for j in range(total)) for i in range(p.ngens)
-        ]
-        projections.append(GroupHom(grp, p, IntMatrix.from_rows(proj_rows)))
-    return DirectSum(grp, parts, tuple(offsets), tuple(injections), tuple(projections))
+    return DirectSum(grp, parts, tuple(offsets))
 
 
 def project_factor(sub: Subgroup, dsum: DirectSum, index: int) -> Subgroup:

@@ -41,6 +41,7 @@ from .exactalg import (
     GroupHom,
     IntMatrix,
     MembershipError,
+    ShapeMismatchError,
     Subgroup,
     direct_sum,
     hom_group,
@@ -96,15 +97,25 @@ class FamilySolution:
         self.targets = [hom_group(c.src, c.tgt) for c in self.constraints]
         self.constraint_sum = direct_sum([hg.group for hg in self.targets])
 
-        total = GroupHom.zero(self.unknowns.group, self.constraint_sum.group)
+        # each term's induced hom is one signed block of the constraint matrix,
+        # at the offsets of its constraint (rows) and its unknown (columns)
+        ncols = self.unknowns.group.ngens
+        rows = [[0] * ncols for _ in range(self.constraint_sum.group.ngens)]
         for ci, c in enumerate(self.constraints):
+            top = self.constraint_sum.offsets[ci]
             for t in c.terms:
                 si = self._pos[t.summand_key]
+                left = self.unknowns.offsets[si]
+                sign = 1 if t.sign > 0 else -1
                 ind = induced_hom(self.hom_groups[si], self.targets[ci], t.pre, t.post)
-                block = self.constraint_sum.injections[ci] @ ind @ self.unknowns.projections[si]
-                total = total + (block if t.sign > 0 else -block)
-        self.constraint_hom = total
-        self.kernel: Subgroup = kernel(total)
+                for i, entries in enumerate(ind.mat.entries):
+                    row = rows[top + i]
+                    for j, a in enumerate(entries):
+                        if a:
+                            row[left + j] += sign * a
+        mat = IntMatrix(len(rows), ncols, tuple(tuple(r) for r in rows))
+        self.constraint_hom = GroupHom(self.unknowns.group, self.constraint_sum.group, mat)
+        self.kernel: Subgroup = kernel(self.constraint_hom)
 
     @property
     def group(self) -> FgAbGroup:
@@ -116,10 +127,11 @@ class FamilySolution:
 
     def decode_unknowns(self, u: GroupElement) -> dict:
         """Family components from an element of the unknown direct sum."""
+        if u.group != self.unknowns.group:
+            raise ShapeMismatchError("element not in the unknown sum")
         out = {}
-        for idx, s in enumerate(self.summands):
-            coords = self.unknowns.projections[idx](u)
-            out[s.key] = self.hom_groups[idx].decode(coords)
+        for s, hg, off in zip(self.summands, self.hom_groups, self.unknowns.offsets):
+            out[s.key] = hg.decode(hg.group.element(u.coords[off : off + hg.group.ngens]))
         return out
 
     def decode(self, x: GroupElement) -> dict:
@@ -128,13 +140,8 @@ class FamilySolution:
         return self.decode_unknowns(self.kernel.inclusion(x))
 
     def encode_unknowns(self, components) -> GroupElement:
-        u = self.unknowns.group.zero_element()
-        for idx, s in enumerate(self.summands):
-            comp = components.get(s.key)
-            if comp is None:
-                continue
-            u = u + self.unknowns.injections[idx](self.hom_groups[idx].encode(comp))
-        return u
+        """Element of the unknown sum with the given components (zero where missing)."""
+        return _sum_element(self.unknowns.group, self.summands, self.hom_groups, components)
 
     def encode(self, components) -> GroupElement:
         """Element of the kernel matching the family, or MembershipError."""
@@ -146,17 +153,21 @@ class FamilySolution:
 
     def constraint_rhs(self, rhs) -> GroupElement:
         """Element of the constraint sum built from homs indexed by constraint key."""
-        w = self.constraint_sum.group.zero_element()
-        for ci, c in enumerate(self.constraints):
-            h = rhs.get(c.key)
-            if h is None:
-                continue
-            w = w + self.constraint_sum.injections[ci](self.targets[ci].encode(h))
-        return w
+        return _sum_element(self.constraint_sum.group, self.constraints, self.targets, rhs)
 
     def solve_affine(self, rhs):
         """One u in the unknown sum with constraint_hom(u) == rhs, or None."""
         return hom_preimage(self.constraint_hom, self.constraint_rhs(rhs))
+
+
+def _sum_element(group: FgAbGroup, specs, hom_groups, homs) -> GroupElement:
+    """The element of a direct sum of Hom groups whose part at spec.key encodes
+    homs[spec.key], zero where homs has no entry; reduced once, as a whole."""
+    coords = []
+    for spec, hg in zip(specs, hom_groups):
+        h = homs.get(spec.key)
+        coords.extend((0,) * hg.group.ngens if h is None else hg.encode(h).coords)
+    return group.element(coords)
 
 
 def solve_family(summands, constraints) -> FamilySolution:
@@ -524,10 +535,28 @@ class FamilyTheory:
 # comparison maps from a tabulated theory, and transfers between their images
 
 
+class NotAClassError(MembershipError):
+    """The comparison family of a generator fails the compatibility constraints."""
+
+    def __init__(self, generator: GroupElement):
+        self.generator = generator
+        super().__init__(f"comparison family of generator {generator.coords} is not a class")
+
+
 def comparison_hom(b: TabulatedBivTheory, base: str, degree: int, result: FamilyGroup, classify) -> GroupHom:
-    """The map B(f)^i -> result.group, alpha |-> classify(b, base, degree, alpha)."""
+    """The map B(f)^i -> result.group, alpha |-> classify(b, base, degree, alpha).
+
+    Raises NotAClassError naming the first generator whose family is not a
+    class, which happens only when b breaks an axiom.
+    """
     src = b.group(base, degree)
-    cols = [result.encode(classify(b, base, degree, a)).coords for a in src.gens()]
+    cols = []
+    for a in src.gens():
+        cls = classify(b, base, degree, a)
+        try:
+            cols.append(result.encode(cls).coords)
+        except MembershipError as exc:
+            raise NotAClassError(a) from exc
     return GroupHom(src, result.group, IntMatrix.from_columns(cols, result.group.ngens))
 
 

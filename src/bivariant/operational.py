@@ -16,6 +16,7 @@ from .famsolve import (
     FamilyGroup,
     FamilyTheory,
     ImageTransfer,
+    NotAClassError,
     NotSurjectiveError,
     comparison_hom,
     family_group,
@@ -151,7 +152,11 @@ def verify_point_isomorphism(b: TabulatedBivTheory) -> ValidationReport:
         ax = site.to_point(x)
         for i in b.degrees():
             result = op_group(b.covariant_part, ax, i)
-            oph = op_hom(b, ax, i, result)
+            try:
+                oph = op_hom(b, ax, i, result)
+            except NotAClassError as exc:
+                rb.add("point-isomorphism", "op(a) is not an operational class", obj=x, i=i, a=exc.generator.coords)
+                continue
             ker = kernel(oph)
             if not ker.group.is_trivial:
                 rb.add("point-isomorphism", "op has nontrivial kernel over X -> pt", obj=x, i=i, kernel=ker.group.pretty())

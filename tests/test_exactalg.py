@@ -291,6 +291,13 @@ class TestDirectSumAndProjection:
         assert ds.projections[0](x) == a.gens()[0]
         assert ds.projections[1](x) == b.gens()[0]
 
+    def test_part_without_generators(self):
+        ds = direct_sum([FgAbGroup.zero(), Z])
+        assert ds.offsets == (0, 0)
+        assert (ds.injections[0].mat.rows, ds.injections[0].mat.cols) == (1, 0)
+        assert (ds.projections[0].mat.rows, ds.projections[0].mat.cols) == (0, 1)
+        assert ds.projections[1](ds.injections[1](Z.gens()[0])) == Z.gens()[0]
+
     def test_project_subgroup(self):
         a, b = Z, Z
         ds = direct_sum([a, b])

@@ -1,0 +1,189 @@
+"""The constraint solver of famsolve and the companion system built on it."""
+
+import pytest
+
+from bivariant import cooperational
+from bivariant.cooperational import (
+    naturality_cube_report,
+    transfer_subgroup,
+    verify_identity_isomorphism,
+)
+from bivariant.exactalg import FgAbGroup, GroupHom, induced_hom, kernel
+from bivariant.famsolve import (
+    ConstraintSpec,
+    SummandSpec,
+    TermSpec,
+    family_group,
+    feasible_degrees,
+    solve_family,
+)
+from bivariant.operational import verify_point_isomorphism
+from bivariant.workbench import build_subsets_instance
+
+
+@pytest.fixture(scope="module")
+def bundle():
+    return build_subsets_instance(2)
+
+
+def reference_constraint_hom(sol):
+    """The constraint map as the sum of injection o induced hom o projection."""
+    keys = [s.key for s in sol.summands]
+    total = GroupHom.zero(sol.unknowns.group, sol.constraint_sum.group)
+    for ci, c in enumerate(sol.constraints):
+        for t in c.terms:
+            si = keys.index(t.summand_key)
+            ind = induced_hom(sol.hom_groups[si], sol.targets[ci], t.pre, t.post)
+            block = sol.constraint_sum.injections[ci] @ ind @ sol.unknowns.projections[si]
+            total = total + (block if t.sign > 0 else -block)
+    return total
+
+
+def assert_matches_reference(sol):
+    ref = reference_constraint_hom(sol)
+    assert sol.constraint_hom.mat == ref.mat
+    assert sol.kernel.inclusion.mat == kernel(ref).inclusion.mat
+
+
+class TestAssembledConstraintMatrix:
+    @pytest.mark.parametrize("name", ["F", "h"])
+    def test_family_groups_at_every_base(self, bundle, name):
+        functor = bundle.functors[name]
+        for mor in bundle.site.morphisms:
+            for degree in feasible_degrees(functor):
+                assert_matches_reference(family_group(functor, mor.name, degree).solution)
+
+    def test_transfer_joint_system(self, bundle):
+        tsr = transfer_subgroup(bundle.transformations["T"], "01>01", 0)
+        assert_matches_reference(tsr.joint)
+
+    def test_no_kept_constraints(self):
+        z = FgAbGroup.free(1)
+        z2 = FgAbGroup.from_invariants(0, (2,))
+        # Hom(Z/2, Z) is trivial, so the one constraint is dropped
+        sol = solve_family(
+            [SummandSpec("x", z, z), SummandSpec("y", z, z2)],
+            [ConstraintSpec("c", z2, z, (TermSpec(1, "x"),))],
+        )
+        assert not sol.constraints
+        assert (sol.constraint_hom.mat.rows, sol.constraint_hom.mat.cols) == (0, 2)
+        assert sol.group.canonical() == (1, (2,))
+        assert_matches_reference(sol)
+
+    def test_no_unknowns(self):
+        z = FgAbGroup.free(1)
+        z2 = FgAbGroup.from_invariants(0, (2,))
+        # Hom(Z/2, Z) is trivial, so the one unknown is dropped with its term
+        sol = solve_family([SummandSpec("x", z2, z)], [ConstraintSpec("c", z, z, (TermSpec(1, "x"),))])
+        assert not sol.summands
+        assert (sol.constraint_hom.mat.rows, sol.constraint_hom.mat.cols) == (1, 0)
+        assert sol.group.is_trivial
+        assert sol.solve_affine({"c": GroupHom.zero(z, z)}) is not None
+        assert sol.solve_affine({"c": GroupHom.identity(z)}) is None
+        assert_matches_reference(sol)
+
+
+def members(tsr):
+    return [tsr.source_result.decode(tsr.subgroup.inclusion(x)) for x in tsr.subgroup.group.gens()]
+
+
+def assert_companion(tsr, cls, d):
+    transf, site = tsr.transf, tsr.transf.site
+    for g in site.morphisms_into(site.tgt(tsr.base)):
+        apex = site.chosen_pullback(tsr.base, g).apex
+        for m in transf.src.grades():
+            lhs = transf.component(site.src(g), m + tsr.degree) @ cls.component(g, m)
+            rhs = d.component(g, m) @ transf.component(apex, m)
+            assert lhs.equals(rhs)
+
+
+class TestCompanionSystem:
+    def test_built_once_per_result(self, bundle, monkeypatch):
+        real = cooperational.solve_family
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cooperational, "solve_family", counting)
+        transf = bundle.transformations["T"]
+        counts = []
+        for k in (1, 4):
+            calls.clear()
+            tsr = transfer_subgroup(transf, "01>01", 0)
+            classes = members(tsr)
+            for step in range(k):
+                tsr.companions(classes[step % len(classes)])
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_same_companions_as_a_fresh_system(self, bundle):
+        """Solving the shared system gives the companion a per-class system gives."""
+        transf, site = bundle.transformations["T"], bundle.site
+        tsr = transfer_subgroup(transf, "01>01", 0)
+        g_sol = tsr.target_result.solution
+        for cls in members(tsr) + tsr.source_result.decoded_gens():
+            constraints = list(g_sol.constraints)
+            rhs = {}
+            for g in site.morphisms_into(site.tgt(tsr.base)):
+                apex = site.chosen_pullback(tsr.base, g).apex
+                for m in transf.src.grades():
+                    src, tgt = transf.src.group(apex, m), transf.tgt.group(site.src(g), m)
+                    term = TermSpec(1, (g, m), transf.component(apex, m), None)
+                    constraints.append(ConstraintSpec(("link", (g, m)), src, tgt, (term,)))
+                    rhs[("link", (g, m))] = transf.component(site.src(g), m) @ cls.component(g, m)
+            fresh = solve_family(g_sol.summands, constraints)
+            u = fresh.solve_affine(rhs)
+            sols = tsr.companions(cls)
+            assert (u is None) == sols.is_empty
+            if u is not None:
+                expected = fresh.decode_unknowns(u)
+                assert {k: h.mat for k, h in sols.particular.components.items()} == {
+                    k: h.mat for k, h in expected.items()
+                }
+
+    def test_subsets_three(self):
+        bundle = build_subsets_instance(3)
+        tsr = transfer_subgroup(bundle.transformations["T"], "01>012", 0)
+        classes = members(tsr)
+        assert classes
+        for cls in classes:
+            sols = tsr.companions(cls)
+            assert sols.is_unique
+            assert_companion(tsr, cls, sols.particular)
+        assert naturality_cube_report(tsr).ok
+
+
+class TestIsomorphismCheckersOnBrokenTheories:
+    """Both checkers report a broken theory instead of raising."""
+
+    UNITS_POINT = [
+        {"kind": "point-isomorphism", "message": "ev(op(a)) != a", "witness": {"a": (1,), "i": 0, "obj": "0"}},
+        {"kind": "point-isomorphism", "message": "ev(op(a)) != a", "witness": {"a": (1,), "i": 0, "obj": "1"}},
+        {"kind": "point-isomorphism", "message": "ev(op(a)) != a", "witness": {"a": (1, 0), "i": 0, "obj": "01"}},
+        {"kind": "point-isomorphism", "message": "ev(op(a)) != a", "witness": {"a": (0, 1), "i": 0, "obj": "01"}},
+    ]
+    UNITS_IDENTITY = [
+        {"kind": "identity-isomorphism", "message": "recovered element differs", "witness": {"a": (1, 0), "i": 0, "obj": "01"}},
+        {"kind": "identity-isomorphism", "message": "recovered element differs", "witness": {"a": (0, 1), "i": 0, "obj": "01"}},
+    ]
+
+    def test_every_mutation_fixture(self, bundle):
+        from test_acceptance import mutation_fixtures
+
+        for kind, theory in mutation_fixtures(bundle.theories["B"]):
+            point = verify_point_isomorphism(theory)
+            identity = verify_identity_isomorphism(theory)
+            if kind == "units":
+                assert point.to_json() == self.UNITS_POINT
+                assert identity.to_json() == self.UNITS_IDENTITY
+                continue
+            assert point.kinds() and set(point.kinds()) == {"point-isomorphism"}
+            for v in point.violations:
+                assert set(v.witness_dict()) == {"obj", "i", "a"}
+            if kind == "product-pullback":
+                assert identity.kinds() == ("identity-isomorphism",)
+                assert set(identity.violations[0].witness_dict()) == {"obj", "i", "a"}
+            else:
+                assert identity.ok
