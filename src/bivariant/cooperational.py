@@ -14,22 +14,22 @@ along a natural transformation, and cup and power families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .exactalg import (
     FgAbGroup,
     GroupElement,
     GroupHom,
     Subgroup,
+    hom_preimage,
     image,
     IntMatrix,
     kernel,
+    kernel_image,
 )
 from .famsolve import (
     ConstraintSpec,
     FamilyClass,
     FamilyGroup,
-    FamilySolution,
     FamilyTheory,
     ImageTransfer,
     NotAClassError,
@@ -184,9 +184,10 @@ class CompanionSolutions:
 class TransferSubgroupResult:
     """Classes of coop(F, f, i) whose components descend along T: F -> G.
 
-    Membership is decided by solvability of the joint linear system in
-    (c, d); the subgroup is the projection of the joint solution group
-    onto the c coordinates.
+    One joint linear system in (c, d) decides everything: the subgroup is
+    the projection of its solution group onto the c coordinates, a class's
+    companions are the d halves of the joint solutions over it, and the
+    kernel of the projection holds the pairs (0, d) with d o T = 0.
     """
 
     def __init__(self, transf: NaturalTransf, base: str, degree: int):
@@ -198,117 +199,51 @@ class TransferSubgroupResult:
         self.source_result = coop_group(transf.src, base, degree)
         self.target_result = coop_group(transf.tgt, base, degree)
 
-        f_sol = self.source_result.solution
-        g_sol = self.target_result.solution
-
-        summands = []
-        for s in f_sol.summands:
-            summands.append(SummandSpec(("F", s.key), s.src, s.tgt))
-        for s in g_sol.summands:
-            summands.append(SummandSpec(("G", s.key), s.src, s.tgt))
-
-        constraints = []
-        for c in f_sol.constraints:
-            constraints.append(
-                ConstraintSpec(
-                    ("F", c.key),
-                    c.src,
-                    c.tgt,
-                    tuple(TermSpec(t.sign, ("F", t.summand_key), t.pre, t.post) for t in c.terms),
-                )
-            )
-        for c in g_sol.constraints:
-            constraints.append(
-                ConstraintSpec(
-                    ("G", c.key),
-                    c.src,
-                    c.tgt,
-                    tuple(TermSpec(t.sign, ("G", t.summand_key), t.pre, t.post) for t in c.terms),
-                )
-            )
-        self._link_keys = []
+        summands, constraints = [], []
+        for tag, sol in (("F", self.source_result.solution), ("G", self.target_result.solution)):
+            summands.extend(SummandSpec((tag, s.key), s.src, s.tgt) for s in sol.summands)
+            for c in sol.constraints:
+                terms = tuple(TermSpec(t.sign, (tag, t.summand_key), t.pre, t.post) for t in c.terms)
+                constraints.append(ConstraintSpec((tag, c.key), c.src, c.tgt, terms))
+        # the link T o c_g = d_g o T, one per (g, m)
         for g in site.morphisms_into(site.tgt(base)):
             apex = site.chosen_pullback(base, g).apex
             for m in transf.src.grades():
-                src = transf.src.group(apex, m)
-                tgt = transf.tgt.group(site.src(g), m + degree)
-                key = ("link", (g, m))
-                self._link_keys.append((g, m))
-                constraints.append(
-                    ConstraintSpec(
-                        key,
-                        src,
-                        tgt,
-                        (
-                            TermSpec(1, ("F", (g, m)), None, transf.component(site.src(g), m + degree)),
-                            TermSpec(-1, ("G", (g, m)), transf.component(apex, m), None),
-                        ),
-                    )
+                terms = (
+                    TermSpec(1, ("F", (g, m)), None, transf.component(site.src(g), m + degree)),
+                    TermSpec(-1, ("G", (g, m)), transf.component(apex, m), None),
                 )
+                src, tgt = transf.src.group(apex, m), transf.tgt.group(site.src(g), m + degree)
+                constraints.append(ConstraintSpec(("link", (g, m)), src, tgt, terms))
         self.joint = solve_family(summands, constraints)
 
-        # project the joint solutions onto the c coordinates, inside coop(F)
-        cols = []
-        for s in self.joint.group.gens():
-            comps = self.joint.decode(s)
-            c_part = {key[1]: hom for key, hom in comps.items() if key[0] == "F"}
-            cols.append(f_sol.encode(c_part).coords)
-        proj = GroupHom(
-            self.joint.group, f_sol.group, IntMatrix.from_columns(cols, f_sol.group.ngens)
+        # project the joint solutions onto the c coordinates, inside coop(F);
+        # the d halves of the projection's kernel solve d o T = 0
+        self._proj = self._half_hom("F", self.joint.group, self.joint.group.gens(), self.source_result)
+        ker, self.subgroup = kernel_image(self._proj)
+        self._homogeneous = image(
+            self._half_hom("G", ker.group, map(ker.inclusion, ker.group.gens()), self.target_result)
         )
-        self.subgroup: Subgroup = image(proj)
+
+    def _half(self, tag: str, x: GroupElement) -> dict:
+        """The components of the tag half ("F": c, "G": d) of a joint solution."""
+        return {key[1]: hom for key, hom in self.joint.decode(x).items() if key[0] == tag}
+
+    def _half_hom(self, tag: str, src: FgAbGroup, images, result: FamilyGroup) -> GroupHom:
+        """The hom src -> result.group sending the k-th generator of src to the tag
+        half of the k-th joint solution in images."""
+        cols = [result.solution.encode(self._half(tag, x)).coords for x in images]
+        return GroupHom(src, result.group, IntMatrix.from_columns(cols, result.group.ngens))
 
     def contains(self, c: CoopClass) -> bool:
         x = self.source_result.encode(c)
         return self.subgroup.contains(x)
 
-    @cached_property
-    def _companion_system(self) -> tuple[FamilySolution, Subgroup]:
-        """The companion system and its homogeneous solutions inside coop(G).
-
-        Unknowns are the components d_g of coop(G); the constraints are
-        coop(G)'s own plus one link d_g o T = T o c_g per (g, m).  Only the
-        links' right sides depend on the class c, so the system is built on
-        first use and solved once per class.
-        """
-        transf, site = self.transf, self.transf.site
-        g_sol = self.target_result.solution
-        constraints = list(g_sol.constraints)
-        for (g, m) in self._link_keys:
-            apex = site.chosen_pullback(self.base, g).apex
-            constraints.append(
-                ConstraintSpec(
-                    ("link", (g, m)),
-                    transf.src.group(apex, m),
-                    transf.tgt.group(site.src(g), m + self.degree),
-                    (TermSpec(1, (g, m), transf.component(apex, m), None),),
-                )
-            )
-        system = solve_family(g_sol.summands, constraints)
-        hom_cols = []
-        for k in system.kernel.group.gens():
-            comps = system.decode_unknowns(system.kernel.inclusion(k))
-            hom_cols.append(g_sol.encode(comps).coords)
-        to_coop_g = GroupHom(
-            system.kernel.group,
-            g_sol.group,
-            IntMatrix.from_columns(hom_cols, g_sol.group.ngens),
-        )
-        return system, image(to_coop_g)
-
     def companions(self, c: CoopClass) -> CompanionSolutions:
         """All d in coop(G) with T o c_g = d_g o T, as a coset."""
-        transf, site = self.transf, self.transf.site
-        system, homogeneous = self._companion_system
-        rhs = {
-            ("link", (g, m)): transf.component(site.src(g), m + self.degree) @ c.component(g, m)
-            for (g, m) in self._link_keys
-        }
-        u = system.solve_affine(rhs)
-        particular = None
-        if u is not None:
-            particular = CoopClass(transf.tgt, self.base, self.degree, system.decode_unknowns(u))
-        return CompanionSolutions(particular, homogeneous, self.target_result)
+        x = hom_preimage(self._proj, self.source_result.encode(c))
+        particular = None if x is None else CoopClass(self.transf.tgt, self.base, self.degree, self._half("G", x))
+        return CompanionSolutions(particular, self._homogeneous, self.target_result)
 
 
 def transfer_subgroup(transf: NaturalTransf, base: str, degree: int) -> TransferSubgroupResult:

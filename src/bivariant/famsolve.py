@@ -121,10 +121,6 @@ class FamilySolution:
     def group(self) -> FgAbGroup:
         return self.kernel.group
 
-    def summand_spec(self, key) -> SummandSpec | None:
-        idx = self._pos.get(key)
-        return None if idx is None else self.summands[idx]
-
     def decode_unknowns(self, u: GroupElement) -> dict:
         """Family components from an element of the unknown direct sum."""
         if u.group != self.unknowns.group:

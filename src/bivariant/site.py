@@ -104,7 +104,6 @@ class Site:
         if len(set(names)) != len(names):
             raise SiteStructureError("duplicate morphism names")
         self._mor = {m.name: m for m in self.morphisms}
-        self._index = {m.name: i for i, m in enumerate(self.morphisms)}
         objset = set(self.objects)
         for m in self.morphisms:
             if m.src not in objset or m.tgt not in objset:
@@ -195,9 +194,6 @@ class Site:
     def has_morphism(self, name: str) -> bool:
         return name in self._mor
 
-    def index(self, name: str) -> int:
-        return self._index[name]
-
     def identity(self, obj: str) -> str:
         return self._identity[obj]
 
@@ -283,20 +279,7 @@ class Site:
         first = self.chosen_pullback(f, g)
         second = self.chosen_pullback(first.left, h)
         direct = self.chosen_pullback(f, self.compose(g, h))
-        pasted_top = self.compose(first.top, second.top)
-        to_direct = self._mediator(
-            second.apex,
-            [(direct.top, pasted_top, direct.apex), (direct.left, second.left, direct.apex)],
-        )
-        to_pasted = self._mediator(
-            direct.apex,
-            [(pasted_top, direct.top, second.apex), (second.left, direct.left, second.apex)],
-        )
-        if not self.is_identity(self.compose(to_direct, to_pasted)) or not self.is_identity(
-            self.compose(to_pasted, to_direct)
-        ):
-            raise PastingError("comparison mediators are not mutually inverse")
-        return PasteComparison(direct, first, second, to_direct, to_pasted)
+        return self._paste(direct, first, second, self.compose(first.top, second.top), second.left)
 
     def tower_paste(self, f: str, g: str, h: str) -> PasteComparison:
         """Compare pulling back g o f along h with stacking the two pullbacks.
@@ -307,14 +290,18 @@ class Site:
         first = self.chosen_pullback(g, h)
         second = self.chosen_pullback(f, first.top)
         direct = self.chosen_pullback(self.compose(g, f), h)
-        pasted_left = self.compose(first.left, second.left)
+        return self._paste(direct, first, second, second.top, self.compose(first.left, second.left))
+
+    def _paste(self, direct, first, second, top: str, left: str) -> PasteComparison:
+        """The mutually inverse mediators between direct.apex and second.apex,
+        where the pasted square of first and second has legs top and left."""
         to_direct = self._mediator(
             second.apex,
-            [(direct.top, second.top, direct.apex), (direct.left, pasted_left, direct.apex)],
+            [(direct.top, top, direct.apex), (direct.left, left, direct.apex)],
         )
         to_pasted = self._mediator(
             direct.apex,
-            [(second.top, direct.top, second.apex), (pasted_left, direct.left, second.apex)],
+            [(top, direct.top, second.apex), (left, direct.left, second.apex)],
         )
         if not self.is_identity(self.compose(to_direct, to_pasted)) or not self.is_identity(
             self.compose(to_pasted, to_direct)

@@ -312,6 +312,27 @@ def _expect(cond, location, message):
         raise InstanceFileError(location, message)
 
 
+def _section(doc: dict, key, location, kind=dict):
+    """doc[key], or an empty kind when absent; InstanceFileError unless it is a kind."""
+    value = doc.get(key, kind())
+    _expect(isinstance(value, kind), location, "expected an object" if kind is dict else "expected a list")
+    return value
+
+
+def _named(value, names, location, message):
+    """value when it is a string among names, else InstanceFileError."""
+    _expect(isinstance(value, str) and value in names, location, message)
+    return value
+
+
+def _built(location, make, *args):
+    """make(*args), with an inconsistent or missing entry reported as an InstanceFileError."""
+    try:
+        return make(*args)
+    except (ValueError, KeyError) as exc:
+        raise InstanceFileError(location, str(exc)) from exc
+
+
 def _as_group(spec, location) -> FgAbGroup:
     _expect(isinstance(spec, dict), location, "expected a group object")
     _expect("free_rank" in spec, location, "missing free_rank")
@@ -359,8 +380,7 @@ def parse_instance(doc) -> InstanceBundle:
     objects = doc["objects"]
     _expect(isinstance(objects, list) and all(isinstance(o, str) for o in objects), "objects", "expected a list of names")
     morphisms = []
-    _expect(isinstance(doc["morphisms"], list), "morphisms", "expected a list")
-    for idx, m in enumerate(doc["morphisms"]):
+    for idx, m in enumerate(_section(doc, "morphisms", "morphisms", list)):
         loc = f"morphisms[{idx}]"
         _expect(isinstance(m, dict), loc, "expected an object")
         for fld in ("name", "src", "tgt"):
@@ -370,46 +390,38 @@ def parse_instance(doc) -> InstanceBundle:
         morphisms.append((m["name"], m["src"], m["tgt"]))
     names = {m[0] for m in morphisms}
 
-    identities = doc["identities"]
-    _expect(isinstance(identities, dict), "identities", "expected an object")
+    identities = _section(doc, "identities", "identities")
     for obj, mor in identities.items():
         _expect(obj in objects, f"identities.{obj}", "unknown object")
-        _expect(mor in names, f"identities.{obj}", f"unknown morphism {mor!r}")
+        _named(mor, names, f"identities.{obj}", f"unknown morphism {mor!r}")
 
     composition = {}
-    _expect(isinstance(doc["composition"], list), "composition", "expected a list")
-    for idx, entry in enumerate(doc["composition"]):
+    for idx, entry in enumerate(_section(doc, "composition", "composition", list)):
         loc = f"composition[{idx}]"
         _expect(isinstance(entry, dict), loc, "expected an object")
         for fld in ("first", "then", "equals"):
-            _expect(entry.get(fld) in names, loc, f"field {fld!r} must name a morphism")
+            _named(entry.get(fld), names, loc, f"field {fld!r} must name a morphism")
         composition[(entry["then"], entry["first"])] = entry["equals"]
 
-    confined = doc["confined"]
-    _expect(isinstance(confined, list) and all(c in names for c in confined), "confined", "expected a list of morphism names")
+    confined = [_named(c, names, "confined", "expected a list of morphism names") for c in _section(doc, "confined", "confined", list)]
 
     pullbacks = {}
-    _expect(isinstance(doc["pullbacks"], list), "pullbacks", "expected a list")
-    for idx, entry in enumerate(doc["pullbacks"]):
+    for idx, entry in enumerate(_section(doc, "pullbacks", "pullbacks", list)):
         loc = f"pullbacks[{idx}]"
         _expect(isinstance(entry, dict), loc, "expected an object")
         for fld in ("f", "g", "top", "left"):
-            _expect(entry.get(fld) in names, loc, f"field {fld!r} must name a morphism")
-        _expect(entry.get("apex") in objects, loc, "field 'apex' must name an object")
+            _named(entry.get(fld), names, loc, f"field {fld!r} must name a morphism")
+        _named(entry.get("apex"), objects, loc, "field 'apex' must name an object")
         pullbacks[(entry["f"], entry["g"])] = (entry["apex"], entry["top"], entry["left"])
 
     final_object = doc.get("final_object")
     if final_object is not None:
         _expect(final_object in objects, "final_object", "unknown object")
 
-    try:
-        site = Site(objects, morphisms, identities, composition, confined, pullbacks, final_object)
-    except Exception as exc:
-        raise InstanceFileError("site", str(exc)) from exc
-
+    site = _built("site", Site, objects, morphisms, identities, composition, confined, pullbacks, final_object)
     bundle = InstanceBundle(site)
 
-    for fname, fdoc in sorted(doc.get("functors", {}).items()):
+    for fname, fdoc in sorted(_section(doc, "functors", "functors").items()):
         loc = f"functors.{fname}"
         _expect(isinstance(fdoc, dict), loc, "expected an object")
         variance = fdoc.get("variance")
@@ -421,14 +433,14 @@ def parse_instance(doc) -> InstanceBundle:
             "expected [lo, hi]",
         )
         groups = {}
-        for key, spec in fdoc.get("groups", {}).items():
+        for key, spec in _section(fdoc, "groups", f"{loc}.groups").items():
             kloc = f"{loc}.groups.{key}"
             obj, grade = _split_key(key, kloc)
             _expect(obj in objects, kloc, f"unknown object {obj!r}")
             groups[(obj, grade)] = _as_group(spec, kloc)
-        functor = GradedFunctor(site, variance, tuple(window), groups, {})
+        functor = _built(loc, GradedFunctor, site, variance, tuple(window), groups, {})
         maps = {}
-        for key, rows in fdoc.get("maps", {}).items():
+        for key, rows in _section(fdoc, "maps", f"{loc}.maps").items():
             kloc = f"{loc}.maps.{key}"
             mor, grade = _split_key(key, kloc)
             _expect(mor in names, kloc, f"unknown morphism {mor!r}")
@@ -439,27 +451,22 @@ def parse_instance(doc) -> InstanceBundle:
                 src = functor.group(site.src(mor), grade)
                 tgt = functor.group(site.tgt(mor), grade)
             maps[(mor, grade)] = _as_hom(rows, kloc, src, tgt)
-        bundle.functors[fname] = GradedFunctor(site, variance, tuple(window), groups, maps)
+        bundle.functors[fname] = _built(loc, GradedFunctor, site, variance, tuple(window), groups, maps)
 
-    for tname, tdoc in sorted(doc.get("transformations", {}).items()):
+    for tname, tdoc in sorted(_section(doc, "transformations", "transformations").items()):
         loc = f"transformations.{tname}"
         _expect(isinstance(tdoc, dict), loc, "expected an object")
-        _expect(tdoc.get("src") in bundle.functors, f"{loc}.src", "unknown functor")
-        _expect(tdoc.get("tgt") in bundle.functors, f"{loc}.tgt", "unknown functor")
-        fsrc = bundle.functors[tdoc["src"]]
-        ftgt = bundle.functors[tdoc["tgt"]]
+        fsrc = bundle.functors[_named(tdoc.get("src"), bundle.functors, f"{loc}.src", "unknown functor")]
+        ftgt = bundle.functors[_named(tdoc.get("tgt"), bundle.functors, f"{loc}.tgt", "unknown functor")]
         comps = {}
-        for key, rows in tdoc.get("components", {}).items():
+        for key, rows in _section(tdoc, "components", f"{loc}.components").items():
             kloc = f"{loc}.components.{key}"
             obj, grade = _split_key(key, kloc)
             _expect(obj in objects, kloc, f"unknown object {obj!r}")
             comps[(obj, grade)] = _as_hom(rows, kloc, fsrc.group(obj, grade), ftgt.group(obj, grade))
-        try:
-            bundle.transformations[tname] = NaturalTransf(fsrc, ftgt, comps)
-        except Exception as exc:
-            raise InstanceFileError(loc, str(exc)) from exc
+        bundle.transformations[tname] = _built(loc, NaturalTransf, fsrc, ftgt, comps)
 
-    for bname, bdoc in sorted(doc.get("theories", {}).items()):
+    for bname, bdoc in sorted(_section(doc, "theories", "theories").items()):
         loc = f"theories.{bname}"
         _expect(isinstance(bdoc, dict), loc, "expected an object")
         window = bdoc.get("window")
@@ -469,7 +476,7 @@ def parse_instance(doc) -> InstanceBundle:
             "expected [lo, hi]",
         )
         groups = {}
-        for key, spec in bdoc.get("groups", {}).items():
+        for key, spec in _section(bdoc, "groups", f"{loc}.groups").items():
             kloc = f"{loc}.groups.{key}"
             mor, deg = _split_key(key, kloc)
             _expect(mor in names, kloc, f"unknown morphism {mor!r}")
@@ -482,19 +489,16 @@ def parse_instance(doc) -> InstanceBundle:
             return groups.get((mor, deg), FgAbGroup.zero())
 
         products = {}
-        for idx, entry in enumerate(bdoc.get("products", [])):
+        for idx, entry in enumerate(_section(bdoc, "products", f"{loc}.products", list)):
             ploc = f"{loc}.products[{idx}]"
             _expect(isinstance(entry, dict), ploc, "expected an object")
             for fld in ("f", "g"):
-                _expect(entry.get(fld) in names, ploc, f"field {fld!r} must name a morphism")
+                _named(entry.get(fld), names, ploc, f"field {fld!r} must name a morphism")
             for fld in ("i", "j"):
                 _expect(isinstance(entry.get(fld), int), ploc, f"field {fld!r} must be an integer")
             f_, g_, i_, j_ = entry["f"], entry["g"], entry["i"], entry["j"]
             ga, gb = grp(f_, i_), grp(g_, j_)
-            try:
-                gf = site.compose(g_, f_)
-            except Exception as exc:
-                raise InstanceFileError(ploc, str(exc)) from exc
+            gf = _built(ploc, site.compose, g_, f_)
             gt = grp(gf, i_ + j_)
             table = entry.get("table")
             _expect(isinstance(table, list) and len(table) == ga.ngens, f"{ploc}.table", f"expected {ga.ngens} rows")
@@ -513,35 +517,29 @@ def parse_instance(doc) -> InstanceBundle:
             products[(f_, g_, i_, j_)] = tuple(parsed)
 
         pushforwards = {}
-        for idx, entry in enumerate(bdoc.get("pushforwards", [])):
+        for idx, entry in enumerate(_section(bdoc, "pushforwards", f"{loc}.pushforwards", list)):
             ploc = f"{loc}.pushforwards[{idx}]"
             _expect(isinstance(entry, dict), ploc, "expected an object")
             for fld in ("f", "g"):
-                _expect(entry.get(fld) in names, ploc, f"field {fld!r} must name a morphism")
+                _named(entry.get(fld), names, ploc, f"field {fld!r} must name a morphism")
             _expect(isinstance(entry.get("i"), int), ploc, "field 'i' must be an integer")
             f_, g_, i_ = entry["f"], entry["g"], entry["i"]
-            try:
-                gf = site.compose(g_, f_)
-            except Exception as exc:
-                raise InstanceFileError(ploc, str(exc)) from exc
+            gf = _built(ploc, site.compose, g_, f_)
             pushforwards[(f_, g_, i_)] = _as_hom(entry.get("matrix"), f"{ploc}.matrix", grp(gf, i_), grp(g_, i_))
 
         pullbacks_t = {}
-        for idx, entry in enumerate(bdoc.get("pullbacks", [])):
+        for idx, entry in enumerate(_section(bdoc, "pullbacks", f"{loc}.pullbacks", list)):
             ploc = f"{loc}.pullbacks[{idx}]"
             _expect(isinstance(entry, dict), ploc, "expected an object")
             for fld in ("f", "g"):
-                _expect(entry.get(fld) in names, ploc, f"field {fld!r} must name a morphism")
+                _named(entry.get(fld), names, ploc, f"field {fld!r} must name a morphism")
             _expect(isinstance(entry.get("i"), int), ploc, "field 'i' must be an integer")
             f_, g_, i_ = entry["f"], entry["g"], entry["i"]
-            try:
-                sq = site.chosen_pullback(f_, g_)
-            except Exception as exc:
-                raise InstanceFileError(ploc, str(exc)) from exc
+            sq = _built(ploc, site.chosen_pullback, f_, g_)
             pullbacks_t[(f_, g_, i_)] = _as_hom(entry.get("matrix"), f"{ploc}.matrix", grp(f_, i_), grp(sq.left, i_))
 
         units = {}
-        for obj, coords in bdoc.get("units", {}).items():
+        for obj, coords in _section(bdoc, "units", f"{loc}.units").items():
             uloc = f"{loc}.units.{obj}"
             _expect(obj in objects, uloc, "unknown object")
             g0 = grp(site.identity(obj), 0)
@@ -551,27 +549,22 @@ def parse_instance(doc) -> InstanceBundle:
                 f"expected {g0.ngens} integer coordinates",
             )
             units[obj] = g0.element(coords)
-        bundle.theories[bname] = TabulatedBivTheory(
-            site, tuple(window), groups, products, pushforwards, pullbacks_t, units
+        bundle.theories[bname] = _built(
+            loc, TabulatedBivTheory, site, tuple(window), groups, products, pushforwards, pullbacks_t, units
         )
 
-    for gname, gdoc in sorted(doc.get("groth", {}).items()):
+    for gname, gdoc in sorted(_section(doc, "groth", "groth").items()):
         loc = f"groth.{gname}"
         _expect(isinstance(gdoc, dict), loc, "expected an object")
-        _expect(gdoc.get("src") in bundle.theories, f"{loc}.src", "unknown theory")
-        _expect(gdoc.get("tgt") in bundle.theories, f"{loc}.tgt", "unknown theory")
-        bsrc = bundle.theories[gdoc["src"]]
-        btgt = bundle.theories[gdoc["tgt"]]
+        bsrc = bundle.theories[_named(gdoc.get("src"), bundle.theories, f"{loc}.src", "unknown theory")]
+        btgt = bundle.theories[_named(gdoc.get("tgt"), bundle.theories, f"{loc}.tgt", "unknown theory")]
         comps = {}
-        for key, rows in gdoc.get("components", {}).items():
+        for key, rows in _section(gdoc, "components", f"{loc}.components").items():
             kloc = f"{loc}.components.{key}"
             mor, deg = _split_key(key, kloc)
             _expect(mor in names, kloc, f"unknown morphism {mor!r}")
             comps[(mor, deg)] = _as_hom(rows, kloc, bsrc.group(mor, deg), btgt.group(mor, deg))
-        try:
-            bundle.groth[gname] = GrothTransf(bsrc, btgt, comps)
-        except Exception as exc:
-            raise InstanceFileError(loc, str(exc)) from exc
+        bundle.groth[gname] = _built(loc, GrothTransf, bsrc, btgt, comps)
 
     return bundle
 

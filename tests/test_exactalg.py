@@ -336,3 +336,21 @@ def test_doctests():
 
     failures, _ = doctest.testmod(mod)
     assert failures == 0
+
+
+class TestMemoCaches:
+    @pytest.mark.parametrize("cached", [smith_decomposition, hom_group])
+    def test_bounded(self, cached):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+
+    def test_demo_working_set_is_not_evicted(self):
+        from bivariant.workbench import demo_checks
+
+        for cached in (smith_decomposition, hom_group):
+            cached.cache_clear()
+        for _ in demo_checks(2):
+            pass
+        for cached in (smith_decomposition, hom_group):
+            info = cached.cache_info()
+            assert info.currsize == info.misses < info.maxsize

@@ -8,9 +8,10 @@ from bivariant.cooperational import (
     transfer_subgroup,
     verify_identity_isomorphism,
 )
-from bivariant.exactalg import FgAbGroup, GroupHom, induced_hom, kernel
+from bivariant.exactalg import FgAbGroup, GroupHom, IntMatrix, image, induced_hom, kernel
 from bivariant.famsolve import (
     ConstraintSpec,
+    FamilyClass,
     SummandSpec,
     TermSpec,
     family_group,
@@ -18,7 +19,8 @@ from bivariant.famsolve import (
     solve_family,
 )
 from bivariant.operational import verify_point_isomorphism
-from bivariant.workbench import build_subsets_instance
+from bivariant.site import NaturalTransf
+from bivariant.workbench import build_graded_instance, build_subsets_instance
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +189,68 @@ class TestIsomorphismCheckersOnBrokenTheories:
                 assert set(identity.violations[0].witness_dict()) == {"obj", "i", "a"}
             else:
                 assert identity.ok
+
+
+def fresh_companions(tsr, cls):
+    """The companion system solved from scratch for one class: coop(G)'s
+    constraints plus the links d_g o T = T o c_g, the class on the right."""
+    transf, site = tsr.transf, tsr.transf.site
+    g_sol = tsr.target_result.solution
+    constraints = list(g_sol.constraints)
+    rhs = {}
+    for g in site.morphisms_into(site.tgt(tsr.base)):
+        apex = site.chosen_pullback(tsr.base, g).apex
+        for m in transf.src.grades():
+            tgt_grade = m + tsr.degree
+            src, tgt = transf.src.group(apex, m), transf.tgt.group(site.src(g), tgt_grade)
+            term = TermSpec(1, (g, m), transf.component(apex, m), None)
+            constraints.append(ConstraintSpec(("link", (g, m)), src, tgt, (term,)))
+            rhs[("link", (g, m))] = transf.component(site.src(g), tgt_grade) @ cls.component(g, m)
+    return solve_family(g_sol.summands, constraints), rhs
+
+
+def zero_transformation(src, tgt):
+    comps = {}
+    for x in src.site.objects:
+        for m in src.grades():
+            comps[(x, m)] = GroupHom.zero(src.group(x, m), tgt.group(x, m))
+    return NaturalTransf(src, tgt, comps)
+
+
+class TestCompanionCosets:
+    """Companions read from the joint system against a per-class system, at
+    every base: under the mod-2 reduction T every class has one companion,
+    under the zero map F -> F2 every d solves d o T = 0, and under the grade
+    scaling psi some classes of negative degree have no companion."""
+
+    def assert_cosets_agree(self, transf, degree):
+        for mor in transf.site.morphisms:
+            tsr = transfer_subgroup(transf, mor.name, degree)
+            target = tsr.target_result
+            for cls in members(tsr) + tsr.source_result.decoded_gens():
+                fresh, rhs = fresh_companions(tsr, cls)
+                u = fresh.solve_affine(rhs)
+                sols = tsr.companions(cls)
+                assert (u is None) == sols.is_empty
+                if u is not None:
+                    expected = FamilyClass(transf.tgt, mor.name, degree, fresh.decode_unknowns(u))
+                    assert sols.homogeneous.contains(target.encode(expected - sols.particular))
+                cols = [target.solution.encode(fresh.decode(k)).coords for k in fresh.group.gens()]
+                to_target = GroupHom(fresh.group, target.group, IntMatrix.from_columns(cols, target.group.ngens))
+                assert sols.homogeneous.group.canonical() == image(to_target).group.canonical()
+
+    def test_mod_two_reduction(self, bundle):
+        self.assert_cosets_agree(bundle.transformations["T"], 0)
+
+    def test_zero_map(self, bundle):
+        transf = zero_transformation(bundle.functors["F"], bundle.functors["F2"])
+        self.assert_cosets_agree(transf, 0)
+        tsr = transfer_subgroup(transf, "01>01", 0)
+        assert not tsr.companions(members(tsr)[0]).is_unique
+
+    def test_grade_scaling(self):
+        psi = build_graded_instance(2).transformations["psi"]
+        for degree in feasible_degrees(psi.src):
+            self.assert_cosets_agree(psi, degree)
+        tsr = transfer_subgroup(psi, "0>0", -2)
+        assert any(tsr.companions(cls).is_empty for cls in tsr.source_result.decoded_gens())
