@@ -233,27 +233,20 @@ def _structural(theory: TabulatedBivTheory, rb: ReportBuilder) -> None:
                 if any(len(c) != tgtg.ngens for r in table for c in r):
                     rb.add("product-shape", "product entries have wrong length", f=f, g=g, i=i, j=j)
                     continue
-                # bilinear extension must respect both relation lattices
-                for rc in range(ga.relations.cols):
-                    rel = ga.relations.col(rc)
-                    for l in range(gb.ngens):
-                        acc = [0] * tgtg.ngens
-                        for k, rk in enumerate(rel):
-                            if rk:
-                                for t in range(tgtg.ngens):
-                                    acc[t] += rk * table[k][l][t]
-                        if not tgtg.element(acc).is_zero:
-                            rb.add("product-well-defined", "table does not respect left relations", f=f, g=g, i=i, j=j, relation=rc)
-                for rc in range(gb.relations.cols):
-                    rel = gb.relations.col(rc)
-                    for k in range(ga.ngens):
-                        acc = [0] * tgtg.ngens
-                        for l, rl in enumerate(rel):
-                            if rl:
-                                for t in range(tgtg.ngens):
-                                    acc[t] += rl * table[k][l][t]
-                        if not tgtg.element(acc).is_zero:
-                            rb.add("product-well-defined", "table does not respect right relations", f=f, g=g, i=i, j=j, relation=rc)
+                # bilinear extension must respect both relation lattices: a
+                # relation of one factor times any generator of the other is 0
+                sides = (("left", ga.relations, table), ("right", gb.relations, tuple(zip(*table))))
+                for side, relations, cells in sides:
+                    for rc in range(relations.cols):
+                        rel = relations.col(rc)
+                        for column in zip(*cells):
+                            acc = [0] * tgtg.ngens
+                            for cell, r in zip(column, rel):
+                                if r:
+                                    for t in range(tgtg.ngens):
+                                        acc[t] += r * cell[t]
+                            if not tgtg.element(acc).is_zero:
+                                rb.add("product-well-defined", f"table does not respect {side} relations", f=f, g=g, i=i, j=j, relation=rc)
     for f, g in site.composable_pairs():
         if not site.is_confined(f):
             continue
@@ -517,34 +510,58 @@ def validate_groth(t: GrothTransf) -> ValidationReport:
                 rb.add("component-typing", "component endpoints mismatch", f=f.name, i=i)
     if not rb.done().ok:
         return rb.done()
+    return verify_transformation(t.src, t.tgt, t, "preserves", "gamma")
 
+
+def _everywhere(base: str) -> bool:
+    return True
+
+
+def verify_transformation(src, tgt, phi, prefix: str, name: str, defined=_everywhere) -> ValidationReport:
+    """phi(a.b) = phi(a).phi(b), phi(f_*a) = f_*phi(a) and phi(g^*a) = g^*phi(a)
+    on the generators of src.
+
+    src and tgt are theories in the protocol of verify_axioms, and
+    phi(f, i, a) maps an element of src over f in degree i to tgt: a
+    Grothendieck transformation, or the op or coop comparison map.  Checks
+    run only over bases where defined(base) holds; violations are of kinds
+    prefix-product, prefix-pushforward and prefix-pullback.
+    """
+    site = src.site
+    rb = ReportBuilder()
+    degrees = list(src.degrees())
     for f, g in site.composable_pairs():
-        gf = site.compose(g, f)
-        for i in degrees:
-            for j in degrees:
-                for a in t.src.gens(f, i):
-                    for b in t.src.gens(g, j):
-                        lhs = t(gf, i + j, t.src.product(f, g, i, j, a, b))
-                        rhs = t.tgt.product(f, g, i, j, t(f, i, a), t(g, j, b))
-                        if lhs != rhs:
-                            rb.add("preserves-product", "gamma(a.b) != gamma(a).gamma(b)", f=f, g=g, i=i, j=j, a=a.coords, b=b.coords)
-    for f, g in site.composable_pairs():
-        if not site.is_confined(f):
+        if not (defined(f) and defined(g)):
             continue
         gf = site.compose(g, f)
         for i in degrees:
-            for a in t.src.gens(gf, i):
-                lhs = t(g, i, t.src.pushforward(f, g, i, a))
-                rhs = t.tgt.pushforward(f, g, i, t(gf, i, a))
-                if lhs != rhs:
-                    rb.add("preserves-pushforward", "gamma(f_*a) != f_*gamma(a)", f=f, g=g, i=i, a=a.coords)
-    for (f, g), sq in sorted(site._pullbacks.items()):
+            for j in degrees:
+                for a in src.gens(f, i):
+                    pa = phi(f, i, a)
+                    for b in src.gens(g, j):
+                        lhs = phi(gf, i + j, src.product(f, g, i, j, a, b))
+                        rhs = tgt.product(f, g, i, j, pa, phi(g, j, b))
+                        if lhs != rhs:
+                            rb.add(f"{prefix}-product", f"{name}(a.b) != {name}(a).{name}(b)", f=f, g=g, i=i, j=j, a=a.coords, b=b.coords)
+    for f, g in site.composable_pairs():
+        if not (site.is_confined(f) and defined(g)):
+            continue
+        gf = site.compose(g, f)
         for i in degrees:
-            for a in t.src.gens(f, i):
-                lhs = t(sq.left, i, t.src.pullback(f, g, i, a))
-                rhs = t.tgt.pullback(f, g, i, t(f, i, a))
+            for a in src.gens(gf, i):
+                lhs = phi(g, i, src.pushforward(f, g, i, a))
+                rhs = tgt.pushforward(f, g, i, phi(gf, i, a))
                 if lhs != rhs:
-                    rb.add("preserves-pullback", "gamma(g^*a) != g^*gamma(a)", f=f, g=g, i=i, a=a.coords)
+                    rb.add(f"{prefix}-pushforward", f"{name}(f_*a) != f_*{name}(a)", f=f, g=g, i=i, a=a.coords)
+    for (f, g), sq in sorted(site._pullbacks.items()):
+        if not defined(f):
+            continue
+        for i in degrees:
+            for a in src.gens(f, i):
+                lhs = phi(sq.left, i, src.pullback(f, g, i, a))
+                rhs = tgt.pullback(f, g, i, phi(f, i, a))
+                if lhs != rhs:
+                    rb.add(f"{prefix}-pullback", f"{name}(g^*a) != g^*{name}(a)", f=f, g=g, i=i, a=a.coords)
     return rb.done()
 
 

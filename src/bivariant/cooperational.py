@@ -14,6 +14,7 @@ along a natural transformation, and cup and power families.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .exactalg import (
     FgAbGroup,
@@ -23,7 +24,6 @@ from .exactalg import (
     hom_preimage,
     image,
     IntMatrix,
-    kernel,
     kernel_image,
 )
 from .famsolve import (
@@ -32,7 +32,6 @@ from .famsolve import (
     FamilyGroup,
     FamilyTheory,
     ImageTransfer,
-    NotAClassError,
     SummandSpec,
     TermSpec,
     comparison_hom,
@@ -43,12 +42,13 @@ from .famsolve import (
     family_transport,
     family_unit,
     image_transfer,
+    recover,
     require_variance,
     solve_family,
     surjectivity_witness,
-    verify_comparison_identities,
+    verify_comparison_isomorphism,
 )
-from .bivcore import GrothTransf, TabulatedBivTheory, verify_axioms
+from .bivcore import GrothTransf, TabulatedBivTheory, verify_axioms, verify_transformation
 from .report import ReportBuilder, ValidationReport
 from .site import GradedFunctor, NaturalTransf, NonConfinedError
 
@@ -126,12 +126,9 @@ def coop_from_bivariant(b: TabulatedBivTheory, base: str, degree: int, alpha: Gr
 
 def identity_recovery(b: TabulatedBivTheory, c: CoopClass, obj: str) -> GroupElement:
     """Recover alpha from coop(alpha) over id_X by applying c_{id} to the unit."""
-    site = b.site
-    idx = site.identity(obj)
-    if c.base != idx:
+    if c.base != b.site.identity(obj):
         raise ValueError("recovery needs a class over an identity morphism")
-    val = c.component(idx, 0)(b.unit(obj))
-    return b.group(idx, c.degree).element(val.coords)
+    return recover(b, c)
 
 
 def coop_hom(b: TabulatedBivTheory, base: str, degree: int, result: FamilyGroup | None = None) -> GroupHom:
@@ -452,40 +449,13 @@ def verify_coop_axioms(functor: GradedFunctor, degrees=None) -> ValidationReport
 def verify_coop_transform_identities(b: TabulatedBivTheory) -> ValidationReport:
     """coop(a.b) = coop(a).coop(b) and the pushforward/pullback analogues,
     over the confined bases, where coop(alpha) is defined."""
-    return verify_comparison_identities(b, "contra", coop_from_bivariant, b.site.is_confined)
+    phi = partial(coop_from_bivariant, b)
+    return verify_transformation(b, FamilyTheory(b.contravariant_part, None), phi, "coop", "coop", b.site.is_confined)
 
 
 def verify_identity_isomorphism(b: TabulatedBivTheory) -> ValidationReport:
     """B^*(X) = B(id_X) embeds isomorphically onto the coop image over id_X."""
-    site = b.site
-    rb = ReportBuilder()
-    for x in site.objects:
-        idx = site.identity(x)
-        for i in b.degrees():
-            result = coop_group(b.contravariant_part, idx, i)
-            try:
-                ch = coop_hom(b, idx, i, result)
-            except NotAClassError as exc:
-                rb.add("identity-isomorphism", "coop(a) is not a co-operational class", obj=x, i=i, a=exc.generator.coords)
-                continue
-            ker = kernel(ch)
-            if not ker.group.is_trivial:
-                rb.add("identity-isomorphism", "coop has nontrivial kernel over id_X", obj=x, i=i, kernel=ker.group.pretty())
-            sub = image(ch)
-            if sub.group.canonical() != b.group(idx, i).canonical():
-                rb.add(
-                    "identity-isomorphism",
-                    "image of coop is not isomorphic to B(id_X)",
-                    obj=x,
-                    i=i,
-                    image=sub.group.pretty(),
-                    expected=b.group(idx, i).pretty(),
-                )
-            for a in b.group(idx, i).gens():
-                back = identity_recovery(b, result.decode(ch(a)), x)
-                if back != a:
-                    rb.add("identity-isomorphism", "recovered element differs", obj=x, i=i, a=a.coords)
-    return rb.done()
+    return verify_comparison_isomorphism(b, "contra", coop_from_bivariant)
 
 
 def naturality_cube_report(tsr: TransferSubgroupResult) -> ValidationReport:

@@ -152,13 +152,6 @@ class IntMatrix:
             self.rows, self.cols, tuple(tuple(k * a for a in r) for r in self.entries)
         )
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
-
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ShapeMismatchError("row count mismatch in hstack")

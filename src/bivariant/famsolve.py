@@ -5,7 +5,9 @@ A class of degree i over f: X -> Y has one component c_(g, m) per morphism
 g: Y' -> Y and grade m; X'_g is the apex of the chosen pullback of f along g.
 Classes, groups and operations are one code for both theories; the
 functor's variance is the only input that decides where they differ, in
-three helpers:
+GradedFunctor.acts_along (the morphisms that pushforwards and compatibility
+squares run along: every one for contra, confined ones for cov) and in two
+helpers:
 
   - _oriented: the side of a component the apex lies on.  For a covariant
     functor h the component is c_g: h_m(Y') -> h_{m-i}(X'_g), so the apex
@@ -13,8 +15,6 @@ three helpers:
     so the apex is its source.  A map of the functor on the apex side
     composes after the component (cov) or before it (contra).
   - _shift: the sign of the grade shift, -degree (cov) or +degree (contra).
-  - _needs_confined: whether pushforwards and compatibility squares need
-    confined morphisms: always for cov, never for contra.
 
 Groups of classes are kernels of an integer constraint map: the unknown is
 the family (c_key) with c_key in Hom(src, tgt), and each constraint is a
@@ -50,6 +50,7 @@ from .exactalg import (
     induced_hom,
     is_surjective,
     kernel,
+    kernel_image,
 )
 from .report import ReportBuilder, ValidationReport
 from .site import GradedFunctor, NonConfinedError, Site
@@ -200,11 +201,6 @@ def _shift(functor: GradedFunctor, degree: int) -> int:
     return -degree if _cov(functor) else degree
 
 
-def _needs_confined(functor: GradedFunctor) -> bool:
-    """Whether pushforwards and compatibility squares need confined morphisms."""
-    return _cov(functor)
-
-
 def _grades(functor: GradedFunctor, m: int, degree: int):
     """(leg grade, apex grade) of the component whose source is at grade m."""
     return _oriented(functor, m, m + _shift(functor, degree))
@@ -247,7 +243,7 @@ def _squares(functor: GradedFunctor, base: str):
     site = functor.site
     for g in site.morphisms_into(site.tgt(base)):
         for k in site.morphisms_into(site.src(g)):
-            if site.is_identity(k) or (_needs_confined(functor) and not site.is_confined(k)):
+            if site.is_identity(k) or not functor.acts_along(k):
                 continue
             paste = site.cospan_paste(base, g, k)
             yield g, k, site.compose(paste.second.top, paste.to_pasted), site.compose(g, k)
@@ -320,7 +316,7 @@ class FamilyClass:
             return NotImplemented
         if not self._same_context(other):
             return False
-        return all(self.component(g, m).equals(other.component(g, m)) for g, m in self._keys())
+        return all(self.component(g, m) == other.component(g, m) for g, m in self._keys())
 
     def __add__(self, other: "FamilyClass") -> "FamilyClass":
         self._compatible(other)
@@ -430,7 +426,7 @@ def family_pushforward(c: FamilyClass, f: str, rest: str) -> FamilyClass:
     Needs a confined f for a covariant functor only.
     """
     functor, site = c.functor, c.site
-    if _needs_confined(functor) and not site.is_confined(f):
+    if not functor.acts_along(f):
         raise NonConfinedError(f"pushforward along non-confined morphism {f}")
     if site.compose(rest, f) != c.base:
         raise ValueError("base morphism does not factor as rest o f")
@@ -505,7 +501,7 @@ class FamilyTheory:
         return all(i in self._degrees for i in degrees)
 
     def can_push(self, f: str) -> bool:
-        return not _needs_confined(self.functor) or self.site.is_confined(f)
+        return self.functor.acts_along(f)
 
     def product(self, f, g, i, j, a, b):
         return family_product(a, b)
@@ -556,12 +552,17 @@ def comparison_hom(b: TabulatedBivTheory, base: str, degree: int, result: Family
     return GroupHom(src, result.group, IntMatrix.from_columns(cols, result.group.ngens))
 
 
+def part_base(site: Site, x: str, variance: str) -> str:
+    """The base morphism over which the part of that variance lives at x:
+    X -> pt for the covariant part, id_X for the contravariant part."""
+    return site.to_point(x) if variance == "cov" else site.identity(x)
+
+
 def surjectivity_witness(t: GrothTransf, variance: str):
-    """An (object, degree) where gamma is not onto the covariant part
-    (over X -> pt) or the contravariant part (over id_X), or None."""
-    site = t.site
-    for x in site.objects:
-        f = site.to_point(x) if variance == "cov" else site.identity(x)
+    """An (object, degree) where gamma is not onto the part of the given
+    variance, or None."""
+    for x in t.site.objects:
+        f = part_base(t.site, x, variance)
         for i in t.src.degrees():
             if not is_surjective(t.component(f, i)):
                 return (x, i)
@@ -596,10 +597,10 @@ def image_transfer(t: GrothTransf, base: str, degree: int, mode: str, variance: 
     the comparison on the source side must map to a kernel element on the
     target side.
     """
-    rep = validate_groth(t)
-    if not rep.ok:
-        raise InvalidTransformationError("; ".join(rep.lines()))
     if mode == "full":
+        rep = validate_groth(t)
+        if not rep.ok:
+            raise InvalidTransformationError("; ".join(rep.lines()))
         witness = surjectivity_witness(t, variance)
         if witness is not None:
             raise NotSurjectiveError(variance, witness)
@@ -636,47 +637,61 @@ def image_transfer(t: GrothTransf, base: str, degree: int, mode: str, variance: 
     return ImageTransfer(t.src, target_theory, base, degree, source_sub, target_sub, mapping)
 
 
-def verify_comparison_identities(b: TabulatedBivTheory, variance: str, classify, defined) -> ValidationReport:
-    """classify(a.b) = classify(a).classify(b), classify(f_*a) = f_*classify(a)
-    and classify(g^*a) = g^*classify(a) on generators.
-
-    classify(b, base, degree, alpha) is the comparison formula; checks run
-    only over bases where defined(base) holds.
-    """
+def recover(b: TabulatedBivTheory, cls: FamilyClass) -> GroupElement:
+    """c_(id_Y)(1_Y) for a class c over f: X -> Y, as an element of B(f):
+    evaluation over X -> pt, recovery over id_X."""
     site = b.site
-    name = COMPARISON[variance]
+    y = site.tgt(cls.base)
+    val = cls.component(site.identity(y), 0)(b.unit(y))
+    return b.group(cls.base, cls.degree).element(val.coords)
+
+
+# per variance: kind of a failed isomorphism, and its messages when alpha's
+# family is not a class, when the comparison has a kernel, when its image is
+# not B(f), and when recovery misses alpha
+_ISOMORPHISM = {
+    "cov": (
+        "point-isomorphism",
+        "op(a) is not an operational class",
+        "op has nontrivial kernel over X -> pt",
+        "image of op is not isomorphic to B(X -> pt)",
+        "ev(op(a)) != a",
+    ),
+    "contra": (
+        "identity-isomorphism",
+        "coop(a) is not a co-operational class",
+        "coop has nontrivial kernel over id_X",
+        "image of coop is not isomorphic to B(id_X)",
+        "recovered element differs",
+    ),
+}
+
+
+def verify_comparison_isomorphism(b: TabulatedBivTheory, variance: str, classify) -> ValidationReport:
+    """Over each part base f (see part_base), the comparison map
+    alpha |-> classify(b, f, i, alpha) embeds B(f)^i isomorphically onto its
+    image, and recover takes each class back to alpha."""
+    site = b.site
+    kind, not_a_class, has_kernel, wrong_image, not_recovered = _ISOMORPHISM[variance]
     rb = ReportBuilder()
-    degrees = list(b.degrees())
-    for f, g in site.composable_pairs():
-        if not (defined(f) and defined(g)):
-            continue
-        gf = site.compose(g, f)
-        for i in degrees:
-            for j in degrees:
-                for a in b.group(f, i).gens():
-                    ca = classify(b, f, i, a)
-                    for bb in b.group(g, j).gens():
-                        lhs = classify(b, gf, i + j, b.product(f, g, i, j, a, bb))
-                        rhs = family_product(ca, classify(b, g, j, bb))
-                        if lhs != rhs:
-                            rb.add(f"{name}-product", f"{name}(a.b) != {name}(a).{name}(b)", f=f, g=g, i=i, j=j, a=a.coords, b=bb.coords)
-    for f, g in site.composable_pairs():
-        if not (site.is_confined(f) and defined(g)):
-            continue
-        gf = site.compose(g, f)
-        for i in degrees:
-            for a in b.group(gf, i).gens():
-                lhs = classify(b, g, i, b.pushforward(f, g, i, a))
-                rhs = family_pushforward(classify(b, gf, i, a), f, g)
-                if lhs != rhs:
-                    rb.add(f"{name}-pushforward", f"{name}(f_*a) != f_*{name}(a)", f=f, g=g, i=i, a=a.coords)
-    for (f, g), sq in sorted(site._pullbacks.items()):
-        if not defined(f):
-            continue
-        for i in degrees:
-            for a in b.group(f, i).gens():
-                lhs = classify(b, sq.left, i, b.pullback(f, g, i, a))
-                rhs = family_pullback(classify(b, f, i, a), g)
-                if lhs != rhs:
-                    rb.add(f"{name}-pullback", f"{name}(g^*a) != g^*{name}(a)", f=f, g=g, i=i, a=a.coords)
+    for x in site.objects:
+        base = part_base(site, x, variance)
+        # after part_base: on a site without a final object, to_point reports it
+        functor = b.covariant_part if variance == "cov" else b.contravariant_part
+        for i in b.degrees():
+            result = family_group(functor, base, i)
+            try:
+                hom = comparison_hom(b, base, i, result, classify)
+            except NotAClassError as exc:
+                rb.add(kind, not_a_class, obj=x, i=i, a=exc.generator.coords)
+                continue
+            ker, sub = kernel_image(hom)
+            if not ker.group.is_trivial:
+                rb.add(kind, has_kernel, obj=x, i=i, kernel=ker.group.pretty())
+            expected = b.group(base, i)
+            if sub.group.canonical() != expected.canonical():
+                rb.add(kind, wrong_image, obj=x, i=i, image=sub.group.pretty(), expected=expected.pretty())
+            for a in expected.gens():
+                if recover(b, result.decode(hom(a))) != a:
+                    rb.add(kind, not_recovered, obj=x, i=i, a=a.coords)
     return rb.done()

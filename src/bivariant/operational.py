@@ -10,13 +10,14 @@ comparison map from a tabulated theory and its checks.
 
 from __future__ import annotations
 
-from .exactalg import GroupElement, GroupHom, IntMatrix, Subgroup, image, kernel
+from functools import partial
+
+from .exactalg import GroupElement, GroupHom, IntMatrix, Subgroup, image
 from .famsolve import (
     FamilyClass,
     FamilyGroup,
     FamilyTheory,
     ImageTransfer,
-    NotAClassError,
     NotSurjectiveError,
     comparison_hom,
     family_group,
@@ -26,12 +27,13 @@ from .famsolve import (
     family_transport,
     family_unit,
     image_transfer,
+    recover,
     require_variance,
     surjectivity_witness,
-    verify_comparison_identities,
+    verify_comparison_isomorphism,
 )
-from .bivcore import GrothTransf, TabulatedBivTheory, verify_axioms
-from .report import ReportBuilder, ValidationReport
+from .bivcore import GrothTransf, TabulatedBivTheory, verify_axioms, verify_transformation
+from .report import ValidationReport
 from .site import GradedFunctor
 
 OpClass = FamilyClass
@@ -99,13 +101,9 @@ def op_from_bivariant(b: TabulatedBivTheory, base: str, degree: int, alpha: Grou
 
 def evaluation(b: TabulatedBivTheory, c: OpClass) -> GroupElement:
     """ev(c) := c_{id_pt}(1_pt) for a class over some X -> pt."""
-    site = b.site
-    pt = site.final_object
-    if site.tgt(c.base) != pt:
+    if b.site.tgt(c.base) != b.site.final_object:
         raise ValueError("evaluation needs a class over a morphism to the final object")
-    one = b.unit(pt)
-    val = c.component(site.identity(pt), 0)(one)
-    return b.group(c.base, c.degree).element(val.coords)
+    return recover(b, c)
 
 
 def op_hom(b: TabulatedBivTheory, base: str, degree: int, result: FamilyGroup | None = None) -> GroupHom:
@@ -141,37 +139,10 @@ def verify_op_axioms(functor: GradedFunctor, degrees=None) -> ValidationReport:
 
 def verify_op_transform_identities(b: TabulatedBivTheory) -> ValidationReport:
     """op(a.b) = op(a).op(b), op(f_*a) = f_*op(a), op(g^*a) = g^*op(a) on generators."""
-    return verify_comparison_identities(b, "cov", op_from_bivariant, lambda f: True)
+    phi = partial(op_from_bivariant, b)
+    return verify_transformation(b, FamilyTheory(b.covariant_part, None), phi, "op", "op")
 
 
 def verify_point_isomorphism(b: TabulatedBivTheory) -> ValidationReport:
     """B_*(X) = B(X -> pt) embeds isomorphically onto the op image over X -> pt."""
-    site = b.site
-    rb = ReportBuilder()
-    for x in site.objects:
-        ax = site.to_point(x)
-        for i in b.degrees():
-            result = op_group(b.covariant_part, ax, i)
-            try:
-                oph = op_hom(b, ax, i, result)
-            except NotAClassError as exc:
-                rb.add("point-isomorphism", "op(a) is not an operational class", obj=x, i=i, a=exc.generator.coords)
-                continue
-            ker = kernel(oph)
-            if not ker.group.is_trivial:
-                rb.add("point-isomorphism", "op has nontrivial kernel over X -> pt", obj=x, i=i, kernel=ker.group.pretty())
-            sub = image(oph)
-            if sub.group.canonical() != b.group(ax, i).canonical():
-                rb.add(
-                    "point-isomorphism",
-                    "image of op is not isomorphic to B(X -> pt)",
-                    obj=x,
-                    i=i,
-                    image=sub.group.pretty(),
-                    expected=b.group(ax, i).pretty(),
-                )
-            for a in b.group(ax, i).gens():
-                back = evaluation(b, result.decode(oph(a)))
-                if back != a:
-                    rb.add("point-isomorphism", "ev(op(a)) != a", obj=x, i=i, a=a.coords)
-    return rb.done()
+    return verify_comparison_isomorphism(b, "cov", op_from_bivariant)

@@ -451,13 +451,18 @@ class GradedFunctor:
             return ZERO_GROUP
         return self._groups.get((obj, m), ZERO_GROUP)
 
+    def acts_along(self, mor: str) -> bool:
+        """Whether the functor has a map along mor: always for contra, only
+        along confined morphisms for cov."""
+        return self.variance == "contra" or self.site.is_confined(mor)
+
     def _endpoints(self, mor: str, m: int):
         if self.variance == "contra":
             return self.group(self.site.tgt(mor), m), self.group(self.site.src(mor), m)
         return self.group(self.site.src(mor), m), self.group(self.site.tgt(mor), m)
 
     def map(self, mor: str, m: int) -> GroupHom:
-        if self.variance == "cov" and not self.site.is_confined(mor):
+        if not self.acts_along(mor):
             raise NonConfinedError(
                 f"covariant functor has no pushforward along non-confined {mor}"
             )
@@ -473,11 +478,7 @@ class GradedFunctor:
 
     def validate(self) -> ValidationReport:
         rb = ReportBuilder()
-        relevant = [
-            m.name
-            for m in self.site.morphisms
-            if self.variance == "contra" or self.site.is_confined(m.name)
-        ]
+        relevant = [m.name for m in self.site.morphisms if self.acts_along(m.name)]
         for mor in relevant:
             for m in self.grades():
                 src, tgt = self._endpoints(mor, m)
@@ -492,11 +493,9 @@ class GradedFunctor:
                 if self.site.is_identity(mor) and not h.equals(GroupHom.identity(src)):
                     rb.add("identity-map", "identity morphism maps to non-identity", morphism=mor, grade=m)
         for f, g in self.site.composable_pairs():
-            if self.variance == "cov" and not (
-                self.site.is_confined(f) and self.site.is_confined(g) and self.site.is_confined(self.site.compose(g, f))
-            ):
-                continue
             gf = self.site.compose(g, f)
+            if not (self.acts_along(f) and self.acts_along(g) and self.acts_along(gf)):
+                continue
             for m in self.grades():
                 try:
                     if self.variance == "contra":
@@ -547,11 +546,7 @@ class NaturalTransf:
                     continue
                 if c.src != self.src.group(obj, m) or c.tgt != self.tgt.group(obj, m):
                     rb.add("component-typing", "component endpoints mismatch", obj=obj, grade=m)
-        relevant = [
-            m.name
-            for m in self.site.morphisms
-            if self.src.variance == "contra" or self.site.is_confined(m.name)
-        ]
+        relevant = [m.name for m in self.site.morphisms if self.src.acts_along(m.name)]
         for mor in relevant:
             for m in self.src.grades():
                 try:

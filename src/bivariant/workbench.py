@@ -444,13 +444,7 @@ def parse_instance(doc) -> InstanceBundle:
             kloc = f"{loc}.maps.{key}"
             mor, grade = _split_key(key, kloc)
             _expect(mor in names, kloc, f"unknown morphism {mor!r}")
-            if variance == "contra":
-                src = functor.group(site.tgt(mor), grade)
-                tgt = functor.group(site.src(mor), grade)
-            else:
-                src = functor.group(site.src(mor), grade)
-                tgt = functor.group(site.tgt(mor), grade)
-            maps[(mor, grade)] = _as_hom(rows, kloc, src, tgt)
+            maps[(mor, grade)] = _as_hom(rows, kloc, *functor._endpoints(mor, grade))
         bundle.functors[fname] = _built(loc, GradedFunctor, site, variance, tuple(window), groups, maps)
 
     for tname, tdoc in sorted(_section(doc, "transformations", "transformations").items()):
@@ -610,11 +604,7 @@ def bundle_to_json(bundle: InstanceBundle) -> dict:
         for name, functor in sorted(bundle.functors.items()):
             groups = {}
             maps = {}
-            relevant = [
-                m.name
-                for m in site.morphisms
-                if functor.variance == "contra" or site.is_confined(m.name)
-            ]
+            relevant = [m.name for m in site.morphisms if functor.acts_along(m.name)]
             for obj in site.objects:
                 for m in functor.grades():
                     g = functor.group(obj, m)
@@ -722,7 +712,7 @@ def bundles_equal(a: InstanceBundle, b: InstanceBundle) -> bool:
                 if fa.group(obj, m).canonical() != fb.group(obj, m).canonical():
                     return False
         for mor in sa.morphisms:
-            if fa.variance == "cov" and not sa.is_confined(mor.name):
+            if not fa.acts_along(mor.name):
                 continue
             for m in fa.grades():
                 if not fa.map(mor.name, m).equals(fb.map(mor.name, m)):

@@ -1,0 +1,26 @@
+"""Rewrite the golden report fixtures from the current code.
+
+Run from the repository root, only after an intended change of a report:
+
+    PYTHONPATH=src python tests/record_golden.py
+
+It writes tests/fixtures/axiom_reports.json and
+tests/fixtures/comparison_reports.json, which TestGoldenReports in
+tests/test_bivcore.py compares against.
+"""
+
+import json
+from pathlib import Path
+
+from test_bivcore import comparison_reports, golden_reports
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def write(name: str, doc) -> None:
+    (FIXTURES / name).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    write("axiom_reports.json", golden_reports())
+    write("comparison_reports.json", comparison_reports())

@@ -12,7 +12,9 @@ from bivariant.bivcore import (
     validate_axioms,
     validate_groth,
 )
+from bivariant.cooperational import verify_coop_transform_identities, verify_identity_isomorphism
 from bivariant.exactalg import FgAbGroup, GroupHom, IntMatrix
+from bivariant.operational import verify_op_transform_identities, verify_point_isomorphism
 from bivariant.workbench import (
     build_subsets_instance,
     subsets_site,
@@ -30,11 +32,11 @@ def theory(bundle):
     return bundle.theories["B"]
 
 
-def rebuild(theory, products=None, pushforwards=None, pullbacks=None, units=None):
+def rebuild(theory, products=None, pushforwards=None, pullbacks=None, units=None, groups=None):
     return TabulatedBivTheory(
         theory.site,
         theory.window,
-        theory._groups,
+        groups if groups is not None else theory._groups,
         products if products is not None else theory._products,
         pushforwards if pushforwards is not None else theory._pushforwards,
         pullbacks if pullbacks is not None else theory._pullbacks,
@@ -126,6 +128,46 @@ class TestMutationFixtures:
         assert report.has("units")
         witness = next(v for v in report.violations if v.kind == "units")
         assert witness.witness_dict()["obj"] == "01"
+
+
+class TestProductTableChecks:
+    """The product-table checks that run before the axioms: kind, message, witness."""
+
+    WHERE = {"f": "0>0", "g": "0>0", "i": 0, "j": 0}
+
+    def test_missing_product(self):
+        base = subsets_theory(subsets_site(1))
+        products = {key: table for key, table in base._products.items() if key != ("0>0", "0>0", 0, 0)}
+        assert validate_axioms(rebuild(base, products=products)).to_json() == [
+            {"kind": "missing-product", "message": "no product table", "witness": self.WHERE}
+        ]
+
+    def test_product_shape(self):
+        base = subsets_theory(subsets_site(1))
+        rows = rebuild(base, products={**base._products, ("0>0", "0>0", 0, 0): ()})
+        assert validate_axioms(rows).to_json() == [
+            {"kind": "product-shape", "message": "product table shape mismatch", "witness": self.WHERE}
+        ]
+        cells = rebuild(base, products={**base._products, ("0>0", "0>0", 0, 0): (((1, 0),),)})
+        assert validate_axioms(cells).to_json() == [
+            {"kind": "product-shape", "message": "product entries have wrong length", "witness": self.WHERE}
+        ]
+
+    def test_product_well_defined_left_then_right(self):
+        # Z/2 x Z/2 -> Z with 1 . 1 = 1 breaks the relation 2 = 0 on both sides
+        z2 = FgAbGroup.from_invariants(0, [2])
+        base = subsets_theory(subsets_site(2))
+        theory = rebuild(
+            base,
+            groups={**base._groups, ("E>0", 0): z2, ("0>01", 0): z2, ("E>01", 0): FgAbGroup.free(1)},
+            products={**base._products, ("E>0", "0>01", 0, 0): (((1,),),)},
+        )
+        where = {"f": "E>0", "g": "0>01", "i": 0, "j": 0, "relation": 0}
+        report = validate_axioms(theory)
+        assert [v for v in report.to_json() if v["kind"] == "product-well-defined"] == [
+            {"kind": "product-well-defined", "message": "table does not respect left relations", "witness": where},
+            {"kind": "product-well-defined", "message": "table does not respect right relations", "witness": where},
+        ]
 
 
 class TestGeneratorChecksAreComplete:
@@ -256,7 +298,58 @@ class TestGoldenReports:
         expected = json.loads(path.read_text(encoding="utf-8"))
         assert normalise(golden_reports()) == expected
 
+    def test_comparison_reports_match_fixture(self):
+        path = Path(__file__).parent / "fixtures" / "comparison_reports.json"
+        expected = json.loads(path.read_text(encoding="utf-8"))
+        assert normalise(comparison_reports()) == expected
+
 
 def normalise(doc):
     """The document as it reads back from JSON, so tuples compare as lists."""
     return json.loads(json.dumps(doc, sort_keys=True))
+
+
+def identity_transformation(src, tgt):
+    """The Grothendieck map with identity matrices between theories whose
+    groups have the same generators."""
+    comps = {}
+    for m in src.site.morphisms:
+        for i in src.degrees():
+            a, b = src.group(m.name, i), tgt.group(m.name, i)
+            comps[(m.name, i)] = GroupHom(a, b, IntMatrix.identity(a.ngens))
+    return GrothTransf(src, tgt, comps)
+
+
+def comparison_reports():
+    """Reports of validate_groth, the op and coop comparison identities and the
+    point and identity isomorphisms over the criterion-2 mutation fixtures, B,
+    B2 and Im gamma."""
+    from test_acceptance import mutation_fixtures
+
+    bundle = build_subsets_instance(2)
+    b, b2 = bundle.theories["B"], bundle.theories["B2"]
+    mutations = mutation_fixtures(b)
+    doc = {}
+    for kind, theory in mutations:
+        doc[kind] = {
+            "groth-to-B2": validate_groth(identity_transformation(theory, b2)).to_json(),
+            "groth-from-B": validate_groth(identity_transformation(b, theory)).to_json(),
+        }
+    # every product zero: op and coop are zero, so both have a kernel and a small image
+    zero = {key: tuple(tuple((0,) * len(cell) for cell in row) for row in table) for key, table in b._products.items()}
+    cases = mutations + [
+        ("B", b),
+        ("B2", b2),
+        ("Im gamma", image_subtheory(bundle.groth["gamma"])),
+        ("zero-products", rebuild(b, products=zero)),
+    ]
+    for name, theory in cases:
+        doc.setdefault(name, {}).update(
+            {
+                "op-identities": verify_op_transform_identities(theory).to_json(),
+                "coop-identities": verify_coop_transform_identities(theory).to_json(),
+                "point-isomorphism": verify_point_isomorphism(theory).to_json(),
+                "identity-isomorphism": verify_identity_isomorphism(theory).to_json(),
+            }
+        )
+    return doc

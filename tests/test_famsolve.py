@@ -4,6 +4,7 @@ import pytest
 
 from bivariant import cooperational
 from bivariant.cooperational import (
+    coop_unit,
     naturality_cube_report,
     transfer_subgroup,
     verify_identity_isomorphism,
@@ -19,7 +20,7 @@ from bivariant.famsolve import (
     solve_family,
 )
 from bivariant.operational import verify_point_isomorphism
-from bivariant.site import NaturalTransf
+from bivariant.site import GradedFunctor, NaturalTransf
 from bivariant.workbench import build_graded_instance, build_subsets_instance
 
 
@@ -189,6 +190,21 @@ class TestIsomorphismCheckersOnBrokenTheories:
                 assert set(identity.violations[0].witness_dict()) == {"obj", "i", "a"}
             else:
                 assert identity.ok
+
+
+class TestFamilyClassEquality:
+    def test_classes_of_functors_with_different_groups_are_unequal(self):
+        # F and F2 share site, variance and window; their groups differ
+        bundle = build_subsets_instance(1)
+        unit, unit2 = coop_unit(bundle.functors["F"], "0"), coop_unit(bundle.functors["F2"], "0")
+        assert not unit == unit2
+        assert unit != unit2
+
+    def test_classes_of_equal_functor_objects_are_equal(self):
+        F = build_subsets_instance(1).functors["F"]
+        copy = GradedFunctor(F.site, F.variance, F.window, F._groups, F._maps)
+        assert copy is not F
+        assert coop_unit(F, "0") == coop_unit(copy, "0")
 
 
 def fresh_companions(tsr, cls):
