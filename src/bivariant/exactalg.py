@@ -5,7 +5,9 @@ arbitrary precision.  A group is a presentation Z^ngens modulo the column
 lattice of an integer relations matrix.  A single primitive, the Smith
 normal form with tracked unimodular transforms, drives everything else:
 canonical forms, element reduction, lattice membership, kernels, images
-and Hom groups.
+and Hom groups.  The matrices met here are sparse, so the Smith form
+eliminates on sparse rows and columns internally; it returns dense
+immutable IntMatrix values like every other function.
 """
 
 from __future__ import annotations
@@ -121,13 +123,12 @@ class IntMatrix:
         return IntMatrix(self.rows, oc, tuple(out))
 
     def apply(self, vec) -> tuple:
-        """Matrix times column vector."""
+        """Matrix times column vector, over the nonzero entries of vec."""
         vec = tuple(vec)
         if len(vec) != self.cols:
             raise ShapeMismatchError("vector length mismatch")
-        return tuple(
-            sum(a * x for a, x in zip(row, vec) if a and x) for row in self.entries
-        )
+        nonzero = [(k, x) for k, x in enumerate(vec) if x]
+        return tuple(sum(row[k] * x for k, x in nonzero) for row in self.entries)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -221,66 +222,94 @@ class SmithDecomposition:
         return tuple(self.d.entries[i][i] for i in range(n))
 
 
+def _axpy(dst: dict, src: dict, q: int) -> None:
+    """dst += q * src on sparse vectors {index: nonzero entry}."""
+    if not q:
+        return
+    for k, b in src.items():
+        x = dst.get(k, 0) + q * b
+        if x:
+            dst[k] = x
+        else:
+            del dst[k]
+
+
+def _from_sparse_rows(rows: list, ncols: int) -> IntMatrix:
+    """The dense matrix with these sparse rows; with no rows it is 0 x 0,
+    as IntMatrix.from_rows(()) is."""
+    dense = [[0] * ncols for _ in rows]
+    for out, row in zip(dense, rows):
+        for j, x in row.items():
+            out[j] = x
+    return IntMatrix(len(dense), ncols if dense else 0, tuple(map(tuple, dense)))
+
+
+def _from_sparse_columns(cols: list) -> IntMatrix:
+    """The dense square matrix with these sparse columns."""
+    n = len(cols)
+    dense = [[0] * n for _ in range(n)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            dense[i][j] = x
+    return IntMatrix(n, n, tuple(map(tuple, dense)))
+
+
 @lru_cache(maxsize=SNF_CACHE_SIZE)
 def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
     """Deterministic Smith normal form with both transforms and their inverses.
 
     Pivot selection always takes the smallest nonzero absolute value in the
     remaining block, ties broken in row-major order, so the output is
-    bit-identical across runs.
+    bit-identical across runs.  The elimination runs on sparse vectors
+    {index: nonzero entry}: rows of D, U and Vi, columns of V and Ui.  At
+    step t, the rows and columns of D before t hold only their diagonal
+    entry, so column operations touch rows t onwards only.
     """
     R, C = m.rows, m.cols
-    D = [list(r) for r in m.entries]
-    U = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
-    Ui = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
-    V = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
-    Vi = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
+    D = [{j: x for j, x in enumerate(r) if x} for r in m.entries]
+    U = [{i: 1} for i in range(R)]
+    Ui = [{i: 1} for i in range(R)]
+    V = [{j: 1} for j in range(C)]
+    Vi = [{j: 1} for j in range(C)]
 
     def row_add(i, j, q):  # row_i += q * row_j
-        D[i] = [a + q * b for a, b in zip(D[i], D[j])]
-        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
-        for r in range(R):
-            Ui[r][j] -= q * Ui[r][i]
+        _axpy(D[i], D[j], q)
+        _axpy(U[i], U[j], q)
+        _axpy(Ui[j], Ui[i], -q)
 
     def row_swap(i, j):
         D[i], D[j] = D[j], D[i]
         U[i], U[j] = U[j], U[i]
-        for r in range(R):
-            Ui[r][i], Ui[r][j] = Ui[r][j], Ui[r][i]
+        Ui[i], Ui[j] = Ui[j], Ui[i]
 
     def row_neg(i):
-        D[i] = [-a for a in D[i]]
-        U[i] = [-a for a in U[i]]
-        for r in range(R):
-            Ui[r][i] = -Ui[r][i]
+        for vecs in (D, U, Ui):
+            vecs[i] = {k: -x for k, x in vecs[i].items()}
 
     def col_add(j, i, q):  # col_j += q * col_i
-        for r in range(R):
-            D[r][j] += q * D[r][i]
-        for r in range(C):
-            V[r][j] += q * V[r][i]
-        Vi[i] = [a - q * b for a, b in zip(Vi[i], Vi[j])]
+        for row in D[t:]:
+            if i in row:
+                _axpy(row, {j: row[i]}, q)
+        _axpy(V[j], V[i], q)
+        _axpy(Vi[i], Vi[j], -q)
 
     def col_swap(i, j):
-        for r in range(R):
-            D[r][i], D[r][j] = D[r][j], D[r][i]
-        for r in range(C):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
+        for row in D[t:]:
+            a, b = row.pop(i, 0), row.pop(j, 0)
+            if b:
+                row[i] = b
+            if a:
+                row[j] = a
+        V[i], V[j] = V[j], V[i]
         Vi[i], Vi[j] = Vi[j], Vi[i]
 
     t = 0
     limit = min(R, C)
     while t < limit:
-        best = None
-        best_val = None
-        for i in range(t, R):
-            for j in range(t, C):
-                x = D[i][j]
-                if x and (best is None or abs(x) < best_val):
-                    best, best_val = (i, j), abs(x)
+        best = min(((abs(x), i, j) for i in range(t, R) for j, x in D[i].items()), default=None)
         if best is None:
             break
-        bi, bj = best
+        _, bi, bj = best
         if bi != t:
             row_swap(t, bi)
         if bj != t:
@@ -289,32 +318,35 @@ def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
             row_neg(t)
         while True:
             p = D[t][t]
-            k = next((i for i in range(t + 1, R) if D[i][t]), None)
+            k = next((i for i in range(t + 1, R) if t in D[i]), None)
             if k is not None:
                 q = D[k][t] // p
                 row_add(k, t, -q)
-                if D[k][t]:
+                if t in D[k]:
                     row_swap(t, k)  # remainder in (0, p) becomes new pivot
                 continue
-            k = next((j for j in range(t + 1, C) if D[t][j]), None)
+            k = min((j for j in D[t] if j != t), default=None)
             if k is not None:
                 q = D[t][k] // p
                 col_add(k, t, -q)
-                if D[t][k]:
+                if k in D[t]:
                     col_swap(t, k)
                 continue
-            bad = None
-            for i in range(t + 1, R):
-                if any(D[i][j] % p for j in range(t + 1, C)):
-                    bad = i
-                    break
+            if p == 1:  # divides every entry
+                break
+            bad = next((i for i in range(t + 1, R) if any(x % p for x in D[i].values())), None)
             if bad is None:
                 break
             row_add(t, bad, 1)
         t += 1
 
-    mk = IntMatrix.from_rows
-    return SmithDecomposition(mk(D), mk(U), mk(V), mk(Ui), mk(Vi))
+    return SmithDecomposition(
+        _from_sparse_rows(D, C),
+        _from_sparse_rows(U, R),
+        _from_sparse_columns(V),
+        _from_sparse_columns(Ui),
+        _from_sparse_rows(Vi, C),
+    )
 
 
 def snf(m: IntMatrix):
@@ -368,6 +400,10 @@ def lattice_kernel(a: IntMatrix) -> IntMatrix:
 
 # ---------------------------------------------------------------------------
 # groups
+
+
+def _nonzero_rows(m: IntMatrix) -> tuple:
+    return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in m.entries)
 
 
 class FgAbGroup:
@@ -450,16 +486,35 @@ class FgAbGroup:
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " x ".join(parts) if parts else "0"
 
+    @cached_property
+    def _reduction(self) -> tuple:
+        """(path, u rows, u_inv rows): how reduce computes u_inv (u x mod d).
+
+        "free" when there are no relations (every x is its own
+        representative), "diagonal" when u is the identity (reduce each x_i
+        mod d_i), else "general" on the nonzero (index, entry) pairs of the
+        rows of u and u_inv.
+        """
+        sm = self._smith  # on every path, so which Smith forms a run computes never depends on it
+        if not self.relations.cols:
+            return ("free", (), ())
+        if sm.u.is_identity():
+            return ("diagonal", (), ())
+        return ("general", _nonzero_rows(sm.u), _nonzero_rows(sm.u_inv))
+
     def reduce(self, coords) -> tuple:
         """Canonical representative of coords modulo the relation lattice."""
         coords = tuple(int(x) for x in coords)
         if len(coords) != self.ngens:
             raise ShapeMismatchError("coordinate length mismatch")
-        c = list(self._smith.u.apply(coords))
-        for i, d in enumerate(self._diag):
-            if d:
-                c[i] %= d
-        return self._smith.u_inv.apply(c)
+        path, u, u_inv = self._reduction
+        if path == "free":
+            return coords
+        if path == "diagonal":
+            return tuple(x % d if d else x for x, d in zip(coords, self._diag))
+        c = [sum(a * coords[j] for j, a in row) for row in u]
+        c = [x % d if d else x for x, d in zip(c, self._diag)]
+        return tuple(sum(a * c[j] for j, a in row) for row in u_inv)
 
     def element(self, coords) -> "GroupElement":
         return GroupElement(self, tuple(int(x) for x in coords))

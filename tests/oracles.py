@@ -77,6 +77,14 @@ def rational_rank(rows, ncols):
     return rank
 
 
+def naive_reduce(u_rows, u_inv_rows, diag, coords):
+    """u_inv . (u . x mod d) with dense matrix-vector products, where d is
+    the Smith diagonal padded to one entry per generator (0: no modulus)."""
+    c = [sum(a * x for a, x in zip(row, coords)) for row in u_rows]
+    c = [x % d if d else x for x, d in zip(c, diag)]
+    return tuple(sum(a * x for a, x in zip(row, c)) for row in u_inv_rows)
+
+
 def hom_count_cyclic(a, b):
     """|Hom(Z/a, Z/b)| by enumerating generator images (a=0 means Z)."""
     if a == 0:

@@ -6,13 +6,15 @@ Run from the repository root, only after an intended change of a report:
 
 It writes tests/fixtures/axiom_reports.json and
 tests/fixtures/comparison_reports.json, which TestGoldenReports in
-tests/test_bivcore.py compares against.
+tests/test_bivcore.py compares against, and tests/fixtures/snf_digests.json,
+which TestSnfIdentity in tests/test_exactalg.py compares against.
 """
 
 import json
 from pathlib import Path
 
 from test_bivcore import comparison_reports, golden_reports
+from test_exactalg import snf_digests
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -24,3 +26,4 @@ def write(name: str, doc) -> None:
 if __name__ == "__main__":
     write("axiom_reports.json", golden_reports())
     write("comparison_reports.json", comparison_reports())
+    write("snf_digests.json", snf_digests())

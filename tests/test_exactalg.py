@@ -1,4 +1,10 @@
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +14,7 @@ from bivariant.exactalg import (
     GroupHom,
     IntMatrix,
     ShapeMismatchError,
+    SmithDecomposition,
     direct_sum,
     hom_group,
     hom_preimage,
@@ -18,24 +25,30 @@ from bivariant.exactalg import (
     lattice_contains,
     lattice_kernel,
     lattice_solve,
+    padded_diagonal,
     project_factor,
     quotient_by,
     smith_decomposition,
     snf,
 )
 
-from oracles import determinantal_divisors, hom_count_cyclic, random_well_defined_matrix
+from oracles import determinantal_divisors, hom_count_cyclic, naive_reduce, random_well_defined_matrix
 
 
 Z = FgAbGroup.free(1)
 
 
-def check_snf(m: IntMatrix):
-    d, u, v = snf(m)
-    assert (u @ m @ v) == d
-    assert abs(u.det()) == 1
-    assert abs(v.det()) == 1
-    s = smith_decomposition(m)
+HERE = Path(__file__).parent
+SRC = HERE.parent / "src"
+SNF_DIGESTS = HERE / "fixtures" / "snf_digests.json"
+
+
+def snf_certificate(m: IntMatrix, s: SmithDecomposition) -> list:
+    """Assert u @ m @ v == d, u @ u_inv == I, v @ v_inv == I and that d is
+    diagonal with a divisibility chain; return the diagonal."""
+    d = s.d
+    # a matrix with no rows has a 0 x 0 d, so compare entries, not shapes
+    assert (s.u @ m @ s.v).entries == d.entries
     assert (s.u @ s.u_inv).is_identity()
     assert (s.v @ s.v_inv).is_identity()
     diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
@@ -49,8 +62,82 @@ def check_snf(m: IntMatrix):
             assert b == 0
         else:
             assert b % a == 0
+    return diag
+
+
+def check_snf(m: IntMatrix):
+    s = smith_decomposition(m)
+    assert snf(m) == (s.d, s.u, s.v)
+    diag = snf_certificate(m, s)
+    assert abs(s.u.det()) == 1
+    assert abs(s.v.det()) == 1
     assert diag == determinantal_divisors(m.entries, m.cols)
-    return d
+    return s.d
+
+
+# Records every distinct (input, output) pair of smith_decomposition during
+# one named run.  It runs in a fresh process, so no Smith form cached by an
+# earlier test (in the memo or on a long-lived group) hides a call.
+_RECORD_SNF = """
+import json, sys
+from bivariant import exactalg
+from bivariant.cooperational import transfer_subgroup
+from bivariant.workbench import build_subsets_instance, demo_checks
+
+RUNS = {
+    "demo-subsets-2": lambda: list(demo_checks(2)),
+    "demo-subsets-3": lambda: list(demo_checks(3)),
+    "transfer-subsets-3": lambda: transfer_subgroup(
+        build_subsets_instance(3).transformations["T"], "01>012", 0
+    ),
+}
+seen = set()
+solve = exactalg.smith_decomposition
+
+
+def recorded(m):
+    s = solve(m)
+    seen.add((m, s))
+    return s
+
+
+exactalg.smith_decomposition = recorded
+RUNS[sys.argv[1]]()
+
+
+def mat(x):
+    return [x.rows, x.cols, x.entries]
+
+
+pairs = [[mat(m), [mat(s.d), mat(s.u), mat(s.v), mat(s.u_inv), mat(s.v_inv)]] for m, s in seen]
+print(json.dumps(sorted(json.dumps(p) for p in pairs)))
+"""
+
+# Pinned in tier-1; "demo-subsets-3" (about 8 s) is for checks by hand.
+SNF_DIGEST_RUNS = ("demo-subsets-2", "transfer-subsets-3")
+
+
+def snf_records(run: str) -> list:
+    """The sorted JSON lines of the distinct Smith forms one run computes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", _RECORD_SNF, run], capture_output=True, text=True, env=env, check=True
+    )
+    return json.loads(out.stdout)
+
+
+def snf_digest(records: list) -> dict:
+    return {"pairs": len(records), "sha256": hashlib.sha256("\n".join(records).encode()).hexdigest()}
+
+
+def snf_digests() -> dict:
+    return {run: snf_digest(snf_records(run)) for run in SNF_DIGEST_RUNS}
+
+
+def _matrix(doc) -> IntMatrix:
+    rows, cols, entries = doc
+    return IntMatrix(rows, cols, tuple(tuple(r) for r in entries))
 
 
 class TestSmithNormalForm:
@@ -94,6 +181,43 @@ class TestSmithNormalForm:
         )
         check_snf(m)
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_sparse_matrices(self, data):
+        rows = data.draw(st.integers(1, 8))
+        cols = data.draw(st.integers(1, 8))
+        cells = data.draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+                st.sampled_from((1, -1, 2, -2, 3, -3)),
+                max_size=rows * cols // 10,
+            )
+        )
+        m = IntMatrix.from_rows([[cells.get((i, j), 0) for j in range(cols)] for i in range(rows)])
+        check_snf(m)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_shapes(self, rows, cols):
+        m = IntMatrix.zeros(rows, cols)
+        check_snf(m)
+        s = smith_decomposition(m)
+        assert s.u == s.u_inv == IntMatrix.identity(rows)
+        assert s.v == s.v_inv == IntMatrix.identity(cols)
+        # a matrix with no rows has a 0 x 0 d, as IntMatrix.from_rows(()) is
+        assert s.d == (m if rows else IntMatrix.from_rows(()))
+
+
+class TestSnfIdentity:
+    """Every Smith form of two runs is bit for bit the recorded one."""
+
+    @pytest.mark.parametrize("run", SNF_DIGEST_RUNS)
+    def test_outputs_match_recorded_digest(self, run):
+        records = snf_records(run)
+        assert snf_digest(records) == json.loads(SNF_DIGESTS.read_text())[run]
+        for rec in records:
+            m, outs = json.loads(rec)
+            snf_certificate(_matrix(m), SmithDecomposition(*map(_matrix, outs)))
+
 
 class TestLattice:
     def test_solve_and_membership(self):
@@ -135,6 +259,31 @@ class TestGroups:
         elems = list(g.elements())
         assert len(elems) == 6
         assert len(set(elems)) == 6
+
+
+class TestReducePaths:
+    """reduce equals the dense u_inv (u x mod d) on each of its three paths."""
+
+    def test_matches_dense_formula(self):
+        rng = random.Random(6)
+        cases = [(FgAbGroup.free(k), "free") for k in range(4)]
+        cases += [(FgAbGroup.from_invariants(0, t), "diagonal") for t in ((2,), (2, 4), (3, 6, 12))]
+        for _ in range(12):
+            n, r = rng.randint(1, 6), rng.randint(1, 6)
+            rel = IntMatrix.from_rows([[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(r)] for _ in range(n)])
+            cases.append((FgAbGroup(n, rel), None))
+        seen = set()
+        for g, path in cases:
+            s = smith_decomposition(g.relations)
+            taken = g._reduction[0]
+            assert taken == path or path is None
+            assert (taken == "general") == (g.relations.cols > 0 and not s.u.is_identity())
+            seen.add(taken)
+            diag = padded_diagonal(s, g.ngens)
+            for _ in range(20):
+                x = [rng.randint(-30, 30) for _ in range(g.ngens)]
+                assert g.reduce(x) == naive_reduce(s.u.entries, s.u_inv.entries, diag, x)
+        assert seen == {"free", "diagonal", "general"}
 
 
 class TestHomGroup:
