@@ -15,7 +15,6 @@ from .exactalg import (
     image,
     kernel_image,
     smith_decomposition,
-    snf,
 )
 from .report import ValidationReport, Violation
 from .site import GradedFunctor, NaturalTransf, PullbackSquare, Site, validate_site
@@ -40,7 +39,6 @@ __all__ = [
     "image",
     "kernel_image",
     "smith_decomposition",
-    "snf",
     "ValidationReport",
     "Violation",
     "GradedFunctor",

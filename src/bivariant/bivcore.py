@@ -25,7 +25,7 @@ from .exactalg import (
     IntMatrix,
 )
 from .report import ReportBuilder, ValidationReport
-from .site import GradedFunctor, Site
+from .site import GradedFunctor, MissingFinalObjectError, Site
 
 
 class MissingTableError(KeyError):
@@ -169,8 +169,6 @@ class TabulatedBivTheory:
         """h_m(X) := B^{-m}(X -> pt), pushforwards along confined maps."""
         pt = self.site.final_object
         if pt is None:
-            from .site import MissingFinalObjectError
-
             raise MissingFinalObjectError("covariant part needs a final object")
         lo, hi = self.window
         groups = {}

@@ -41,6 +41,10 @@ def _class_json(components):
     return out
 
 
+def _elapsed_ms(started) -> int:
+    return int((time.monotonic() - started) * 1000)
+
+
 def _emit(args, payload: dict, violations: ValidationReport | None, started) -> int:
     violist = violations.to_json() if violations is not None else []
     code = EXIT_OK if not violist else EXIT_VIOLATION
@@ -50,7 +54,7 @@ def _emit(args, payload: dict, violations: ValidationReport | None, started) -> 
             "inputs": payload.get("inputs", {}),
             "result": payload.get("result"),
             "violations": violist,
-            "timing_ms": int((time.monotonic() - started) * 1000) if args.timings else None,
+            "timing_ms": _elapsed_ms(started) if args.timings else None,
         }
         sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     else:
@@ -60,11 +64,11 @@ def _emit(args, payload: dict, violations: ValidationReport | None, started) -> 
             for v in violations.violations:
                 sys.stdout.write("VIOLATION " + v.line() + "\n")
         if args.timings:
-            sys.stdout.write(f"timing_ms: {int((time.monotonic() - started) * 1000)}\n")
+            sys.stdout.write(f"timing_ms: {_elapsed_ms(started)}\n")
     return code
 
 
-def _need(bundle, mapping, name, what):
+def _need(mapping, name, what):
     if name not in mapping:
         raise InstanceFileError(what, f"no {what} named {name!r} in this file")
     return mapping[name]
@@ -85,7 +89,7 @@ def _cmd_validate(args, started):
 def _cmd_family(args, started):
     """op and coop: the group of operational or co-operational classes."""
     bundle = load_instance(args.file)
-    functor = _need(bundle, bundle.functors, args.functor, "functor")
+    functor = _need(bundle.functors, args.functor, "functor")
     if not bundle.site.has_morphism(args.morphism):
         raise InstanceFileError("morphism", f"unknown morphism {args.morphism!r}")
     inputs = {"file": args.file, "functor": args.functor, "morphism": args.morphism, "degree": args.degree}
@@ -111,33 +115,18 @@ def _cmd_family(args, started):
     return _emit(args, payload, ValidationReport(), started)
 
 
-def _cmd_axioms(args, started):
+def _cmd_check(args, started):
+    """axioms and groth: one named theory or Grothendieck map, checked."""
     bundle = load_instance(args.file)
-    theory = _need(bundle, bundle.theories, args.theory, "theory")
+    name = getattr(args, args.key)
+    checked = _need(getattr(bundle, args.table), name, args.what)
     report = validate_site(bundle.site)
     if report.ok:
-        report = validate_axioms(theory)
-    lines = [
-        f"theory {args.theory}: 7 axioms + Units: " + ("PASS" if report.ok else "FAIL")
-    ]
+        report = args.check(checked)
+    lines = [args.prefix.format(name) + ("PASS" if report.ok else "FAIL")]
     return _emit(
         args,
-        {"inputs": {"file": args.file, "theory": args.theory}, "result": {"ok": report.ok}, "lines": lines},
-        report,
-        started,
-    )
-
-
-def _cmd_groth(args, started):
-    bundle = load_instance(args.file)
-    transf = _need(bundle, bundle.groth, args.map, "groth")
-    report = validate_site(bundle.site)
-    if report.ok:
-        report = validate_groth(transf)
-    lines = [f"transformation {args.map}: " + ("PASS" if report.ok else "FAIL")]
-    return _emit(
-        args,
-        {"inputs": {"file": args.file, "map": args.map}, "result": {"ok": report.ok}, "lines": lines},
+        {"inputs": {"file": args.file, args.key: name}, "result": {"ok": report.ok}, "lines": lines},
         report,
         started,
     )
@@ -145,7 +134,7 @@ def _cmd_groth(args, started):
 
 def _cmd_bcoopt(args, started):
     bundle = load_instance(args.file)
-    transf = _need(bundle, bundle.transformations, args.nat, "transformation")
+    transf = _need(bundle.transformations, args.nat, "transformation")
     if not bundle.site.has_morphism(args.morphism):
         raise InstanceFileError("morphism", f"unknown morphism {args.morphism!r}")
     inputs = {"file": args.file, "nat": args.nat, "morphism": args.morphism, "degree": args.degree}
@@ -191,12 +180,14 @@ def _cmd_demo(args, started):
             "inputs": {"what": args.what, "n": args.n},
             "result": {"ok": ok, "checks": lines},
             "violations": [] if ok else [{"kind": "demo", "message": l, "witness": {}} for l in lines if "FAIL" in l],
-            "timing_ms": int((time.monotonic() - started) * 1000) if args.timings else None,
+            "timing_ms": _elapsed_ms(started) if args.timings else None,
         }
         sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     else:
         for l in lines:
             sys.stdout.write(l + "\n")
+        if args.timings:
+            sys.stdout.write(f"timing_ms: {_elapsed_ms(started)}\n")
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -230,12 +221,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("axioms", help="check the seven axioms plus units of a theory")
     sp.add_argument("file")
     sp.add_argument("--theory", required=True)
-    sp.set_defaults(func=_cmd_axioms)
+    sp.set_defaults(
+        func=_cmd_check,
+        key="theory",
+        table="theories",
+        what="theory",
+        check=validate_axioms,
+        prefix="theory {}: 7 axioms + Units: ",
+    )
 
     sp = sub.add_parser("groth", help="check a Grothendieck transformation")
     sp.add_argument("file")
     sp.add_argument("--map", required=True)
-    sp.set_defaults(func=_cmd_groth)
+    sp.set_defaults(
+        func=_cmd_check,
+        key="map",
+        table="groth",
+        what="groth",
+        check=validate_groth,
+        prefix="transformation {}: ",
+    )
 
     sp = sub.add_parser("bcoopt", help="transfer subgroup along a natural transformation")
     sp.add_argument("file")

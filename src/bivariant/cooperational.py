@@ -30,6 +30,7 @@ from .famsolve import (
     ConstraintSpec,
     FamilyClass,
     FamilyGroup,
+    FamilySolution,
     FamilyTheory,
     ImageTransfer,
     SummandSpec,
@@ -42,10 +43,7 @@ from .famsolve import (
     family_transport,
     family_unit,
     image_transfer,
-    recover,
     require_variance,
-    solve_family,
-    surjectivity_witness,
     verify_comparison_isomorphism,
 )
 from .bivcore import GrothTransf, TabulatedBivTheory, verify_axioms, verify_transformation
@@ -124,27 +122,11 @@ def coop_from_bivariant(b: TabulatedBivTheory, base: str, degree: int, alpha: Gr
     return CoopClass(F, base, degree, comps)
 
 
-def identity_recovery(b: TabulatedBivTheory, c: CoopClass, obj: str) -> GroupElement:
-    """Recover alpha from coop(alpha) over id_X by applying c_{id} to the unit."""
-    if c.base != b.site.identity(obj):
-        raise ValueError("recovery needs a class over an identity morphism")
-    return recover(b, c)
-
-
 def coop_hom(b: TabulatedBivTheory, base: str, degree: int, result: FamilyGroup | None = None) -> GroupHom:
     """The canonical map B(f)^i -> co-operational group, alpha |-> coop(alpha)."""
     if result is None:
         result = coop_group(b.contravariant_part, base, degree)
     return comparison_hom(b, base, degree, result, coop_from_bivariant)
-
-
-def coop_image_subgroup(b: TabulatedBivTheory, base: str, degree: int, result: FamilyGroup | None = None) -> Subgroup:
-    return image(coop_hom(b, base, degree, result))
-
-
-def contravariant_surjectivity_witness(t: GrothTransf):
-    """An (object, degree) where gamma fails to be onto on the contravariant part."""
-    return surjectivity_witness(t, "contra")
 
 
 def coop_image_transfer(t: GrothTransf, base: str, degree: int, mode: str = "image") -> ImageTransfer:
@@ -212,7 +194,7 @@ class TransferSubgroupResult:
                 )
                 src, tgt = transf.src.group(apex, m), transf.tgt.group(site.src(g), m + degree)
                 constraints.append(ConstraintSpec(("link", (g, m)), src, tgt, terms))
-        self.joint = solve_family(summands, constraints)
+        self.joint = FamilySolution(summands, constraints)
 
         # project the joint solutions onto the c coordinates, inside coop(F);
         # the d halves of the projection's kernel solve d o T = 0
@@ -251,8 +233,9 @@ def transfer_subgroup(transf: NaturalTransf, base: str, degree: int) -> Transfer
 # cup classes and power families on multiplicative instances
 
 
-def _ring_data(b: TabulatedBivTheory, obj: str):
-    """Commutative ring structure on the identity-morphism groups at obj."""
+def _ring_data(b: TabulatedBivTheory, obj: str) -> None:
+    """Raise RingStructureError unless the identity-morphism products at obj
+    commute, so that they form a commutative ring."""
     site = b.site
     idx = site.identity(obj)
     for m in b.degrees():
@@ -266,7 +249,6 @@ def _ring_data(b: TabulatedBivTheory, obj: str):
                         raise RingStructureError(
                             f"identity products at {obj} are not commutative"
                         )
-    return idx
 
 
 def ring_product(b: TabulatedBivTheory, obj: str, m: int, n: int, x: GroupElement, y: GroupElement) -> GroupElement:

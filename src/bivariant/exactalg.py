@@ -175,30 +175,6 @@ class IntMatrix:
             for j in range(self.cols)
         )
 
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ShapeMismatchError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-                if piv is None:
-                    return 0
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
     def __str__(self):
         return "[" + "; ".join(" ".join(str(a) for a in r) for r in self.entries) + "]"
 
@@ -349,12 +325,6 @@ def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
     )
 
 
-def snf(m: IntMatrix):
-    """(d, u, v) with u @ m @ v == d in Smith normal form."""
-    s = smith_decomposition(m)
-    return s.d, s.u, s.v
-
-
 def padded_diagonal(sm: SmithDecomposition, length: int) -> tuple:
     diag = sm.diagonal()
     return diag + (0,) * (length - len(diag))
@@ -382,10 +352,6 @@ def lattice_solve(a: IntMatrix, b):
         elif c[i]:
             return None
     return sm.v.apply(y)
-
-
-def lattice_contains(a: IntMatrix, b) -> bool:
-    return lattice_solve(a, b) is not None
 
 
 def lattice_kernel(a: IntMatrix) -> IntMatrix:
@@ -789,7 +755,7 @@ def induced_hom(
 
 
 # ---------------------------------------------------------------------------
-# kernels, images, direct sums, projections
+# kernels, images, preimages, direct sums
 
 
 @dataclass(frozen=True)
@@ -798,10 +764,6 @@ class Subgroup:
 
     group: FgAbGroup
     inclusion: GroupHom
-
-    @property
-    def ambient(self) -> FgAbGroup:
-        return self.inclusion.tgt
 
     def contains(self, x: GroupElement) -> bool:
         return hom_preimage(self.inclusion, x) is not None
@@ -852,35 +814,11 @@ def is_surjective(f: GroupHom) -> bool:
 
 @dataclass(frozen=True)
 class DirectSum:
-    """The sum of parts; part k sits at coordinates offsets[k] onwards.
-
-    The injection and projection homs are built, and checked, on first use.
-    """
+    """The sum of parts; part k sits at coordinates offsets[k] onwards."""
 
     group: FgAbGroup
     parts: tuple
     offsets: tuple
-
-    @cached_property
-    def injections(self) -> tuple:
-        total = self.group.ngens
-        out = []
-        for off, p in zip(self.offsets, self.parts):
-            rows = [
-                tuple(1 if (i - off) == j and off <= i < off + p.ngens else 0 for j in range(p.ngens))
-                for i in range(total)
-            ]
-            out.append(GroupHom(p, self.group, IntMatrix(total, p.ngens, tuple(rows))))
-        return tuple(out)
-
-    @cached_property
-    def projections(self) -> tuple:
-        total = self.group.ngens
-        out = []
-        for off, p in zip(self.offsets, self.parts):
-            rows = [tuple(1 if j == off + i else 0 for j in range(total)) for i in range(p.ngens)]
-            out.append(GroupHom(self.group, p, IntMatrix(p.ngens, total, tuple(rows))))
-        return tuple(out)
 
 
 def direct_sum(parts) -> DirectSum:
@@ -900,15 +838,3 @@ def direct_sum(parts) -> DirectSum:
     grp = FgAbGroup(total, IntMatrix.from_columns(rel_cols, total))
     return DirectSum(grp, parts, tuple(offsets))
 
-
-def project_factor(sub: Subgroup, dsum: DirectSum, index: int) -> Subgroup:
-    """Image of a subgroup of a direct sum under one coordinate projection."""
-    if sub.ambient != dsum.group:
-        raise ShapeMismatchError("subgroup does not live in the given direct sum")
-    return image(dsum.projections[index] @ sub.inclusion)
-
-
-def quotient_by(sub: Subgroup) -> FgAbGroup:
-    """Ambient group modulo the subgroup: adjoin the inclusion columns as relations."""
-    amb = sub.ambient
-    return FgAbGroup(amb.ngens, amb.relations.hstack(sub.inclusion.mat))

@@ -167,10 +167,6 @@ def _sum_element(group: FgAbGroup, specs, hom_groups, homs) -> GroupElement:
     return group.element(coords)
 
 
-def solve_family(summands, constraints) -> FamilySolution:
-    return FamilySolution(summands, constraints)
-
-
 # ---------------------------------------------------------------------------
 # variance
 
@@ -387,7 +383,7 @@ def family_group(functor: GradedFunctor, base: str, degree: int) -> FamilyGroup:
                 TermSpec(-1, (g, m), *_oriented(functor, functor.map(k, leg), None)),
             )
             constraints.append(ConstraintSpec((g, k, m), src, tgt, terms))
-    return FamilyGroup(functor, base, degree, solve_family(summands, constraints))
+    return FamilyGroup(functor, base, degree, FamilySolution(summands, constraints))
 
 
 # ---------------------------------------------------------------------------

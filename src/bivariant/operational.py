@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from functools import partial
 
-from .exactalg import GroupElement, GroupHom, IntMatrix, Subgroup, image
+from .exactalg import GroupElement, GroupHom, IntMatrix
 from .famsolve import (
     FamilyClass,
     FamilyGroup,
     FamilyTheory,
     ImageTransfer,
-    NotSurjectiveError,
     comparison_hom,
     family_group,
     family_product,
@@ -27,9 +26,7 @@ from .famsolve import (
     family_transport,
     family_unit,
     image_transfer,
-    recover,
     require_variance,
-    surjectivity_witness,
     verify_comparison_isomorphism,
 )
 from .bivcore import GrothTransf, TabulatedBivTheory, verify_axioms, verify_transformation
@@ -37,7 +34,6 @@ from .report import ValidationReport
 from .site import GradedFunctor
 
 OpClass = FamilyClass
-NotCovariantSurjectiveError = NotSurjectiveError
 
 
 def op_group(functor: GradedFunctor, base: str, degree: int) -> FamilyGroup:
@@ -99,28 +95,11 @@ def op_from_bivariant(b: TabulatedBivTheory, base: str, degree: int, alpha: Grou
     return OpClass(h, base, degree, comps)
 
 
-def evaluation(b: TabulatedBivTheory, c: OpClass) -> GroupElement:
-    """ev(c) := c_{id_pt}(1_pt) for a class over some X -> pt."""
-    if b.site.tgt(c.base) != b.site.final_object:
-        raise ValueError("evaluation needs a class over a morphism to the final object")
-    return recover(b, c)
-
-
 def op_hom(b: TabulatedBivTheory, base: str, degree: int, result: FamilyGroup | None = None) -> GroupHom:
     """The canonical map B(f)^i -> operational group, alpha |-> op(alpha)."""
     if result is None:
         result = op_group(b.covariant_part, base, degree)
     return comparison_hom(b, base, degree, result, op_from_bivariant)
-
-
-def op_image_subgroup(b: TabulatedBivTheory, base: str, degree: int, result: FamilyGroup | None = None) -> Subgroup:
-    """Image of op inside the operational group."""
-    return image(op_hom(b, base, degree, result))
-
-
-def covariant_surjectivity_witness(t: GrothTransf):
-    """An (object, degree) where gamma fails to be onto on the covariant part, or None."""
-    return surjectivity_witness(t, "cov")
 
 
 def op_image_transfer(t: GrothTransf, base: str, degree: int, mode: str = "image") -> ImageTransfer:

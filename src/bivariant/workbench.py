@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 from .exactalg import FgAbGroup, GroupHom, IntMatrix, WellDefinednessError
 from .report import ReportBuilder, ValidationReport
-from .site import GradedFunctor, NaturalTransf, Site
-from .bivcore import GrothTransf, TabulatedBivTheory, validate_axioms, validate_groth
+from .site import GradedFunctor, NaturalTransf, Site, validate_site
+from .bivcore import GrothTransf, TabulatedBivTheory, image_subtheory, validate_axioms, validate_groth
+from .famsolve import surjectivity_witness
 from . import cooperational as coop
 from . import operational as op
 
@@ -47,8 +48,6 @@ class InstanceBundle:
 
     def validate(self) -> ValidationReport:
         rb = ReportBuilder()
-        from .site import validate_site
-
         site_report = validate_site(self.site)
         rb.extend(site_report)
         for name in sorted(self.functors):
@@ -688,87 +687,12 @@ def bundle_to_json(bundle: InstanceBundle) -> dict:
     return doc
 
 
-def bundles_equal(a: InstanceBundle, b: InstanceBundle) -> bool:
-    """Semantic equality used by the parser round-trip check."""
-    sa, sb = a.site, b.site
-    if (
-        sa.objects != sb.objects
-        or sa.morphisms != sb.morphisms
-        or sa._identity != sb._identity
-        or sa._comp != sb._comp
-        or sa.confined != sb.confined
-        or sa._pullbacks != sb._pullbacks
-        or sa.final_object != sb.final_object
-    ):
-        return False
-    if set(a.functors) != set(b.functors):
-        return False
-    for name in a.functors:
-        fa, fb = a.functors[name], b.functors[name]
-        if fa.variance != fb.variance or fa.window != fb.window:
-            return False
-        for obj in sa.objects:
-            for m in fa.grades():
-                if fa.group(obj, m).canonical() != fb.group(obj, m).canonical():
-                    return False
-        for mor in sa.morphisms:
-            if not fa.acts_along(mor.name):
-                continue
-            for m in fa.grades():
-                if not fa.map(mor.name, m).equals(fb.map(mor.name, m)):
-                    return False
-    if set(a.theories) != set(b.theories):
-        return False
-    for name in a.theories:
-        ta, tb = a.theories[name], b.theories[name]
-        if ta.window != tb.window:
-            return False
-        for mor in sa.morphisms:
-            for i in ta.degrees():
-                if ta.group(mor.name, i).canonical() != tb.group(mor.name, i).canonical():
-                    return False
-        for x in sa.objects:
-            if ta.unit(x) != tb.unit(x):
-                return False
-        for key in set(ta._products) | set(tb._products):
-            f, g, i, j = key
-            ga = ta.group(f, i)
-            gb = ta.group(g, j)
-            for aa in ga.gens():
-                for bb in gb.gens():
-                    if ta.product(f, g, i, j, aa, bb) != tb.product(f, g, i, j, aa, bb):
-                        return False
-        for key in set(ta._pushforwards) | set(tb._pushforwards):
-            if not ta.pushforward_hom(*key).equals(tb.pushforward_hom(*key)):
-                return False
-        for key in set(ta._pullbacks) | set(tb._pullbacks):
-            if not ta.pullback_hom(*key).equals(tb.pullback_hom(*key)):
-                return False
-    if set(a.transformations) != set(b.transformations) or set(a.groth) != set(b.groth):
-        return False
-    for name in a.transformations:
-        ta, tb = a.transformations[name], b.transformations[name]
-        for obj in sa.objects:
-            for m in ta.src.grades():
-                if not ta.component(obj, m).equals(tb.component(obj, m)):
-                    return False
-    for name in a.groth:
-        ta, tb = a.groth[name], b.groth[name]
-        for mor in sa.morphisms:
-            for i in ta.src.degrees():
-                if not ta.component(mor.name, i).equals(tb.component(mor.name, i)):
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the bundled demo suite
 
 
 def demo_checks(n: int):
     """Ordered named checks over the subset-lattice bundle; yields (name, report)."""
-    from .site import validate_site
-
     bundle = build_subsets_instance(n)
     site = bundle.site
     b = bundle.theories["B"]
@@ -782,8 +706,6 @@ def demo_checks(n: int):
     yield "tabulated axioms (7 axioms + Units) [B]", validate_axioms(b)
     yield "tabulated axioms (7 axioms + Units) [B2]", validate_axioms(b2)
     yield "Grothendieck transformation [gamma]", validate_groth(gamma)
-    from .bivcore import image_subtheory
-
     yield "image subtheory axioms [Im gamma]", validate_axioms(image_subtheory(gamma))
 
     rb = ReportBuilder()
@@ -811,9 +733,9 @@ def demo_checks(n: int):
     yield "point isomorphism", op.verify_point_isomorphism(b)
 
     rb = ReportBuilder()
-    if op.covariant_surjectivity_witness(gamma) is not None:
+    if surjectivity_witness(gamma, "cov") is not None:
         rb.add("transfer", "reduction is not covariant-surjective")
-    if coop.contravariant_surjectivity_witness(gamma) is not None:
+    if surjectivity_witness(gamma, "contra") is not None:
         rb.add("transfer", "reduction is not contravariant-surjective")
     for mor in site.morphisms:
         op.op_image_transfer(gamma, mor.name, 0, mode="full")

@@ -2,12 +2,16 @@
 
 These are deliberately naive: Laplace determinants, Fraction-based row
 reduction, exhaustive enumeration.  None of them share code with the
-Smith-normal-form path they verify.
+Smith-normal-form path they verify.  The direct-sum injections and
+projections at the end build the reference constraint map that the
+assembled one is checked against.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+
+from bivariant.exactalg import GroupHom, IntMatrix
 
 
 def naive_det(rows):
@@ -143,3 +147,26 @@ def pointwise_extension(sub, sup, coords):
 
 def pointwise_product(coords_a, coords_b):
     return [x * y for x, y in zip(coords_a, coords_b)]
+
+
+def injections(dsum):
+    """The inclusion hom of each part into a DirectSum."""
+    total = dsum.group.ngens
+    out = []
+    for off, p in zip(dsum.offsets, dsum.parts):
+        rows = [
+            tuple(1 if (i - off) == j and off <= i < off + p.ngens else 0 for j in range(p.ngens))
+            for i in range(total)
+        ]
+        out.append(GroupHom(p, dsum.group, IntMatrix(total, p.ngens, tuple(rows))))
+    return tuple(out)
+
+
+def projections(dsum):
+    """The projection hom of a DirectSum onto each part."""
+    total = dsum.group.ngens
+    out = []
+    for off, p in zip(dsum.offsets, dsum.parts):
+        rows = [tuple(1 if j == off + i else 0 for j in range(total)) for i in range(p.ngens)]
+        out.append(GroupHom(dsum.group, p, IntMatrix(p.ngens, total, tuple(rows))))
+    return tuple(out)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -131,6 +132,15 @@ class TestDemoCommand:
         assert "7 axioms + Units" in result.stdout
         assert "PASS" in result.stdout
         assert "all checks passed" in result.stdout
+
+    def test_timings_in_text_mode(self):
+        result = run_cli("--timings", "demo", "subsets", "--n", "1")
+        assert result.returncode == 0
+        lines = result.stdout.splitlines()
+        timings = [l for l in lines if l.startswith("timing_ms")]
+        assert len(timings) == 1
+        assert re.fullmatch(r"timing_ms: \d+", timings[0])
+        assert lines[-1] == timings[0]
 
 
 class TestExitCodes:

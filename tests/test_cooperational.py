@@ -6,11 +6,9 @@ from bivariant.bivcore import TabulatedBivTheory
 from bivariant.cooperational import (
     CoopClass,
     RingStructureError,
-    contravariant_surjectivity_witness,
     coop_from_bivariant,
     coop_group,
     coop_hom,
-    coop_image_subgroup,
     coop_image_transfer,
     coop_product,
     coop_pullback,
@@ -18,7 +16,6 @@ from bivariant.cooperational import (
     coop_unit,
     cup_class,
     cup_transform_compatibility,
-    identity_recovery,
     naturality_cube_report,
     non_additivity_witness,
     power_family,
@@ -28,7 +25,8 @@ from bivariant.cooperational import (
     verify_coop_transform_identities,
     verify_identity_isomorphism,
 )
-from bivariant.exactalg import FgAbGroup, GroupHom, IntMatrix, kernel
+from bivariant.exactalg import FgAbGroup, GroupHom, IntMatrix, image, kernel
+from bivariant.famsolve import recover, surjectivity_witness
 from bivariant.site import GradedFunctor, NaturalTransf, NonConfinedError
 from bivariant.workbench import (
     build_subsets_instance,
@@ -204,7 +202,7 @@ class TestCoopFromBivariant:
         b = bundle.theories["B"]
         for a in b.group("01>01", 0).gens():
             cls = coop_from_bivariant(b, "01>01", 0, a)
-            assert identity_recovery(b, cls, "01") == a
+            assert recover(b, cls) == a
 
 
 class TestComputedTheoryAxioms:
@@ -226,11 +224,11 @@ class TestComparisonIdentities:
         b = bundle.theories["B"]
         for x in b.site.objects:
             idx = b.site.identity(x)
-            sub = coop_image_subgroup(b, idx, 0)
+            sub = image(coop_hom(b, idx, 0))
             assert sub.group.canonical() == b.group(idx, 0).canonical()
 
     def test_contravariant_surjectivity(self, bundle):
-        assert contravariant_surjectivity_witness(bundle.groth["gamma"]) is None
+        assert surjectivity_witness(bundle.groth["gamma"], "contra") is None
         for mor in bundle.site.morphisms:
             coop_image_transfer(bundle.groth["gamma"], mor.name, 0, mode="full")
 

@@ -13,15 +13,17 @@ from bivariant.exactalg import FgAbGroup, GroupHom, IntMatrix, image, induced_ho
 from bivariant.famsolve import (
     ConstraintSpec,
     FamilyClass,
+    FamilySolution,
     SummandSpec,
     TermSpec,
     family_group,
     feasible_degrees,
-    solve_family,
 )
 from bivariant.operational import verify_point_isomorphism
 from bivariant.site import GradedFunctor, NaturalTransf
 from bivariant.workbench import build_graded_instance, build_subsets_instance
+
+from oracles import injections, projections
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +39,7 @@ def reference_constraint_hom(sol):
         for t in c.terms:
             si = keys.index(t.summand_key)
             ind = induced_hom(sol.hom_groups[si], sol.targets[ci], t.pre, t.post)
-            block = sol.constraint_sum.injections[ci] @ ind @ sol.unknowns.projections[si]
+            block = injections(sol.constraint_sum)[ci] @ ind @ projections(sol.unknowns)[si]
             total = total + (block if t.sign > 0 else -block)
     return total
 
@@ -64,7 +66,7 @@ class TestAssembledConstraintMatrix:
         z = FgAbGroup.free(1)
         z2 = FgAbGroup.from_invariants(0, (2,))
         # Hom(Z/2, Z) is trivial, so the one constraint is dropped
-        sol = solve_family(
+        sol = FamilySolution(
             [SummandSpec("x", z, z), SummandSpec("y", z, z2)],
             [ConstraintSpec("c", z2, z, (TermSpec(1, "x"),))],
         )
@@ -77,7 +79,7 @@ class TestAssembledConstraintMatrix:
         z = FgAbGroup.free(1)
         z2 = FgAbGroup.from_invariants(0, (2,))
         # Hom(Z/2, Z) is trivial, so the one unknown is dropped with its term
-        sol = solve_family([SummandSpec("x", z2, z)], [ConstraintSpec("c", z, z, (TermSpec(1, "x"),))])
+        sol = FamilySolution([SummandSpec("x", z2, z)], [ConstraintSpec("c", z, z, (TermSpec(1, "x"),))])
         assert not sol.summands
         assert (sol.constraint_hom.mat.rows, sol.constraint_hom.mat.cols) == (1, 0)
         assert sol.group.is_trivial
@@ -102,14 +104,14 @@ def assert_companion(tsr, cls, d):
 
 class TestCompanionSystem:
     def test_built_once_per_result(self, bundle, monkeypatch):
-        real = cooperational.solve_family
+        real = cooperational.FamilySolution
         calls = []
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(cooperational, "solve_family", counting)
+        monkeypatch.setattr(cooperational, "FamilySolution", counting)
         transf = bundle.transformations["T"]
         counts = []
         for k in (1, 4):
@@ -136,7 +138,7 @@ class TestCompanionSystem:
                     term = TermSpec(1, (g, m), transf.component(apex, m), None)
                     constraints.append(ConstraintSpec(("link", (g, m)), src, tgt, (term,)))
                     rhs[("link", (g, m))] = transf.component(site.src(g), m) @ cls.component(g, m)
-            fresh = solve_family(g_sol.summands, constraints)
+            fresh = FamilySolution(g_sol.summands, constraints)
             u = fresh.solve_affine(rhs)
             sols = tsr.companions(cls)
             assert (u is None) == sols.is_empty
@@ -222,7 +224,7 @@ def fresh_companions(tsr, cls):
             term = TermSpec(1, (g, m), transf.component(apex, m), None)
             constraints.append(ConstraintSpec(("link", (g, m)), src, tgt, (term,)))
             rhs[("link", (g, m))] = transf.component(site.src(g), tgt_grade) @ cls.component(g, m)
-    return solve_family(g_sol.summands, constraints), rhs
+    return FamilySolution(g_sol.summands, constraints), rhs
 
 
 def zero_transformation(src, tgt):

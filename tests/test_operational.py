@@ -3,15 +3,12 @@ import random
 import pytest
 
 from bivariant.bivcore import GrothTransf, InvalidTransformationError
-from bivariant.exactalg import FgAbGroup, GroupHom, IntMatrix, kernel
+from bivariant.exactalg import FgAbGroup, GroupHom, IntMatrix, image, kernel
+from bivariant.famsolve import NotSurjectiveError, recover, surjectivity_witness
 from bivariant.operational import (
-    NotCovariantSurjectiveError,
-    covariant_surjectivity_witness,
-    evaluation,
     op_from_bivariant,
     op_group,
     op_hom,
-    op_image_subgroup,
     op_image_transfer,
     op_product,
     op_pullback,
@@ -148,7 +145,7 @@ class TestOpFromBivariant:
         alpha = b.unit(pt)
         cls = op_from_bivariant(b, b.site.identity(pt), 0, alpha)
         assert cls == op_unit(cls.functor, pt)
-        assert evaluation(b, cls) == alpha
+        assert recover(b, cls) == alpha
 
     def test_pointwise_closed_form(self, bundle):
         # alpha = e0 over id_U acts by pointwise multiplication then restriction
@@ -176,7 +173,7 @@ class TestOpFromBivariant:
         result = op_group(b.covariant_part, "0>01", 0)
         for a in b.group("0>01", 0).gens():
             cls = op_from_bivariant(b, "0>01", 0, a)
-            assert evaluation(b, result.decode(result.encode(cls))) == a
+            assert recover(b, result.decode(result.encode(cls))) == a
 
 
 class TestTransformIdentities:
@@ -190,7 +187,7 @@ class TestTransformIdentities:
         b = bundle.theories["B"]
         for x in b.site.objects:
             ax = b.site.to_point(x)
-            sub = op_image_subgroup(b, ax, 0)
+            sub = image(op_hom(b, ax, 0))
             assert sub.group.canonical() == b.group(ax, 0).canonical()
 
 
@@ -211,7 +208,7 @@ class TestImageTransfer:
 
     def test_mod_two_is_covariant_surjective(self, bundle):
         gamma = bundle.groth["gamma"]
-        assert covariant_surjectivity_witness(gamma) is None
+        assert surjectivity_witness(gamma, "cov") is None
 
     def test_mod_two_transfer_identities(self, bundle):
         gamma = bundle.groth["gamma"]
@@ -253,7 +250,7 @@ class TestImageTransfer:
         report_ok = True
         try:
             op_image_transfer(tripling, "0>01", 0, mode="full")
-        except (InvalidTransformationError, NotCovariantSurjectiveError):
+        except (InvalidTransformationError, NotSurjectiveError):
             report_ok = False
         assert not report_ok
 
