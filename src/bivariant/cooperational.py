@@ -13,6 +13,7 @@ along a natural transformation, and cup and power families.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import partial
 
@@ -35,6 +36,7 @@ from .famsolve import (
     ImageTransfer,
     SummandSpec,
     TermSpec,
+    _squares,
     comparison_hom,
     family_group,
     family_product,
@@ -122,11 +124,9 @@ def coop_from_bivariant(b: TabulatedBivTheory, base: str, degree: int, alpha: Gr
     return CoopClass(F, base, degree, comps)
 
 
-def coop_hom(b: TabulatedBivTheory, base: str, degree: int, result: FamilyGroup | None = None) -> GroupHom:
+def coop_hom(b: TabulatedBivTheory, base: str, degree: int) -> GroupHom:
     """The canonical map B(f)^i -> co-operational group, alpha |-> coop(alpha)."""
-    if result is None:
-        result = coop_group(b.contravariant_part, base, degree)
-    return comparison_hom(b, base, degree, result, coop_from_bivariant)
+    return comparison_hom(b, base, degree, coop_group(b.contravariant_part, base, degree), coop_from_bivariant)
 
 
 def coop_image_transfer(t: GrothTransf, base: str, degree: int, mode: str = "image") -> ImageTransfer:
@@ -290,7 +290,7 @@ class MapFamily:
     base: str
     components: dict  # (g, m) -> callable GroupElement -> GroupElement
     grade_out: object  # m -> output grade
-    poly_degree: int | None = None
+    poly_degree: int
 
     def component(self, g: str, m: int):
         return self.components[(g, m)]
@@ -319,25 +319,13 @@ def power_family(b: TabulatedBivTheory, obj: str, k: int) -> MapFamily:
         xp = site.src(g)
         for m in F.grades():
             comps[(g, m)] = make(xp, m)
-    return MapFamily(F, idx, comps, lambda m: k * m, poly_degree=k)
+    return MapFamily(F, idx, comps, lambda m: k * m, k)
 
 
-def _sample_points(group: FgAbGroup, poly_degree, rng_seed=11):
+def _sample_points(group: FgAbGroup, poly_degree: int):
     if group.order() is not None:
         return list(group.elements())
-    if poly_degree is not None:
-        import itertools
-
-        return [
-            group.element(c)
-            for c in itertools.product(range(poly_degree + 1), repeat=group.ngens)
-        ]
-    import random
-
-    rng = random.Random(rng_seed)
-    return [
-        group.element([rng.randint(-4, 4) for _ in range(group.ngens)]) for _ in range(16)
-    ]
+    return [group.element(c) for c in itertools.product(range(poly_degree + 1), repeat=group.ngens)]
 
 
 def power_naturality_report(fam: MapFamily) -> ValidationReport:
@@ -423,16 +411,16 @@ def cup_transform_compatibility(t: GrothTransf, obj: str, degree: int) -> Valida
 # exhaustive verification suites
 
 
-def verify_coop_axioms(functor: GradedFunctor, degrees=None) -> ValidationReport:
+def verify_coop_axioms(functor: GradedFunctor) -> ValidationReport:
     """Re-prove the seven axioms plus units on computed co-operational groups."""
-    return verify_axioms(FamilyTheory(require_variance(functor, "contra"), degrees))
+    return verify_axioms(FamilyTheory(require_variance(functor, "contra")))
 
 
 def verify_coop_transform_identities(b: TabulatedBivTheory) -> ValidationReport:
     """coop(a.b) = coop(a).coop(b) and the pushforward/pullback analogues,
     over the confined bases, where coop(alpha) is defined."""
     phi = partial(coop_from_bivariant, b)
-    return verify_transformation(b, FamilyTheory(b.contravariant_part, None), phi, "coop", "coop", b.site.is_confined)
+    return verify_transformation(b, FamilyTheory(b.contravariant_part), phi, "coop", "coop", b.site.is_confined)
 
 
 def verify_identity_isomorphism(b: TabulatedBivTheory) -> ValidationReport:
@@ -443,14 +431,20 @@ def verify_identity_isomorphism(b: TabulatedBivTheory) -> ValidationReport:
 def naturality_cube_report(tsr: TransferSubgroupResult) -> ValidationReport:
     """All six faces of the compatibility cube for members with companions.
 
-    Faces: source/target compatibility squares, the naturality squares of T,
-    and the two linking squares at g and g o h.
+    Faces: source/target compatibility squares, the naturality squares of T
+    along each compatibility square, and the linking square at each g into
+    the base target (those at g o h included).
     """
     rb = ReportBuilder()
     transf = tsr.transf
     site = transf.site
     F, G = transf.src, transf.tgt
-    target_obj = site.tgt(tsr.base)
+    for g, h, w, gh in _squares(F, tsr.base):
+        apex = site.chosen_pullback(tsr.base, g).apex
+        apex_gh = site.chosen_pullback(tsr.base, gh).apex
+        for m in F.grades():
+            if not (transf.component(apex_gh, m) @ F.map(w, m)).equals(G.map(w, m) @ transf.component(apex, m)):
+                rb.add("naturality-cube", "T naturality face fails", g=g, h=h, grade=m)
     for idx, x in enumerate(tsr.subgroup.group.gens()):
         c = tsr.source_result.decode(tsr.subgroup.inclusion(x))
         sols = tsr.companions(c)
@@ -458,34 +452,14 @@ def naturality_cube_report(tsr: TransferSubgroupResult) -> ValidationReport:
             rb.add("naturality-cube", "member has no companion", gen=idx)
             continue
         d = sols.particular
-        crep = c.compatibility_report()
-        drep = d.compatibility_report()
-        if not crep.ok:
+        if not c.compatibility_report().ok:
             rb.add("naturality-cube", "source face fails", gen=idx)
-        if not drep.ok:
+        if not d.compatibility_report().ok:
             rb.add("naturality-cube", "target face fails", gen=idx)
-        for g in site.morphisms_into(target_obj):
+        for g in site.morphisms_into(site.tgt(tsr.base)):
             apex = site.chosen_pullback(tsr.base, g).apex
-            for h in site.morphisms_into(site.src(g)):
-                if site.is_identity(h):
-                    continue
-                gh = site.compose(g, h)
-                apex_gh = site.chosen_pullback(tsr.base, gh).apex
-                paste = site.cospan_paste(tsr.base, g, h)
-                w = site.compose(paste.second.top, paste.to_pasted)
-                for m in F.grades():
-                    # naturality faces of T
-                    topface = transf.component(apex_gh, m) @ F.map(w, m)
-                    topface2 = G.map(w, m) @ transf.component(apex, m)
-                    if not topface.equals(topface2):
-                        rb.add("naturality-cube", "T naturality face fails", g=g, h=h, grade=m)
-                    # linking faces at g and g o h
-                    link_g = transf.component(site.src(g), m + tsr.degree) @ c.component(g, m)
-                    link_g2 = d.component(g, m) @ transf.component(apex, m)
-                    if not link_g.equals(link_g2):
-                        rb.add("naturality-cube", "linking face at g fails", g=g, grade=m)
-                    link_gh = transf.component(site.src(h), m + tsr.degree) @ c.component(gh, m)
-                    link_gh2 = d.component(gh, m) @ transf.component(apex_gh, m)
-                    if not link_gh.equals(link_gh2):
-                        rb.add("naturality-cube", "linking face at g o h fails", g=g, h=h, grade=m)
+            for m in F.grades():
+                link = transf.component(site.src(g), m + tsr.degree) @ c.component(g, m)
+                if not link.equals(d.component(g, m) @ transf.component(apex, m)):
+                    rb.add("naturality-cube", "linking face at g fails", g=g, grade=m)
     return rb.done()

@@ -78,20 +78,6 @@ class IntMatrix:
         return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     @staticmethod
-    def diagonal(values, rows=None, cols=None) -> "IntMatrix":
-        values = tuple(int(v) for v in values)
-        r = len(values) if rows is None else rows
-        c = len(values) if cols is None else cols
-        return IntMatrix(
-            r,
-            c,
-            tuple(
-                tuple(values[i] if i == j and i < len(values) else 0 for j in range(c))
-                for i in range(r)
-            ),
-        )
-
-    @staticmethod
     def from_columns(cols, rows: int) -> "IntMatrix":
         cols = [tuple(int(x) for x in c) for c in cols]
         if any(len(c) != rows for c in cols):
@@ -192,10 +178,6 @@ class SmithDecomposition:
     v: IntMatrix
     u_inv: IntMatrix
     v_inv: IntMatrix
-
-    def diagonal(self) -> tuple:
-        n = min(self.d.rows, self.d.cols)
-        return tuple(self.d.entries[i][i] for i in range(n))
 
 
 def _axpy(dst: dict, src: dict, q: int) -> None:
@@ -326,7 +308,7 @@ def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
 
 
 def padded_diagonal(sm: SmithDecomposition, length: int) -> tuple:
-    diag = sm.diagonal()
+    diag = tuple(sm.d.entries[i][i] for i in range(min(sm.d.rows, sm.d.cols)))
     return diag + (0,) * (length - len(diag))
 
 

@@ -478,10 +478,10 @@ def family_transport(cls: FamilyClass, new_base: str, iso: str) -> FamilyClass:
 class FamilyTheory:
     """A computed op or coop theory in the protocol of bivcore.verify_axioms."""
 
-    def __init__(self, functor: GradedFunctor, degrees):
+    def __init__(self, functor: GradedFunctor):
         self.functor = functor
         self.site = functor.site
-        self._degrees = list(feasible_degrees(functor) if degrees is None else degrees)
+        self._degrees = list(feasible_degrees(functor))
         self._gens = {}
 
     def degrees(self):

@@ -95,11 +95,9 @@ def op_from_bivariant(b: TabulatedBivTheory, base: str, degree: int, alpha: Grou
     return OpClass(h, base, degree, comps)
 
 
-def op_hom(b: TabulatedBivTheory, base: str, degree: int, result: FamilyGroup | None = None) -> GroupHom:
+def op_hom(b: TabulatedBivTheory, base: str, degree: int) -> GroupHom:
     """The canonical map B(f)^i -> operational group, alpha |-> op(alpha)."""
-    if result is None:
-        result = op_group(b.covariant_part, base, degree)
-    return comparison_hom(b, base, degree, result, op_from_bivariant)
+    return comparison_hom(b, base, degree, op_group(b.covariant_part, base, degree), op_from_bivariant)
 
 
 def op_image_transfer(t: GrothTransf, base: str, degree: int, mode: str = "image") -> ImageTransfer:
@@ -111,15 +109,15 @@ def op_image_transfer(t: GrothTransf, base: str, degree: int, mode: str = "image
 # exhaustive verification suites
 
 
-def verify_op_axioms(functor: GradedFunctor, degrees=None) -> ValidationReport:
+def verify_op_axioms(functor: GradedFunctor) -> ValidationReport:
     """Re-prove the seven axioms plus units for computed operational groups."""
-    return verify_axioms(FamilyTheory(require_variance(functor, "cov"), degrees))
+    return verify_axioms(FamilyTheory(require_variance(functor, "cov")))
 
 
 def verify_op_transform_identities(b: TabulatedBivTheory) -> ValidationReport:
     """op(a.b) = op(a).op(b), op(f_*a) = f_*op(a), op(g^*a) = g^*op(a) on generators."""
     phi = partial(op_from_bivariant, b)
-    return verify_transformation(b, FamilyTheory(b.covariant_part, None), phi, "op", "op")
+    return verify_transformation(b, FamilyTheory(b.covariant_part), phi, "op", "op")
 
 
 def verify_point_isomorphism(b: TabulatedBivTheory) -> ValidationReport:

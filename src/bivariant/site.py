@@ -456,20 +456,25 @@ class GradedFunctor:
         along confined morphisms for cov."""
         return self.variance == "contra" or self.site.is_confined(mor)
 
-    def _endpoints(self, mor: str, m: int):
+    def _objects(self, mor: str):
+        """(source, target) object of the map along mor."""
         if self.variance == "contra":
-            return self.group(self.site.tgt(mor), m), self.group(self.site.src(mor), m)
-        return self.group(self.site.src(mor), m), self.group(self.site.tgt(mor), m)
+            return self.site.tgt(mor), self.site.src(mor)
+        return self.site.src(mor), self.site.tgt(mor)
+
+    def _endpoints(self, mor: str, m: int):
+        a, b = self._objects(mor)
+        return self.group(a, m), self.group(b, m)
 
     def map(self, mor: str, m: int) -> GroupHom:
         if not self.acts_along(mor):
             raise NonConfinedError(
                 f"covariant functor has no pushforward along non-confined {mor}"
             )
-        src, tgt = self._endpoints(mor, m)
         stored = self._maps.get((mor, m))
         if stored is not None:
             return stored
+        src, tgt = self._endpoints(mor, m)
         if self.site.is_identity(mor):
             return GroupHom.identity(src)
         if src.is_trivial or tgt.is_trivial:
@@ -496,14 +501,12 @@ class GradedFunctor:
             gf = self.site.compose(g, f)
             if not (self.acts_along(f) and self.acts_along(g) and self.acts_along(gf)):
                 continue
+            # the map along the morphism applied first acts first
+            first, then = (g, f) if self.variance == "contra" else (f, g)
             for m in self.grades():
                 try:
-                    if self.variance == "contra":
-                        lhs = self.map(gf, m)
-                        rhs = self.map(f, m) @ self.map(g, m)
-                    else:
-                        lhs = self.map(gf, m)
-                        rhs = self.map(g, m) @ self.map(f, m)
+                    lhs = self.map(gf, m)
+                    rhs = self.map(then, m) @ self.map(first, m)
                 except MissingMapError:
                     continue  # already reported
                 if not lhs.equals(rhs):
@@ -548,14 +551,11 @@ class NaturalTransf:
                     rb.add("component-typing", "component endpoints mismatch", obj=obj, grade=m)
         relevant = [m.name for m in self.site.morphisms if self.src.acts_along(m.name)]
         for mor in relevant:
+            a, b = self.src._objects(mor)
             for m in self.src.grades():
                 try:
-                    if self.src.variance == "contra":
-                        lhs = self.component(self.site.src(mor), m) @ self.src.map(mor, m)
-                        rhs = self.tgt.map(mor, m) @ self.component(self.site.tgt(mor), m)
-                    else:
-                        lhs = self.component(self.site.tgt(mor), m) @ self.src.map(mor, m)
-                        rhs = self.tgt.map(mor, m) @ self.component(self.site.src(mor), m)
+                    lhs = self.component(b, m) @ self.src.map(mor, m)
+                    rhs = self.tgt.map(mor, m) @ self.component(a, m)
                 except MissingMapError:
                     continue
                 if not lhs.equals(rhs):

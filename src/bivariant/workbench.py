@@ -81,8 +81,9 @@ def _mname(s, t) -> str:
     return f"{_sname(s)}>{_sname(t)}"
 
 
-def subsets_site(n: int, confined: str = "all") -> Site:
-    """Lattice of subsets of an n-element set; pullback is intersection."""
+def subsets_site(n: int) -> Site:
+    """Lattice of subsets of an n-element set, every inclusion confined;
+    pullback is intersection."""
     universe = list(range(n))
     subsets = []
     for size in range(n + 1):
@@ -101,12 +102,6 @@ def subsets_site(n: int, confined: str = "all") -> Site:
         for name_g, src_g, tgt_g in morphisms:
             if tgt_f == src_g:
                 composition[(name_g, name_f)] = _mname(by_name[src_f], by_name[tgt_g])
-    if confined == "all":
-        confined_set = {m[0] for m in morphisms}
-    elif confined == "identities":
-        confined_set = set(identities.values())
-    else:
-        raise ValueError("confined must be 'all' or 'identities'")
     pullbacks = {}
     for name_f, src_f, tgt_f in morphisms:
         for name_g, src_g, tgt_g in morphisms:
@@ -123,7 +118,7 @@ def subsets_site(n: int, confined: str = "all") -> Site:
         morphisms,
         identities,
         composition,
-        confined_set,
+        [m[0] for m in morphisms],
         pullbacks,
         final_object=_sname(frozenset(universe)),
     )
@@ -260,32 +255,27 @@ def build_subsets_instance(n: int) -> InstanceBundle:
     )
 
 
-def build_graded_instance(k: int, top_power: int = 2) -> InstanceBundle:
-    """Even-grade functor on the one-element subset lattice with the grade-2r
+def build_graded_instance(k: int) -> InstanceBundle:
+    """Functor on the one-element subset lattice in grades 0, 2 and 4 with the
     scaling family: the component in grade 2r is multiplication by k^r."""
     if k < 1:
         raise ValueError("k must be positive")
     site = subsets_site(1)
-    window = (0, 2 * top_power)
-    groups = {}
-    maps = {}
-    even = [2 * r for r in range(top_power + 1)]
+    even = (0, 2, 4)
     obj_group = {obj: _coeff_group(len(_members(obj)), None) for obj in site.objects}
-    for obj in site.objects:
-        for m in even:
-            groups[(obj, m)] = obj_group[obj]
+    groups = {(obj, m): g for obj, g in obj_group.items() for m in even}
+    maps = {}
     for mor in site.morphisms:
         sub, sup = _members(mor.src), _members(mor.tgt)
         for m in even:
             maps[(mor.name, m)] = GroupHom(
                 obj_group[mor.tgt], obj_group[mor.src], _restriction_matrix(sub, sup)
             )
-    functor = GradedFunctor(site, "contra", window, groups, maps)
+    functor = GradedFunctor(site, "contra", (0, 4), groups, maps)
     comps = {}
-    for obj in site.objects:
-        for r in range(top_power + 1):
-            g = obj_group[obj]
-            comps[(obj, 2 * r)] = GroupHom(g, g, IntMatrix.identity(g.ngens).scaled(k**r))
+    for obj, g in obj_group.items():
+        for m in even:
+            comps[(obj, m)] = GroupHom(g, g, IntMatrix.identity(g.ngens).scaled(k ** (m // 2)))
     psi = NaturalTransf(functor, functor, comps)
     return InstanceBundle(site, functors={"Heven": functor}, transformations={"psi": psi})
 
@@ -361,13 +351,69 @@ def _as_hom(rows, location, src: FgAbGroup, tgt: FgAbGroup) -> GroupHom:
         raise InstanceViolationError(location, str(exc)) from exc
 
 
-def _split_key(key, location):
-    _expect(isinstance(key, str) and "@" in key, location, "expected 'name@grade'")
-    name, _, grade = key.rpartition("@")
-    try:
-        return name, int(grade)
-    except ValueError:
-        raise InstanceFileError(location, f"grade {grade!r} is not an integer")
+def _graded(doc: dict, key, location, names, kind):
+    """((name, grade), value, location) per 'name@grade' entry of the object
+    doc[key], the name among names (of the given kind)."""
+    loc = f"{location}.{key}"
+    for entry, value in _section(doc, key, loc).items():
+        kloc = f"{loc}.{entry}"
+        _expect(isinstance(entry, str) and "@" in entry, kloc, "expected 'name@grade'")
+        name, _, grade = entry.rpartition("@")
+        try:
+            grade = int(grade)
+        except ValueError:
+            raise InstanceFileError(kloc, f"grade {grade!r} is not an integer")
+        _expect(name in names, kloc, f"unknown {kind} {name!r}")
+        yield (name, grade), value, kloc
+
+
+def _window(doc: dict, location):
+    window = doc.get("window")
+    _expect(
+        isinstance(window, list) and len(window) == 2 and all(isinstance(w, int) for w in window),
+        f"{location}.window",
+        "expected [lo, hi]",
+    )
+    return tuple(window)
+
+
+def _fields(entry, location, names, ints):
+    """The morphism names f and g of a table entry, then its integer fields ints."""
+    _expect(isinstance(entry, dict), location, "expected an object")
+    for fld in ("f", "g"):
+        _named(entry.get(fld), names, location, f"field {fld!r} must name a morphism")
+    for fld in ints:
+        _expect(isinstance(entry.get(fld), int), location, f"field {fld!r} must be an integer")
+    return (entry["f"], entry["g"], *(entry[fld] for fld in ints))
+
+
+def _hom_table(doc: dict, key, location, names, ends) -> dict:
+    """{(f, g, i): hom} from the list doc[key] of {f, g, i, matrix} entries;
+    ends(f, g, i, location) gives the (source, target) groups of the hom."""
+    table = {}
+    for idx, entry in enumerate(_section(doc, key, f"{location}.{key}", list)):
+        loc = f"{location}.{key}[{idx}]"
+        f, g, i = _fields(entry, loc, names, ("i",))
+        table[(f, g, i)] = _as_hom(entry.get("matrix"), f"{loc}.matrix", *ends(f, g, i, loc))
+    return table
+
+
+def _transformations(doc: dict, section, sources: dict, what, names, kind, make) -> dict:
+    """{name: make(src, tgt, components)} for the transformations or groth
+    section: src and tgt name entries of sources, the components sit at
+    'name@grade' keys."""
+    out = {}
+    for name, tdoc in sorted(_section(doc, section, section).items()):
+        loc = f"{section}.{name}"
+        _expect(isinstance(tdoc, dict), loc, "expected an object")
+        src = sources[_named(tdoc.get("src"), sources, f"{loc}.src", f"unknown {what}")]
+        tgt = sources[_named(tdoc.get("tgt"), sources, f"{loc}.tgt", f"unknown {what}")]
+        comps = {
+            key: _as_hom(rows, kloc, src.group(*key), tgt.group(*key))
+            for key, rows, kloc in _graded(tdoc, "components", loc, names, kind)
+        }
+        out[name] = _built(loc, make, src, tgt, comps)
+    return out
 
 
 def parse_instance(doc) -> InstanceBundle:
@@ -418,62 +464,30 @@ def parse_instance(doc) -> InstanceBundle:
         _expect(final_object in objects, "final_object", "unknown object")
 
     site = _built("site", Site, objects, morphisms, identities, composition, confined, pullbacks, final_object)
-    bundle = InstanceBundle(site)
 
+    functors = {}
     for fname, fdoc in sorted(_section(doc, "functors", "functors").items()):
         loc = f"functors.{fname}"
         _expect(isinstance(fdoc, dict), loc, "expected an object")
         variance = fdoc.get("variance")
         _expect(variance in ("contra", "cov"), f"{loc}.variance", "must be 'contra' or 'cov'")
-        window = fdoc.get("window")
-        _expect(
-            isinstance(window, list) and len(window) == 2 and all(isinstance(w, int) for w in window),
-            f"{loc}.window",
-            "expected [lo, hi]",
-        )
-        groups = {}
-        for key, spec in _section(fdoc, "groups", f"{loc}.groups").items():
-            kloc = f"{loc}.groups.{key}"
-            obj, grade = _split_key(key, kloc)
-            _expect(obj in objects, kloc, f"unknown object {obj!r}")
-            groups[(obj, grade)] = _as_group(spec, kloc)
-        functor = _built(loc, GradedFunctor, site, variance, tuple(window), groups, {})
-        maps = {}
-        for key, rows in _section(fdoc, "maps", f"{loc}.maps").items():
-            kloc = f"{loc}.maps.{key}"
-            mor, grade = _split_key(key, kloc)
-            _expect(mor in names, kloc, f"unknown morphism {mor!r}")
-            maps[(mor, grade)] = _as_hom(rows, kloc, *functor._endpoints(mor, grade))
-        bundle.functors[fname] = _built(loc, GradedFunctor, site, variance, tuple(window), groups, maps)
+        window = _window(fdoc, loc)
+        groups = {key: _as_group(spec, kloc) for key, spec, kloc in _graded(fdoc, "groups", loc, objects, "object")}
+        functor = _built(loc, GradedFunctor, site, variance, window, groups, {})
+        maps = {
+            key: _as_hom(rows, kloc, *functor._endpoints(*key))
+            for key, rows, kloc in _graded(fdoc, "maps", loc, names, "morphism")
+        }
+        functors[fname] = _built(loc, GradedFunctor, site, variance, window, groups, maps)
 
-    for tname, tdoc in sorted(_section(doc, "transformations", "transformations").items()):
-        loc = f"transformations.{tname}"
-        _expect(isinstance(tdoc, dict), loc, "expected an object")
-        fsrc = bundle.functors[_named(tdoc.get("src"), bundle.functors, f"{loc}.src", "unknown functor")]
-        ftgt = bundle.functors[_named(tdoc.get("tgt"), bundle.functors, f"{loc}.tgt", "unknown functor")]
-        comps = {}
-        for key, rows in _section(tdoc, "components", f"{loc}.components").items():
-            kloc = f"{loc}.components.{key}"
-            obj, grade = _split_key(key, kloc)
-            _expect(obj in objects, kloc, f"unknown object {obj!r}")
-            comps[(obj, grade)] = _as_hom(rows, kloc, fsrc.group(obj, grade), ftgt.group(obj, grade))
-        bundle.transformations[tname] = _built(loc, NaturalTransf, fsrc, ftgt, comps)
+    transformations = _transformations(doc, "transformations", functors, "functor", objects, "object", NaturalTransf)
 
+    theories = {}
     for bname, bdoc in sorted(_section(doc, "theories", "theories").items()):
         loc = f"theories.{bname}"
         _expect(isinstance(bdoc, dict), loc, "expected an object")
-        window = bdoc.get("window")
-        _expect(
-            isinstance(window, list) and len(window) == 2 and all(isinstance(w, int) for w in window),
-            f"{loc}.window",
-            "expected [lo, hi]",
-        )
-        groups = {}
-        for key, spec in _section(bdoc, "groups", f"{loc}.groups").items():
-            kloc = f"{loc}.groups.{key}"
-            mor, deg = _split_key(key, kloc)
-            _expect(mor in names, kloc, f"unknown morphism {mor!r}")
-            groups[(mor, deg)] = _as_group(spec, kloc)
+        window = _window(bdoc, loc)
+        groups = {key: _as_group(spec, kloc) for key, spec, kloc in _graded(bdoc, "groups", loc, names, "morphism")}
 
         def grp(mor, deg):
             lo, hi = window
@@ -484,12 +498,7 @@ def parse_instance(doc) -> InstanceBundle:
         products = {}
         for idx, entry in enumerate(_section(bdoc, "products", f"{loc}.products", list)):
             ploc = f"{loc}.products[{idx}]"
-            _expect(isinstance(entry, dict), ploc, "expected an object")
-            for fld in ("f", "g"):
-                _named(entry.get(fld), names, ploc, f"field {fld!r} must name a morphism")
-            for fld in ("i", "j"):
-                _expect(isinstance(entry.get(fld), int), ploc, f"field {fld!r} must be an integer")
-            f_, g_, i_, j_ = entry["f"], entry["g"], entry["i"], entry["j"]
+            f_, g_, i_, j_ = _fields(entry, ploc, names, ("i", "j"))
             ga, gb = grp(f_, i_), grp(g_, j_)
             gf = _built(ploc, site.compose, g_, f_)
             gt = grp(gf, i_ + j_)
@@ -509,27 +518,14 @@ def parse_instance(doc) -> InstanceBundle:
                 parsed.append(tuple(prow))
             products[(f_, g_, i_, j_)] = tuple(parsed)
 
-        pushforwards = {}
-        for idx, entry in enumerate(_section(bdoc, "pushforwards", f"{loc}.pushforwards", list)):
-            ploc = f"{loc}.pushforwards[{idx}]"
-            _expect(isinstance(entry, dict), ploc, "expected an object")
-            for fld in ("f", "g"):
-                _named(entry.get(fld), names, ploc, f"field {fld!r} must name a morphism")
-            _expect(isinstance(entry.get("i"), int), ploc, "field 'i' must be an integer")
-            f_, g_, i_ = entry["f"], entry["g"], entry["i"]
-            gf = _built(ploc, site.compose, g_, f_)
-            pushforwards[(f_, g_, i_)] = _as_hom(entry.get("matrix"), f"{ploc}.matrix", grp(gf, i_), grp(g_, i_))
+        def pushforward_ends(f, g, i, loc):
+            return grp(_built(loc, site.compose, g, f), i), grp(g, i)
 
-        pullbacks_t = {}
-        for idx, entry in enumerate(_section(bdoc, "pullbacks", f"{loc}.pullbacks", list)):
-            ploc = f"{loc}.pullbacks[{idx}]"
-            _expect(isinstance(entry, dict), ploc, "expected an object")
-            for fld in ("f", "g"):
-                _named(entry.get(fld), names, ploc, f"field {fld!r} must name a morphism")
-            _expect(isinstance(entry.get("i"), int), ploc, "field 'i' must be an integer")
-            f_, g_, i_ = entry["f"], entry["g"], entry["i"]
-            sq = _built(ploc, site.chosen_pullback, f_, g_)
-            pullbacks_t[(f_, g_, i_)] = _as_hom(entry.get("matrix"), f"{ploc}.matrix", grp(f_, i_), grp(sq.left, i_))
+        def pullback_ends(f, g, i, loc):
+            return grp(f, i), grp(_built(loc, site.chosen_pullback, f, g).left, i)
+
+        pushforwards = _hom_table(bdoc, "pushforwards", loc, names, pushforward_ends)
+        pullbacks_t = _hom_table(bdoc, "pullbacks", loc, names, pullback_ends)
 
         units = {}
         for obj, coords in _section(bdoc, "units", f"{loc}.units").items():
@@ -542,24 +538,10 @@ def parse_instance(doc) -> InstanceBundle:
                 f"expected {g0.ngens} integer coordinates",
             )
             units[obj] = g0.element(coords)
-        bundle.theories[bname] = _built(
-            loc, TabulatedBivTheory, site, tuple(window), groups, products, pushforwards, pullbacks_t, units
-        )
+        theories[bname] = _built(loc, TabulatedBivTheory, site, window, groups, products, pushforwards, pullbacks_t, units)
 
-    for gname, gdoc in sorted(_section(doc, "groth", "groth").items()):
-        loc = f"groth.{gname}"
-        _expect(isinstance(gdoc, dict), loc, "expected an object")
-        bsrc = bundle.theories[_named(gdoc.get("src"), bundle.theories, f"{loc}.src", "unknown theory")]
-        btgt = bundle.theories[_named(gdoc.get("tgt"), bundle.theories, f"{loc}.tgt", "unknown theory")]
-        comps = {}
-        for key, rows in _section(gdoc, "components", f"{loc}.components").items():
-            kloc = f"{loc}.components.{key}"
-            mor, deg = _split_key(key, kloc)
-            _expect(mor in names, kloc, f"unknown morphism {mor!r}")
-            comps[(mor, deg)] = _as_hom(rows, kloc, bsrc.group(mor, deg), btgt.group(mor, deg))
-        bundle.groth[gname] = _built(loc, GrothTransf, bsrc, btgt, comps)
-
-    return bundle
+    groth = _transformations(doc, "groth", theories, "theory", names, "morphism", GrothTransf)
+    return InstanceBundle(site, functors, transformations, theories, groth)
 
 
 def load_instance(path: str) -> InstanceBundle:
@@ -573,15 +555,60 @@ def load_instance(path: str) -> InstanceBundle:
     return parse_instance(doc)
 
 
-def _group_json(g: FgAbGroup, location="group") -> dict:
+def _group_json(g: FgAbGroup) -> dict:
     expected = FgAbGroup.from_invariants(g.free_rank, g.torsion)
     if g.ngens != expected.ngens or g.relations != expected.relations:
-        raise ValueError(f"{location}: only canonical presentations serialize")
+        raise ValueError("group: only canonical presentations serialize")
     return {"free_rank": g.free_rank, "torsion": list(g.torsion)}
+
+
+def _grades(window):
+    return range(window[0], window[1] + 1)
+
+
+def _groups_json(names, window, group) -> dict:
+    """{'name@grade': group} for each nonzero group(name, grade)."""
+    out = {}
+    for x in names:
+        for m in _grades(window):
+            g = group(x, m)
+            if not g.is_trivial:
+                out[f"{x}@{m}"] = _group_json(g)
+    return out
+
+
+def _homs_json(names, window, hom) -> dict:
+    """{'name@grade': matrix} for each hom(name, grade) with no zero end; the
+    readers restore a hom with a zero end as the zero hom."""
+    out = {}
+    for x in names:
+        for m in _grades(window):
+            h = hom(x, m)
+            if not (h.src.is_trivial or h.tgt.is_trivial):
+                out[f"{x}@{m}"] = [list(r) for r in h.mat.entries]
+    return out
+
+
+def _hom_table_json(table: dict) -> list:
+    return [{"f": f, "g": g, "i": i, "matrix": [list(r) for r in h.mat.entries]} for (f, g, i), h in sorted(table.items())]
+
+
+def _transformations_json(transformations: dict, sources: dict, names) -> dict:
+    """The transformations or groth section: src and tgt by their names in
+    sources, components keyed 'name@grade'."""
+
+    def name_of(x):
+        return next(k for k, v in sources.items() if v is x)
+
+    return {
+        name: {"src": name_of(t.src), "tgt": name_of(t.tgt), "components": _homs_json(names, t.src.window, t.component)}
+        for name, t in sorted(transformations.items())
+    }
 
 
 def bundle_to_json(bundle: InstanceBundle) -> dict:
     site = bundle.site
+    morphisms = [m.name for m in site.morphisms]
     doc = {
         "objects": list(site.objects),
         "morphisms": [{"name": m.name, "src": m.src, "tgt": m.tgt} for m in site.morphisms],
@@ -599,91 +626,34 @@ def bundle_to_json(bundle: InstanceBundle) -> dict:
     if site.final_object is not None:
         doc["final_object"] = site.final_object
     if bundle.functors:
-        doc["functors"] = {}
-        for name, functor in sorted(bundle.functors.items()):
-            groups = {}
-            maps = {}
-            relevant = [m.name for m in site.morphisms if functor.acts_along(m.name)]
-            for obj in site.objects:
-                for m in functor.grades():
-                    g = functor.group(obj, m)
-                    if not g.is_trivial:
-                        groups[f"{obj}@{m}"] = _group_json(g)
-            for mor in relevant:
-                for m in functor.grades():
-                    h = functor.map(mor, m)
-                    if h.src.is_trivial or h.tgt.is_trivial:
-                        continue
-                    maps[f"{mor}@{m}"] = [list(r) for r in h.mat.entries]
-            doc["functors"][name] = {
+        doc["functors"] = {
+            name: {
                 "variance": functor.variance,
                 "window": list(functor.window),
-                "groups": groups,
-                "maps": maps,
+                "groups": _groups_json(site.objects, functor.window, functor.group),
+                "maps": _homs_json([m for m in morphisms if functor.acts_along(m)], functor.window, functor.map),
             }
+            for name, functor in sorted(bundle.functors.items())
+        }
     if bundle.transformations:
-        doc["transformations"] = {}
-        for name, transf in sorted(bundle.transformations.items()):
-            src_name = next(k for k, v in bundle.functors.items() if v is transf.src)
-            tgt_name = next(k for k, v in bundle.functors.items() if v is transf.tgt)
-            comps = {}
-            for obj in site.objects:
-                for m in transf.src.grades():
-                    c = transf.component(obj, m)
-                    if c.src.is_trivial and c.tgt.is_trivial:
-                        continue
-                    comps[f"{obj}@{m}"] = [list(r) for r in c.mat.entries]
-            doc["transformations"][name] = {"src": src_name, "tgt": tgt_name, "components": comps}
+        doc["transformations"] = _transformations_json(bundle.transformations, bundle.functors, site.objects)
     if bundle.theories:
-        doc["theories"] = {}
-        for name, theory in sorted(bundle.theories.items()):
-            groups = {}
-            for m in site.morphisms:
-                for i in theory.degrees():
-                    g = theory.group(m.name, i)
-                    if not g.is_trivial:
-                        groups[f"{m.name}@{i}"] = _group_json(g)
-            products = []
-            for (f, g, i, j), table in sorted(theory._products.items()):
-                products.append(
-                    {
-                        "f": f,
-                        "g": g,
-                        "i": i,
-                        "j": j,
-                        "table": [[list(cell) for cell in row] for row in table],
-                    }
-                )
-            pushforwards = [
-                {"f": f, "g": g, "i": i, "matrix": [list(r) for r in h.mat.entries]}
-                for (f, g, i), h in sorted(theory._pushforwards.items())
-            ]
-            pullbacks = [
-                {"f": f, "g": g, "i": i, "matrix": [list(r) for r in h.mat.entries]}
-                for (f, g, i), h in sorted(theory._pullbacks.items())
-            ]
-            units = {x: list(theory.unit(x).coords) for x in site.objects}
-            doc["theories"][name] = {
+        doc["theories"] = {
+            name: {
                 "window": list(theory.window),
-                "groups": groups,
-                "products": products,
-                "pushforwards": pushforwards,
-                "pullbacks": pullbacks,
-                "units": units,
+                "groups": _groups_json(morphisms, theory.window, theory.group),
+                "products": [
+                    {"f": f, "g": g, "i": i, "j": j, "table": [[list(cell) for cell in row] for row in table]}
+                    for (f, g, i, j), table in sorted(theory._products.items())
+                ],
+                "pushforwards": _hom_table_json(theory._pushforwards),
+                "pullbacks": _hom_table_json(theory._pullbacks),
+                "units": {x: list(theory.unit(x).coords) for x in site.objects},
             }
+            for name, theory in sorted(bundle.theories.items())
+        }
     if bundle.groth:
-        doc["groth"] = {}
-        for name, t in sorted(bundle.groth.items()):
-            src_name = next(k for k, v in bundle.theories.items() if v is t.src)
-            tgt_name = next(k for k, v in bundle.theories.items() if v is t.tgt)
-            comps = {}
-            for m in site.morphisms:
-                for i in t.src.degrees():
-                    c = t.component(m.name, i)
-                    if c.src.is_trivial and c.tgt.is_trivial:
-                        continue
-                    comps[f"{m.name}@{i}"] = [list(r) for r in c.mat.entries]
-            doc["groth"][name] = {"src": src_name, "tgt": tgt_name, "components": comps}
+        doc["groth"] = _transformations_json(bundle.groth, bundle.theories, morphisms)
     return doc
 
 

@@ -3,8 +3,9 @@
 These are deliberately naive: Laplace determinants, Fraction-based row
 reduction, exhaustive enumeration.  None of them share code with the
 Smith-normal-form path they verify.  The direct-sum injections and
-projections at the end build the reference constraint map that the
-assembled one is checked against.
+projections build the reference constraint map that the assembled one
+is checked against; identities_confined gives a site the smallest
+confined class its axioms allow.
 """
 
 from fractions import Fraction
@@ -12,6 +13,7 @@ from itertools import combinations, product
 from math import gcd
 
 from bivariant.exactalg import GroupHom, IntMatrix
+from bivariant.site import Site
 
 
 def naive_det(rows):
@@ -170,3 +172,11 @@ def projections(dsum):
         rows = [tuple(1 if j == off + i else 0 for j in range(total)) for i in range(p.ngens)]
         out.append(GroupHom(dsum.group, p, IntMatrix(p.ngens, total, tuple(rows))))
     return tuple(out)
+
+
+def identities_confined(site):
+    """The same site with only its identities confined."""
+    identities = {x: site.identity(x) for x in site.objects}
+    return Site(
+        site.objects, site.morphisms, identities, site._comp, identities.values(), site._pullbacks, site.final_object
+    )

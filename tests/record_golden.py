@@ -6,8 +6,11 @@ Run from the repository root, only after an intended change of a report:
 
 It writes tests/fixtures/axiom_reports.json and
 tests/fixtures/comparison_reports.json, which TestGoldenReports in
-tests/test_bivcore.py compares against, and tests/fixtures/snf_digests.json,
-which TestSnfIdentity in tests/test_exactalg.py compares against.
+tests/test_bivcore.py compares against, tests/fixtures/snf_digests.json,
+which TestSnfIdentity in tests/test_exactalg.py compares against, and
+tests/fixtures/instance_digests.json, which
+test_reader_and_writer_match_pinned_digests in tests/test_instance_fuzz.py
+compares against.
 """
 
 import json
@@ -15,6 +18,7 @@ from pathlib import Path
 
 from test_bivcore import comparison_reports, golden_reports
 from test_exactalg import snf_digests
+from test_instance_fuzz import instance_digests
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -27,3 +31,4 @@ if __name__ == "__main__":
     write("axiom_reports.json", golden_reports())
     write("comparison_reports.json", comparison_reports())
     write("snf_digests.json", snf_digests())
+    write("instance_digests.json", instance_digests())

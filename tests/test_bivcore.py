@@ -21,6 +21,8 @@ from bivariant.workbench import (
     subsets_theory,
 )
 
+from oracles import identities_confined
+
 
 @pytest.fixture(scope="module")
 def bundle():
@@ -60,7 +62,7 @@ class TestAxiomsPass:
         assert validate_axioms(zero).ok
 
     def test_identities_only_confined(self):
-        site = subsets_site(2, confined="identities")
+        site = identities_confined(subsets_site(2))
         assert validate_axioms(subsets_theory(site)).ok
 
 
@@ -170,6 +172,34 @@ class TestProductTableChecks:
         ]
 
 
+class TestStructuralChecks:
+    """The table and unit checks that run before the axioms: kind, message, witness."""
+
+    def test_missing_pushforward(self, theory):
+        pushforwards = {k: h for k, h in theory._pushforwards.items() if k != ("0>01", "01>01", 0)}
+        assert validate_axioms(rebuild(theory, pushforwards=pushforwards)).to_json() == [
+            {"kind": "missing-pushforward", "message": "no pushforward stored", "witness": {"f": "0>01", "g": "01>01", "i": 0}}
+        ]
+
+    def test_missing_pullback(self, theory):
+        pullbacks = {k: h for k, h in theory._pullbacks.items() if k != ("01>01", "0>01", 0)}
+        assert validate_axioms(rebuild(theory, pullbacks=pullbacks)).to_json() == [
+            {"kind": "missing-pullback", "message": "no pullback stored", "witness": {"f": "01>01", "g": "0>01", "i": 0}}
+        ]
+
+    def test_no_unit_stored(self, theory):
+        units = {x: u for x, u in theory._units.items() if x != "01"}
+        assert validate_axioms(rebuild(theory, units=units)).to_json() == [
+            {"kind": "units", "message": "no unit stored", "witness": {"obj": "01"}}
+        ]
+
+    def test_unit_in_wrong_group(self, theory):
+        units = {**theory._units, "01": theory.group("0>0", 0).zero_element()}
+        assert validate_axioms(rebuild(theory, units=units)).to_json() == [
+            {"kind": "units", "message": "unit lives in the wrong group", "witness": {"obj": "01"}}
+        ]
+
+
 class TestGeneratorChecksAreComplete:
     """Spot-check that generator-level identities extend to random elements."""
 
@@ -216,6 +246,20 @@ class TestGrothendieck:
         t = GrothTransf(theory, theory, comps)
         report = validate_groth(t)
         assert report.has("preserves-product")
+
+    def test_missing_component(self, bundle):
+        gamma = bundle.groth["gamma"]
+        comps = {k: c for k, c in gamma._components.items() if k != ("0>01", 0)}
+        assert validate_groth(GrothTransf(gamma.src, gamma.tgt, comps)).to_json() == [
+            {"kind": "missing-component", "message": "no component stored", "witness": {"f": "0>01", "i": 0}}
+        ]
+
+    def test_component_typing(self, bundle):
+        gamma = bundle.groth["gamma"]
+        comps = {**gamma._components, ("0>01", 0): GroupHom.identity(gamma.src.group("0>01", 0))}
+        assert validate_groth(GrothTransf(gamma.src, gamma.tgt, comps)).to_json() == [
+            {"kind": "component-typing", "message": "component endpoints mismatch", "witness": {"f": "0>01", "i": 0}}
+        ]
 
     def test_window_mismatch(self, theory):
         other = TabulatedBivTheory(theory.site, (0, 1), theory._groups, theory._products, theory._pushforwards, theory._pullbacks, theory._units)

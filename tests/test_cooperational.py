@@ -35,7 +35,7 @@ from bivariant.workbench import (
     subsets_theory,
 )
 
-from oracles import rational_rank
+from oracles import identities_confined, rational_rank
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +117,7 @@ class TestCoopOperations:
             assert coop_pushforward(cls, "0>0", "0>01") == cls
 
     def test_pushforward_needs_no_confinedness(self):
-        site = subsets_site(2, confined="identities")
+        site = identities_confined(subsets_site(2))
         F = subsets_presheaf(site)
         result = coop_group(F, "0>01", 0)
         for cls in result.decoded_gens():
@@ -185,7 +185,7 @@ class TestCoopFromBivariant:
             assert cls.components[key].is_zero_hom
 
     def test_non_confined_rejected(self):
-        site = subsets_site(2, confined="identities")
+        site = identities_confined(subsets_site(2))
         b = subsets_theory(site)
         alpha = b.group("0>01", 0).element((1,))
         with pytest.raises(NonConfinedError):

@@ -1,15 +1,27 @@
 """The constraint solver of famsolve and the companion system built on it."""
 
+import dataclasses
+
 import pytest
 
 from bivariant import cooperational
 from bivariant.cooperational import (
+    coop_image_transfer,
     coop_unit,
     naturality_cube_report,
     transfer_subgroup,
     verify_identity_isomorphism,
 )
-from bivariant.exactalg import FgAbGroup, GroupHom, IntMatrix, image, induced_hom, kernel
+from bivariant.exactalg import (
+    FgAbGroup,
+    GroupHom,
+    IntMatrix,
+    hom_preimage,
+    image,
+    induced_hom,
+    is_surjective,
+    kernel,
+)
 from bivariant.famsolve import (
     ConstraintSpec,
     FamilyClass,
@@ -19,11 +31,12 @@ from bivariant.famsolve import (
     family_group,
     feasible_degrees,
 )
-from bivariant.operational import verify_point_isomorphism
+from bivariant.operational import op_image_transfer, verify_point_isomorphism
 from bivariant.site import GradedFunctor, NaturalTransf
-from bivariant.workbench import build_graded_instance, build_subsets_instance
+from bivariant.workbench import build_graded_instance, build_subsets_instance, load_instance, reduction_transformation
 
 from oracles import injections, projections
+from test_cli import TERMINAL
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +173,40 @@ class TestCompanionSystem:
         assert naturality_cube_report(tsr).ok
 
 
+def with_zero_companions(tsr):
+    """tsr, answering every companion query with the zero class."""
+    solve = tsr.companions
+    zero = FamilyClass(tsr.transf.tgt, tsr.base, tsr.degree, {})
+    tsr.companions = lambda c: dataclasses.replace(solve(c), particular=zero)
+    return tsr
+
+
+class TestNaturalityCube:
+    LINK = "linking face at g fails"
+
+    def test_linking_face_without_an_h(self):
+        # on the one-object site the only g is E>E and no non-identity h runs
+        # into its source, yet T o c_g = d_g o T must still be checked
+        f = load_instance(str(TERMINAL)).functors["F"]
+        f2 = GradedFunctor(f.site, "contra", (0, 0), {("E", 0): FgAbGroup.from_invariants(0, (2,))}, {})
+        tsr = with_zero_companions(transfer_subgroup(reduction_transformation(f, f2), "E>E", 0))
+        assert naturality_cube_report(tsr).to_json() == [
+            {"kind": "naturality-cube", "message": self.LINK, "witness": {"g": "E>E", "grade": 0}}
+        ]
+
+    def test_each_linking_face_reported_once(self, bundle):
+        # one report per failing (member, g, m), however many h run into
+        # src(g); the g o h faces are among the g
+        tsr = with_zero_companions(transfer_subgroup(bundle.transformations["T"], "01>01", 0))
+        assert [v["witness"] for v in naturality_cube_report(tsr).to_json() if v["message"] == self.LINK] == [
+            {"g": "0>01", "grade": 0},
+            {"g": "01>01", "grade": 0},
+            {"g": "1>01", "grade": 0},
+            {"g": "01>01", "grade": 0},
+        ]
+        assert naturality_cube_report(tsr).kinds() == ("naturality-cube",) * 4
+
+
 class TestIsomorphismCheckersOnBrokenTheories:
     """Both checkers report a broken theory instead of raising."""
 
@@ -192,6 +239,32 @@ class TestIsomorphismCheckersOnBrokenTheories:
                 assert set(identity.violations[0].witness_dict()) == {"obj", "i", "a"}
             else:
                 assert identity.ok
+
+
+class TestImageTransferModes:
+    """Mode "image" maps into Im gamma, mode "full" into the target theory.
+
+    For the surjective reduction gamma on subsets(2) both transfers agree up
+    to an isomorphism of their targets.  The matrices differ by signs that
+    vanish mod 2, so the targets are compared by canonical form and the
+    mappings through the isomorphism that carries one onto the other.
+    """
+
+    @pytest.mark.parametrize("transfer", [op_image_transfer, coop_image_transfer])
+    def test_image_mode_matches_full(self, bundle, transfer):
+        gamma = bundle.groth["gamma"]
+        for mor in bundle.site.morphisms:
+            in_image = transfer(gamma, mor.name, 0, mode="image")
+            full = transfer(gamma, mor.name, 0, mode="full")
+            assert in_image.source.group.canonical() == full.source.group.canonical()
+            assert in_image.target.group.canonical() == full.target.group.canonical()
+            assert in_image.source.inclusion.mat == full.source.inclusion.mat
+            # iso sends in_image.mapping(s) to full.mapping(s); GroupHom checks
+            # that this is well defined, and it must be bijective
+            cols = [full.mapping(hom_preimage(in_image.mapping, y)).coords for y in in_image.target.group.gens()]
+            iso = GroupHom(in_image.target.group, full.target.group, IntMatrix.from_columns(cols, full.target.group.ngens))
+            assert is_surjective(iso) and kernel(iso).group.is_trivial
+            assert (iso @ in_image.mapping).equals(full.mapping)
 
 
 class TestFamilyClassEquality:

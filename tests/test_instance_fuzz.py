@@ -8,8 +8,10 @@ instance error, and every CLI command exits 0, 1 or 2 with a report.
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -18,6 +20,7 @@ from bivariant import cli
 from bivariant.workbench import (
     InstanceFileError,
     InstanceViolationError,
+    build_graded_instance,
     build_subsets_instance,
     bundle_to_json,
     parse_instance,
@@ -132,3 +135,68 @@ def test_wrongly_typed_section_is_an_input_error(tmp_path, path, value):
     assert result.returncode == 2
     assert result.stderr.startswith("input error: ")
     assert "Traceback" not in result.stderr
+
+
+# ---------------------------------------------------------------------------
+# pinned reader and writer: digests of bundle_to_json and of parse outcomes
+
+INSTANCE_DIGESTS = TERMINAL.parent / "instance_digests.json"
+DROP = object()
+
+
+def written_instances():
+    """bundle_to_json of the bundled instances, in insertion order."""
+    for n in (1, 2, 3):
+        yield f"subsets{n}", bundle_to_json(build_subsets_instance(n))
+    for k in (1, 2, 3):
+        yield f"graded{k}", bundle_to_json(build_graded_instance(k))
+
+
+def single_mutations():
+    """Every document one edit away from subsets(1), graded(1) or terminal.json:
+    one entry, at any key or index, dropped or retyped to a RETYPED value."""
+    sources = {
+        "terminal": DOCS["terminal"],
+        "subsets1": DOCS["subsets1"],
+        "graded1": bundle_to_json(build_graded_instance(1)),
+    }
+    for name, doc in sorted(sources.items()):
+        for path in paths(doc):
+            for value in (DROP, *RETYPED):
+                out = copy.deepcopy(doc)
+                parent = at(out, path[:-1])
+                if value is DROP:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = value
+                yield out
+
+
+def parse_outcome(doc) -> str:
+    try:
+        parse_instance(doc)
+    except (InstanceFileError, InstanceViolationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+def _sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def instance_digests() -> dict:
+    written = [f"{name} {json.dumps(doc)}" for name, doc in written_instances()]
+    outcomes = [parse_outcome(doc) for doc in single_mutations()]
+    counts = dict(Counter(outcome.split(":")[0] for outcome in outcomes))
+    return {
+        "bundle_to_json": {"instances": len(written), "sha256": _sha256(written)},
+        "parse_outcomes": {"documents": len(outcomes), "counts": counts, "sha256": _sha256(outcomes)},
+    }
+
+
+def test_reader_and_writer_match_pinned_digests():
+    """bundle_to_json output and every single-mutation parse outcome (exception
+    type and located message) are byte for byte as recorded.  Regenerate with
+    tests/record_golden.py only for an intended change of the format."""
+    expected = json.loads(INSTANCE_DIGESTS.read_text(encoding="utf-8"))
+    assert instance_digests() == expected

@@ -25,7 +25,7 @@ from bivariant.workbench import (
     subsets_site,
 )
 
-from oracles import rational_rank
+from oracles import identities_confined, rational_rank
 
 
 @pytest.fixture(scope="module")
@@ -269,7 +269,7 @@ class TestDegreeWindow:
     def test_non_confined_pushforward_rejected(self):
         from bivariant.site import NonConfinedError
 
-        site = subsets_site(2, confined="identities")
+        site = identities_confined(subsets_site(2))
         h2 = subsets_homology(site)
         result = op_group(h2, "0>01", 0)
         for cls in result.decoded_gens():

@@ -1,6 +1,6 @@
 import pytest
 
-from bivariant.exactalg import GroupHom, IntMatrix
+from bivariant.exactalg import FgAbGroup, GroupHom, IntMatrix
 from bivariant.site import (
     CospanMismatchError,
     GradedFunctor,
@@ -17,6 +17,8 @@ from bivariant.workbench import (
     subsets_homology,
     subsets_site,
 )
+
+from oracles import identities_confined
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +63,7 @@ class TestValidateSite:
         assert validate_site(s2).ok
 
     def test_subsets_identities_confined(self):
-        assert validate_site(subsets_site(2, confined="identities")).ok
+        assert validate_site(identities_confined(subsets_site(2))).ok
 
     def test_subsets_three(self):
         assert validate_site(subsets_site(3)).ok
@@ -286,7 +288,7 @@ class TestGradedFunctor:
         assert broken.validate().has("identity-map")
 
     def test_cov_rejects_non_confined(self):
-        site = subsets_site(2, confined="identities")
+        site = identities_confined(subsets_site(2))
         h = subsets_homology(site)
         with pytest.raises(NonConfinedError):
             h.map("0>01", 0)
@@ -311,6 +313,66 @@ class TestNaturalTransf:
         comps[("01", 0)] = GroupHom(g01, f2.group("01", 0), IntMatrix.from_rows([[1, 1], [0, 1]]))
         broken = NaturalTransf(f, f2, comps)
         assert broken.validate().has("naturality")
+
+    def test_covariant_reduction_validates(self, s2):
+        h = subsets_homology(s2)
+        h2 = subsets_homology(s2, modulus=2)
+        assert reduction_transformation(h, h2).validate().ok
+
+    def test_covariant_naturality_violation(self, s2):
+        # c_01 o k_* == k_* o c_src along every confined k; the shear at 01
+        # fixes e_0 and moves e_1, so only the square along 1>01 breaks
+        h = subsets_homology(s2)
+        h2 = subsets_homology(s2, modulus=2)
+        comps = dict(reduction_transformation(h, h2)._components)
+        comps[("01", 0)] = GroupHom(h.group("01", 0), h2.group("01", 0), IntMatrix.from_rows([[1, 1], [0, 1]]))
+        assert NaturalTransf(h, h2, comps).validate().to_json() == [
+            {"kind": "naturality", "message": "naturality square does not commute", "witness": {"grade": 0, "morphism": "1>01"}}
+        ]
+
+
+def one_object_site(confined=("E>E",)):
+    return Site(["E"], [("E>E", "E", "E")], {"E": "E>E"}, {("E>E", "E>E"): "E>E"}, confined, {("E>E", "E>E"): ("E", "E>E", "E>E")})
+
+
+class TestStructuralReports:
+    """Missing and ill-typed maps and components: kind, message, witness."""
+
+    def test_missing_map(self, s2):
+        f = subsets_presheaf(s2)
+        maps = {key: hom for key, hom in f._maps.items() if key != ("0>01", 0)}
+        assert GradedFunctor(s2, "contra", (0, 0), f._groups, maps).validate().to_json() == [
+            {"kind": "missing-map", "message": "no map stored", "witness": {"grade": 0, "morphism": "0>01"}}
+        ]
+
+    @pytest.mark.parametrize("variance", ["contra", "cov"])
+    def test_map_typing(self, variance):
+        z, z2 = FgAbGroup.free(1), FgAbGroup.from_invariants(0, (2,))
+        wrong = GroupHom.identity(z2)
+        functor = GradedFunctor(one_object_site(), variance, (0, 0), {("E", 0): z}, {("E>E", 0): wrong})
+        assert functor.validate().to_json() == [
+            {"kind": "map-typing", "message": "map endpoints do not match groups", "witness": {"grade": 0, "morphism": "E>E"}}
+        ]
+
+    def test_missing_component(self, s2):
+        f = subsets_presheaf(s2)
+        f2 = subsets_presheaf(s2, modulus=2)
+        comps = {key: c for key, c in reduction_transformation(f, f2)._components.items() if key != ("0", 0)}
+        assert NaturalTransf(f, f2, comps).validate().to_json() == [
+            {"kind": "missing-component", "message": "no component stored", "witness": {"grade": 0, "obj": "0"}}
+        ]
+
+    def test_component_typing(self):
+        # nothing is confined, so the covariant functors act along no morphism
+        # and no naturality square composes the ill-typed component
+        site = one_object_site(confined=())
+        z, z2 = FgAbGroup.free(1), FgAbGroup.from_invariants(0, (2,))
+        h = GradedFunctor(site, "cov", (0, 0), {("E", 0): z}, {})
+        h2 = GradedFunctor(site, "cov", (0, 0), {("E", 0): z2}, {})
+        t = NaturalTransf(h, h2, {("E", 0): GroupHom.identity(z)})
+        assert t.validate().to_json() == [
+            {"kind": "component-typing", "message": "component endpoints mismatch", "witness": {"grade": 0, "obj": "E"}}
+        ]
 
 
 class TestFinalObject:
