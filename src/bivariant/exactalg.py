@@ -485,6 +485,8 @@ class FgAbGroup:
             yield self.element(self._smith.u_inv.apply(c))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FgAbGroup):
             return NotImplemented
         return self.ngens == other.ngens and self.relations == other.relations
@@ -608,17 +610,27 @@ class GroupHom:
             self.tgt.element(self.mat.col(j)).is_zero for j in range(self.src.ngens)
         )
 
+    def _agrees_with(self, other: "GroupHom") -> bool:
+        """Whether self - other is the zero hom, one column at a time: each
+        column difference reduces to zero in tgt.  Builds no difference hom."""
+        reduce = self.tgt.reduce
+        a, b = self.mat.entries, other.mat.entries
+        for j in range(self.src.ngens):
+            if any(reduce([ra[j] - rb[j] for ra, rb in zip(a, b)])):
+                return False
+        return True
+
     def equals(self, other: "GroupHom") -> bool:
         if self.src != other.src or self.tgt != other.tgt:
             raise ShapeMismatchError("homs with different src/tgt")
-        return (self - other).is_zero_hom
+        return self._agrees_with(other)
 
     def __eq__(self, other):
         if not isinstance(other, GroupHom):
             return NotImplemented
         if self.src != other.src or self.tgt != other.tgt:
             return False
-        return (self - other).is_zero_hom
+        return self._agrees_with(other)
 
     def __hash__(self):
         cols = tuple(self.tgt.reduce(self.mat.col(j)) for j in range(self.src.ngens))

@@ -32,8 +32,6 @@ from .bivcore import (
     GrothTransf,
     InvalidTransformationError,
     TabulatedBivTheory,
-    image_subtheory,
-    validate_groth,
 )
 from .exactalg import (
     FgAbGroup,
@@ -594,16 +592,15 @@ def image_transfer(t: GrothTransf, base: str, degree: int, mode: str, variance: 
     target side.
     """
     if mode == "full":
-        rep = validate_groth(t)
-        if not rep.ok:
-            raise InvalidTransformationError("; ".join(rep.lines()))
+        if not t.report.ok:
+            raise InvalidTransformationError("; ".join(t.report.lines()))
         witness = surjectivity_witness(t, variance)
         if witness is not None:
             raise NotSurjectiveError(variance, witness)
         target_theory = t.tgt
         to_target = t.component(base, degree)
     elif mode == "image":
-        target_theory = image_subtheory(t)
+        target_theory = t.image_theory
         # in the image presentation, gamma(alpha) keeps alpha's coordinates
         to_target = GroupHom(
             t.src.group(base, degree),

@@ -182,6 +182,10 @@ class Site:
         for m in self.morphisms:
             self._hom.setdefault((m.src, m.tgt), []).append(m.name)
         self._hom = {k: tuple(v) for k, v in self._hom.items()}
+        # (kind, f, g, h) -> PasteComparison, filled on first use: a site is
+        # never written after construction, so a paste never changes, and the
+        # table is bounded by the site and freed with it
+        self._pastes = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -276,10 +280,7 @@ class Site:
         f: X->Y, g: Y'->Y, h: Y''->Y'.  first = chosen(f, g), second is the
         chosen square of (first.left, h); direct = chosen(f, g o h).
         """
-        first = self.chosen_pullback(f, g)
-        second = self.chosen_pullback(first.left, h)
-        direct = self.chosen_pullback(f, self.compose(g, h))
-        return self._paste(direct, first, second, self.compose(first.top, second.top), second.left)
+        return self._tabled_paste("cospan", self._build_cospan_paste, f, g, h)
 
     def tower_paste(self, f: str, g: str, h: str) -> PasteComparison:
         """Compare pulling back g o f along h with stacking the two pullbacks.
@@ -287,6 +288,24 @@ class Site:
         f: X->Y, g: Y->Z, h: Z'->Z.  first = chosen(g, h) with apex Y',
         second = chosen(f, first.top); direct = chosen(g o f, h).
         """
+        return self._tabled_paste("tower", self._build_tower_paste, f, g, h)
+
+    def _tabled_paste(self, kind: str, build, f: str, g: str, h: str) -> PasteComparison:
+        """The paste from the table, built on first use; a paste that raises
+        is not stored, so it raises again on the next call."""
+        key = (kind, f, g, h)
+        paste = self._pastes.get(key)
+        if paste is None:
+            paste = self._pastes[key] = build(f, g, h)
+        return paste
+
+    def _build_cospan_paste(self, f: str, g: str, h: str) -> PasteComparison:
+        first = self.chosen_pullback(f, g)
+        second = self.chosen_pullback(first.left, h)
+        direct = self.chosen_pullback(f, self.compose(g, h))
+        return self._paste(direct, first, second, self.compose(first.top, second.top), second.left)
+
+    def _build_tower_paste(self, f: str, g: str, h: str) -> PasteComparison:
         first = self.chosen_pullback(g, h)
         second = self.chosen_pullback(f, first.top)
         direct = self.chosen_pullback(self.compose(g, f), h)
@@ -481,6 +500,15 @@ class GradedFunctor:
             return GroupHom.zero(src, tgt)
         raise MissingMapError(f"no map stored for ({mor}, grade {m})")
 
+    def _is_typed(self, mor: str, m: int) -> bool:
+        """Whether the map along mor in grade m exists and runs between the
+        functor's groups."""
+        try:
+            h = self.map(mor, m)
+        except MissingMapError:
+            return False
+        return (h.src, h.tgt) == self._endpoints(mor, m)
+
     def validate(self) -> ValidationReport:
         rb = ReportBuilder()
         relevant = [m.name for m in self.site.morphisms if self.acts_along(m.name)]
@@ -504,11 +532,10 @@ class GradedFunctor:
             # the map along the morphism applied first acts first
             first, then = (g, f) if self.variance == "contra" else (f, g)
             for m in self.grades():
-                try:
-                    lhs = self.map(gf, m)
-                    rhs = self.map(then, m) @ self.map(first, m)
-                except MissingMapError:
-                    continue  # already reported
+                if not all(self._is_typed(mor, m) for mor in (gf, then, first)):
+                    continue  # already reported; the square does not compose
+                lhs = self.map(gf, m)
+                rhs = self.map(then, m) @ self.map(first, m)
                 if not lhs.equals(rhs):
                     rb.add("functoriality", "composite map disagrees", f=f, g=g, grade=m)
         return rb.done()
@@ -540,24 +567,31 @@ class NaturalTransf:
 
     def validate(self) -> ValidationReport:
         rb = ReportBuilder()
+        untyped = set()  # (object, grade) of components reported missing or ill-typed
         for obj in self.site.objects:
             for m in self.src.grades():
                 try:
                     c = self.component(obj, m)
                 except MissingMapError:
                     rb.add("missing-component", "no component stored", obj=obj, grade=m)
+                    untyped.add((obj, m))
                     continue
                 if c.src != self.src.group(obj, m) or c.tgt != self.tgt.group(obj, m):
                     rb.add("component-typing", "component endpoints mismatch", obj=obj, grade=m)
+                    untyped.add((obj, m))
         relevant = [m.name for m in self.site.morphisms if self.src.acts_along(m.name)]
         for mor in relevant:
             a, b = self.src._objects(mor)
             for m in self.src.grades():
-                try:
-                    lhs = self.component(b, m) @ self.src.map(mor, m)
-                    rhs = self.tgt.map(mor, m) @ self.component(a, m)
-                except MissingMapError:
+                # a square with a missing or ill-typed component does not
+                # compose, nor does one with a missing or ill-typed functor
+                # map, which the functor's own validate reports
+                if untyped & {(a, m), (b, m)}:
                     continue
+                if not (self.src._is_typed(mor, m) and self.tgt._is_typed(mor, m)):
+                    continue
+                lhs = self.component(b, m) @ self.src.map(mor, m)
+                rhs = self.tgt.map(mor, m) @ self.component(a, m)
                 if not lhs.equals(rhs):
                     rb.add("naturality", "naturality square does not commute", morphism=mor, grade=m)
         return rb.done()

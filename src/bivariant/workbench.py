@@ -236,9 +236,9 @@ def reduction_groth(src: TabulatedBivTheory, tgt: TabulatedBivTheory) -> GrothTr
 
 
 def build_subsets_instance(n: int) -> InstanceBundle:
-    """The full bundle over subsets of {0..n-1}; n <= 3 keeps it desk-scale."""
-    if not 1 <= n <= 3:
-        raise ValueError("n must be 1, 2 or 3")
+    """The full bundle over subsets of {0..n-1}; n <= 4 keeps it desk-scale."""
+    if not 1 <= n <= 4:
+        raise ValueError("n must be 1, 2, 3 or 4")
     site = subsets_site(n)
     f = subsets_presheaf(site)
     f2 = subsets_presheaf(site, modulus=2)

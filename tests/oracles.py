@@ -4,7 +4,8 @@ These are deliberately naive: Laplace determinants, Fraction-based row
 reduction, exhaustive enumeration.  None of them share code with the
 Smith-normal-form path they verify.  The direct-sum injections and
 projections build the reference constraint map that the assembled one
-is checked against; identities_confined gives a site the smallest
+is checked against; hom_difference_is_zero is the reference for hom
+equality; identities_confined gives a site the smallest
 confined class its axioms allow.
 """
 
@@ -172,6 +173,14 @@ def projections(dsum):
         rows = [tuple(1 if j == off + i else 0 for j in range(total)) for i in range(p.ngens)]
         out.append(GroupHom(dsum.group, p, IntMatrix(p.ngens, total, tuple(rows))))
     return tuple(out)
+
+
+def hom_difference_is_zero(a, b):
+    """Hom equality as GroupHom compared before it went column by column:
+    build the checked homs -b and a + (-b), then reduce every column of the
+    sum in the target."""
+    diff = a + (-b)
+    return all(diff.tgt.element(diff.mat.col(j)).is_zero for j in range(diff.src.ngens))
 
 
 def identities_confined(site):

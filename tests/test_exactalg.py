@@ -31,6 +31,7 @@ from bivariant.exactalg import (
 from oracles import (
     determinantal_divisors,
     hom_count_cyclic,
+    hom_difference_is_zero,
     injections,
     naive_reduce,
     projections,
@@ -369,6 +370,70 @@ class TestHomAlgebra:
             GroupHom.identity(Z) + GroupHom.identity(z3)
         with pytest.raises(ShapeMismatchError):
             GroupHom.identity(Z).equals(GroupHom.identity(z3))
+
+
+def _presented(ngens, *relation_columns):
+    return FgAbGroup(ngens, IntMatrix.from_columns(relation_columns, ngens))
+
+
+# groups on each of the three reduce paths, with the same invariants
+# presented in different ways
+EQUALITY_GROUPS = {
+    "free": [FgAbGroup.free(1), FgAbGroup.free(2)],
+    "diagonal": [
+        FgAbGroup.from_invariants(0, (2,)),
+        FgAbGroup.from_invariants(0, (2, 4)),
+        _presented(2, (3, 0)),
+    ],
+    "general": [
+        FgAbGroup.from_invariants(1, (3,)),
+        _presented(2, (2, 2)),
+        _presented(2, (2, 4), (0, 6)),
+        _presented(3, (1, 2, 3), (0, 4, 2)),
+    ],
+}
+ALL_EQUALITY_GROUPS = [g for groups in EQUALITY_GROUPS.values() for g in groups]
+
+
+class TestHomEquality:
+    """== and .equals compare column by column; the reference builds a - b."""
+
+    @pytest.mark.parametrize("path", sorted(EQUALITY_GROUPS))
+    def test_groups_cover_every_reduce_path(self, path):
+        assert all(g._reduction[0] == path for g in EQUALITY_GROUPS[path])
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_agrees_with_the_difference_hom(self, data):
+        src = data.draw(st.sampled_from(ALL_EQUALITY_GROUPS))
+        tgt = data.draw(st.sampled_from(ALL_EQUALITY_GROUPS))
+        hg = hom_group(src, tgt)
+        coords = st.lists(st.integers(-6, 6), min_size=hg.group.ngens, max_size=hg.group.ngens)
+        a = hg.decode(data.draw(coords))
+        if data.draw(st.booleans()):
+            b = hg.decode(data.draw(coords))
+        else:
+            b = a
+        # move b by relations of tgt in every column: the same hom, another matrix
+        shift = [
+            [sum(k * tgt.relations.entries[i][r] for r, k in enumerate(ks)) for i in range(tgt.ngens)]
+            for ks in data.draw(
+                st.lists(
+                    st.lists(st.integers(-3, 3), min_size=tgt.relations.cols, max_size=tgt.relations.cols),
+                    min_size=src.ngens,
+                    max_size=src.ngens,
+                )
+            )
+        ]
+        b = GroupHom(src, tgt, b.mat + IntMatrix.from_columns(shift, tgt.ngens))
+        expected = hom_difference_is_zero(a, b)
+        assert (a == b) is expected
+        assert a.equals(b) is expected
+        assert (b == a) is expected
+
+    def test_different_groups(self):
+        z2 = FgAbGroup.from_invariants(0, (2,))
+        assert GroupHom.zero(Z, z2) != GroupHom.zero(z2, z2)
 
 
 class TestKernelImage:

@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from bivariant import cooperational
+from bivariant import bivcore, cooperational
+from bivariant.bivcore import GrothTransf, InvalidTransformationError
 from bivariant.cooperational import (
     coop_image_transfer,
     coop_unit,
@@ -265,6 +266,62 @@ class TestImageTransferModes:
             iso = GroupHom(in_image.target.group, full.target.group, IntMatrix.from_columns(cols, full.target.group.ngens))
             assert is_surjective(iso) and kernel(iso).group.is_trivial
             assert (iso @ in_image.mapping).equals(full.mapping)
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each argument."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(t):
+        calls.append(t)
+        return original(t)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def doubling(b):
+    """x -> 2x on every group: additive, but 2(ab) != (2a)(2b)."""
+    comps = {(m.name, 0): GroupHom.identity(b.group(m.name, 0)).scaled(2) for m in b.site.morphisms}
+    return GrothTransf(b, b, comps)
+
+
+class TestTransformationComputedOnce:
+    """image_transfer checks gamma and builds its image once per transformation;
+    the public validate_groth and image_subtheory compute afresh."""
+
+    def test_validate_groth_runs_once_across_full_transfers(self, monkeypatch):
+        bundle = build_subsets_instance(3)
+        gamma = bundle.groth["gamma"]
+        calls = count_calls(monkeypatch, bivcore, "validate_groth")
+        bases = [m.name for m in bundle.site.morphisms]
+        assert len(bases) == 27
+        for base in bases:
+            coop_image_transfer(gamma, base, 0, mode="full")
+        assert calls == [gamma]
+        assert bivcore.validate_groth(gamma).ok
+        assert calls == [gamma, gamma]
+
+    @pytest.mark.parametrize("mode", ["full", "image"])
+    def test_invalid_gamma_raises_the_same_error_on_every_call(self, bundle, mode):
+        bad = doubling(bundle.theories["B"])
+        messages = []
+        for _ in range(3):
+            with pytest.raises(InvalidTransformationError) as err:
+                op_image_transfer(bad, "0>01", 0, mode=mode)
+            messages.append(str(err.value))
+        assert messages[0] and messages == messages[:1] * 3
+
+    def test_image_mode_builds_the_image_subtheory_once(self, monkeypatch):
+        fresh = build_subsets_instance(2)  # no transfer has used its gamma yet
+        gamma = fresh.groth["gamma"]
+        calls = count_calls(monkeypatch, bivcore, "image_subtheory")
+        for mor in fresh.site.morphisms:
+            op_image_transfer(gamma, mor.name, 0, mode="image")
+            coop_image_transfer(gamma, mor.name, 0, mode="image")
+        assert calls == [gamma]
+        assert bivcore.image_subtheory(gamma) is not bivcore.image_subtheory(gamma)
 
 
 class TestFamilyClassEquality:

@@ -7,6 +7,7 @@ from bivariant.site import (
     MissingFinalObjectError,
     NaturalTransf,
     NonConfinedError,
+    PastingError,
     Site,
     SiteStructureError,
     validate_site,
@@ -265,6 +266,79 @@ class TestPasteComparison:
                 assert s2.tower_paste(f, g, h).is_identity(s2)
 
 
+def paste_keys(site):
+    """Every (kind, f, g, h) with a defined paste on the site."""
+    for f in site.morphisms:
+        for g in site.morphisms_into(f.tgt):
+            for h in site.morphisms_into(site.src(g)):
+                yield ("cospan", f.name, g, h)
+    for f, g in site.composable_pairs():
+        for h in site.morphisms_into(site.tgt(g)):
+            yield ("tower", f, g, h)
+
+
+def count_builds(monkeypatch):
+    """Count the calls of the two private paste builders, by key."""
+    built = []
+    for kind in ("cospan", "tower"):
+        attr = f"_build_{kind}_paste"
+        original = getattr(Site, attr)
+
+        def counted(self, f, g, h, kind=kind, original=original):
+            built.append((kind, f, g, h))
+            return original(self, f, g, h)
+
+        monkeypatch.setattr(Site, attr, counted)
+    return built
+
+
+def paste(site, key):
+    kind, f, g, h = key
+    return (site.cospan_paste if kind == "cospan" else site.tower_paste)(f, g, h)
+
+
+def non_universal_site():
+    """subsets(2) with the chosen square of (0>01, 01>01) shrunk to apex E."""
+    full = subsets_site(2)
+    pb = dict(full._pullbacks)
+    pb[("0>01", "01>01")] = ("E", "E>0", "E>01")
+    identities = {x: full.identity(x) for x in full.objects}
+    return Site(full.objects, full.morphisms, identities, full._comp, full.confined, pb, full.final_object)
+
+
+class TestPasteTables:
+    """Each site computes a paste once per key, on first use, and keeps it."""
+
+    def test_each_paste_is_built_once_per_key(self, monkeypatch):
+        built = count_builds(monkeypatch)
+        site = subsets_site(2)
+        assert built == []  # nothing is built at construction
+        keys = list(paste_keys(site))
+        first = [paste(site, key) for key in keys]
+        second = [paste(site, key) for key in keys]
+        assert sorted(built) == sorted(keys)
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_a_failing_paste_raises_on_every_call(self, monkeypatch):
+        built = count_builds(monkeypatch)
+        site = non_universal_site()
+        for _ in range(3):
+            with pytest.raises(PastingError):
+                site.cospan_paste("0>01", "01>01", "0>01")
+        assert built == [("cospan", "0>01", "01>01", "0>01")] * 3
+        assert ("cospan", "0>01", "01>01", "0>01") not in site._pastes
+
+    def test_sites_built_from_the_same_data_share_no_table(self, monkeypatch):
+        built = count_builds(monkeypatch)
+        a, b = subsets_site(2), subsets_site(2)
+        assert a._pastes is not b._pastes
+        pa = a.tower_paste("E>0", "0>01", "1>01")
+        assert b._pastes == {}
+        pb = b.tower_paste("E>0", "0>01", "1>01")
+        assert pa == pb and pa is not pb
+        assert len(built) == 2
+
+
 class TestGradedFunctor:
     def test_presheaf_validates(self, s2):
         assert subsets_presheaf(s2).validate().ok
@@ -353,6 +427,38 @@ class TestStructuralReports:
         assert functor.validate().to_json() == [
             {"kind": "map-typing", "message": "map endpoints do not match groups", "witness": {"grade": 0, "morphism": "E>E"}}
         ]
+
+    def test_ill_typed_map_in_a_functoriality_square(self, s2):
+        # 0>01 composes with E>0, 0>0 and 01>01: every square it is in is skipped
+        f = subsets_presheaf(s2)
+        maps = dict(f._maps)
+        z2 = FgAbGroup.from_invariants(0, (2,))
+        stored = maps[("0>01", 0)]
+        maps[("0>01", 0)] = GroupHom(stored.src, z2, stored.mat)
+        assert GradedFunctor(s2, "contra", (0, 0), f._groups, maps).validate().to_json() == [
+            {"kind": "map-typing", "message": "map endpoints do not match groups", "witness": {"grade": 0, "morphism": "0>01"}}
+        ]
+
+    def test_ill_typed_component_in_a_naturality_square(self, s2):
+        f = subsets_presheaf(s2)
+        f2 = subsets_presheaf(s2, modulus=2)
+        comps = dict(reduction_transformation(f, f2)._components)
+        comps[("0", 0)] = GroupHom.identity(f.group("0", 0))  # into Z, not Z/2
+        assert NaturalTransf(f, f2, comps).validate().to_json() == [
+            {"kind": "component-typing", "message": "component endpoints mismatch", "witness": {"grade": 0, "obj": "0"}}
+        ]
+
+    def test_ill_typed_functor_map_in_a_naturality_square(self, s2):
+        # the functor's own validate reports the map; the transformation
+        # skips the squares along it
+        f = subsets_presheaf(s2)
+        f2 = subsets_presheaf(s2, modulus=2)
+        maps = dict(f._maps)
+        stored = maps[("0>01", 0)]
+        maps[("0>01", 0)] = GroupHom(stored.src, f2.group("0", 0), stored.mat)
+        broken = GradedFunctor(s2, "contra", (0, 0), f._groups, maps)
+        assert broken.validate().has("map-typing")
+        assert NaturalTransf(broken, f2, reduction_transformation(f, f2)._components).validate().ok
 
     def test_missing_component(self, s2):
         f = subsets_presheaf(s2)

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from bivariant.cooperational import coop_group
+from bivariant.cooperational import coop_group, transfer_subgroup
 from bivariant.exactalg import IntMatrix
+from bivariant.operational import op_group
 from bivariant.workbench import (
     InstanceFileError,
     InstanceViolationError,
@@ -14,6 +15,8 @@ from bivariant.workbench import (
     parse_instance,
     run_demo,
 )
+
+from oracles import rational_rank
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +37,9 @@ class TestBuilders:
         assert bundle.validate().ok
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            build_subsets_instance(4)
+        for n in (0, 5):
+            with pytest.raises(ValueError):
+                build_subsets_instance(n)
 
     def test_projection_formula_spot_instance(self, bundle):
         # g'_*(g^* alpha . beta) = alpha . g_* beta with alpha = e0 + e1 over
@@ -58,6 +62,31 @@ class TestBuilders:
         from bivariant.bivcore import validate_groth
 
         assert validate_groth(bundle.groth["gamma"]).ok
+
+
+class TestSubsetsFour:
+    """n = 4 (16 objects, 81 morphisms): groups at every base and one transfer
+    base; the whole n = 4 demo is left to the CLI."""
+
+    @pytest.fixture(scope="class")
+    def four(self):
+        return build_subsets_instance(4)
+
+    def test_groups_at_every_base_match_the_rational_rank_oracle(self, four):
+        assert len(four.site.morphisms) == 81
+        for mor in four.site.morphisms:
+            for result in (op_group(four.functors["h"], mor.name, 0), coop_group(four.functors["F"], mor.name, 0)):
+                mat = result.solution.constraint_hom.mat
+                nullity = result.solution.unknowns.group.ngens - rational_rank(mat.entries, mat.cols)
+                assert result.group.canonical() == (nullity, ()), mor.name
+
+    def test_transfer_base_has_unique_companions(self, four):
+        tsr = transfer_subgroup(four.transformations["T"], "01>012", 0)
+        gens = tsr.subgroup.group.gens()
+        assert gens
+        for x in gens:
+            sols = tsr.companions(tsr.source_result.decode(tsr.subgroup.inclusion(x)))
+            assert sols.particular is not None and sols.is_unique
 
 
 class TestGradedInstance:
