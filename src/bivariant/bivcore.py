@@ -293,11 +293,40 @@ def verify_axioms(theory) -> ValidationReport:
         when a check crosses a non-strictly pasted square: a map moving the
         pasted side to (new_base, along iso), or None to skip the check;
       - witness(**elements): extra witness fields naming the elements.
+
+    Each generator list is fetched once per run.  The three operations go
+    through one memo, emptied at the start of each axiom family: bases and
+    degrees are keyed by value, operands by identity, and an entry keeps its
+    operands alive, so no id is reused while it is a key.  Every comparison
+    still runs; a repeated operation is only not evaluated again.
     """
     site = theory.site
     degrees = list(theory.degrees())
-    gens, product, push, pull = theory.gens, theory.product, theory.pushforward, theory.pullback
     rb = ReportBuilder()
+    gen_table = {}
+    memo = {}
+
+    def gens(f, i):
+        if (f, i) not in gen_table:
+            gen_table[f, i] = theory.gens(f, i)
+        return gen_table[f, i]
+
+    def remembered(op, nvalues):
+        """op, evaluated once per memo entry; its last arguments are operands."""
+
+        def call(*args):
+            operands = args[nvalues:]
+            key = (op, args[:nvalues], tuple(map(id, operands)))
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = (op(*args), operands)
+            return hit[0]
+
+        return call
+
+    product = remembered(theory.product, 4)
+    push = remembered(theory.pushforward, 3)
+    pull = remembered(theory.pullback, 3)
 
     def aligned(paste, phrase, bases, new_base, iso, **where):
         if paste.is_identity(site):
@@ -305,6 +334,7 @@ def verify_axioms(theory) -> ValidationReport:
         return theory.nonstrict(rb, phrase, bases, new_base, iso, **where)
 
     # associativity
+    memo.clear()
     for f, g, h in site.composable_triples():
         gf = site.compose(g, f)
         hg = site.compose(h, g)
@@ -323,6 +353,7 @@ def verify_axioms(theory) -> ValidationReport:
                                     rb.add("associativity", "(a.b).c != a.(b.c)", f=f, g=g, h=h, i=i, j=j, k=k, **theory.witness(a=a, b=b, c=c))
 
     # pushforward functoriality: identities act trivially and composites agree
+    memo.clear()
     for x in site.objects:
         idx = site.identity(x)
         for g in site.morphisms_out_of(x):
@@ -342,6 +373,7 @@ def verify_axioms(theory) -> ValidationReport:
                     rb.add("pushforward-functorial", "(g o f)_* != g_* o f_*", f=f, g=g, h=h, i=i, **theory.witness(a=a))
 
     # pullback functoriality
+    memo.clear()
     for f in site.morphisms:
         idt = site.identity(f.tgt)
         for i in degrees:
@@ -364,6 +396,7 @@ def verify_axioms(theory) -> ValidationReport:
                             rb.add("pullback-functorial", "(g o h)^* != h^* o g^*", f=f.name, g=g, h=h, i=i, **theory.witness(a=a))
 
     # product and pushforward commute
+    memo.clear()
     for f, g, h in site.composable_triples():
         if not theory.can_push(f):
             continue
@@ -381,6 +414,7 @@ def verify_axioms(theory) -> ValidationReport:
                             rb.add("product-pushforward", "f_*(a.b) != f_*a . b", f=f, g=g, h=h, i=i, j=j, **theory.witness(a=a, b=b))
 
     # product and pullback commute
+    memo.clear()
     for f, g in site.composable_pairs():
         gf = site.compose(g, f)
         for h in site.morphisms_into(site.tgt(g)):
@@ -402,6 +436,7 @@ def verify_axioms(theory) -> ValidationReport:
                                 rb.add("product-pullback", "h^*(a.b) != h'^*a . h^*b", f=f, g=g, h=h, i=i, j=j, **theory.witness(a=a, b=b))
 
     # pushforward and pullback commute
+    memo.clear()
     for f, g in site.composable_pairs():
         if not theory.can_push(f):
             continue
@@ -422,6 +457,7 @@ def verify_axioms(theory) -> ValidationReport:
                         rb.add("pushforward-pullback", "f'_*(h^*a) != h^*(f_*a)", f=f, g=g, h=h, i=i, **theory.witness(a=a))
 
     # projection formula
+    memo.clear()
     for f in site.morphisms:
         for g in site.morphisms_into(f.tgt):
             if not theory.can_push(g):
@@ -443,6 +479,7 @@ def verify_axioms(theory) -> ValidationReport:
                                     rb.add("projection-formula", "g'_*(g^*a . b) != a . g_*b", f=f.name, g=g, h=h, i=i, j=j, **theory.witness(a=a, b=b))
 
     # units
+    memo.clear()
     for x in site.objects:
         u = theory.unit(x)
         idx = site.identity(x)

@@ -129,7 +129,7 @@ def coop_hom(b: TabulatedBivTheory, base: str, degree: int) -> GroupHom:
     return comparison_hom(b, base, degree, coop_group(b.contravariant_part, base, degree), coop_from_bivariant)
 
 
-def coop_image_transfer(t: GrothTransf, base: str, degree: int, mode: str = "image") -> ImageTransfer:
+def coop_image_transfer(t: GrothTransf, base: str, degree: int, mode: str) -> ImageTransfer:
     """Transfer coop(alpha) |-> coop(gamma(alpha)) between coop images."""
     return image_transfer(t, base, degree, mode, "contra", coop_hom)
 

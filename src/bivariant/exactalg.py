@@ -151,9 +151,6 @@ class IntMatrix:
     def top_rows(self, n: int) -> "IntMatrix":
         return IntMatrix(n, self.cols, self.entries[:n])
 
-    def is_zero(self) -> bool:
-        return all(all(a == 0 for a in r) for r in self.entries)
-
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(
             self.entries[i][j] == (1 if i == j else 0)
@@ -603,12 +600,6 @@ class GroupHom:
 
     def scaled(self, k: int) -> "GroupHom":
         return GroupHom(self.src, self.tgt, self.mat.scaled(k))
-
-    @property
-    def is_zero_hom(self) -> bool:
-        return all(
-            self.tgt.element(self.mat.col(j)).is_zero for j in range(self.src.ngens)
-        )
 
     def _agrees_with(self, other: "GroupHom") -> bool:
         """Whether self - other is the zero hom, one column at a time: each

@@ -21,6 +21,11 @@ the family (c_key) with c_key in Hom(src, tgt), and each constraint is a
 signed sum of terms post o c_key o pre that must vanish.  FamilySolution
 assembles the constraint map between the direct sums of the Hom groups and
 returns its kernel with an element <-> family codec.
+
+A class stores its components in a dict, and an absent key reads as the
+zero hom.  The results of the operations (product, pushforward, pullback,
+transport) store only their nonzero components; decoded generators store
+every component of the solution, zero ones included.
 """
 
 from __future__ import annotations
@@ -206,25 +211,64 @@ def _ends(functor: GradedFunctor, leg_obj: str, apex_obj: str, m: int, degree: i
     return _oriented(functor, functor.group(leg_obj, leg), functor.group(apex_obj, apex))
 
 
-def _path(functor: GradedFunctor, m: int, steps) -> GroupHom:
+def _path(functor: GradedFunctor, m: int, steps) -> GroupHom | None:
     """Compose steps listed from the leg side of a component to its apex side.
 
     A step is a morphism, acting through the functor, or a (class, key
     morphism) pair naming one component.  The maps are applied from the
     source side on; m is the grade there, and each component shifts it by
     its class's degree.
+
+    Returns None when the composite matrix is zero.  A factor that is zero
+    (an absent component or an all-zero matrix) makes it so, and then
+    nothing is multiplied; a factor with an identity matrix on one group is
+    skipped.  Every adjacent pair must still meet in one group, as in
+    GroupHom composition.
     """
     source_first, _ = _oriented(functor, steps, steps[::-1])
-    acc = None
+    factors = []
+    zero = False
+    skipped = tgt = None
     for step in source_first:
         if isinstance(step, str):
             hom = functor.map(step, m)
+            ends = hom.src, hom.tgt
         else:
             cls, g = step
-            hom = cls.component(g, m)
+            hom = cls.components.get((g, m))
+            ends = cls._component_ends(g, m) if hom is None else (hom.src, hom.tgt)
             m += _shift(functor, cls.degree)
-        acc = hom if acc is None else hom @ acc
-    return acc
+        if tgt is not None and ends[0] != tgt:
+            raise ShapeMismatchError("middle groups disagree in composition")
+        tgt = ends[1]
+        if zero:
+            continue
+        if hom is None or not any(map(any, hom.mat.entries)):
+            zero = True
+        elif ends[0] == ends[1] and hom.mat.is_identity():
+            skipped = hom
+        else:
+            factors.append(hom)
+    if zero:
+        return None
+    if not factors:
+        return skipped  # every factor is the identity of one group
+    acc = factors[0]
+    for hom in factors[1:]:
+        acc = hom @ acc
+    return acc if any(map(any, acc.mat.entries)) else None
+
+
+def _nonzero_components(functor: GradedFunctor, steps_by_key) -> dict:
+    """{(key, m): _path over the key's steps in grade m}, kept only where the
+    composite is nonzero."""
+    comps = {}
+    for key, steps in steps_by_key.items():
+        for m in functor.grades():
+            hom = _path(functor, m, steps)
+            if hom is not None:
+                comps[(key, m)] = hom
+    return comps
 
 
 def _squares(functor: GradedFunctor, base: str):
@@ -278,13 +322,18 @@ class FamilyClass:
     def site(self) -> Site:
         return self.functor.site
 
+    def _component_ends(self, g: str, m: int):
+        """(source, target) groups of the component at (g, m)."""
+        site = self.site
+        apex = site.chosen_pullback(self.base, g).apex
+        return _ends(self.functor, site.src(g), apex, m, self.degree)
+
     def component(self, g: str, m: int) -> GroupHom:
+        """The stored component, or the zero hom where none is stored."""
         stored = self.components.get((g, m))
         if stored is not None:
             return stored
-        site = self.site
-        apex = site.chosen_pullback(self.base, g).apex
-        return GroupHom.zero(*_ends(self.functor, site.src(g), apex, m, self.degree))
+        return GroupHom.zero(*self._component_ends(g, m))
 
     def _keys(self):
         site = self.site
@@ -310,7 +359,8 @@ class FamilyClass:
             return NotImplemented
         if not self._same_context(other):
             return False
-        return all(self.component(g, m) == other.component(g, m) for g, m in self._keys())
+        stored = self.components.keys() | other.components.keys()
+        return all(self.component(*key) == other.component(*key) for key in self._keys() if key in stored)
 
     def __add__(self, other: "FamilyClass") -> "FamilyClass":
         self._compatible(other)
@@ -326,11 +376,17 @@ class FamilyClass:
     def compatibility_report(self) -> ValidationReport:
         rb = ReportBuilder()
         kind, message, leg = _COMPATIBILITY[self.functor.variance]
+        site = self.site
         for g, k, w, gk in _squares(self.functor, self.base):
+            apex = site.chosen_pullback(self.base, g).apex
             for m in self.functor.grades():
                 lhs = _path(self.functor, m, [(self, gk), w])
                 rhs = _path(self.functor, m, [k, (self, g)])
-                if not lhs.equals(rhs):
+                if lhs is None and rhs is None:
+                    continue
+                # a zero side is the zero hom between the ends of the square
+                zero = GroupHom.zero(*_ends(self.functor, site.src(k), apex, m, self.degree))
+                if not (lhs or zero).equals(rhs or zero):
                     rb.add(kind, message, g=g, grade=m, **{leg: k})
         return rb.done()
 
@@ -405,13 +461,11 @@ def family_product(c: FamilyClass, d: FamilyClass) -> FamilyClass:
     functor, site = c.functor, c.site
     degree = c.degree + d.degree
     check_degree(functor, degree)
-    comps = {}
+    steps = {}
     for h in site.morphisms_into(site.tgt(d.base)):
         paste = site.tower_paste(c.base, d.base, h)
-        steps = [(d, h), (c, paste.first.top), paste.to_direct]
-        for m in functor.grades():
-            comps[(h, m)] = _path(functor, m, steps)
-    return FamilyClass(functor, site.compose(d.base, c.base), degree, comps)
+        steps[h] = [(d, h), (c, paste.first.top), paste.to_direct]
+    return FamilyClass(functor, site.compose(d.base, c.base), degree, _nonzero_components(functor, steps))
 
 
 def family_pushforward(c: FamilyClass, f: str, rest: str) -> FamilyClass:
@@ -424,13 +478,11 @@ def family_pushforward(c: FamilyClass, f: str, rest: str) -> FamilyClass:
         raise NonConfinedError(f"pushforward along non-confined morphism {f}")
     if site.compose(rest, f) != c.base:
         raise ValueError("base morphism does not factor as rest o f")
-    comps = {}
+    steps = {}
     for h in site.morphisms_into(site.tgt(rest)):
         paste = site.tower_paste(f, rest, h)
-        steps = [(c, h), paste.to_pasted, paste.second.left]
-        for m in functor.grades():
-            comps[(h, m)] = _path(functor, m, steps)
-    return FamilyClass(functor, rest, c.degree, comps)
+        steps[h] = [(c, h), paste.to_pasted, paste.second.left]
+    return FamilyClass(functor, rest, c.degree, _nonzero_components(functor, steps))
 
 
 def family_pullback(c: FamilyClass, g: str) -> FamilyClass:
@@ -438,12 +490,11 @@ def family_pullback(c: FamilyClass, g: str) -> FamilyClass:
     functor, site = c.functor, c.site
     if site.tgt(g) != site.tgt(c.base):
         raise ValueError(f"{g} is not a morphism into the base target")
-    comps = {}
-    for k in site.morphisms_into(site.src(g)):
-        steps = [(c, site.compose(g, k)), site.cospan_paste(c.base, g, k).to_pasted]
-        for m in functor.grades():
-            comps[(k, m)] = _path(functor, m, steps)
-    return FamilyClass(functor, site.chosen_pullback(c.base, g).left, c.degree, comps)
+    steps = {
+        k: [(c, site.compose(g, k)), site.cospan_paste(c.base, g, k).to_pasted]
+        for k in site.morphisms_into(site.src(g))
+    }
+    return FamilyClass(functor, site.chosen_pullback(c.base, g).left, c.degree, _nonzero_components(functor, steps))
 
 
 def family_transport(cls: FamilyClass, new_base: str, iso: str) -> FamilyClass:
@@ -457,7 +508,7 @@ def family_transport(cls: FamilyClass, new_base: str, iso: str) -> FamilyClass:
     if site.compose(cls.base, iso) != new_base:
         raise ValueError("iso does not relate the two base morphisms")
     iso_inv = site.inverse_of(iso)
-    comps = {}
+    steps = {}
     for k in site.morphisms_into(site.tgt(new_base)):
         sq_new = site.chosen_pullback(new_base, k)
         sq_old = site.chosen_pullback(cls.base, k)
@@ -468,9 +519,8 @@ def family_transport(cls: FamilyClass, new_base: str, iso: str) -> FamilyClass:
                 (sq_new.left, sq_old.left, sq_new.apex),
             ],
         )
-        for m in functor.grades():
-            comps[(k, m)] = _path(functor, m, [(cls, k), v_inv])
-    return FamilyClass(functor, new_base, cls.degree, comps)
+        steps[k] = [(cls, k), v_inv]
+    return FamilyClass(functor, new_base, cls.degree, _nonzero_components(functor, steps))
 
 
 class FamilyTheory:
@@ -480,16 +530,12 @@ class FamilyTheory:
         self.functor = functor
         self.site = functor.site
         self._degrees = list(feasible_degrees(functor))
-        self._gens = {}
 
     def degrees(self):
         return self._degrees
 
     def gens(self, base: str, i: int) -> list[FamilyClass]:
-        key = (base, i)
-        if key not in self._gens:
-            self._gens[key] = family_group(self.functor, base, i).decoded_gens()
-        return self._gens[key]
+        return family_group(self.functor, base, i).decoded_gens()
 
     def allows(self, *degrees) -> bool:
         return all(i in self._degrees for i in degrees)

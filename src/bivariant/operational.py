@@ -100,7 +100,7 @@ def op_hom(b: TabulatedBivTheory, base: str, degree: int) -> GroupHom:
     return comparison_hom(b, base, degree, op_group(b.covariant_part, base, degree), op_from_bivariant)
 
 
-def op_image_transfer(t: GrothTransf, base: str, degree: int, mode: str = "image") -> ImageTransfer:
+def op_image_transfer(t: GrothTransf, base: str, degree: int, mode: str) -> ImageTransfer:
     """Transfer on operational images; mode 'full' needs covariant surjectivity."""
     return image_transfer(t, base, degree, mode, "cov", op_hom)
 

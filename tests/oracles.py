@@ -1,15 +1,15 @@
 """Independent oracles used to cross-check the library's computations.
 
-These are deliberately naive: Laplace determinants, Fraction-based row
-reduction, exhaustive enumeration.  None of them share code with the
-Smith-normal-form path they verify.  The direct-sum injections and
-projections build the reference constraint map that the assembled one
-is checked against; hom_difference_is_zero is the reference for hom
-equality; identities_confined gives a site the smallest
+These are deliberately naive: Laplace determinants, fraction-free row
+reduction, exhaustive enumeration, composition factor by factor.  None of
+them share code with the Smith-normal-form path they verify.  The
+direct-sum injections and projections build the reference constraint map
+that the assembled one is checked against; hom_difference_is_zero is the
+reference for hom equality; dense_path is the reference for composing a
+class's components; identities_confined gives a site the smallest
 confined class its axioms allow.
 """
 
-from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
@@ -62,25 +62,33 @@ def determinantal_divisors(rows, ncols):
 
 
 def rational_rank(rows, ncols):
-    """Rank over Q by plain Gaussian elimination with Fractions."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    col = 0
+    """Rank over Q by fraction-free (Bareiss) elimination on integers.
+
+    After each pivot every row below it becomes (p * row - a * pivot row)
+    divided by the previous pivot, where p is the pivot and a the row's entry
+    in the pivot column; the division is exact (Sylvester's identity), so
+    every entry stays an integer minor of the input.
+    """
+    m = [[int(x) for x in row] for row in rows]
     nrows = len(m)
-    while rank < nrows and col < ncols:
-        piv = next((i for i in range(rank, nrows) if m[i][col] != 0), None)
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        piv = next((i for i in range(rank, nrows) if m[i][col]), None)
         if piv is None:
-            col += 1
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for i in range(nrows):
-            if i != rank and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
+        top = m[rank][col:]
+        p = top[0]
+        for i in range(rank + 1, nrows):
+            # entries left of col are already 0 in every row below the pivot
+            row = m[i][col:]
+            a = row[0]
+            m[i] = [0] * col + [(p * x - a * y) // prev for x, y in zip(row, top)]
+        prev = p
         rank += 1
-        col += 1
     return rank
 
 
@@ -175,12 +183,42 @@ def projections(dsum):
     return tuple(out)
 
 
+def is_zero_matrix(m):
+    """Whether every entry of an IntMatrix is 0."""
+    return all(a == 0 for row in m.entries for a in row)
+
+
+def is_zero_hom(h):
+    """Whether every column of a GroupHom reduces to zero in its target."""
+    return all(h.tgt.element(h.mat.col(j)).is_zero for j in range(h.src.ngens))
+
+
 def hom_difference_is_zero(a, b):
     """Hom equality as GroupHom compared before it went column by column:
     build the checked homs -b and a + (-b), then reduce every column of the
     sum in the target."""
-    diff = a + (-b)
-    return all(diff.tgt.element(diff.mat.col(j)).is_zero for j in range(diff.src.ngens))
+    return is_zero_hom(a + (-b))
+
+
+def dense_path(functor, m, steps):
+    """A path of maps composed one factor at a time with GroupHom @, identity
+    and zero factors included.  Steps are listed from the leg side of a
+    component to its apex side and are morphisms (acting through the
+    functor) or (class, key morphism) pairs, as in famsolve; the maps apply
+    from the leg side for a covariant functor and from the apex side for a
+    contravariant one, and each component moves the grade by its class's
+    degree (down for cov, up for contra)."""
+    cov = functor.variance == "cov"
+    acc = None
+    for step in steps if cov else steps[::-1]:
+        if isinstance(step, str):
+            hom = functor.map(step, m)
+        else:
+            cls, g = step
+            hom = cls.component(g, m)
+            m += -cls.degree if cov else cls.degree
+        acc = hom if acc is None else hom @ acc
+    return acc
 
 
 def identities_confined(site):

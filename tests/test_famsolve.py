@@ -1,22 +1,28 @@
 """The constraint solver of famsolve and the companion system built on it."""
 
+import bisect
 import dataclasses
+import inspect
+import sys
+import weakref
 
 import pytest
 
-from bivariant import bivcore, cooperational
+from bivariant import bivcore, cooperational, famsolve
 from bivariant.bivcore import GrothTransf, InvalidTransformationError
 from bivariant.cooperational import (
     coop_image_transfer,
     coop_unit,
     naturality_cube_report,
     transfer_subgroup,
+    verify_coop_axioms,
     verify_identity_isomorphism,
 )
 from bivariant.exactalg import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
+    ShapeMismatchError,
     hom_preimage,
     image,
     induced_hom,
@@ -32,12 +38,13 @@ from bivariant.famsolve import (
     family_group,
     feasible_degrees,
 )
-from bivariant.operational import op_image_transfer, verify_point_isomorphism
+from bivariant.operational import op_image_transfer, verify_op_axioms, verify_point_isomorphism
 from bivariant.site import GradedFunctor, NaturalTransf
 from bivariant.workbench import build_graded_instance, build_subsets_instance, load_instance, reduction_transformation
 
-from oracles import injections, projections
+from oracles import dense_path, injections, is_zero_matrix, projections
 from test_cli import TERMINAL
+from test_nonposet_and_degrees import flip_site, swap_homology, swap_presheaf
 
 
 @pytest.fixture(scope="module")
@@ -402,3 +409,150 @@ class TestCompanionCosets:
             self.assert_cosets_agree(psi, degree)
         tsr = transfer_subgroup(psi, "0>0", -2)
         assert any(tsr.companions(cls).is_empty for cls in tsr.source_result.decoded_gens())
+
+
+def generator_operations(functor):
+    """(operation, arguments) for every product, pushforward and pullback of
+    generators of the functor's class groups."""
+    site = functor.site
+    degrees = feasible_degrees(functor)
+    gens = {(mor.name, i): family_group(functor, mor.name, i).decoded_gens() for mor in site.morphisms for i in degrees}
+    for f, g in site.composable_pairs():
+        for i in degrees:
+            for j in degrees:
+                if i + j in degrees:
+                    for a in gens[f, i]:
+                        for b in gens[g, j]:
+                            yield famsolve.family_product, (a, b)
+            if functor.acts_along(f):
+                for a in gens[site.compose(g, f), i]:
+                    yield famsolve.family_pushforward, (a, f, g)
+    for mor in site.morphisms:
+        for g in site.morphisms_into(mor.tgt):
+            for i in degrees:
+                for a in gens[mor.name, i]:
+                    yield famsolve.family_pullback, (a, g)
+
+
+def dense_twin(monkeypatch, operation, *args):
+    """operation(*args) with every component composed by dense_path and kept."""
+    with monkeypatch.context() as patched:
+        patched.setattr(famsolve, "_path", dense_path)
+        return operation(*args)
+
+
+def assert_matches_dense(result, dense):
+    """Every component equals the dense composite entry for entry, and no
+    stored component is a zero matrix."""
+    for key in result._keys():
+        got, want = result.component(*key), dense.components[key]
+        assert (got.src, got.tgt, got.mat) == (want.src, want.tgt, want.mat), key
+    assert not any(is_zero_matrix(hom.mat) for hom in result.components.values())
+
+
+SPARSE_CASES = {
+    "subsets-2-F": lambda: build_subsets_instance(2).functors["F"],
+    "subsets-2-h": lambda: build_subsets_instance(2).functors["h"],
+    "flip-contra": lambda: swap_presheaf(flip_site()),
+    "flip-cov": lambda: swap_homology(flip_site()),
+    "graded-2": lambda: build_graded_instance(2).functors["Heven"],
+}
+
+
+class TestSparseComposition:
+    """Operation results store only nonzero components, and each one is the
+    composite that dense_path builds factor by factor."""
+
+    @pytest.mark.parametrize("name", sorted(SPARSE_CASES))
+    def test_operations_on_generators_match_the_dense_composite(self, monkeypatch, name):
+        functor = SPARSE_CASES[name]()
+        count = 0
+        for operation, args in generator_operations(functor):
+            assert_matches_dense(operation(*args), dense_twin(monkeypatch, operation, *args))
+            count += 1
+        assert count
+
+    @pytest.mark.parametrize("functor, verify", [(swap_presheaf, verify_coop_axioms), (swap_homology, verify_op_axioms)])
+    def test_transports_across_non_strict_pastes_match_the_dense_composite(self, monkeypatch, functor, verify):
+        original = famsolve.family_transport
+        checked = []
+
+        def transport(cls, new_base, iso):
+            result = original(cls, new_base, iso)
+            assert_matches_dense(result, dense_twin(monkeypatch, original, cls, new_base, iso))
+            checked.append(new_base)
+            return result
+
+        monkeypatch.setattr(famsolve, "family_transport", transport)
+        assert verify(functor(flip_site())).ok
+        assert checked
+
+    @pytest.mark.parametrize("name", ["F", "h"])
+    def test_decoded_generators_keep_every_component(self, bundle, name):
+        zero_kept = False
+        for mor in bundle.site.morphisms:
+            result = family_group(bundle.functors[name], mor.name, 0)
+            for cls in result.decoded_gens():
+                assert set(cls.components) == {s.key for s in result.solution.summands}
+                zero_kept |= any(is_zero_matrix(hom.mat) for hom in cls.components.values())
+        assert zero_kept
+
+    @pytest.mark.parametrize("zero", ["absent", "stored"])
+    @pytest.mark.parametrize("zero_first", [True, False])
+    def test_ill_typed_middle_pair_raises_beside_a_zero_factor(self, bundle, zero, zero_first):
+        F = bundle.functors["F"]
+        g = bundle.site.identity("01")
+        stray = FgAbGroup.from_invariants(0, (7,))
+        zero_class = FamilyClass(F, g, 0)
+        if zero == "stored":
+            zero_class.components[(g, 0)] = zero_class.component(g, 0)
+        ill_typed = FamilyClass(F, g, 0, {(g, 0): GroupHom.identity(stray)})
+        steps = [(zero_class, g), (ill_typed, g)] if zero_first else [(ill_typed, g), (zero_class, g)]
+        for path in (famsolve._path, dense_path):
+            with pytest.raises(ShapeMismatchError):
+                path(F, 0, steps)
+
+
+def axiom_family_starts():
+    """Source lines of verify_axioms that start an axiom family: the lines
+    that empty its memo."""
+    lines, first = inspect.getsourcelines(bivcore.verify_axioms)
+    return [first + k for k, line in enumerate(lines) if line.strip() == "memo.clear()"]
+
+
+class TestAxiomMemo:
+    """verify_axioms evaluates each operation once per axiom family and keeps
+    nothing after it returns."""
+
+    def test_memo_is_emptied_once_per_axiom_family(self):
+        assert len(axiom_family_starts()) == len(bivcore.AXIOM_NAMES)
+
+    @pytest.mark.parametrize("name, verify", [("F", verify_coop_axioms), ("h", verify_op_axioms)])
+    def test_no_operation_is_evaluated_twice_within_an_axiom_family(self, bundle, monkeypatch, name, verify):
+        starts = axiom_family_starts()
+        seen, repeated, results = set(), [], []
+
+        def family():
+            frame = sys._getframe()
+            while frame.f_code is not bivcore.verify_axioms.__code__:
+                frame = frame.f_back
+            return bisect.bisect(starts, frame.f_lineno)
+
+        def counted(operation):
+            original = getattr(famsolve, operation)
+
+            def call(*args):
+                key = (family(), operation) + tuple(id(x) if isinstance(x, FamilyClass) else x for x in args)
+                (repeated.append if key in seen else seen.add)(key)
+                result = original(*args)
+                results.append(weakref.ref(result))
+                return result
+
+            monkeypatch.setattr(famsolve, operation, call)
+
+        for operation in ("family_product", "family_pushforward", "family_pullback"):
+            counted(operation)
+        assert verify(bundle.functors[name]).ok
+        assert seen and not repeated
+        assert {key[1] for key in seen} == {"family_product", "family_pushforward", "family_pullback"}
+        assert all(ref() is None for ref in results)
