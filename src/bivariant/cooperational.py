@@ -22,21 +22,22 @@ from .exactalg import (
     GroupElement,
     GroupHom,
     Subgroup,
+    direct_sum,
+    hom_group,
     hom_preimage,
     image,
     IntMatrix,
+    kernel,
     kernel_image,
 )
 from .famsolve import (
-    ConstraintSpec,
     FamilyClass,
     FamilyGroup,
-    FamilySolution,
     FamilyTheory,
     ImageTransfer,
     SummandSpec,
-    TermSpec,
     _squares,
+    _sum_element,
     comparison_hom,
     family_group,
     family_product,
@@ -152,10 +153,6 @@ class CompanionSolutions:
     target_result: FamilyGroup
 
     @property
-    def is_empty(self) -> bool:
-        return self.particular is None
-
-    @property
     def is_unique(self) -> bool:
         return self.particular is not None and self.homogeneous.group.is_trivial
 
@@ -163,10 +160,12 @@ class CompanionSolutions:
 class TransferSubgroupResult:
     """Classes of coop(F, f, i) whose components descend along T: F -> G.
 
-    One joint linear system in (c, d) decides everything: the subgroup is
-    the projection of its solution group onto the c coordinates, a class's
-    companions are the d halves of the joint solutions over it, and the
-    kernel of the projection holds the pairs (0, d) with d o T = 0.
+    The link map L: coop(F) + coop(G) -> sum over (g, m) of
+    Hom(F^m(X'_g), G^{m+i}(src g)), (c, d) |-> (T o c_g - d_g o T), decides
+    everything: the subgroup is the projection of ker L onto the coop(F)
+    coordinates, a class's companions are the coop(G) coordinates of the
+    kernel elements over it, and the kernel of the projection holds the
+    pairs (0, d) with d o T = 0.
     """
 
     def __init__(self, transf: NaturalTransf, base: str, degree: int):
@@ -175,53 +174,37 @@ class TransferSubgroupResult:
         self.base = base
         self.degree = degree
         site = transf.site
-        self.source_result = coop_group(transf.src, base, degree)
-        self.target_result = coop_group(transf.tgt, base, degree)
+        source = self.source_result = coop_group(transf.src, base, degree)
+        target = self.target_result = coop_group(transf.tgt, base, degree)
 
-        summands, constraints = [], []
-        for tag, sol in (("F", self.source_result.solution), ("G", self.target_result.solution)):
-            summands.extend(SummandSpec((tag, s.key), s.src, s.tgt) for s in sol.summands)
-            for c in sol.constraints:
-                terms = tuple(TermSpec(t.sign, (tag, t.summand_key), t.pre, t.post) for t in c.terms)
-                constraints.append(ConstraintSpec((tag, c.key), c.src, c.tgt, terms))
-        # the link T o c_g = d_g o T, one per (g, m)
+        links = {}  # (g, m) -> (T after c_g, T before d_g)
         for g in site.morphisms_into(site.tgt(base)):
             apex = site.chosen_pullback(base, g).apex
             for m in transf.src.grades():
-                terms = (
-                    TermSpec(1, ("F", (g, m)), None, transf.component(site.src(g), m + degree)),
-                    TermSpec(-1, ("G", (g, m)), transf.component(apex, m), None),
-                )
-                src, tgt = transf.src.group(apex, m), transf.tgt.group(site.src(g), m + degree)
-                constraints.append(ConstraintSpec(("link", (g, m)), src, tgt, terms))
-        self.joint = FamilySolution(summands, constraints)
+                links[(g, m)] = (transf.component(site.src(g), m + degree), transf.component(apex, m))
+        specs = [SummandSpec(key, before.src, after.tgt) for key, (after, before) in links.items()]
+        hom_groups = [hom_group(s.src, s.tgt) for s in specs]
+        links_sum = direct_sum([hg.group for hg in hom_groups]).group
 
-        # project the joint solutions onto the c coordinates, inside coop(F);
-        # the d halves of the projection's kernel solve d o T = 0
-        self._proj = self._half_hom("F", self.joint.group, self.joint.group.gens(), self.source_result)
-        ker, self.subgroup = kernel_image(self._proj)
-        self._homogeneous = image(
-            self._half_hom("G", ker.group, map(ker.inclusion, ker.group.gens()), self.target_result)
-        )
+        def column(homs: dict) -> tuple:
+            return _sum_element(links_sum, specs, hom_groups, homs).coords
 
-    def _half(self, tag: str, x: GroupElement) -> dict:
-        """The components of the tag half ("F": c, "G": d) of a joint solution."""
-        return {key[1]: hom for key, hom in self.joint.decode(x).items() if key[0] == tag}
+        cols = [column({k: after @ c.component(*k) for k, (after, _) in links.items()}) for c in source.decoded_gens()]
+        cols += [column({k: -(d.component(*k) @ before) for k, (_, before) in links.items()}) for d in target.decoded_gens()]
+        pairs = direct_sum([source.group, target.group]).group
+        ker = kernel(GroupHom(pairs, links_sum, IntMatrix.from_columns(cols, links_sum.ngens)))
 
-    def _half_hom(self, tag: str, src: FgAbGroup, images, result: FamilyGroup) -> GroupHom:
-        """The hom src -> result.group sending the k-th generator of src to the tag
-        half of the k-th joint solution in images."""
-        cols = [result.solution.encode(self._half(tag, x)).coords for x in images]
-        return GroupHom(src, result.group, IntMatrix.from_columns(cols, result.group.ngens))
-
-    def contains(self, c: CoopClass) -> bool:
-        x = self.source_result.encode(c)
-        return self.subgroup.contains(x)
+        # the coop(F) and coop(G) coordinates of ker L
+        lift, n = ker.inclusion.mat, source.group.ngens
+        self._proj = GroupHom(ker.group, source.group, lift.top_rows(n))
+        self._companion = GroupHom(ker.group, target.group, IntMatrix(lift.rows - n, lift.cols, lift.entries[n:]))
+        over_zero, self.subgroup = kernel_image(self._proj)
+        self._homogeneous = image(self._companion @ over_zero.inclusion)
 
     def companions(self, c: CoopClass) -> CompanionSolutions:
         """All d in coop(G) with T o c_g = d_g o T, as a coset."""
         x = hom_preimage(self._proj, self.source_result.encode(c))
-        particular = None if x is None else CoopClass(self.transf.tgt, self.base, self.degree, self._half("G", x))
+        particular = None if x is None else self.target_result.decode(self._companion(x))
         return CompanionSolutions(particular, self._homogeneous, self.target_result)
 
 

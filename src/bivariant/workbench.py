@@ -280,18 +280,6 @@ def build_graded_instance(k: int) -> InstanceBundle:
     return InstanceBundle(site, functors={"Heven": functor}, transformations={"psi": psi})
 
 
-def family_from_self_transformation(t: NaturalTransf, obj: str) -> coop.CoopClass:
-    """A natural self-transformation, read as a class over id_obj of degree 0."""
-    if t.src is not t.tgt:
-        raise ValueError("need a self-transformation")
-    site = t.site
-    comps = {}
-    for g in site.morphisms_into(obj):
-        for m in t.src.grades():
-            comps[(g, m)] = t.component(site.src(g), m)
-    return coop.CoopClass(t.src, site.identity(obj), 0, comps)
-
-
 # ---------------------------------------------------------------------------
 # instance files (JSON-compatible, explicit tables, no inference)
 

@@ -7,13 +7,17 @@ direct-sum injections and projections build the reference constraint map
 that the assembled one is checked against; hom_difference_is_zero is the
 reference for hom equality; dense_path is the reference for composing a
 class's components; identities_confined gives a site the smallest
-confined class its axioms allow.
+confined class its axioms allow; joint_transfer_reference solves a
+transfer as one constraint system in the pairs (c, d), with no link map on
+solved groups.  The last two helpers read membership and build a class in
+ways only the tests need.
 """
 
 from itertools import combinations, product
 from math import gcd
 
-from bivariant.exactalg import GroupHom, IntMatrix
+from bivariant.exactalg import GroupHom, IntMatrix, image, kernel_image
+from bivariant.famsolve import ConstraintSpec, FamilyClass, FamilySolution, SummandSpec, TermSpec, family_group
 from bivariant.site import Site
 
 
@@ -227,3 +231,63 @@ def identities_confined(site):
     return Site(
         site.objects, site.morphisms, identities, site._comp, identities.values(), site._pullbacks, site.final_object
     )
+
+
+def joint_transfer_reference(transf, base, degree):
+    """The transfer along transf from one FamilySolution in the pairs (c, d).
+
+    Its unknowns and constraints are those of coop(F) and of coop(G), keyed
+    ("F", key) and ("G", key), plus one link T o c_g - d_g o T per (g, m).
+    Returns (joint solution, subgroup of coop(F), homogeneous part in
+    coop(G)): the projection of the joint solutions onto their c halves, and
+    the d halves of that projection's kernel.
+    """
+    site = transf.site
+    source = family_group(transf.src, base, degree)
+    target = family_group(transf.tgt, base, degree)
+    summands, constraints = [], []
+    for tag, sol in (("F", source.solution), ("G", target.solution)):
+        summands.extend(SummandSpec((tag, s.key), s.src, s.tgt) for s in sol.summands)
+        for c in sol.constraints:
+            terms = tuple(TermSpec(t.sign, (tag, t.summand_key), t.pre, t.post) for t in c.terms)
+            constraints.append(ConstraintSpec((tag, c.key), c.src, c.tgt, terms))
+    for g in site.morphisms_into(site.tgt(base)):
+        apex = site.chosen_pullback(base, g).apex
+        for m in transf.src.grades():
+            terms = (
+                TermSpec(1, ("F", (g, m)), None, transf.component(site.src(g), m + degree)),
+                TermSpec(-1, ("G", (g, m)), transf.component(apex, m), None),
+            )
+            src, tgt = transf.src.group(apex, m), transf.tgt.group(site.src(g), m + degree)
+            constraints.append(ConstraintSpec(("link", (g, m)), src, tgt, terms))
+    joint = FamilySolution(summands, constraints)
+
+    def half_hom(tag, src, images, result):
+        """src -> result.group, sending the k-th generator of src to the tag
+        half of the k-th joint solution in images."""
+        cols = []
+        for x in images:
+            half = {key[1]: hom for key, hom in joint.decode(x).items() if key[0] == tag}
+            cols.append(result.solution.encode(half).coords)
+        return GroupHom(src, result.group, IntMatrix.from_columns(cols, result.group.ngens))
+
+    ker, subgroup = kernel_image(half_hom("F", joint.group, joint.group.gens(), source))
+    homogeneous = image(half_hom("G", ker.group, map(ker.inclusion, ker.group.gens()), target))
+    return joint, subgroup, homogeneous
+
+
+def in_transfer_subgroup(tsr, cls):
+    """Whether the class lies in the transfer subgroup of tsr."""
+    return tsr.subgroup.contains(tsr.source_result.encode(cls))
+
+
+def family_from_self_transformation(t, obj):
+    """A natural self-transformation, read as a class over id_obj of degree 0."""
+    if t.src is not t.tgt:
+        raise ValueError("need a self-transformation")
+    site = t.site
+    comps = {}
+    for g in site.morphisms_into(obj):
+        for m in t.src.grades():
+            comps[(g, m)] = t.component(site.src(g), m)
+    return FamilyClass(t.src, site.identity(obj), 0, comps)

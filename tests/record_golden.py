@@ -7,7 +7,8 @@ Run from the repository root, only after an intended change of a report:
 It writes tests/fixtures/axiom_reports.json and
 tests/fixtures/comparison_reports.json, which TestGoldenReports in
 tests/test_bivcore.py compares against, tests/fixtures/snf_digests.json,
-which TestSnfIdentity in tests/test_exactalg.py compares against, and
+the digests of the Smith forms on tests/fixtures/snf_corpus.json, which
+TestSnfIdentity in tests/test_exactalg.py compares against, and
 tests/fixtures/instance_digests.json, which
 test_reader_and_writer_match_pinned_digests in tests/test_instance_fuzz.py
 compares against.

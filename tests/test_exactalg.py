@@ -47,6 +47,7 @@ Z = FgAbGroup.free(1)
 HERE = Path(__file__).parent
 SRC = HERE.parent / "src"
 SNF_DIGESTS = HERE / "fixtures" / "snf_digests.json"
+SNF_CORPUS = HERE / "fixtures" / "snf_corpus.json"
 
 
 def snf_certificate(m: IntMatrix, s: SmithDecomposition) -> list:
@@ -80,7 +81,10 @@ def check_snf(m: IntMatrix):
 
 # Records every distinct (input, output) pair of smith_decomposition during
 # one named run.  It runs in a fresh process, so no Smith form cached by an
-# earlier test (in the memo or on a long-lived group) hides a call.
+# earlier test (in the memo or on a long-lived group) hides a call.  A change
+# to the engine changes which matrices a run hands to SNF, not what SNF
+# returns for a matrix, so the digests pin the outputs on a fixed corpus:
+# the inputs each run handed to SNF when the corpus was recorded.
 _RECORD_SNF = """
 import json, sys
 from bivariant import exactalg
@@ -116,7 +120,8 @@ pairs = [[mat(m), [mat(s.d), mat(s.u), mat(s.v), mat(s.u_inv), mat(s.v_inv)]] fo
 print(json.dumps(sorted(json.dumps(p) for p in pairs)))
 """
 
-# Pinned in tier-1; "demo-subsets-3" (about 8 s) is for checks by hand.
+# Certified in tier-1 and pinned through the corpus; "demo-subsets-3" (about
+# 8 s) is for checks by hand.
 SNF_DIGEST_RUNS = ("demo-subsets-2", "transfer-subsets-3")
 
 
@@ -130,12 +135,28 @@ def snf_records(run: str) -> list:
     return json.loads(out.stdout)
 
 
+def corpus_records(run: str) -> list:
+    """The sorted JSON lines, as snf_records prints them, of smith_decomposition
+    on the corpus matrices that the run handed to SNF when it was recorded."""
+    corpus = json.loads(SNF_CORPUS.read_text())
+
+    def doc(m: IntMatrix) -> list:
+        return [m.rows, m.cols, m.entries]
+
+    records = []
+    for k in corpus["runs"][run]:
+        m = _matrix(corpus["matrices"][k])
+        s = smith_decomposition(m)
+        records.append(json.dumps([doc(m), [doc(s.d), doc(s.u), doc(s.v), doc(s.u_inv), doc(s.v_inv)]]))
+    return sorted(records)
+
+
 def snf_digest(records: list) -> dict:
     return {"pairs": len(records), "sha256": hashlib.sha256("\n".join(records).encode()).hexdigest()}
 
 
 def snf_digests() -> dict:
-    return {run: snf_digest(snf_records(run)) for run in SNF_DIGEST_RUNS}
+    return {run: snf_digest(corpus_records(run)) for run in SNF_DIGEST_RUNS}
 
 
 def _matrix(doc) -> IntMatrix:
@@ -211,13 +232,13 @@ class TestSmithNormalForm:
 
 
 class TestSnfIdentity:
-    """Every Smith form of two runs is bit for bit the recorded one."""
+    """Every Smith form on a run's corpus matrices is bit for bit the recorded
+    one, and every Smith form a live run computes is certified."""
 
     @pytest.mark.parametrize("run", SNF_DIGEST_RUNS)
     def test_outputs_match_recorded_digest(self, run):
-        records = snf_records(run)
-        assert snf_digest(records) == json.loads(SNF_DIGESTS.read_text())[run]
-        for rec in records:
+        assert snf_digest(corpus_records(run)) == json.loads(SNF_DIGESTS.read_text())[run]
+        for rec in snf_records(run):
             m, outs = json.loads(rec)
             snf_certificate(_matrix(m), SmithDecomposition(*map(_matrix, outs)))
 

@@ -42,7 +42,7 @@ from bivariant.operational import op_image_transfer, verify_op_axioms, verify_po
 from bivariant.site import GradedFunctor, NaturalTransf
 from bivariant.workbench import build_graded_instance, build_subsets_instance, load_instance, reduction_transformation
 
-from oracles import dense_path, injections, is_zero_matrix, projections
+from oracles import dense_path, injections, is_zero_matrix, joint_transfer_reference, projections
 from test_cli import TERMINAL
 from test_nonposet_and_degrees import flip_site, swap_homology, swap_presheaf
 
@@ -80,8 +80,8 @@ class TestAssembledConstraintMatrix:
                 assert_matches_reference(family_group(functor, mor.name, degree).solution)
 
     def test_transfer_joint_system(self, bundle):
-        tsr = transfer_subgroup(bundle.transformations["T"], "01>01", 0)
-        assert_matches_reference(tsr.joint)
+        joint, _, _ = joint_transfer_reference(bundle.transformations["T"], "01>01", 0)
+        assert_matches_reference(joint)
 
     def test_no_kept_constraints(self):
         z = FgAbGroup.free(1)
@@ -125,14 +125,16 @@ def assert_companion(tsr, cls, d):
 
 class TestCompanionSystem:
     def test_built_once_per_result(self, bundle, monkeypatch):
-        real = cooperational.FamilySolution
+        # one coop group per functor, one kernel of the link map and one
+        # kernel and image of its projection; companions() solves nothing
         calls = []
+        for name in ("coop_group", "kernel", "kernel_image"):
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+            def counting(*args, original=getattr(cooperational, name), name=name):
+                calls.append(name)
+                return original(*args)
 
-        monkeypatch.setattr(cooperational, "FamilySolution", counting)
+            monkeypatch.setattr(cooperational, name, counting)
         transf = bundle.transformations["T"]
         counts = []
         for k in (1, 4):
@@ -141,8 +143,8 @@ class TestCompanionSystem:
             classes = members(tsr)
             for step in range(k):
                 tsr.companions(classes[step % len(classes)])
-            counts.append(len(calls))
-        assert counts[0] == counts[1]
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1] == ["coop_group", "coop_group", "kernel", "kernel_image"]
 
     def test_same_companions_as_a_fresh_system(self, bundle):
         """Solving the shared system gives the companion a per-class system gives."""
@@ -162,7 +164,7 @@ class TestCompanionSystem:
             fresh = FamilySolution(g_sol.summands, constraints)
             u = fresh.solve_affine(rhs)
             sols = tsr.companions(cls)
-            assert (u is None) == sols.is_empty
+            assert (u is None) == (sols.particular is None)
             if u is not None:
                 expected = fresh.decode_unknowns(u)
                 assert {k: h.mat for k, h in sols.particular.components.items()} == {
@@ -179,6 +181,34 @@ class TestCompanionSystem:
             assert sols.is_unique
             assert_companion(tsr, cls, sols.particular)
         assert naturality_cube_report(tsr).ok
+
+
+class TestLinkMap:
+    """The kernel of the link map on coop(F) + coop(G) gives, at every base,
+    the subgroup of the joint system in (c, d), with as many presented
+    generators, and the same homogeneous part."""
+
+    def assert_matches_joint_system(self, transf, degree):
+        for mor in transf.site.morphisms:
+            tsr = transfer_subgroup(transf, mor.name, degree)
+            _, subgroup, homogeneous = joint_transfer_reference(transf, mor.name, degree)
+            ours = tsr.companions(FamilyClass(transf.src, mor.name, degree)).homogeneous
+            for a, b in ((tsr.subgroup, subgroup), (subgroup, tsr.subgroup), (ours, homogeneous), (homogeneous, ours)):
+                assert all(b.contains(a.inclusion(x)) for x in a.group.gens()), mor.name
+            assert tsr.subgroup.group.ngens == subgroup.group.ngens
+            assert ours.group.canonical() == homogeneous.group.canonical()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_mod_two_reduction(self, n):
+        self.assert_matches_joint_system(build_subsets_instance(n).transformations["T"], 0)
+
+    def test_zero_map(self, bundle):
+        self.assert_matches_joint_system(zero_transformation(bundle.functors["F"], bundle.functors["F2"]), 0)
+
+    def test_grade_scaling(self):
+        psi = build_graded_instance(2).transformations["psi"]
+        for degree in feasible_degrees(psi.src):
+            self.assert_matches_joint_system(psi, degree)
 
 
 def with_zero_companions(tsr):
@@ -373,7 +403,7 @@ def zero_transformation(src, tgt):
 
 
 class TestCompanionCosets:
-    """Companions read from the joint system against a per-class system, at
+    """Companions read from the link map's kernel against a per-class system, at
     every base: under the mod-2 reduction T every class has one companion,
     under the zero map F -> F2 every d solves d o T = 0, and under the grade
     scaling psi some classes of negative degree have no companion."""
@@ -386,7 +416,7 @@ class TestCompanionCosets:
                 fresh, rhs = fresh_companions(tsr, cls)
                 u = fresh.solve_affine(rhs)
                 sols = tsr.companions(cls)
-                assert (u is None) == sols.is_empty
+                assert (u is None) == (sols.particular is None)
                 if u is not None:
                     expected = FamilyClass(transf.tgt, mor.name, degree, fresh.decode_unknowns(u))
                     assert sols.homogeneous.contains(target.encode(expected - sols.particular))
@@ -408,7 +438,7 @@ class TestCompanionCosets:
         for degree in feasible_degrees(psi.src):
             self.assert_cosets_agree(psi, degree)
         tsr = transfer_subgroup(psi, "0>0", -2)
-        assert any(tsr.companions(cls).is_empty for cls in tsr.source_result.decoded_gens())
+        assert any(tsr.companions(cls).particular is None for cls in tsr.source_result.decoded_gens())
 
 
 def generator_operations(functor):

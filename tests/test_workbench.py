@@ -11,12 +11,11 @@ from bivariant.workbench import (
     build_graded_instance,
     build_subsets_instance,
     bundle_to_json,
-    family_from_self_transformation,
     parse_instance,
     run_demo,
 )
 
-from oracles import rational_rank
+from oracles import family_from_self_transformation, rational_rank
 
 
 @pytest.fixture(scope="module")
