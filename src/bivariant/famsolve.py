@@ -223,7 +223,9 @@ def _path(functor: GradedFunctor, m: int, steps) -> GroupHom | None:
     (an absent component or an all-zero matrix) makes it so, and then
     nothing is multiplied; a factor with an identity matrix on one group is
     skipped.  Every adjacent pair must still meet in one group, as in
-    GroupHom composition.
+    GroupHom composition.  Default functor maps and the ends of absent
+    components come from the functor's tables, so the check builds no
+    identity or zero hom.
     """
     source_first, _ = _oriented(functor, steps, steps[::-1])
     factors = []
@@ -323,10 +325,16 @@ class FamilyClass:
         return self.functor.site
 
     def _component_ends(self, g: str, m: int):
-        """(source, target) groups of the component at (g, m)."""
-        site = self.site
-        apex = site.chosen_pullback(self.base, g).apex
-        return _ends(self.functor, site.src(g), apex, m, self.degree)
+        """(source, target) groups of the component at (g, m), from the
+        functor's table of component ends, filled on first use."""
+        key = (self.base, self.degree, g, m)
+        table = self.functor._component_ends
+        ends = table.get(key)
+        if ends is None:
+            site = self.site
+            apex = site.chosen_pullback(self.base, g).apex
+            ends = table[key] = _ends(self.functor, site.src(g), apex, m, self.degree)
+        return ends
 
     def component(self, g: str, m: int) -> GroupHom:
         """The stored component, or the zero hom where none is stored."""

@@ -436,6 +436,13 @@ class GradedFunctor:
     variance "cov": every *confined* f: X->Y gets f_*: F_m(X) -> F_m(Y).
     Groups outside the window are zero; maps involving a zero group default
     to the zero hom and identity morphisms default to the identity hom.
+
+    A functor is never written after construction, so it keeps two private
+    tables, filled on first use, bounded by the functor and freed with it:
+    the default maps it has built, apart from _maps, the maps it was given;
+    and the (source, target) groups of class components, which
+    famsolve.FamilyClass fills.  A map that raises is not stored, so it
+    raises again on the next call.
     """
 
     def __init__(self, site: Site, variance: str, window, groups, maps):
@@ -461,6 +468,8 @@ class GradedFunctor:
             if not (lo <= m <= hi):
                 raise SiteStructureError(f"functor map at grade {m} outside window")
             self._maps[(mor, m)] = hom_
+        self._default_maps = {}  # (mor, m) -> identity or zero hom
+        self._component_ends = {}  # (base, degree, g, m) -> (source, target)
 
     def grades(self):
         return range(self.window[0], self.window[1] + 1)
@@ -490,9 +499,17 @@ class GradedFunctor:
             raise NonConfinedError(
                 f"covariant functor has no pushforward along non-confined {mor}"
             )
-        stored = self._maps.get((mor, m))
-        if stored is not None:
-            return stored
+        key = (mor, m)
+        hom = self._maps.get(key)
+        if hom is None:
+            hom = self._default_maps.get(key)
+            if hom is None:
+                hom = self._default_maps[key] = self._default_map(mor, m)
+        return hom
+
+    def _default_map(self, mor: str, m: int) -> GroupHom:
+        """The identity or zero hom along mor; a map that has neither default
+        raises MissingMapError, on every call, since nothing is stored."""
         src, tgt = self._endpoints(mor, m)
         if self.site.is_identity(mor):
             return GroupHom.identity(src)
