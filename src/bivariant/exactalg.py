@@ -56,9 +56,7 @@ class IntMatrix:
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ShapeMismatchError("negative dimensions")
-        if len(self.entries) != self.rows or any(
-            len(r) != self.cols for r in self.entries
-        ):
+        if len(self.entries) != self.rows or any(map(self.cols.__ne__, map(len, self.entries))):
             raise ShapeMismatchError("entry count does not match rows x cols")
 
     @staticmethod
@@ -152,11 +150,7 @@ class IntMatrix:
         return IntMatrix(n, self.cols, self.entries[:n])
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            self.entries[i][j] == (1 if i == j else 0)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
+        return self.rows == self.cols and self.entries == _identity_rows(self.rows)
 
     def __str__(self):
         return "[" + "; ".join(" ".join(str(a) for a in r) for r in self.entries) + "]"
@@ -164,6 +158,12 @@ class IntMatrix:
 
 # ---------------------------------------------------------------------------
 # Smith normal form
+
+
+@lru_cache(maxsize=64)
+def _identity_rows(n: int) -> tuple:
+    """The entries of the n x n identity matrix."""
+    return IntMatrix.identity(n).entries
 
 
 @dataclass(frozen=True)
@@ -606,6 +606,8 @@ class GroupHom:
         column difference reduces to zero in tgt.  Builds no difference hom."""
         reduce = self.tgt.reduce
         a, b = self.mat.entries, other.mat.entries
+        if a == b:
+            return True
         for j in range(self.src.ngens):
             if any(reduce([ra[j] - rb[j] for ra, rb in zip(a, b)])):
                 return False

@@ -26,11 +26,22 @@ A class stores its components in a dict, and an absent key reads as the
 zero hom.  The results of the operations (product, pushforward, pullback,
 transport) store only their nonzero components; decoded generators store
 every component of the solution, zero ones included.
+
+Each operation, and the compatibility check of a class, runs through a plan
+kept in the functor's table of plans (GradedFunctor._plans), built on first
+use and keyed by the operation, its operands' bases and degrees and its
+morphism arguments.  A plan lists, per output key and grade, the factors of
+the composite from the source side on: functor maps, resolved once, and
+slots naming an operand's component with the ends it must have.  Building
+it checks that adjacent factors meet in one group, drops identity maps and
+marks a composite that a zero map kills; running it only fetches the
+operands' components, checks their ends against the slots, and multiplies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .bivcore import (
     DegreeWindowError,
@@ -42,6 +53,7 @@ from .exactalg import (
     FgAbGroup,
     GroupElement,
     GroupHom,
+    HomGroup,
     IntMatrix,
     MembershipError,
     ShapeMismatchError,
@@ -87,7 +99,10 @@ class FamilySolution:
 
     def __init__(self, summands, constraints):
         self.summands = [s for s in summands if not hom_group(s.src, s.tgt).group.is_trivial]
-        self.hom_groups = [hom_group(s.src, s.tgt) for s in self.summands]
+        # each codec runs between its summand's own groups, not the equal
+        # copies that hom_group's cache may hold, so that decoded components
+        # share the functor's group objects
+        self.hom_groups = [_between(hom_group(s.src, s.tgt), s.src, s.tgt) for s in self.summands]
         self._pos = {s.key: idx for idx, s in enumerate(self.summands)}
         self.unknowns = direct_sum([hg.group for hg in self.hom_groups])
 
@@ -160,6 +175,13 @@ class FamilySolution:
         return hom_preimage(self.constraint_hom, self.constraint_rhs(rhs))
 
 
+def _between(hg: HomGroup, src: FgAbGroup, tgt: FgAbGroup) -> HomGroup:
+    """The codec hg of Hom(src, tgt), on these very group objects."""
+    if hg.src is src and hg.tgt is tgt:
+        return hg
+    return HomGroup(src, tgt, hg.group, hg.summands)
+
+
 def _sum_element(group: FgAbGroup, specs, hom_groups, homs) -> GroupElement:
     """The element of a direct sum of Hom groups whose part at spec.key encodes
     homs[spec.key], zero where homs has no entry; reduced once, as a whole."""
@@ -211,66 +233,165 @@ def _ends(functor: GradedFunctor, leg_obj: str, apex_obj: str, m: int, degree: i
     return _oriented(functor, functor.group(leg_obj, leg), functor.group(apex_obj, apex))
 
 
-def _path(functor: GradedFunctor, m: int, steps) -> GroupHom | None:
-    """Compose steps listed from the leg side of a component to its apex side.
+def _is_zero(hom: GroupHom) -> bool:
+    """Whether hom is the zero hom: each column reduces to zero in its target."""
+    reduce = hom.tgt.reduce
+    return not any(any(reduce(col)) for col in zip(*hom.mat.entries))
 
-    A step is a morphism, acting through the functor, or a (class, key
-    morphism) pair naming one component.  The maps are applied from the
-    source side on; m is the grade there, and each component shifts it by
-    its class's degree.
 
-    Returns None when the composite matrix is zero.  A factor that is zero
-    (an absent component or an all-zero matrix) makes it so, and then
-    nothing is multiplied; a factor with an identity matrix on one group is
-    skipped.  Every adjacent pair must still meet in one group, as in
-    GroupHom composition.  Default functor maps and the ends of absent
-    components come from the functor's tables, so the check builds no
-    identity or zero hom.
+# ---------------------------------------------------------------------------
+# plans of composites
+
+
+def _plan_path(functor: GradedFunctor, m: int, steps, operands):
+    """The plan of one composite, steps listed from the leg side of a
+    component to its apex side.
+
+    A step is a morphism, acting through the functor, or an (operand index,
+    key morphism) pair naming one component of operands[index].  The maps
+    apply from the source side on; m is the grade there, and each component
+    shifts it by its operand's degree.
+
+    Returns (factors, dead, ends).  factors lists, source side first, the
+    functor maps, resolved here, and one slot (operand index, key morphism,
+    grade, source, target, whether source == target) per component, its
+    ends read from the functor's table.  Every adjacent pair must meet in
+    one group, as in GroupHom composition; that is checked here, once.  An
+    identity map is dropped, unless nothing else is left to multiply.  A
+    zero map makes the composite dead: only its slots are kept, so that
+    running it still checks the ends of stored components.  ends are the
+    composite's source and target.
     """
     source_first, _ = _oriented(functor, steps, steps[::-1])
     factors = []
-    zero = False
-    skipped = tgt = None
+    dead = False
+    identity = src = tgt = None
     for step in source_first:
         if isinstance(step, str):
             hom = functor.map(step, m)
             ends = hom.src, hom.tgt
+            if not any(map(any, hom.mat.entries)):
+                dead = True
+            elif ends[0] == ends[1] and hom.mat.is_identity():
+                identity = hom
+            else:
+                factors.append(hom)
         else:
-            cls, g = step
-            hom = cls.components.get((g, m))
-            ends = cls._component_ends(g, m) if hom is None else (hom.src, hom.tgt)
+            index, g = step
+            cls = operands[index]
+            ends = cls._component_ends(g, m)
+            factors.append((index, g, m, *ends, ends[0] == ends[1]))
             m += _shift(functor, cls.degree)
-        if tgt is not None and ends[0] != tgt:
+        if tgt is None:
+            src = ends[0]
+        elif ends[0] != tgt:
             raise ShapeMismatchError("middle groups disagree in composition")
         tgt = ends[1]
+    if dead:
+        factors = [f for f in factors if type(f) is tuple]
+    elif not factors and identity is not None:
+        factors = [identity]  # every factor is the identity of one group
+    return tuple(factors), dead, (src, tgt)
+
+
+def _run(factors, zero: bool, operands) -> GroupHom | None:
+    """The composite that a plan path's factors name over the operands, or
+    None when its matrix is zero; zero is whether the plan marked it dead.
+
+    Each stored component must have its slot's ends, or ShapeMismatchError
+    is raised, also in a composite that a zero factor kills.  An absent or
+    all-zero component makes the composite zero, and then nothing is
+    multiplied; a component with an identity matrix on one group is skipped.
+    """
+    homs = []
+    skipped = None
+    for factor in factors:
+        if type(factor) is not tuple:
+            homs.append(factor)
+            continue
+        index, g, m, src, tgt, endo = factor
+        hom = operands[index].components.get((g, m))
+        if hom is None:
+            zero = True
+            continue
+        if (hom.src is not src and hom.src != src) or (hom.tgt is not tgt and hom.tgt != tgt):
+            raise ShapeMismatchError("middle groups disagree in composition")
         if zero:
             continue
-        if hom is None or not any(map(any, hom.mat.entries)):
+        if not any(map(any, hom.mat.entries)):
             zero = True
-        elif ends[0] == ends[1] and hom.mat.is_identity():
+        elif endo and hom.mat.is_identity():
             skipped = hom
         else:
-            factors.append(hom)
+            homs.append(hom)
     if zero:
         return None
-    if not factors:
-        return skipped  # every factor is the identity of one group
-    acc = factors[0]
-    for hom in factors[1:]:
-        acc = hom @ acc
-    return acc if any(map(any, acc.mat.entries)) else None
+    if not homs:
+        return skipped  # every component is the identity of one group
+    if len(homs) == 1:
+        return homs[0]
+    mat = homs[0].mat
+    for hom in homs[1:]:
+        mat = hom.mat @ mat
+    if not any(map(any, mat.entries)):
+        return None
+    return GroupHom(homs[0].src, homs[-1].tgt, mat)
 
 
-def _nonzero_components(functor: GradedFunctor, steps_by_key) -> dict:
-    """{(key, m): _path over the key's steps in grade m}, kept only where the
-    composite is nonzero."""
+def _path(functor: GradedFunctor, m: int, steps) -> GroupHom | None:
+    """Compose steps listed from the leg side of a component to its apex
+    side, as _plan_path reads them but with (class, key morphism) pairs for
+    components, through a plan built for this one call and not kept.
+
+    Returns None when the composite is zero.  Class operations do not come
+    here: they run the plans kept in the functor's table.
+    """
+    operands, indexed = [], []
+    for step in steps:
+        if isinstance(step, str):
+            indexed.append(step)
+        else:
+            indexed.append((len(operands), step[1]))
+            operands.append(step[0])
+    factors, dead, _ = _plan_path(functor, m, indexed, operands)
+    return _run(factors, dead, operands)
+
+
+def _plan(functor: GradedFunctor, key, build):
+    """The plan under key in the functor's table, build() on first use; a
+    build that raises stores nothing, so it raises again on the next call."""
+    plan = functor._plans.get(key)
+    if plan is None:
+        plan = functor._plans[key] = build()
+    return plan
+
+
+def _planned(key, steps, *operands) -> "FamilyClass":
+    """The class that an operation computes from its operands.
+
+    steps() gives the result's base and degree and, per output key, the
+    steps of its composite, with operands named by index; it runs only when
+    the functor's table has no plan under key yet.  Only nonzero components
+    are stored.
+    """
+    functor = operands[0].functor
+
+    def build():
+        base, degree, steps_by_key = steps()
+        paths = []
+        for out, path in steps_by_key.items():
+            for m in functor.grades():
+                factors, dead, _ = _plan_path(functor, m, path, operands)
+                paths.append((out, m, factors, dead))
+        return base, degree, tuple(paths)
+
+    base, degree, paths = _plan(functor, key, build)
     comps = {}
-    for key, steps in steps_by_key.items():
-        for m in functor.grades():
-            hom = _path(functor, m, steps)
-            if hom is not None:
-                comps[(key, m)] = hom
-    return comps
+    for out, m, factors, dead in paths:
+        hom = _run(factors, dead, operands)
+        if hom is not None:
+            comps[(out, m)] = hom
+    return FamilyClass(functor, base, degree, comps)
 
 
 def _squares(functor: GradedFunctor, base: str):
@@ -345,57 +466,109 @@ class FamilyClass:
 
     def _keys(self):
         site = self.site
-        for g in site.morphisms_into(site.tgt(self.base)):
-            for m in self.functor.grades():
-                yield (g, m)
+        return product(site.morphisms_into(site.tgt(self.base)), self.functor.grades())
 
     def _same_context(self, other: "FamilyClass") -> bool:
+        """Whether other lies over the same base and degree, with its
+        components in the same Hom groups: over the same functor, or over an
+        equal copy of it, with the same site, variance and window and the
+        same ends at every component."""
+        if self.base != other.base or self.degree != other.degree:
+            return False
+        mine, theirs = self.functor, other.functor
+        if mine is theirs:
+            return True
         return (
             self.site is other.site
-            and self.functor.variance == other.functor.variance
-            and self.functor.window == other.functor.window
-            and self.base == other.base
-            and self.degree == other.degree
+            and mine.variance == theirs.variance
+            and mine.window == theirs.window
+            and all(self._component_ends(*key) == other._component_ends(*key) for key in self._keys())
         )
 
     def _compatible(self, other: "FamilyClass"):
         if not self._same_context(other):
             raise ValueError("classes live over different data")
 
+    def _checked(self, key, hom: GroupHom) -> GroupHom:
+        """hom, stored at key, after checking that it has the component's ends."""
+        if (hom.src, hom.tgt) != self._component_ends(*key):
+            raise ShapeMismatchError("hom addition needs equal src and tgt")
+        return hom
+
     def __eq__(self, other):
+        """Equal components at every key; a component stored on one side only
+        must have the component's ends and vanish."""
         if not isinstance(other, FamilyClass):
             return NotImplemented
         if not self._same_context(other):
             return False
-        stored = self.components.keys() | other.components.keys()
-        return all(self.component(*key) == other.component(*key) for key in self._keys() if key in stored)
+        mine, theirs = self.components, other.components
+        for key in self._keys():
+            a, b = mine.get(key), theirs.get(key)
+            if a is None and b is None:
+                continue
+            if a is not None and b is not None:
+                if a != b:
+                    return False
+                continue
+            one = a if b is None else b
+            if (one.src, one.tgt) != self._component_ends(*key) or not _is_zero(one):
+                return False
+        return True
 
     def __add__(self, other: "FamilyClass") -> "FamilyClass":
+        """The sum over the keys stored on either side."""
         self._compatible(other)
-        comps = {k: self.component(*k) + other.component(*k) for k in self._keys()}
+        mine, theirs = self.components, other.components
+        comps = {}
+        for key in self._keys():
+            a, b = mine.get(key), theirs.get(key)
+            if a is not None and b is not None:
+                comps[key] = a + b
+            elif a is not None or b is not None:
+                comps[key] = self._checked(key, b if a is None else a)
         return FamilyClass(self.functor, self.base, self.degree, comps)
 
     def __neg__(self) -> "FamilyClass":
-        return FamilyClass(self.functor, self.base, self.degree, {k: -self.component(*k) for k in self._keys()})
+        comps = {key: -self.components[key] for key in self._keys() if key in self.components}
+        return FamilyClass(self.functor, self.base, self.degree, comps)
 
     def __sub__(self, other: "FamilyClass") -> "FamilyClass":
         return self + (-other)
 
+    def _compatibility_plan(self):
+        """Per compatibility square and grade, (g, k, m, lhs factors, lhs
+        dead, rhs factors, rhs dead): the plan paths of its two sides,
+        checked to run between the square's ends."""
+        functor, site = self.functor, self.site
+        paths = []
+        for g, k, w, gk in _squares(functor, self.base):
+            apex = site.chosen_pullback(self.base, g).apex
+            for m in functor.grades():
+                ends = _ends(functor, site.src(k), apex, m, self.degree)
+                lhs, lhs_dead, lhs_ends = _plan_path(functor, m, [(0, gk), w], (self,))
+                rhs, rhs_dead, rhs_ends = _plan_path(functor, m, [k, (0, g)], (self,))
+                if lhs_ends != ends or rhs_ends != ends:
+                    raise ShapeMismatchError("homs with different src/tgt")
+                paths.append((g, k, m, lhs, lhs_dead, rhs, rhs_dead))
+        return tuple(paths)
+
     def compatibility_report(self) -> ValidationReport:
         rb = ReportBuilder()
         kind, message, leg = _COMPATIBILITY[self.functor.variance]
-        site = self.site
-        for g, k, w, gk in _squares(self.functor, self.base):
-            apex = site.chosen_pullback(self.base, g).apex
-            for m in self.functor.grades():
-                lhs = _path(self.functor, m, [(self, gk), w])
-                rhs = _path(self.functor, m, [k, (self, g)])
-                if lhs is None and rhs is None:
-                    continue
-                # a zero side is the zero hom between the ends of the square
-                zero = GroupHom.zero(*_ends(self.functor, site.src(k), apex, m, self.degree))
-                if not (lhs or zero).equals(rhs or zero):
-                    rb.add(kind, message, g=g, grade=m, **{leg: k})
+        plan = _plan(self.functor, ("compatibility", self.base, self.degree), self._compatibility_plan)
+        operands = (self,)
+        for g, k, m, lhs_factors, lhs_dead, rhs_factors, rhs_dead in plan:
+            lhs, rhs = _run(lhs_factors, lhs_dead, operands), _run(rhs_factors, rhs_dead, operands)
+            if lhs is None and rhs is None:
+                continue
+            # a zero side is the zero hom between the ends of the square
+            if lhs is None or rhs is None:
+                same = _is_zero(rhs if lhs is None else lhs)
+            else:
+                same = lhs.equals(rhs)
+            if not same:
+                rb.add(kind, message, g=g, grade=m, **{leg: k})
         return rb.done()
 
 
@@ -418,8 +591,9 @@ class FamilyGroup:
     def encode(self, cls: FamilyClass) -> GroupElement:
         if not isinstance(cls, FamilyClass):
             raise TypeError("only additive classes encode; map families are not classes")
-        comps = {key: cls.component(*key) for key in (s.key for s in self.solution.summands)}
-        return self.solution.encode(comps)
+        # _sum_element encodes an absent key as zero, and a stored one through
+        # its Hom group, which checks the component's ends
+        return self.solution.encode(cls.components)
 
     def decoded_gens(self) -> list[FamilyClass]:
         return [self.decode(e) for e in self.group.gens()]
@@ -464,16 +638,20 @@ def family_unit(functor: GradedFunctor, obj: str) -> FamilyClass:
 
 def family_product(c: FamilyClass, d: FamilyClass) -> FamilyClass:
     """(c.d)_h: d_h, then c over the pulled-back base, then the paste comparison."""
-    if c.site is not d.site or c.functor.window != d.functor.window:
+    if c.functor is not d.functor:
         raise ValueError("classes over different functors")
-    functor, site = c.functor, c.site
-    degree = c.degree + d.degree
-    check_degree(functor, degree)
-    steps = {}
-    for h in site.morphisms_into(site.tgt(d.base)):
-        paste = site.tower_paste(c.base, d.base, h)
-        steps[h] = [(d, h), (c, paste.first.top), paste.to_direct]
-    return FamilyClass(functor, site.compose(d.base, c.base), degree, _nonzero_components(functor, steps))
+
+    def steps():
+        functor, site = c.functor, c.site
+        degree = c.degree + d.degree
+        check_degree(functor, degree)
+        by_key = {}
+        for h in site.morphisms_into(site.tgt(d.base)):
+            paste = site.tower_paste(c.base, d.base, h)
+            by_key[h] = [(1, h), (0, paste.first.top), paste.to_direct]
+        return site.compose(d.base, c.base), degree, by_key
+
+    return _planned(("product", c.base, c.degree, d.base, d.degree), steps, c, d)
 
 
 def family_pushforward(c: FamilyClass, f: str, rest: str) -> FamilyClass:
@@ -481,28 +659,36 @@ def family_pushforward(c: FamilyClass, f: str, rest: str) -> FamilyClass:
 
     Needs a confined f for a covariant functor only.
     """
-    functor, site = c.functor, c.site
-    if not functor.acts_along(f):
-        raise NonConfinedError(f"pushforward along non-confined morphism {f}")
-    if site.compose(rest, f) != c.base:
-        raise ValueError("base morphism does not factor as rest o f")
-    steps = {}
-    for h in site.morphisms_into(site.tgt(rest)):
-        paste = site.tower_paste(f, rest, h)
-        steps[h] = [(c, h), paste.to_pasted, paste.second.left]
-    return FamilyClass(functor, rest, c.degree, _nonzero_components(functor, steps))
+
+    def steps():
+        functor, site = c.functor, c.site
+        if not functor.acts_along(f):
+            raise NonConfinedError(f"pushforward along non-confined morphism {f}")
+        if site.compose(rest, f) != c.base:
+            raise ValueError("base morphism does not factor as rest o f")
+        by_key = {}
+        for h in site.morphisms_into(site.tgt(rest)):
+            paste = site.tower_paste(f, rest, h)
+            by_key[h] = [(0, h), paste.to_pasted, paste.second.left]
+        return rest, c.degree, by_key
+
+    return _planned(("pushforward", c.base, c.degree, f, rest), steps, c)
 
 
 def family_pullback(c: FamilyClass, g: str) -> FamilyClass:
     """(g^* c)_k := c_(g o k), transported to the pasted apex."""
-    functor, site = c.functor, c.site
-    if site.tgt(g) != site.tgt(c.base):
-        raise ValueError(f"{g} is not a morphism into the base target")
-    steps = {
-        k: [(c, site.compose(g, k)), site.cospan_paste(c.base, g, k).to_pasted]
-        for k in site.morphisms_into(site.src(g))
-    }
-    return FamilyClass(functor, site.chosen_pullback(c.base, g).left, c.degree, _nonzero_components(functor, steps))
+
+    def steps():
+        site = c.site
+        if site.tgt(g) != site.tgt(c.base):
+            raise ValueError(f"{g} is not a morphism into the base target")
+        by_key = {
+            k: [(0, site.compose(g, k)), site.cospan_paste(c.base, g, k).to_pasted]
+            for k in site.morphisms_into(site.src(g))
+        }
+        return site.chosen_pullback(c.base, g).left, c.degree, by_key
+
+    return _planned(("pullback", c.base, c.degree, g), steps, c)
 
 
 def family_transport(cls: FamilyClass, new_base: str, iso: str) -> FamilyClass:
@@ -512,23 +698,27 @@ def family_transport(cls: FamilyClass, new_base: str, iso: str) -> FamilyClass:
     every component is composed with the canonical apex comparison on its
     apex side, which must be confined for a covariant functor to act.
     """
-    functor, site = cls.functor, cls.site
-    if site.compose(cls.base, iso) != new_base:
-        raise ValueError("iso does not relate the two base morphisms")
-    iso_inv = site.inverse_of(iso)
-    steps = {}
-    for k in site.morphisms_into(site.tgt(new_base)):
-        sq_new = site.chosen_pullback(new_base, k)
-        sq_old = site.chosen_pullback(cls.base, k)
-        v_inv = site._mediator(
-            sq_old.apex,
-            [
-                (sq_new.top, site.compose(iso_inv, sq_old.top), sq_new.apex),
-                (sq_new.left, sq_old.left, sq_new.apex),
-            ],
-        )
-        steps[k] = [(cls, k), v_inv]
-    return FamilyClass(functor, new_base, cls.degree, _nonzero_components(functor, steps))
+
+    def steps():
+        site = cls.site
+        if site.compose(cls.base, iso) != new_base:
+            raise ValueError("iso does not relate the two base morphisms")
+        iso_inv = site.inverse_of(iso)
+        by_key = {}
+        for k in site.morphisms_into(site.tgt(new_base)):
+            sq_new = site.chosen_pullback(new_base, k)
+            sq_old = site.chosen_pullback(cls.base, k)
+            v_inv = site._mediator(
+                sq_old.apex,
+                [
+                    (sq_new.top, site.compose(iso_inv, sq_old.top), sq_new.apex),
+                    (sq_new.left, sq_old.left, sq_new.apex),
+                ],
+            )
+            by_key[k] = [(0, k), v_inv]
+        return new_base, cls.degree, by_key
+
+    return _planned(("transport", cls.base, cls.degree, new_base, iso), steps, cls)
 
 
 class FamilyTheory:

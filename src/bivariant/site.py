@@ -437,12 +437,14 @@ class GradedFunctor:
     Groups outside the window are zero; maps involving a zero group default
     to the zero hom and identity morphisms default to the identity hom.
 
-    A functor is never written after construction, so it keeps two private
-    tables, filled on first use, bounded by the functor and freed with it:
-    the default maps it has built, apart from _maps, the maps it was given;
-    and the (source, target) groups of class components, which
-    famsolve.FamilyClass fills.  A map that raises is not stored, so it
-    raises again on the next call.
+    A functor is never written after construction, so it keeps three
+    private tables, filled on first use, bounded by the functor and freed
+    with it: the default maps it has built, apart from _maps, the maps it
+    was given; the (source, target) groups of class components, which
+    famsolve.FamilyClass fills; and the plans of the class operations and
+    compatibility checks over it, which famsolve builds (see there).  A map
+    or a plan that raises is not stored, so it raises again on the next
+    call.
     """
 
     def __init__(self, site: Site, variance: str, window, groups, maps):
@@ -470,6 +472,7 @@ class GradedFunctor:
             self._maps[(mor, m)] = hom_
         self._default_maps = {}  # (mor, m) -> identity or zero hom
         self._component_ends = {}  # (base, degree, g, m) -> (source, target)
+        self._plans = {}  # (operation, operand bases and degrees, morphisms) -> plan
 
     def grades(self):
         return range(self.window[0], self.window[1] + 1)

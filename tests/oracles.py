@@ -6,11 +6,13 @@ them share code with the Smith-normal-form path they verify.  The
 direct-sum injections and projections build the reference constraint map
 that the assembled one is checked against; hom_difference_is_zero is the
 reference for hom equality; dense_path is the reference for composing a
-class's components; identities_confined gives a site the smallest
-confined class its axioms allow; joint_transfer_reference solves a
-transfer as one constraint system in the pairs (c, d), with no link map on
-solved groups.  The last two helpers read membership and build a class in
-ways only the tests need.
+class's components, and the dense_* operations rebuild each class
+operation's composites from the site's pastes, by the formulas of the
+operation docstrings, with dense_path; identities_confined gives a site
+the smallest confined class its axioms allow; joint_transfer_reference
+solves a transfer as one constraint system in the pairs (c, d), with no
+link map on solved groups.  The last two helpers read membership and build
+a class in ways only the tests need.
 """
 
 from itertools import combinations, product
@@ -223,6 +225,64 @@ def dense_path(functor, m, steps):
             m += -cls.degree if cov else cls.degree
         acc = hom if acc is None else hom @ acc
     return acc
+
+
+def dense_class(functor, base, degree, steps_by_key):
+    """The class whose component at (key, m) is dense_path over the key's
+    steps in grade m, zero components included."""
+    comps = {(key, m): dense_path(functor, m, steps) for key, steps in steps_by_key.items() for m in functor.grades()}
+    return FamilyClass(functor, base, degree, comps)
+
+
+def dense_product(c, d):
+    """(c.d)_h: d_h, then c over the pulled-back base, then the paste
+    comparison to_direct of the tower paste of (c.base, d.base, h)."""
+    site = c.site
+    steps = {}
+    for h in site.morphisms_into(site.tgt(d.base)):
+        paste = site.tower_paste(c.base, d.base, h)
+        steps[h] = [(d, h), (c, paste.first.top), paste.to_direct]
+    return dense_class(c.functor, site.compose(d.base, c.base), c.degree + d.degree, steps)
+
+
+def dense_pushforward(c, f, rest):
+    """(f_* c)_h: c_h, then the paste comparison to_pasted of the tower paste
+    of (f, rest, h) and the base change f' of f."""
+    site = c.site
+    steps = {}
+    for h in site.morphisms_into(site.tgt(rest)):
+        paste = site.tower_paste(f, rest, h)
+        steps[h] = [(c, h), paste.to_pasted, paste.second.left]
+    return dense_class(c.functor, rest, c.degree, steps)
+
+
+def dense_pullback(c, g):
+    """(g^* c)_k: c_(g o k), then the paste comparison to_pasted of the
+    cospan paste of (c.base, g, k)."""
+    site = c.site
+    steps = {
+        k: [(c, site.compose(g, k)), site.cospan_paste(c.base, g, k).to_pasted] for k in site.morphisms_into(site.src(g))
+    }
+    return dense_class(c.functor, site.chosen_pullback(c.base, g).left, c.degree, steps)
+
+
+def dense_transport(cls, new_base, iso):
+    """The class moved along iso: src(new_base) -> src(cls.base): c_k, then
+    the one map from the apex over k of cls.base to the apex over k of
+    new_base that matches iso^-1 on the top legs and is the identity on the
+    left legs."""
+    site = cls.site
+    iso_inv = site.inverse_of(iso)
+    steps = {}
+    for k in site.morphisms_into(site.tgt(new_base)):
+        new, old = site.chosen_pullback(new_base, k), site.chosen_pullback(cls.base, k)
+        (v_inv,) = [
+            u
+            for u in site.hom(old.apex, new.apex)
+            if site.compose(new.top, u) == site.compose(iso_inv, old.top) and site.compose(new.left, u) == old.left
+        ]
+        steps[k] = [(cls, k), v_inv]
+    return dense_class(cls.functor, new_base, cls.degree, steps)
 
 
 def identities_confined(site):

@@ -36,15 +36,31 @@ from bivariant.famsolve import (
     SummandSpec,
     TermSpec,
     family_group,
+    family_product,
+    family_pullback,
+    family_pushforward,
+    family_transport,
+    family_unit,
     feasible_degrees,
 )
 from bivariant.operational import op_image_transfer, verify_op_axioms, verify_point_isomorphism
 from bivariant.site import GradedFunctor, NaturalTransf
 from bivariant.workbench import build_graded_instance, build_subsets_instance, load_instance, reduction_transformation
 
-from oracles import dense_path, injections, is_zero_matrix, joint_transfer_reference, projections
+from oracles import (
+    dense_path,
+    dense_product,
+    dense_pullback,
+    dense_pushforward,
+    dense_transport,
+    injections,
+    is_zero_matrix,
+    joint_transfer_reference,
+    projections,
+)
 from test_cli import TERMINAL
 from test_nonposet_and_degrees import flip_site, swap_homology, swap_presheaf
+from test_site import parsed_subsets
 
 
 @pytest.fixture(scope="module")
@@ -375,6 +391,61 @@ class TestFamilyClassEquality:
         assert copy is not F
         assert coop_unit(F, "0") == coop_unit(copy, "0")
 
+    def test_classes_over_functors_with_different_groups_are_unequal_with_no_component_stored(self):
+        # F(01) is Z^2 and F2(01) is (Z/2)^2; neither class stores a component
+        bundle = build_subsets_instance(2)
+        assert FamilyClass(bundle.functors["F"], "01>01", 0) != FamilyClass(bundle.functors["F2"], "01>01", 0)
+
+    def test_classes_over_different_functors_do_not_combine(self):
+        bundle = build_subsets_instance(2)
+        F = bundle.functors["F"]
+        copy = GradedFunctor(F.site, F.variance, F.window, F._groups, F._maps)
+        unit, unit2, unit_copy = (coop_unit(f, "01") for f in (F, bundle.functors["F2"], copy))
+        for other in (unit2, unit_copy):
+            with pytest.raises(ValueError, match="classes over different functors"):
+                family_product(unit, other)
+        with pytest.raises(ValueError, match="classes live over different data"):
+            unit + unit2
+        assert unit + unit_copy == unit + unit
+
+
+def count_homs(monkeypatch):
+    """Every GroupHom built, recorded as its well-definedness check runs."""
+    built = []
+    original = GroupHom.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(GroupHom, "__post_init__", counted)
+    return built
+
+
+class TestArithmeticOnStoredComponents:
+    """Sums, negatives and encodings read the stored components only, and
+    build no zero hom for a key that neither side stores."""
+
+    def test_sum_negative_and_encoding_build_no_zero_hom(self, bundle, monkeypatch):
+        F = bundle.functors["F"]
+        result = family_group(F, "01>01", 0)
+        full = result.decoded_gens()[0]
+        keys = sorted(full.components)
+        assert len(keys) == 3
+        a = FamilyClass(F, "01>01", 0, {key: full.components[key] for key in keys[:2]})
+        b = FamilyClass(F, "01>01", 0, {key: full.components[key] for key in keys[1:]})
+        built = count_homs(monkeypatch)
+        negative = -a
+        assert len(built) == len(a.components) and set(negative.components) == set(a.components)
+        total = a + b
+        assert len(built) == len(a.components) + 1 and set(total.components) == set(keys)
+        del built[:]
+        assert result.encode(total - b) == result.encode(a)
+        assert len(built) == 4  # -b, the two shared keys of a + (-b); encoding builds none
+        del built[:]
+        assert result.encode(full) == result.group.gens()[0]
+        assert built == []
+
 
 def fresh_companions(tsr, cls):
     """The companion system solved from scratch for one class: coop(G)'s
@@ -464,11 +535,18 @@ def generator_operations(functor):
                     yield famsolve.family_pullback, (a, g)
 
 
-def dense_twin(monkeypatch, operation, *args):
-    """operation(*args) with every component composed by dense_path and kept."""
-    with monkeypatch.context() as patched:
-        patched.setattr(famsolve, "_path", dense_path)
-        return operation(*args)
+DENSE_TWINS = {
+    famsolve.family_product: dense_product,
+    famsolve.family_pushforward: dense_pushforward,
+    famsolve.family_pullback: dense_pullback,
+    famsolve.family_transport: dense_transport,
+}
+
+
+def dense_twin(operation, *args):
+    """operation(*args) rebuilt by the oracle, with every component composed
+    by dense_path and kept."""
+    return DENSE_TWINS[operation](*args)
 
 
 def assert_matches_dense(result, dense):
@@ -494,11 +572,11 @@ class TestSparseComposition:
     composite that dense_path builds factor by factor."""
 
     @pytest.mark.parametrize("name", sorted(SPARSE_CASES))
-    def test_operations_on_generators_match_the_dense_composite(self, monkeypatch, name):
+    def test_operations_on_generators_match_the_dense_composite(self, name):
         functor = SPARSE_CASES[name]()
         count = 0
         for operation, args in generator_operations(functor):
-            assert_matches_dense(operation(*args), dense_twin(monkeypatch, operation, *args))
+            assert_matches_dense(operation(*args), dense_twin(operation, *args))
             count += 1
         assert count
 
@@ -509,7 +587,7 @@ class TestSparseComposition:
 
         def transport(cls, new_base, iso):
             result = original(cls, new_base, iso)
-            assert_matches_dense(result, dense_twin(monkeypatch, original, cls, new_base, iso))
+            assert_matches_dense(result, dense_twin(original, cls, new_base, iso))
             checked.append(new_base)
             return result
 
@@ -586,3 +664,99 @@ class TestAxiomMemo:
         assert seen and not repeated
         assert {key[1] for key in seen} == {"family_product", "family_pushforward", "family_pullback"}
         assert all(ref() is None for ref in results)
+
+
+def count_plans(monkeypatch):
+    """The key of every plan built."""
+    built = []
+    original = famsolve._plan
+
+    def counted(functor, key, build):
+        def recorded():
+            built.append(key)
+            return build()
+
+        return original(functor, key, recorded)
+
+    monkeypatch.setattr(famsolve, "_plan", counted)
+    return built
+
+
+def functor_copy(name):
+    """A fresh functor from the data of subsets(2)'s functor of that name."""
+    source = parsed_subsets(2).functors[name]
+    return GradedFunctor(source.site, source.variance, source.window, source._groups, source._maps)
+
+
+class TestPlanTable:
+    """Each functor plans a class operation once per key, on first use, in a
+    table of its own that dies with it, and running a plan still rejects a
+    stored component with the wrong ends."""
+
+    @pytest.mark.parametrize("name, verify", [("F", verify_coop_axioms), ("h", verify_op_axioms)])
+    def test_each_plan_is_built_once_per_key(self, monkeypatch, name, verify):
+        built = count_plans(monkeypatch)
+        functor = parsed_subsets(2).functors[name]
+        maps = dict(functor._maps)
+        assert functor._plans == {}
+        assert verify(functor).ok
+        assert built and len(built) == len(set(built)) and set(built) == set(functor._plans)
+        assert {key[0] for key in built} == {"product", "pushforward", "pullback"}
+        assert dict(functor._maps) == maps
+
+    def test_functors_built_from_the_same_data_share_no_table(self):
+        a, b = functor_copy("F"), functor_copy("F")
+        assert a._plans is not b._plans
+        family_pullback(FamilyClass(a, "0>01", 0), "01>01")
+        assert list(a._plans) == [("pullback", "0>01", 0, "01>01")] and b._plans == {}
+        family_pullback(FamilyClass(b, "0>01", 0), "01>01")
+        key = ("pullback", "0>01", 0, "01>01")
+        assert list(b._plans) == [key]
+        assert a._plans[key] == b._plans[key] and a._plans[key] is not b._plans[key]
+
+    def test_a_functor_dies_after_its_last_use_plans_included(self):
+        functor = functor_copy("F")
+        assert verify_coop_axioms(functor).ok
+        assert functor._plans
+        for gen in family_group(functor, "0>01", 0).decoded_gens():
+            assert gen.compatibility_report().ok
+        assert ("compatibility", "0>01", 0) in functor._plans
+        ref = weakref.ref(functor)
+        del functor, gen
+        assert ref() is None
+
+    def assert_each_ill_typed_key_raises(self, functor, base, keys, call):
+        """call(cls) raises ShapeMismatchError for a class over base that
+        stores one component, at any of keys, on a group of the wrong ends."""
+        stray = GroupHom.identity(FgAbGroup.from_invariants(0, (7,)))
+        assert keys
+        for key in keys:
+            with pytest.raises(ShapeMismatchError):
+                call(FamilyClass(functor, base, 0, {key: stray}))
+
+    def test_an_ill_typed_component_raises_through_every_operation(self):
+        F = functor_copy("F")
+        site = F.site
+        every = [(g, m) for g in site.morphisms_into("01") for m in F.grades()]  # each key over 0>01
+        unit = family_unit(F, "0")
+        self.assert_each_ill_typed_key_raises(F, "0>01", every, lambda d: family_product(unit, d))
+        read_by_product = [(site.tower_paste("0>0", "0>01", h).first.top, 0) for h in site.morphisms_into("01")]
+        d = FamilyClass(F, "0>01", 0)  # every component of d absent: each composite is zero
+        self.assert_each_ill_typed_key_raises(F, "0>0", read_by_product, lambda c: family_product(c, d))
+        self.assert_each_ill_typed_key_raises(F, "0>01", every, lambda c: family_pushforward(c, "0>0", "0>01"))
+        self.assert_each_ill_typed_key_raises(F, "0>01", every, lambda c: family_transport(c, "0>01", "0>0"))
+        self.assert_each_ill_typed_key_raises(F, "0>01", every, lambda c: c.compatibility_report())
+        for g in site.morphisms_into("01"):
+            keys = [(site.compose(g, k), 0) for k in site.morphisms_into(site.src(g))]
+            self.assert_each_ill_typed_key_raises(F, "0>01", keys, lambda c: family_pullback(c, g))
+
+    def test_an_ill_typed_component_raises_where_a_zero_map_kills_the_composite(self):
+        # pulled back along 1>01, the component of a class over 0>01 at 1>01
+        # runs from F(E) = 0; the paste comparison on that apex is the zero
+        # map of F(E), so the plan's composite is dead
+        F = functor_copy("F")
+        assert FamilyClass(F, "0>01", 0)._component_ends("1>01", 0)[0].is_trivial
+        self.assert_each_ill_typed_key_raises(F, "0>01", [("1>01", 0)], lambda c: family_pullback(c, "1>01"))
+        _, _, paths = F._plans[("pullback", "0>01", 0, "1>01")]
+        (path,) = [(factors, dead) for out, m, factors, dead in paths if (out, m) == ("1>1", 0)]
+        assert path[1] and len(path[0]) == 1  # dead, and only the slot is left
