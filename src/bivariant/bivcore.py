@@ -530,18 +530,12 @@ class GrothTransf:
         return self.component(f, i)(a)
 
     # A transformation, its theories and its site are never written after
-    # construction, so the two properties below are computed once and kept.
+    # construction, so its report is computed once and kept.
 
     @cached_property
     def report(self) -> ValidationReport:
         """validate_groth(self), computed on first use."""
         return validate_groth(self)
-
-    @cached_property
-    def image_theory(self) -> TabulatedBivTheory:
-        """image_subtheory(self), built on first use; when it raises, nothing
-        is kept and the next use raises again."""
-        return image_subtheory(self)
 
 
 def validate_groth(t: GrothTransf) -> ValidationReport:

@@ -171,8 +171,6 @@ def _cmd_bcoopt(args, started):
 
 
 def _cmd_demo(args, started):
-    if args.what != "subsets":
-        raise InstanceFileError("demo", f"unknown demo {args.what!r}")
     lines, ok = run_demo(args.n)
     if args.json:
         doc = {

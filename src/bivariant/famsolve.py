@@ -255,12 +255,12 @@ def _plan_path(functor: GradedFunctor, m: int, steps, operands):
     Returns (factors, dead, ends).  factors lists, source side first, the
     functor maps, resolved here, and one slot (operand index, key morphism,
     grade, source, target, whether source == target) per component, its
-    ends read from the functor's table.  Every adjacent pair must meet in
-    one group, as in GroupHom composition; that is checked here, once.  An
-    identity map is dropped, unless nothing else is left to multiply.  A
-    zero map makes the composite dead: only its slots are kept, so that
-    running it still checks the ends of stored components.  ends are the
-    composite's source and target.
+    ends the functor's groups at the component's key.  Every adjacent pair
+    must meet in one group, as in GroupHom composition; that is checked
+    here, once.  An identity map is dropped, unless nothing else is left to
+    multiply.  A zero map makes the composite dead: only its slots are kept,
+    so that running it still checks the ends of stored components.  ends
+    are the composite's source and target.
     """
     source_first, _ = _oriented(functor, steps, steps[::-1])
     factors = []
@@ -336,25 +336,6 @@ def _run(factors, zero: bool, operands) -> GroupHom | None:
     if not any(map(any, mat.entries)):
         return None
     return GroupHom(homs[0].src, homs[-1].tgt, mat)
-
-
-def _path(functor: GradedFunctor, m: int, steps) -> GroupHom | None:
-    """Compose steps listed from the leg side of a component to its apex
-    side, as _plan_path reads them but with (class, key morphism) pairs for
-    components, through a plan built for this one call and not kept.
-
-    Returns None when the composite is zero.  Class operations do not come
-    here: they run the plans kept in the functor's table.
-    """
-    operands, indexed = [], []
-    for step in steps:
-        if isinstance(step, str):
-            indexed.append(step)
-        else:
-            indexed.append((len(operands), step[1]))
-            operands.append(step[0])
-    factors, dead, _ = _plan_path(functor, m, indexed, operands)
-    return _run(factors, dead, operands)
 
 
 def _plan(functor: GradedFunctor, key, build):
@@ -446,16 +427,10 @@ class FamilyClass:
         return self.functor.site
 
     def _component_ends(self, g: str, m: int):
-        """(source, target) groups of the component at (g, m), from the
-        functor's table of component ends, filled on first use."""
-        key = (self.base, self.degree, g, m)
-        table = self.functor._component_ends
-        ends = table.get(key)
-        if ends is None:
-            site = self.site
-            apex = site.chosen_pullback(self.base, g).apex
-            ends = table[key] = _ends(self.functor, site.src(g), apex, m, self.degree)
-        return ends
+        """(source, target) groups of the component at (g, m)."""
+        site = self.site
+        apex = site.chosen_pullback(self.base, g).apex
+        return _ends(self.functor, site.src(g), apex, m, self.degree)
 
     def component(self, g: str, m: int) -> GroupHom:
         """The stored component, or the zero hom where none is stored."""
@@ -829,33 +804,23 @@ class ImageTransfer:
 def image_transfer(t: GrothTransf, base: str, degree: int, mode: str, variance: str, comparison) -> ImageTransfer:
     """Transfer between the images of comparison(theory, base, degree).
 
-    mode 'full' maps into the target theory and needs gamma onto the part of
-    the given variance; mode 'image' maps into the image subtheory.
+    mode must be 'full', the one mode: the transfer maps into the target
+    theory and needs gamma onto the part of the given variance.
     Well-definedness is certified computationally: every kernel generator of
     the comparison on the source side must map to a kernel element on the
     target side.
     """
-    if mode == "full":
-        if not t.report.ok:
-            raise InvalidTransformationError("; ".join(t.report.lines()))
-        witness = surjectivity_witness(t, variance)
-        if witness is not None:
-            raise NotSurjectiveError(variance, witness)
-        target_theory = t.tgt
-        to_target = t.component(base, degree)
-    elif mode == "image":
-        target_theory = t.image_theory
-        # in the image presentation, gamma(alpha) keeps alpha's coordinates
-        to_target = GroupHom(
-            t.src.group(base, degree),
-            target_theory.group(base, degree),
-            IntMatrix.identity(t.src.group(base, degree).ngens),
-        )
-    else:
-        raise ValueError("mode must be 'image' or 'full'")
+    if mode != "full":
+        raise ValueError("mode must be 'full'")
+    if not t.report.ok:
+        raise InvalidTransformationError("; ".join(t.report.lines()))
+    witness = surjectivity_witness(t, variance)
+    if witness is not None:
+        raise NotSurjectiveError(variance, witness)
+    to_target = t.component(base, degree)
 
     src_hom = comparison(t.src, base, degree)
-    tgt_hom = comparison(target_theory, base, degree)
+    tgt_hom = comparison(t.tgt, base, degree)
     composed = tgt_hom @ to_target
     src_kernel = kernel(src_hom)
     name = COMPARISON[variance]
@@ -871,7 +836,7 @@ def image_transfer(t: GrothTransf, base: str, degree: int, mode: str, variance: 
     mapping = GroupHom(
         source_sub.group, target_sub.group, IntMatrix.from_columns(cols, target_sub.group.ngens)
     )
-    return ImageTransfer(t.src, target_theory, base, degree, source_sub, target_sub, mapping)
+    return ImageTransfer(t.src, t.tgt, base, degree, source_sub, target_sub, mapping)
 
 
 def recover(b: TabulatedBivTheory, cls: FamilyClass) -> GroupElement:

@@ -101,7 +101,8 @@ def op_hom(b: TabulatedBivTheory, base: str, degree: int) -> GroupHom:
 
 
 def op_image_transfer(t: GrothTransf, base: str, degree: int, mode: str) -> ImageTransfer:
-    """Transfer on operational images; mode 'full' needs covariant surjectivity."""
+    """Transfer on operational images; mode must be 'full', which needs
+    covariant surjectivity."""
     return image_transfer(t, base, degree, mode, "cov", op_hom)
 
 

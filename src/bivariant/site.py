@@ -437,14 +437,11 @@ class GradedFunctor:
     Groups outside the window are zero; maps involving a zero group default
     to the zero hom and identity morphisms default to the identity hom.
 
-    A functor is never written after construction, so it keeps three
-    private tables, filled on first use, bounded by the functor and freed
-    with it: the default maps it has built, apart from _maps, the maps it
-    was given; the (source, target) groups of class components, which
-    famsolve.FamilyClass fills; and the plans of the class operations and
-    compatibility checks over it, which famsolve builds (see there).  A map
-    or a plan that raises is not stored, so it raises again on the next
-    call.
+    A functor is never written after construction, so it keeps one private
+    table, filled on first use, bounded by the functor and freed with it:
+    the plans of the class operations and compatibility checks over it,
+    which famsolve builds (see there).  A plan that raises is not stored,
+    so it raises again on the next call.
     """
 
     def __init__(self, site: Site, variance: str, window, groups, maps):
@@ -470,8 +467,6 @@ class GradedFunctor:
             if not (lo <= m <= hi):
                 raise SiteStructureError(f"functor map at grade {m} outside window")
             self._maps[(mor, m)] = hom_
-        self._default_maps = {}  # (mor, m) -> identity or zero hom
-        self._component_ends = {}  # (base, degree, g, m) -> (source, target)
         self._plans = {}  # (operation, operand bases and degrees, morphisms) -> plan
 
     def grades(self):
@@ -502,17 +497,9 @@ class GradedFunctor:
             raise NonConfinedError(
                 f"covariant functor has no pushforward along non-confined {mor}"
             )
-        key = (mor, m)
-        hom = self._maps.get(key)
-        if hom is None:
-            hom = self._default_maps.get(key)
-            if hom is None:
-                hom = self._default_maps[key] = self._default_map(mor, m)
-        return hom
-
-    def _default_map(self, mor: str, m: int) -> GroupHom:
-        """The identity or zero hom along mor; a map that has neither default
-        raises MissingMapError, on every call, since nothing is stored."""
+        stored = self._maps.get((mor, m))
+        if stored is not None:
+            return stored
         src, tgt = self._endpoints(mor, m)
         if self.site.is_identity(mor):
             return GroupHom.identity(src)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass, field
 
 from .exactalg import FgAbGroup, GroupHom, IntMatrix, WellDefinednessError
@@ -282,6 +283,10 @@ def build_graded_instance(k: int) -> InstanceBundle:
 
 # ---------------------------------------------------------------------------
 # instance files (JSON-compatible, explicit tables, no inference)
+#
+# JSON true and false load as bool, a subclass of int, so an integer field is
+# checked with type(x) is int; a grade is written as str(int) writes it, so
+# that one key has one spelling.
 
 
 def _expect(cond, location, message):
@@ -315,8 +320,8 @@ def _as_group(spec, location) -> FgAbGroup:
     _expect("free_rank" in spec, location, "missing free_rank")
     fr = spec["free_rank"]
     tor = spec.get("torsion", [])
-    _expect(isinstance(fr, int) and fr >= 0, location, "free_rank must be a non-negative integer")
-    _expect(isinstance(tor, list) and all(isinstance(d, int) and d >= 2 for d in tor), location, "torsion must be a list of integers >= 2")
+    _expect(type(fr) is int and fr >= 0, location, "free_rank must be a non-negative integer")
+    _expect(isinstance(tor, list) and all(type(d) is int and d >= 2 for d in tor), location, "torsion must be a list of integers >= 2")
     return FgAbGroup.from_invariants(fr, tuple(tor))
 
 
@@ -327,7 +332,7 @@ def _as_matrix(rows, location, nrows, ncols) -> IntMatrix:
         _expect(isinstance(row, list), f"{location}[{r}]", "expected a list")
         _expect(len(row) == ncols, f"{location}[{r}]", f"expected {ncols} entries, got {len(row)}")
         for x in row:
-            _expect(isinstance(x, int), f"{location}[{r}]", "entries must be integers")
+            _expect(type(x) is int, f"{location}[{r}]", "entries must be integers")
     return IntMatrix(nrows, ncols, tuple(tuple(row) for row in rows))
 
 
@@ -347,18 +352,15 @@ def _graded(doc: dict, key, location, names, kind):
         kloc = f"{loc}.{entry}"
         _expect(isinstance(entry, str) and "@" in entry, kloc, "expected 'name@grade'")
         name, _, grade = entry.rpartition("@")
-        try:
-            grade = int(grade)
-        except ValueError:
-            raise InstanceFileError(kloc, f"grade {grade!r} is not an integer")
+        _expect(re.fullmatch("0|-?[1-9][0-9]*", grade), kloc, f"grade {grade!r} is not an integer in canonical form")
         _expect(name in names, kloc, f"unknown {kind} {name!r}")
-        yield (name, grade), value, kloc
+        yield (name, int(grade)), value, kloc
 
 
 def _window(doc: dict, location):
     window = doc.get("window")
     _expect(
-        isinstance(window, list) and len(window) == 2 and all(isinstance(w, int) for w in window),
+        isinstance(window, list) and len(window) == 2 and all(type(w) is int for w in window),
         f"{location}.window",
         "expected [lo, hi]",
     )
@@ -371,7 +373,7 @@ def _fields(entry, location, names, ints):
     for fld in ("f", "g"):
         _named(entry.get(fld), names, location, f"field {fld!r} must name a morphism")
     for fld in ints:
-        _expect(isinstance(entry.get(fld), int), location, f"field {fld!r} must be an integer")
+        _expect(type(entry.get(fld)) is int, location, f"field {fld!r} must be an integer")
     return (entry["f"], entry["g"], *(entry[fld] for fld in ints))
 
 
@@ -498,7 +500,7 @@ def parse_instance(doc) -> InstanceBundle:
                 prow = []
                 for cidx, cell in enumerate(row):
                     _expect(
-                        isinstance(cell, list) and len(cell) == gt.ngens and all(isinstance(x, int) for x in cell),
+                        isinstance(cell, list) and len(cell) == gt.ngens and all(type(x) is int for x in cell),
                         f"{ploc}.table[{r}][{cidx}]",
                         f"expected {gt.ngens} integer coordinates",
                     )
@@ -521,7 +523,7 @@ def parse_instance(doc) -> InstanceBundle:
             _expect(obj in objects, uloc, "unknown object")
             g0 = grp(site.identity(obj), 0)
             _expect(
-                isinstance(coords, list) and len(coords) == g0.ngens and all(isinstance(x, int) for x in coords),
+                isinstance(coords, list) and len(coords) == g0.ngens and all(type(x) is int for x in coords),
                 uloc,
                 f"expected {g0.ngens} integer coordinates",
             )

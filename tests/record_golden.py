@@ -11,13 +11,17 @@ the digests of the Smith forms on tests/fixtures/snf_corpus.json, which
 TestSnfIdentity in tests/test_exactalg.py compares against, and
 tests/fixtures/instance_digests.json, which
 test_reader_and_writer_match_pinned_digests in tests/test_instance_fuzz.py
-compares against.
+compares against, and tests/fixtures/cli_outputs.json, the digests of the
+coop, op and bcoopt outputs that test_cli_outputs_match_fixture in
+tests/test_cli.py compares against.
 """
 
 import json
+import tempfile
 from pathlib import Path
 
 from test_bivcore import comparison_reports, golden_reports
+from test_cli import cli_outputs
 from test_exactalg import snf_digests
 from test_instance_fuzz import instance_digests
 
@@ -33,3 +37,5 @@ if __name__ == "__main__":
     write("comparison_reports.json", comparison_reports())
     write("snf_digests.json", snf_digests())
     write("instance_digests.json", instance_digests())
+    with tempfile.TemporaryDirectory() as directory:
+        write("cli_outputs.json", cli_outputs(directory))

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import re
@@ -7,11 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from bivariant.workbench import build_subsets_instance, bundle_to_json
+from bivariant import cli
+from bivariant.workbench import build_graded_instance, build_subsets_instance, bundle_to_json
 
 HERE = Path(__file__).parent
 SRC = HERE.parent / "src"
 TERMINAL = HERE / "fixtures" / "terminal.json"
+CLI_OUTPUTS = HERE / "fixtures" / "cli_outputs.json"
 
 
 def run_cli(*argv, check=False):
@@ -244,3 +249,41 @@ class TestBrokenSite:
         assert "Traceback" not in result.stderr
         doc = json.loads(result.stdout)
         assert "square-commutes" in {v["kind"] for v in doc["violations"]}
+
+
+def cli_outputs(directory):
+    """{command line: sha256 of stdout} for coop, op and bcoopt, in text and
+    --json, at every morphism of subsets(2) and graded(2) at degree 0: coop for
+    every contravariant functor, op for every covariant one and bcoopt for every
+    transformation, graded psi also at degree 2.
+
+    The commands run in-process with directory as the working directory, where
+    the instance files are written, so the file names they print are relative.
+    """
+    bundles = {"subsets2.json": build_subsets_instance(2), "graded2.json": build_graded_instance(2)}
+    runs = []
+    for fname, bundle in bundles.items():
+        morphisms = [m.name for m in bundle.site.morphisms]
+        for functor in sorted(bundle.functors):
+            command = "coop" if bundle.functors[functor].variance == "contra" else "op"
+            runs += [[command, fname, "--functor", functor, "--morphism", m, "--degree", "0"] for m in morphisms]
+        for nat in sorted(bundle.transformations):
+            for degree in ("0", "2") if nat == "psi" else ("0",):
+                runs += [["bcoopt", fname, "--nat", nat, "--morphism", m, "--degree", degree] for m in morphisms]
+    out = {}
+    with contextlib.chdir(directory):
+        for fname, bundle in bundles.items():
+            Path(fname).write_text(json.dumps(bundle_to_json(bundle), sort_keys=True, indent=1) + "\n", encoding="utf-8")
+        for argv in runs:
+            for flags in ([], ["--json"]):
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                    cli.main([*flags, *argv])
+                out[" ".join([*flags, *argv])] = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
+    return out
+
+
+def test_cli_outputs_match_fixture(tmp_path):
+    """coop, op and bcoopt print exactly what tests/record_golden.py recorded."""
+    expected = json.loads(CLI_OUTPUTS.read_text(encoding="utf-8"))
+    assert cli_outputs(tmp_path) == expected

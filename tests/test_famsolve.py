@@ -23,10 +23,8 @@ from bivariant.exactalg import (
     GroupHom,
     IntMatrix,
     ShapeMismatchError,
-    hom_preimage,
     image,
     induced_hom,
-    is_surjective,
     kernel,
 )
 from bivariant.famsolve import (
@@ -295,32 +293,6 @@ class TestIsomorphismCheckersOnBrokenTheories:
                 assert identity.ok
 
 
-class TestImageTransferModes:
-    """Mode "image" maps into Im gamma, mode "full" into the target theory.
-
-    For the surjective reduction gamma on subsets(2) both transfers agree up
-    to an isomorphism of their targets.  The matrices differ by signs that
-    vanish mod 2, so the targets are compared by canonical form and the
-    mappings through the isomorphism that carries one onto the other.
-    """
-
-    @pytest.mark.parametrize("transfer", [op_image_transfer, coop_image_transfer])
-    def test_image_mode_matches_full(self, bundle, transfer):
-        gamma = bundle.groth["gamma"]
-        for mor in bundle.site.morphisms:
-            in_image = transfer(gamma, mor.name, 0, mode="image")
-            full = transfer(gamma, mor.name, 0, mode="full")
-            assert in_image.source.group.canonical() == full.source.group.canonical()
-            assert in_image.target.group.canonical() == full.target.group.canonical()
-            assert in_image.source.inclusion.mat == full.source.inclusion.mat
-            # iso sends in_image.mapping(s) to full.mapping(s); GroupHom checks
-            # that this is well defined, and it must be bijective
-            cols = [full.mapping(hom_preimage(in_image.mapping, y)).coords for y in in_image.target.group.gens()]
-            iso = GroupHom(in_image.target.group, full.target.group, IntMatrix.from_columns(cols, full.target.group.ngens))
-            assert is_surjective(iso) and kernel(iso).group.is_trivial
-            assert (iso @ in_image.mapping).equals(full.mapping)
-
-
 def count_calls(monkeypatch, module, name):
     """Replace module.name by a wrapper that records each argument."""
     calls = []
@@ -341,8 +313,8 @@ def doubling(b):
 
 
 class TestTransformationComputedOnce:
-    """image_transfer checks gamma and builds its image once per transformation;
-    the public validate_groth and image_subtheory compute afresh."""
+    """image_transfer checks gamma once per transformation; the public
+    validate_groth computes afresh."""
 
     def test_validate_groth_runs_once_across_full_transfers(self, monkeypatch):
         bundle = build_subsets_instance(3)
@@ -356,25 +328,14 @@ class TestTransformationComputedOnce:
         assert bivcore.validate_groth(gamma).ok
         assert calls == [gamma, gamma]
 
-    @pytest.mark.parametrize("mode", ["full", "image"])
-    def test_invalid_gamma_raises_the_same_error_on_every_call(self, bundle, mode):
+    def test_invalid_gamma_raises_the_same_error_on_every_call(self, bundle):
         bad = doubling(bundle.theories["B"])
         messages = []
         for _ in range(3):
             with pytest.raises(InvalidTransformationError) as err:
-                op_image_transfer(bad, "0>01", 0, mode=mode)
+                op_image_transfer(bad, "0>01", 0, mode="full")
             messages.append(str(err.value))
         assert messages[0] and messages == messages[:1] * 3
-
-    def test_image_mode_builds_the_image_subtheory_once(self, monkeypatch):
-        fresh = build_subsets_instance(2)  # no transfer has used its gamma yet
-        gamma = fresh.groth["gamma"]
-        calls = count_calls(monkeypatch, bivcore, "image_subtheory")
-        for mor in fresh.site.morphisms:
-            op_image_transfer(gamma, mor.name, 0, mode="image")
-            coop_image_transfer(gamma, mor.name, 0, mode="image")
-        assert calls == [gamma]
-        assert bivcore.image_subtheory(gamma) is not bivcore.image_subtheory(gamma)
 
 
 class TestFamilyClassEquality:
@@ -616,9 +577,12 @@ class TestSparseComposition:
             zero_class.components[(g, 0)] = zero_class.component(g, 0)
         ill_typed = FamilyClass(F, g, 0, {(g, 0): GroupHom.identity(stray)})
         steps = [(zero_class, g), (ill_typed, g)] if zero_first else [(ill_typed, g), (zero_class, g)]
-        for path in (famsolve._path, dense_path):
-            with pytest.raises(ShapeMismatchError):
-                path(F, 0, steps)
+        operands = [cls for cls, _ in steps]
+        with pytest.raises(ShapeMismatchError):
+            factors, dead, _ = famsolve._plan_path(F, 0, [(i, key) for i, (_, key) in enumerate(steps)], operands)
+            famsolve._run(factors, dead, operands)
+        with pytest.raises(ShapeMismatchError):
+            dense_path(F, 0, steps)
 
 
 def axiom_family_starts():

@@ -237,7 +237,7 @@ class TestImageTransfer:
         }
         doubling = GrothTransf(b, b, comps)
         with pytest.raises(InvalidTransformationError):
-            op_image_transfer(doubling, "0>01", 0, mode="image")
+            op_image_transfer(doubling, "0>01", 0, mode="full")
 
     def test_non_surjective_witness(self, bundle):
         b = bundle.theories["B"]

@@ -1,12 +1,7 @@
-import sys
-import weakref
-
 import pytest
 
-from bivariant import famsolve
 from bivariant.cooperational import verify_coop_axioms
 from bivariant.exactalg import FgAbGroup, GroupHom, IntMatrix
-from bivariant.famsolve import FamilyClass
 from bivariant.operational import verify_op_axioms
 from bivariant.site import (
     CospanMismatchError,
@@ -356,61 +351,11 @@ def parsed_subsets(n):
     return parse_instance(bundle_to_json(build_subsets_instance(n)))
 
 
-def count_default_maps(monkeypatch):
-    """The (mor, m) of every identity or zero hom built as a default map."""
-    built = []
-    for name in ("identity", "zero"):
-        original = getattr(GroupHom, name)
-
-        def counted(*groups, original=original):
-            caller = sys._getframe(1)
-            if caller.f_code is GradedFunctor._default_map.__code__:
-                built.append((caller.f_locals["mor"], caller.f_locals["m"]))
-            return original(*groups)
-
-        monkeypatch.setattr(GroupHom, name, staticmethod(counted))
-    return built
-
-
-def count_component_ends(monkeypatch):
-    """The (base, degree, g, m) of every component end that a class computes."""
-    built = []
-    original = famsolve._ends
-
-    def counted(*args):
-        caller = sys._getframe(1)
-        if caller.f_code is FamilyClass._component_ends.__code__:
-            built.append(caller.f_locals["key"])
-        return original(*args)
-
-    monkeypatch.setattr(famsolve, "_ends", counted)
-    return built
-
-
 class TestFunctorTables:
-    """Each functor builds a default map and a component's ends once per key,
-    on first use, and keeps them apart from the maps it was given."""
+    """A functor keeps exactly the maps it was given: a missing or
+    non-confined map raises on every call, and verifying adds no map."""
 
-    @pytest.mark.parametrize("name, verify", [("F", verify_coop_axioms), ("h", verify_op_axioms)])
-    def test_each_default_map_and_component_end_is_built_once_per_key(self, monkeypatch, name, verify):
-        maps, ends = count_default_maps(monkeypatch), count_component_ends(monkeypatch)
-        functor = parsed_subsets(2).functors[name]
-        assert functor._default_maps == {} and functor._component_ends == {}
-        assert verify(functor).ok
-        assert maps and sorted(maps) == sorted(functor._default_maps)
-        assert ends and sorted(ends) == sorted(functor._component_ends)
-        assert all(functor.map(*key) is hom for key, hom in functor._default_maps.items())
-        assert len(maps) == len(functor._default_maps)
-
-    def test_a_missing_or_non_confined_map_raises_on_every_call(self, monkeypatch, s2):
-        built = []
-        original = GradedFunctor._default_map
-
-        def counted(self, mor, m):
-            built.append((mor, m))
-            return original(self, mor, m)
-
-        monkeypatch.setattr(GradedFunctor, "_default_map", counted)
+    def test_a_missing_or_non_confined_map_raises_on_every_call(self, s2):
         f = subsets_presheaf(s2)
         maps = {key: hom for key, hom in f._maps.items() if key != ("0>01", 0)}
         missing = GradedFunctor(s2, "contra", (0, 0), f._groups, maps)
@@ -420,41 +365,13 @@ class TestFunctorTables:
                 missing.map("0>01", 0)
             with pytest.raises(NonConfinedError):
                 h.map("0>01", 0)
-        assert built == [("0>01", 0)] * 3
-        assert missing._maps == maps and missing._default_maps == {}
-        assert h._default_maps == {}
-
-    def test_functors_built_from_the_same_data_share_no_table(self):
-        source = parsed_subsets(2).functors["F"]
-        a, b = (GradedFunctor(source.site, "contra", source.window, source._groups, source._maps) for _ in "ab")
-        assert a._default_maps is not b._default_maps
-        assert a._component_ends is not b._component_ends
-        za = a.map("E>0", 0)
-        ca = FamilyClass(a, "0>01", 0).component("01>01", 0)
-        assert b._default_maps == {} and b._component_ends == {}
-        zb = b.map("E>0", 0)
-        cb = FamilyClass(b, "0>01", 0).component("01>01", 0)
-        assert za is not zb and za.equals(zb)
-        key = ("0>01", 0, "01>01", 0)
-        assert list(a._component_ends) == list(b._component_ends) == [key]
-        assert a._component_ends[key] == b._component_ends[key] and a._component_ends[key] is not b._component_ends[key]
-        assert ca.equals(cb)
-
-    def test_a_functor_dies_after_its_last_use_tables_included(self):
-        source = parsed_subsets(2).functors["F"]
-        functor = GradedFunctor(source.site, "contra", source.window, source._groups, source._maps)
-        assert verify_coop_axioms(functor).ok
-        assert functor._default_maps and functor._component_ends
-        ref = weakref.ref(functor)
-        del functor
-        assert ref() is None
+        assert missing._maps == maps
 
     def test_verifying_leaves_the_given_maps_and_the_report_unchanged(self):
         bundle = parsed_subsets(2)
         functors = [bundle.functors["F"], bundle.functors["h"]]
         before = [(dict(f._maps), f.validate().to_json()) for f in functors]
         assert verify_coop_axioms(functors[0]).ok and verify_op_axioms(functors[1]).ok
-        assert all(f._default_maps for f in functors)
         assert [(dict(f._maps), f.validate().to_json()) for f in functors] == before
 
 

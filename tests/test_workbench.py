@@ -194,6 +194,40 @@ class TestParserErrors:
             parse_instance(doc)
 
 
+@pytest.mark.parametrize(
+    "path, value, location",
+    [
+        (("functors", "F", "groups", "0@0", "free_rank"), True, "functors.F.groups.0@0"),
+        (("functors", "F", "maps", "0>0@0", 0, 0), True, "functors.F.maps.0>0@0[0]"),
+        (("functors", "F", "window"), [False, False], "functors.F.window"),
+        (("theories", "B", "products", 0, "i"), False, "theories.B.products[0]"),
+        (("theories", "B", "products", 0, "j"), False, "theories.B.products[0]"),
+        (("theories", "B", "products", 0, "table", 0, 0), [True], "theories.B.products[0].table[0][0]"),
+        (("theories", "B", "units", "0"), [True], "theories.B.units.0"),
+    ],
+    ids=["free_rank", "matrix-entry", "window", "i", "j", "product-cell", "unit-coordinate"],
+)
+def test_a_json_boolean_is_not_an_integer(path, value, location):
+    doc = bundle_to_json(build_subsets_instance(1))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(InstanceFileError) as err:
+        parse_instance(doc)
+    assert err.value.location == location
+
+
+@pytest.mark.parametrize("grade", ["+0", " 0", "0 ", "0_0", "\uff10", "00", "-0", "", "0.0"])
+def test_a_grade_has_one_spelling(grade):
+    doc = bundle_to_json(build_subsets_instance(1))
+    groups = doc["functors"]["F"]["groups"]
+    groups[f"0@{grade}"] = groups.pop("0@0")
+    with pytest.raises(InstanceFileError) as err:
+        parse_instance(doc)
+    assert err.value.location == f"functors.F.groups.0@{grade}"
+
+
 class TestDemo:
     def test_demo_one_passes(self):
         lines, ok = run_demo(1)
