@@ -337,6 +337,11 @@ class TestTransformationComputedOnce:
             messages.append(str(err.value))
         assert messages[0] and messages == messages[:1] * 3
 
+    @pytest.mark.parametrize("transfer", [op_image_transfer, coop_image_transfer])
+    def test_full_is_the_only_mode(self, bundle, transfer):
+        with pytest.raises(ValueError, match="mode must be 'full'"):
+            transfer(bundle.groth["gamma"], "0>01", 0, mode="image")
+
 
 class TestFamilyClassEquality:
     def test_classes_of_functors_with_different_groups_are_unequal(self):
