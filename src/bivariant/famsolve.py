@@ -23,19 +23,23 @@ assembles the constraint map between the direct sums of the Hom groups and
 returns its kernel with an element <-> family codec.
 
 A class stores its components in a dict, and an absent key reads as the
-zero hom.  The results of the operations (product, pushforward, pullback,
-transport) store only their nonzero components; decoded generators store
-every component of the solution, zero ones included.
+zero hom.  Each stored component is checked once, when its class is built:
+its key must be (g into the base's target, grade inside the window), and
+its hom must run between the component's ends, or ShapeMismatchError is
+raised; nothing writes the components afterwards.  The results of the
+operations (product, pushforward, pullback, transport) store only their
+nonzero components; decoded generators store every component of the
+solution, zero ones included.
 
 Each operation, and the compatibility check of a class, runs through a plan
 kept in the functor's table of plans (GradedFunctor._plans), built on first
 use and keyed by the operation, its operands' bases and degrees and its
 morphism arguments.  A plan lists, per output key and grade, the factors of
 the composite from the source side on: functor maps, resolved once, and
-slots naming an operand's component with the ends it must have.  Building
-it checks that adjacent factors meet in one group, drops identity maps and
-marks a composite that a zero map kills; running it only fetches the
-operands' components, checks their ends against the slots, and multiplies.
+slots naming an operand's component.  Building it checks that adjacent
+factors meet in one group, drops identity maps and stores no path for a
+composite that a zero map kills; running it only fetches the operands'
+components and multiplies.
 """
 
 from __future__ import annotations
@@ -252,14 +256,13 @@ def _plan_path(functor: GradedFunctor, m: int, steps, operands):
     apply from the source side on; m is the grade there, and each component
     shifts it by its operand's degree.
 
-    Returns (factors, dead, ends).  factors lists, source side first, the
-    functor maps, resolved here, and one slot (operand index, key morphism,
-    grade, source, target, whether source == target) per component, its
-    ends the functor's groups at the component's key.  Every adjacent pair
-    must meet in one group, as in GroupHom composition; that is checked
-    here, once.  An identity map is dropped, unless nothing else is left to
-    multiply.  A zero map makes the composite dead: only its slots are kept,
-    so that running it still checks the ends of stored components.  ends
+    Returns (factors, ends).  factors lists, source side first, the functor
+    maps, resolved here, and one slot (operand index, component key, whether
+    the component's source is its target) per component; it is None when a
+    zero map kills the composite.  Every adjacent pair must meet in one
+    group, as in GroupHom composition, a component taken between the ends
+    that its class checks when it is built; that is checked here, once.  An
+    identity map is dropped, unless nothing else is left to multiply.  ends
     are the composite's source and target.
     """
     source_first, _ = _oriented(functor, steps, steps[::-1])
@@ -280,7 +283,7 @@ def _plan_path(functor: GradedFunctor, m: int, steps, operands):
             index, g = step
             cls = operands[index]
             ends = cls._component_ends(g, m)
-            factors.append((index, g, m, *ends, ends[0] == ends[1]))
+            factors.append((index, (g, m), ends[0] == ends[1]))
             m += _shift(functor, cls.degree)
         if tgt is None:
             src = ends[0]
@@ -288,20 +291,19 @@ def _plan_path(functor: GradedFunctor, m: int, steps, operands):
             raise ShapeMismatchError("middle groups disagree in composition")
         tgt = ends[1]
     if dead:
-        factors = [f for f in factors if type(f) is tuple]
-    elif not factors and identity is not None:
+        return None, (src, tgt)
+    if not factors and identity is not None:
         factors = [identity]  # every factor is the identity of one group
-    return tuple(factors), dead, (src, tgt)
+    return tuple(factors), (src, tgt)
 
 
-def _run(factors, zero: bool, operands) -> GroupHom | None:
+def _run(factors, operands) -> GroupHom | None:
     """The composite that a plan path's factors name over the operands, or
-    None when its matrix is zero; zero is whether the plan marked it dead.
+    None when its matrix is zero.
 
-    Each stored component must have its slot's ends, or ShapeMismatchError
-    is raised, also in a composite that a zero factor kills.  An absent or
-    all-zero component makes the composite zero, and then nothing is
-    multiplied; a component with an identity matrix on one group is skipped.
+    An absent or all-zero component makes the composite zero, and then
+    nothing is multiplied; a component with an identity matrix on one group
+    is skipped.
     """
     homs = []
     skipped = None
@@ -309,23 +311,14 @@ def _run(factors, zero: bool, operands) -> GroupHom | None:
         if type(factor) is not tuple:
             homs.append(factor)
             continue
-        index, g, m, src, tgt, endo = factor
-        hom = operands[index].components.get((g, m))
-        if hom is None:
-            zero = True
-            continue
-        if (hom.src is not src and hom.src != src) or (hom.tgt is not tgt and hom.tgt != tgt):
-            raise ShapeMismatchError("middle groups disagree in composition")
-        if zero:
-            continue
-        if not any(map(any, hom.mat.entries)):
-            zero = True
-        elif endo and hom.mat.is_identity():
+        index, key, endo = factor
+        hom = operands[index].components.get(key)
+        if hom is None or not any(map(any, hom.mat.entries)):
+            return None
+        if endo and hom.mat.is_identity():
             skipped = hom
         else:
             homs.append(hom)
-    if zero:
-        return None
     if not homs:
         return skipped  # every component is the identity of one group
     if len(homs) == 1:
@@ -362,16 +355,17 @@ def _planned(key, steps, *operands) -> "FamilyClass":
         paths = []
         for out, path in steps_by_key.items():
             for m in functor.grades():
-                factors, dead, _ = _plan_path(functor, m, path, operands)
-                paths.append((out, m, factors, dead))
+                factors, _ = _plan_path(functor, m, path, operands)
+                if factors is not None:
+                    paths.append(((out, m), factors))
         return base, degree, tuple(paths)
 
     base, degree, paths = _plan(functor, key, build)
     comps = {}
-    for out, m, factors, dead in paths:
-        hom = _run(factors, dead, operands)
+    for out, factors in paths:
+        hom = _run(factors, operands)
         if hom is not None:
-            comps[(out, m)] = hom
+            comps[out] = hom
     return FamilyClass(functor, base, degree, comps)
 
 
@@ -422,6 +416,20 @@ class FamilyClass:
     degree: int
     components: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        """Check each stored component once: its key is (g into the base's
+        target, grade inside the window), and its hom runs between the
+        component's ends; ShapeMismatchError otherwise."""
+        site, grades = self.site, self.functor.grades()
+        into = site.morphisms_into(site.tgt(self.base))
+        for key, hom in self.components.items():
+            g, m = key
+            if not (g in into and m in grades):
+                raise ShapeMismatchError(f"a class over {self.base} has no component at {key}")
+            src, tgt = self._component_ends(g, m)
+            if (hom.src is not src and hom.src != src) or (hom.tgt is not tgt and hom.tgt != tgt):
+                raise ShapeMismatchError(f"the component at {key} does not run between its ends")
+
     @property
     def site(self) -> Site:
         return self.functor.site
@@ -464,68 +472,56 @@ class FamilyClass:
         if not self._same_context(other):
             raise ValueError("classes live over different data")
 
-    def _checked(self, key, hom: GroupHom) -> GroupHom:
-        """hom, stored at key, after checking that it has the component's ends."""
-        if (hom.src, hom.tgt) != self._component_ends(*key):
-            raise ShapeMismatchError("hom addition needs equal src and tgt")
-        return hom
-
     def __eq__(self, other):
         """Equal components at every key; a component stored on one side only
-        must have the component's ends and vanish."""
+        must vanish."""
         if not isinstance(other, FamilyClass):
             return NotImplemented
         if not self._same_context(other):
             return False
         mine, theirs = self.components, other.components
-        for key in self._keys():
+        for key in mine.keys() | theirs.keys():
             a, b = mine.get(key), theirs.get(key)
-            if a is None and b is None:
-                continue
-            if a is not None and b is not None:
-                if a != b:
+            if a is None or b is None:
+                if not _is_zero(b if a is None else a):
                     return False
-                continue
-            one = a if b is None else b
-            if (one.src, one.tgt) != self._component_ends(*key) or not _is_zero(one):
+            elif a != b:
                 return False
         return True
 
     def __add__(self, other: "FamilyClass") -> "FamilyClass":
         """The sum over the keys stored on either side."""
         self._compatible(other)
-        mine, theirs = self.components, other.components
-        comps = {}
-        for key in self._keys():
-            a, b = mine.get(key), theirs.get(key)
-            if a is not None and b is not None:
-                comps[key] = a + b
-            elif a is not None or b is not None:
-                comps[key] = self._checked(key, b if a is None else a)
+        comps = dict(self.components)
+        for key, b in other.components.items():
+            a = comps.get(key)
+            comps[key] = b if a is None else a + b
         return FamilyClass(self.functor, self.base, self.degree, comps)
 
     def __neg__(self) -> "FamilyClass":
-        comps = {key: -self.components[key] for key in self._keys() if key in self.components}
+        comps = {key: -hom for key, hom in self.components.items()}
         return FamilyClass(self.functor, self.base, self.degree, comps)
 
     def __sub__(self, other: "FamilyClass") -> "FamilyClass":
         return self + (-other)
 
     def _compatibility_plan(self):
-        """Per compatibility square and grade, (g, k, m, lhs factors, lhs
-        dead, rhs factors, rhs dead): the plan paths of its two sides,
-        checked to run between the square's ends."""
+        """Per compatibility square and grade, (g, k, m, lhs factors, rhs
+        factors): the plan paths of its two sides, checked to run between
+        the square's ends, None for a side that a zero map kills; a square
+        with both sides killed is left out."""
         functor, site = self.functor, self.site
         paths = []
         for g, k, w, gk in _squares(functor, self.base):
             apex = site.chosen_pullback(self.base, g).apex
             for m in functor.grades():
                 ends = _ends(functor, site.src(k), apex, m, self.degree)
-                lhs, lhs_dead, lhs_ends = _plan_path(functor, m, [(0, gk), w], (self,))
-                rhs, rhs_dead, rhs_ends = _plan_path(functor, m, [k, (0, g)], (self,))
+                lhs, lhs_ends = _plan_path(functor, m, [(0, gk), w], (self,))
+                rhs, rhs_ends = _plan_path(functor, m, [k, (0, g)], (self,))
                 if lhs_ends != ends or rhs_ends != ends:
                     raise ShapeMismatchError("homs with different src/tgt")
-                paths.append((g, k, m, lhs, lhs_dead, rhs, rhs_dead))
+                if lhs is not None or rhs is not None:
+                    paths.append((g, k, m, lhs, rhs))
         return tuple(paths)
 
     def compatibility_report(self) -> ValidationReport:
@@ -533,8 +529,9 @@ class FamilyClass:
         kind, message, leg = _COMPATIBILITY[self.functor.variance]
         plan = _plan(self.functor, ("compatibility", self.base, self.degree), self._compatibility_plan)
         operands = (self,)
-        for g, k, m, lhs_factors, lhs_dead, rhs_factors, rhs_dead in plan:
-            lhs, rhs = _run(lhs_factors, lhs_dead, operands), _run(rhs_factors, rhs_dead, operands)
+        for g, k, m, lhs_factors, rhs_factors in plan:
+            lhs = None if lhs_factors is None else _run(lhs_factors, operands)
+            rhs = None if rhs_factors is None else _run(rhs_factors, operands)
             if lhs is None and rhs is None:
                 continue
             # a zero side is the zero hom between the ends of the square
@@ -566,8 +563,7 @@ class FamilyGroup:
     def encode(self, cls: FamilyClass) -> GroupElement:
         if not isinstance(cls, FamilyClass):
             raise TypeError("only additive classes encode; map families are not classes")
-        # _sum_element encodes an absent key as zero, and a stored one through
-        # its Hom group, which checks the component's ends
+        FamilyClass(self.functor, self.base, self.degree)._compatible(cls)
         return self.solution.encode(cls.components)
 
     def decoded_gens(self) -> list[FamilyClass]:

@@ -440,8 +440,10 @@ class GradedFunctor:
     A functor is never written after construction, so it keeps one private
     table, filled on first use, bounded by the functor and freed with it:
     the plans of the class operations and compatibility checks over it,
-    which famsolve builds (see there).  A plan that raises is not stored,
-    so it raises again on the next call.
+    which famsolve builds (see there).  A plan holds functor maps and slots
+    that name class components, and no group of a component: each class
+    checks its components' ends once, when it is built.  A plan that raises
+    is not stored, so it raises again on the next call.
     """
 
     def __init__(self, site: Site, variance: str, window, groups, maps):

@@ -294,6 +294,12 @@ def _expect(cond, location, message):
         raise InstanceFileError(location, message)
 
 
+def _put(table: dict, key, value, location):
+    """table[key] = value, or InstanceFileError when an earlier entry set it."""
+    _expect(key not in table, location, f"repeats the entry for {key!r}")
+    table[key] = value
+
+
 def _section(doc: dict, key, location, kind=dict):
     """doc[key], or an empty kind when absent; InstanceFileError unless it is a kind."""
     value = doc.get(key, kind())
@@ -384,7 +390,7 @@ def _hom_table(doc: dict, key, location, names, ends) -> dict:
     for idx, entry in enumerate(_section(doc, key, f"{location}.{key}", list)):
         loc = f"{location}.{key}[{idx}]"
         f, g, i = _fields(entry, loc, names, ("i",))
-        table[(f, g, i)] = _as_hom(entry.get("matrix"), f"{loc}.matrix", *ends(f, g, i, loc))
+        _put(table, (f, g, i), _as_hom(entry.get("matrix"), f"{loc}.matrix", *ends(f, g, i, loc)), loc)
     return table
 
 
@@ -436,7 +442,7 @@ def parse_instance(doc) -> InstanceBundle:
         _expect(isinstance(entry, dict), loc, "expected an object")
         for fld in ("first", "then", "equals"):
             _named(entry.get(fld), names, loc, f"field {fld!r} must name a morphism")
-        composition[(entry["then"], entry["first"])] = entry["equals"]
+        _put(composition, (entry["then"], entry["first"]), entry["equals"], loc)
 
     confined = [_named(c, names, "confined", "expected a list of morphism names") for c in _section(doc, "confined", "confined", list)]
 
@@ -447,7 +453,7 @@ def parse_instance(doc) -> InstanceBundle:
         for fld in ("f", "g", "top", "left"):
             _named(entry.get(fld), names, loc, f"field {fld!r} must name a morphism")
         _named(entry.get("apex"), objects, loc, "field 'apex' must name an object")
-        pullbacks[(entry["f"], entry["g"])] = (entry["apex"], entry["top"], entry["left"])
+        _put(pullbacks, (entry["f"], entry["g"]), (entry["apex"], entry["top"], entry["left"]), loc)
 
     final_object = doc.get("final_object")
     if final_object is not None:
@@ -506,7 +512,7 @@ def parse_instance(doc) -> InstanceBundle:
                     )
                     prow.append(tuple(cell))
                 parsed.append(tuple(prow))
-            products[(f_, g_, i_, j_)] = tuple(parsed)
+            _put(products, (f_, g_, i_, j_), tuple(parsed), ploc)
 
         def pushforward_ends(f, g, i, loc):
             return grp(_built(loc, site.compose, g, f), i), grp(g, i)
@@ -535,9 +541,16 @@ def parse_instance(doc) -> InstanceBundle:
 
 
 def load_instance(path: str) -> InstanceBundle:
+    def unique_keys(pairs) -> dict:
+        """A JSON object, or InstanceFileError when it repeats a key."""
+        obj = {}
+        for key, value in pairs:
+            _put(obj, key, value, path)
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise InstanceFileError(path, f"cannot read file: {exc}") from exc
     except json.JSONDecodeError as exc:

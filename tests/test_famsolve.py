@@ -375,6 +375,47 @@ class TestFamilyClassEquality:
         assert unit + unit_copy == unit + unit
 
 
+# stray components over 0>01 on subsets(2) F, keyed by what is wrong with
+# their key: a grade outside the window, with a nonzero hom or with the zero
+# hom between the ends that the grade would have, a morphism into another
+# object, and a name the site does not know
+STRAY_COMPONENTS = {
+    "grade-5": lambda F: (("01>01", 5), GroupHom.identity(F.group("01", 0))),
+    "grade-5-zero-ends": lambda F: (("01>01", 5), GroupHom.zero(*FamilyClass(F, "0>01", 0)._component_ends("01>01", 5))),
+    "other-target": lambda F: (("0>0", 0), GroupHom.identity(F.group("0", 0))),
+    "unknown-morphism": lambda F: (("nowhere", 0), GroupHom.identity(F.group("01", 0))),
+}
+
+
+class TestComponentsCheckedWhenBuilt:
+    """A class checks its stored components while it is built, and a group
+    of classes encodes only classes over its own data."""
+
+    @pytest.mark.parametrize("stray", sorted(STRAY_COMPONENTS))
+    def test_a_component_at_a_key_the_class_does_not_have_raises(self, bundle, stray):
+        # encode and == read only a class's own keys, so such a component
+        # would go unseen if the class were built
+        F = bundle.functors["F"]
+        gen = family_group(F, "0>01", 0).decoded_gens()[0]
+        key, hom = STRAY_COMPONENTS[stray](F)
+        with pytest.raises(ShapeMismatchError, match="has no component at"):
+            FamilyClass(F, "0>01", 0, {**gen.components, key: hom})
+
+    def test_encode_rejects_a_class_of_another_degree(self):
+        # a degree-2 class over 0>0 has the component ends of degree 0 in
+        # grades 0 and 2, where every group is Z
+        functor = build_graded_instance(2).functors["Heven"]
+        degree_two = family_group(functor, "0>0", 2).decoded_gens()[0]
+        with pytest.raises(ValueError, match="classes live over different data"):
+            family_group(functor, "0>0", 0).encode(degree_two)
+
+    def test_encode_rejects_a_class_over_another_base(self, bundle):
+        F = bundle.functors["F"]
+        unit = coop_unit(F, "01")
+        with pytest.raises(ValueError, match="classes live over different data"):
+            family_group(F, "0>01", 0).encode(unit)
+
+
 def count_homs(monkeypatch):
     """Every GroupHom built, recorded as its well-definedness check runs."""
     built = []
@@ -574,20 +615,21 @@ class TestSparseComposition:
     @pytest.mark.parametrize("zero", ["absent", "stored"])
     @pytest.mark.parametrize("zero_first", [True, False])
     def test_ill_typed_middle_pair_raises_beside_a_zero_factor(self, bundle, zero, zero_first):
+        # the ill-typed class of the pair raises while it is built, so no
+        # composite can meet it; the well-typed pair beside the zero factor
+        # runs to zero, as the dense composite does
         F = bundle.functors["F"]
         g = bundle.site.identity("01")
-        stray = FgAbGroup.from_invariants(0, (7,))
-        zero_class = FamilyClass(F, g, 0)
-        if zero == "stored":
-            zero_class.components[(g, 0)] = zero_class.component(g, 0)
-        ill_typed = FamilyClass(F, g, 0, {(g, 0): GroupHom.identity(stray)})
-        steps = [(zero_class, g), (ill_typed, g)] if zero_first else [(ill_typed, g), (zero_class, g)]
+        with pytest.raises(ShapeMismatchError, match="does not run between its ends"):
+            FamilyClass(F, g, 0, {(g, 0): GroupHom.identity(FgAbGroup.from_invariants(0, (7,)))})
+        empty = FamilyClass(F, g, 0)
+        zero_class = FamilyClass(F, g, 0, {(g, 0): empty.component(g, 0)} if zero == "stored" else {})
+        unit = FamilyClass(F, g, 0, {(g, 0): GroupHom.identity(F.group("01", 0))})
+        steps = [(zero_class, g), (unit, g)] if zero_first else [(unit, g), (zero_class, g)]
         operands = [cls for cls, _ in steps]
-        with pytest.raises(ShapeMismatchError):
-            factors, dead, _ = famsolve._plan_path(F, 0, [(i, key) for i, (_, key) in enumerate(steps)], operands)
-            famsolve._run(factors, dead, operands)
-        with pytest.raises(ShapeMismatchError):
-            dense_path(F, 0, steps)
+        factors, _ = famsolve._plan_path(F, 0, [(i, key) for i, (_, key) in enumerate(steps)], operands)
+        assert famsolve._run(factors, operands) is None
+        assert is_zero_matrix(dense_path(F, 0, steps).mat)
 
 
 def axiom_family_starts():
@@ -659,8 +701,8 @@ def functor_copy(name):
 
 class TestPlanTable:
     """Each functor plans a class operation once per key, on first use, in a
-    table of its own that dies with it, and running a plan still rejects a
-    stored component with the wrong ends."""
+    table of its own that dies with it; a stored component with the wrong
+    ends never reaches a plan, because its class raises while it is built."""
 
     @pytest.mark.parametrize("name, verify", [("F", verify_coop_axioms), ("h", verify_op_axioms)])
     def test_each_plan_is_built_once_per_key(self, monkeypatch, name, verify):
@@ -695,12 +737,13 @@ class TestPlanTable:
         assert ref() is None
 
     def assert_each_ill_typed_key_raises(self, functor, base, keys, call):
-        """call(cls) raises ShapeMismatchError for a class over base that
-        stores one component, at any of keys, on a group of the wrong ends."""
+        """A class over base that stores one component, at any of keys, on a
+        group of the wrong ends raises ShapeMismatchError while it is built,
+        with the message of that check, so call(cls) never runs."""
         stray = GroupHom.identity(FgAbGroup.from_invariants(0, (7,)))
         assert keys
         for key in keys:
-            with pytest.raises(ShapeMismatchError):
+            with pytest.raises(ShapeMismatchError, match="does not run between its ends"):
                 call(FamilyClass(functor, base, 0, {key: stray}))
 
     def test_an_ill_typed_component_raises_through_every_operation(self):
@@ -722,10 +765,12 @@ class TestPlanTable:
     def test_an_ill_typed_component_raises_where_a_zero_map_kills_the_composite(self):
         # pulled back along 1>01, the component of a class over 0>01 at 1>01
         # runs from F(E) = 0; the paste comparison on that apex is the zero
-        # map of F(E), so the plan's composite is dead
+        # map of F(E), so the plan stores no path for it, and an ill-typed
+        # component there raises while its class is built
         F = functor_copy("F")
         assert FamilyClass(F, "0>01", 0)._component_ends("1>01", 0)[0].is_trivial
         self.assert_each_ill_typed_key_raises(F, "0>01", [("1>01", 0)], lambda c: family_pullback(c, "1>01"))
+        family_pullback(FamilyClass(F, "0>01", 0), "1>01")
         _, _, paths = F._plans[("pullback", "0>01", 0, "1>01")]
-        (path,) = [(factors, dead) for out, m, factors, dead in paths if (out, m) == ("1>1", 0)]
-        assert path[1] and len(path[0]) == 1  # dead, and only the slot is left
+        assert ("1>1", 0) not in dict(paths)
+        assert paths == ()  # the other key, E>1, runs from F(E) = 0 as well

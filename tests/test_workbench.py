@@ -11,11 +11,13 @@ from bivariant.workbench import (
     build_graded_instance,
     build_subsets_instance,
     bundle_to_json,
+    load_instance,
     parse_instance,
     run_demo,
 )
 
 from oracles import family_from_self_transformation, rational_rank
+from test_cli import run_cli
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +228,43 @@ def test_a_grade_has_one_spelling(grade):
     with pytest.raises(InstanceFileError) as err:
         parse_instance(doc)
     assert err.value.location == f"functors.F.groups.0@{grade}"
+
+
+@pytest.mark.parametrize(
+    "path, changes",
+    [
+        (("composition",), {}),
+        (("pullbacks",), {}),
+        (("theories", "B", "products"), {}),
+        (("theories", "B", "pushforwards"), {"matrix": [[5]]}),
+        (("theories", "B", "pullbacks"), {}),
+    ],
+    ids=["composition", "site-pullbacks", "products", "pushforwards", "theory-pullbacks"],
+)
+def test_a_repeated_table_entry_is_an_input_error(path, changes):
+    # the first entry of each table runs along 0>0, between groups Z
+    doc = bundle_to_json(build_subsets_instance(1))
+    table = doc
+    for key in path:
+        table = table[key]
+    table.append({**table[0], **changes})
+    with pytest.raises(InstanceFileError, match="repeats the entry for") as err:
+        parse_instance(doc)
+    assert err.value.location == f"{'.'.join(path)}[{len(table) - 1}]"
+
+
+def test_a_repeated_object_key_is_an_input_error(tmp_path):
+    doc = bundle_to_json(build_subsets_instance(1))
+    groups = json.dumps(doc["functors"]["F"]["groups"])
+    assert groups.startswith('{"0@0": ')
+    text = json.dumps(doc).replace(groups, '{"0@0": {"free_rank": 5}, ' + groups[1:], 1)
+    file = tmp_path / "doc.json"
+    file.write_text(text, encoding="utf-8")
+    with pytest.raises(InstanceFileError, match="repeats the entry for '0@0'") as err:
+        load_instance(str(file))
+    assert err.value.location == str(file)
+    result = run_cli("validate", str(file))
+    assert result.returncode == 2 and result.stderr.startswith("input error: ")
 
 
 class TestDemo:
