@@ -23,7 +23,6 @@ from .exactalg import (
     GroupHom,
     Subgroup,
     direct_sum,
-    hom_group,
     hom_preimage,
     image,
     IntMatrix,
@@ -31,13 +30,13 @@ from .exactalg import (
     kernel_image,
 )
 from .famsolve import (
+    ConstraintSpec,
     FamilyClass,
     FamilyGroup,
     FamilyTheory,
     ImageTransfer,
-    SummandSpec,
+    TermSpec,
     _squares,
-    _sum_element,
     comparison_hom,
     family_group,
     family_product,
@@ -166,6 +165,11 @@ class TransferSubgroupResult:
     coordinates, a class's companions are the coop(G) coordinates of the
     kernel elements over it, and the kernel of the projection holds the
     pairs (0, d) with d o T = 0.
+
+    L is assembled with no class decoded: constraint_map on each group's
+    FamilySolution writes one constraint per (g, m), T o c_g or -d_g o T, on
+    its unknowns; times the group's kernel inclusion, with each column reduced
+    in the link sum, that is L on the group's generators.
     """
 
     def __init__(self, transf: NaturalTransf, base: str, degree: int):
@@ -177,22 +181,21 @@ class TransferSubgroupResult:
         source = self.source_result = coop_group(transf.src, base, degree)
         target = self.target_result = coop_group(transf.tgt, base, degree)
 
-        links = {}  # (g, m) -> (T after c_g, T before d_g)
+        on_source, on_target = [], []  # per (g, m): T o c_g and -d_g o T
         for g in site.morphisms_into(site.tgt(base)):
             apex = site.chosen_pullback(base, g).apex
             for m in transf.src.grades():
-                links[(g, m)] = (transf.component(site.src(g), m + degree), transf.component(apex, m))
-        specs = [SummandSpec(key, before.src, after.tgt) for key, (after, before) in links.items()]
-        hom_groups = [hom_group(s.src, s.tgt) for s in specs]
-        links_sum = direct_sum([hg.group for hg in hom_groups]).group
-
-        def column(homs: dict) -> tuple:
-            return _sum_element(links_sum, specs, hom_groups, homs).coords
-
-        cols = [column({k: after @ c.component(*k) for k, (after, _) in links.items()}) for c in source.decoded_gens()]
-        cols += [column({k: -(d.component(*k) @ before) for k, (_, before) in links.items()}) for d in target.decoded_gens()]
+                after, before = transf.component(site.src(g), m + degree), transf.component(apex, m)
+                on_source.append(ConstraintSpec((g, m), before.src, after.tgt, (TermSpec(1, (g, m), post=after),)))
+                on_target.append(ConstraintSpec((g, m), before.src, after.tgt, (TermSpec(-1, (g, m), pre=before),)))
+        cols = []
+        for result, constraints in ((source, on_source), (target, on_target)):
+            # both halves keep the same links, so they land in one sum
+            _, _, links, half = result.solution.constraint_map(constraints)
+            lifted = half.mat @ result.solution.kernel.inclusion.mat
+            cols += [links.group.reduce(lifted.col(j)) for j in range(lifted.cols)]
         pairs = direct_sum([source.group, target.group]).group
-        ker = kernel(GroupHom(pairs, links_sum, IntMatrix.from_columns(cols, links_sum.ngens)))
+        ker = kernel(GroupHom(pairs, links.group, IntMatrix.from_columns(cols, links.group.ngens)))
 
         # the coop(F) and coop(G) coordinates of ker L
         lift, n = ker.inclusion.mat, source.group.ngens

@@ -752,9 +752,6 @@ class Subgroup:
     group: FgAbGroup
     inclusion: GroupHom
 
-    def contains(self, x: GroupElement) -> bool:
-        return hom_preimage(self.inclusion, x) is not None
-
 
 def kernel_image(f: GroupHom) -> tuple[Subgroup, Subgroup]:
     """Kernel and image of f, each as (abstract group, inclusion hom)."""

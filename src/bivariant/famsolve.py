@@ -20,7 +20,8 @@ Groups of classes are kernels of an integer constraint map: the unknown is
 the family (c_key) with c_key in Hom(src, tgt), and each constraint is a
 signed sum of terms post o c_key o pre that must vanish.  FamilySolution
 assembles the constraint map between the direct sums of the Hom groups and
-returns its kernel with an element <-> family codec.
+returns its kernel with an element <-> family codec; its assembler,
+constraint_map, also yields the transfer's link map on coop(F) and coop(G).
 
 A class stores its components in a dict, and an absent key reads as the
 zero hom.  Each stored component is checked once, when its class is built:
@@ -109,36 +110,38 @@ class FamilySolution:
         self.hom_groups = [_between(hom_group(s.src, s.tgt), s.src, s.tgt) for s in self.summands]
         self._pos = {s.key: idx for idx, s in enumerate(self.summands)}
         self.unknowns = direct_sum([hg.group for hg in self.hom_groups])
+        self.constraints, self.targets, self.constraint_sum, self.constraint_hom = self.constraint_map(constraints)
+        self.kernel: Subgroup = kernel(self.constraint_hom)
 
-        kept = []
+    def constraint_map(self, constraints):
+        """(kept, codecs, sum, hom): the constraints in a nontrivial Hom group,
+        their terms on trivial summands dropped, the codecs and direct sum of
+        those Hom groups, and u |-> (sum of sign * post o u_key o pre) on it."""
+        kept, targets = [], []
         for c in constraints:
-            if hom_group(c.src, c.tgt).group.is_trivial:
-                continue
-            terms = tuple(t for t in c.terms if t.summand_key in self._pos)
-            kept.append(ConstraintSpec(c.key, c.src, c.tgt, terms))
-        self.constraints = kept
-        self.targets = [hom_group(c.src, c.tgt) for c in self.constraints]
-        self.constraint_sum = direct_sum([hg.group for hg in self.targets])
-
-        # each term's induced hom is one signed block of the constraint matrix,
-        # at the offsets of its constraint (rows) and its unknown (columns)
+            hg = hom_group(c.src, c.tgt)
+            if not hg.group.is_trivial:
+                kept.append(ConstraintSpec(c.key, c.src, c.tgt, tuple(t for t in c.terms if t.summand_key in self._pos)))
+                targets.append(hg)
+        total = direct_sum([hg.group for hg in targets])
+        # each term's induced hom is one signed block of the matrix, at the
+        # offsets of its constraint (rows) and its unknown (columns)
         ncols = self.unknowns.group.ngens
-        rows = [[0] * ncols for _ in range(self.constraint_sum.group.ngens)]
-        for ci, c in enumerate(self.constraints):
-            top = self.constraint_sum.offsets[ci]
+        rows = [[0] * ncols for _ in range(total.group.ngens)]
+        for ci, c in enumerate(kept):
+            top = total.offsets[ci]
             for t in c.terms:
                 si = self._pos[t.summand_key]
                 left = self.unknowns.offsets[si]
                 sign = 1 if t.sign > 0 else -1
-                ind = induced_hom(self.hom_groups[si], self.targets[ci], t.pre, t.post)
+                ind = induced_hom(self.hom_groups[si], targets[ci], t.pre, t.post)
                 for i, entries in enumerate(ind.mat.entries):
                     row = rows[top + i]
                     for j, a in enumerate(entries):
                         if a:
                             row[left + j] += sign * a
         mat = IntMatrix(len(rows), ncols, tuple(tuple(r) for r in rows))
-        self.constraint_hom = GroupHom(self.unknowns.group, self.constraint_sum.group, mat)
-        self.kernel: Subgroup = kernel(self.constraint_hom)
+        return kept, targets, total, GroupHom(self.unknowns.group, total.group, mat)
 
     @property
     def group(self) -> FgAbGroup:

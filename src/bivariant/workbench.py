@@ -681,26 +681,22 @@ def demo_checks(n: int):
     yield "Grothendieck transformation [gamma]", validate_groth(gamma)
     yield "image subtheory axioms [Im gamma]", validate_axioms(image_subtheory(gamma))
 
-    rb = ReportBuilder()
-    for mor in site.morphisms:
-        result = coop.coop_group(f, mor.name, 0)
-        for cls in result.decoded_gens():
-            rb.extend(cls.compatibility_report())
-            result.encode(cls)
-    yield "co-operational groups decode/encode", rb.done()
+    def round_trips(group_of, functor):
+        """Every decoded generator at every base is a class and encodes back."""
+        rb = ReportBuilder()
+        for mor in site.morphisms:
+            result = group_of(functor, mor.name, 0)
+            for cls in result.decoded_gens():
+                rb.extend(cls.compatibility_report())
+                result.encode(cls)
+        return rb.done()
 
+    yield "co-operational groups decode/encode", round_trips(coop.coop_group, f)
     yield "co-operational axioms (7 axioms + Units)", coop.verify_coop_axioms(f)
     yield "coop comparison identities", coop.verify_coop_transform_identities(b)
     yield "identity isomorphism", coop.verify_identity_isomorphism(b)
 
-    rb = ReportBuilder()
-    for mor in site.morphisms:
-        result = op.op_group(h, mor.name, 0)
-        for cls in result.decoded_gens():
-            rb.extend(cls.compatibility_report())
-            result.encode(cls)
-    yield "operational groups decode/encode", rb.done()
-
+    yield "operational groups decode/encode", round_trips(op.op_group, h)
     yield "operational axioms (7 axioms + Units)", op.verify_op_axioms(h)
     yield "op comparison identities", op.verify_op_transform_identities(b)
     yield "point isomorphism", op.verify_point_isomorphism(b)

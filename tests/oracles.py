@@ -11,14 +11,16 @@ operation's composites from the site's pastes, by the formulas of the
 operation docstrings, with dense_path; identities_confined gives a site
 the smallest confined class its axioms allow; joint_transfer_reference
 solves a transfer as one constraint system in the pairs (c, d), with no
-link map on solved groups.  The last two helpers read membership and build
-a class in ways only the tests need.
+link map on solved groups, and decoded_link_reference builds that link map
+by decoding every generator, composing it with T and encoding it back.
+The last three helpers read membership and build a class in ways only the
+tests need.
 """
 
 from itertools import combinations, product
 from math import gcd
 
-from bivariant.exactalg import GroupHom, IntMatrix, image, kernel_image
+from bivariant.exactalg import GroupHom, IntMatrix, direct_sum, hom_group, hom_preimage, image, kernel, kernel_image
 from bivariant.famsolve import ConstraintSpec, FamilyClass, FamilySolution, SummandSpec, TermSpec, family_group
 from bivariant.site import Site
 
@@ -336,9 +338,47 @@ def joint_transfer_reference(transf, base, degree):
     return joint, subgroup, homogeneous
 
 
+def decoded_link_reference(transf, base, degree):
+    """The transfer's link map L built class by class: every generator of
+    coop(F) and of coop(G) decoded into a family, each component composed
+    with T (T o c_g, and -d_g o T) and encoded back into the link sum.
+
+    Returns what TransferSubgroupResult reads off ker L: the matrices of its
+    coop(F) rows (_proj) and of its coop(G) rows (_companion), and the image
+    of the first (subgroup).
+    """
+    site = transf.site
+    source = family_group(transf.src, base, degree)
+    target = family_group(transf.tgt, base, degree)
+    links = {}  # (g, m) -> (T after c_g, T before d_g)
+    for g in site.morphisms_into(site.tgt(base)):
+        apex = site.chosen_pullback(base, g).apex
+        for m in transf.src.grades():
+            links[(g, m)] = (transf.component(site.src(g), m + degree), transf.component(apex, m))
+    codecs = [hom_group(before.src, after.tgt) for after, before in links.values()]
+    links_sum = direct_sum([hg.group for hg in codecs]).group
+
+    def column(homs):
+        return links_sum.element([x for hg, hom in zip(codecs, homs) for x in hg.encode(hom).coords]).coords
+
+    cols = [column([after @ c.component(*k) for k, (after, _) in links.items()]) for c in source.decoded_gens()]
+    cols += [column([-(d.component(*k) @ before) for k, (_, before) in links.items()]) for d in target.decoded_gens()]
+    pairs = direct_sum([source.group, target.group]).group
+    ker = kernel(GroupHom(pairs, links_sum, IntMatrix.from_columns(cols, links_sum.ngens)))
+    lift, n = ker.inclusion.mat, source.group.ngens
+    proj = lift.top_rows(n)
+    companion = IntMatrix(lift.rows - n, lift.cols, lift.entries[n:])
+    return proj, companion, image(GroupHom(ker.group, source.group, proj))
+
+
+def contains(sub, x):
+    """Whether the element x of sub's ambient group lies in the subgroup sub."""
+    return hom_preimage(sub.inclusion, x) is not None
+
+
 def in_transfer_subgroup(tsr, cls):
     """Whether the class lies in the transfer subgroup of tsr."""
-    return tsr.subgroup.contains(tsr.source_result.encode(cls))
+    return contains(tsr.subgroup, tsr.source_result.encode(cls))
 
 
 def family_from_self_transformation(t, obj):

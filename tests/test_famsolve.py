@@ -46,6 +46,8 @@ from bivariant.site import GradedFunctor, NaturalTransf
 from bivariant.workbench import build_graded_instance, build_subsets_instance, load_instance, reduction_transformation
 
 from oracles import (
+    contains,
+    decoded_link_reference,
     dense_path,
     dense_product,
     dense_pullback,
@@ -208,7 +210,7 @@ class TestLinkMap:
             _, subgroup, homogeneous = joint_transfer_reference(transf, mor.name, degree)
             ours = tsr.companions(FamilyClass(transf.src, mor.name, degree)).homogeneous
             for a, b in ((tsr.subgroup, subgroup), (subgroup, tsr.subgroup), (ours, homogeneous), (homogeneous, ours)):
-                assert all(b.contains(a.inclusion(x)) for x in a.group.gens()), mor.name
+                assert all(contains(b, a.inclusion(x)) for x in a.group.gens()), mor.name
             assert tsr.subgroup.group.ngens == subgroup.group.ngens
             assert ours.group.canonical() == homogeneous.group.canonical()
 
@@ -223,6 +225,51 @@ class TestLinkMap:
         psi = build_graded_instance(2).transformations["psi"]
         for degree in feasible_degrees(psi.src):
             self.assert_matches_joint_system(psi, degree)
+
+
+class TestLinkAssembler:
+    """The link map that FamilySolution.constraint_map assembles on each
+    group's unknowns gives, entry for entry, the ker L slices of the map
+    built by decoding every generator, composing it with T and encoding it
+    back; and building it decodes no class."""
+
+    def assert_matches_decoded_reference(self, transf, base, degree):
+        tsr = transfer_subgroup(transf, base, degree)
+        proj, companion, subgroup = decoded_link_reference(transf, base, degree)
+        assert tsr._proj.mat == proj, base
+        assert tsr._companion.mat == companion, base
+        assert tsr.subgroup.inclusion.mat == subgroup.inclusion.mat, base
+        assert tsr.subgroup.group.relations == subgroup.group.relations, base
+
+    def test_mod_two_reduction_at_every_base_of_subsets_three(self):
+        transf = build_subsets_instance(3).transformations["T"]
+        for mor in transf.site.morphisms:
+            self.assert_matches_decoded_reference(transf, mor.name, 0)
+
+    @pytest.mark.parametrize("degree", [0, 2])
+    def test_grade_scaling(self, degree):
+        psi = build_graded_instance(2).transformations["psi"]
+        for mor in psi.site.morphisms:
+            self.assert_matches_decoded_reference(psi, mor.name, degree)
+
+    def test_zero_functor_target(self, bundle):
+        # every link lands in a trivial Hom group, so the link sum has no rows
+        F = bundle.functors["F"]
+        zero = GradedFunctor(F.site, "contra", (0, 0), {}, {})
+        self.assert_matches_decoded_reference(NaturalTransf(F, zero, {}), "0>01", 0)
+
+    def test_building_decodes_no_class(self, monkeypatch):
+        calls = []
+        for owner, name in ((FamilySolution, "decode"), (cooperational, "family_group")):
+
+            def counting(*args, original=getattr(owner, name), name=name):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        tsr = transfer_subgroup(build_subsets_instance(3).transformations["T"], "01>012", 0)
+        assert tsr.source_result.group.ngens and tsr.target_result.group.ngens
+        assert calls == ["family_group", "family_group"]
 
 
 def with_zero_companions(tsr):
@@ -497,7 +544,7 @@ class TestCompanionCosets:
                 assert (u is None) == (sols.particular is None)
                 if u is not None:
                     expected = FamilyClass(transf.tgt, mor.name, degree, fresh.decode_unknowns(u))
-                    assert sols.homogeneous.contains(target.encode(expected - sols.particular))
+                    assert contains(sols.homogeneous, target.encode(expected - sols.particular))
                 cols = [target.solution.encode(fresh.decode(k)).coords for k in fresh.group.gens()]
                 to_target = GroupHom(fresh.group, target.group, IntMatrix.from_columns(cols, target.group.ngens))
                 assert sols.homogeneous.group.canonical() == image(to_target).group.canonical()
