@@ -644,7 +644,9 @@ class HomGroup:
     Internally the group is presented with one generator per nontrivial
     cyclic summand of Hom, computed from the canonical decompositions of
     src and tgt.  decode/encode translate between elements and GroupHoms;
-    both are additive and mutually inverse on equivalence classes.
+    both are additive and mutually inverse on equivalence classes.  A
+    summand (j, i, order, coeff) stands for coeff * E_ji in the canonical
+    bases: the hom u_tgt^-1 (coeff * E_ji) u_src.
     """
 
     src: FgAbGroup
@@ -667,17 +669,20 @@ class HomGroup:
         mat = self.tgt._smith.u_inv @ mp @ self.src._smith.u
         return GroupHom(self.src, self.tgt, mat)
 
-    def decode_gen(self, k: int) -> GroupHom:
-        return self.decode(tuple(1 if i == k else 0 for i in range(self.group.ngens)))
-
     def encode(self, hom: GroupHom) -> GroupElement:
         if hom.src != self.src or hom.tgt != self.tgt:
             raise ShapeMismatchError("hom does not match this Hom group")
         mp = self.tgt._smith.u @ hom.mat @ self.src._smith.u_inv
+        return self.group.element(self._summand_coords(mp.entries[j][i] for j, i, _, _ in self.summands))
+
+    def _summand_coords(self, raws) -> list:
+        """Unreduced coordinates of the hom whose matrix in the canonical
+        bases has the entries raws at the summands' (tgt_index, src_index):
+        each entry is taken mod b_j, must then be divisible by the summand's
+        coeff, and is divided by it."""
         b = self.tgt._diag
         coords = []
-        for (j, i, _order, coeff) in self.summands:
-            raw = mp.entries[j][i]
+        for (j, _i, _order, coeff), raw in zip(self.summands, raws):
             bj = b[j]
             if bj == 0:
                 coords.append(raw)
@@ -686,7 +691,7 @@ class HomGroup:
                 if r % coeff:
                     raise WellDefinednessError("matrix is not a well-defined hom")
                 coords.append(r // coeff)
-        return self.group.element(coords)
+        return coords
 
 
 @lru_cache(maxsize=HOM_GROUP_CACHE_SIZE)
@@ -728,15 +733,31 @@ def hom_group(src: FgAbGroup, tgt: FgAbGroup) -> HomGroup:
 def induced_hom(
     source: HomGroup, target: HomGroup, pre: GroupHom | None = None, post: GroupHom | None = None
 ) -> GroupHom:
-    """The map Hom(A,B) -> Hom(C,D), phi |-> post o phi o pre, on codec groups."""
+    """The map Hom(A,B) -> Hom(C,D), phi |-> post o phi o pre, on codec groups.
+
+    In the canonical bases (U_X the left Smith transform of X) the generator
+    of source summand (j, i, order, coeff) is coeff * E_ji, and post o phi o
+    pre becomes coeff * L E_ji R with L = U_D post U_B^-1 and R = U_A pre
+    U_C^-1, a missing pre or post being the identity.  So the generator's
+    image has the raw value coeff * L[j'][j] * R[i][i'] at target summand
+    (j', i', order', coeff'), encoded as HomGroup.encode does: mod b_j',
+    then divided by coeff'.  No hom is decoded per generator.
+    """
+    a, b = source.src, source.tgt
+    if (pre is not None and pre.tgt != a) or (post is not None and post.src != b):
+        raise ShapeMismatchError("middle groups disagree in composition")
+    c = a if pre is None else pre.src
+    d = b if post is None else post.tgt
+    if c != target.src or d != target.tgt:
+        raise ShapeMismatchError("hom does not match this Hom group")
+    # with no pre, C == A so U_A U_C^-1 is the identity; likewise for post
+    left = _identity_rows(b.ngens) if post is None else (d._smith.u @ post.mat @ b._smith.u_inv).entries
+    right = _identity_rows(a.ngens) if pre is None else (a._smith.u @ pre.mat @ c._smith.u_inv).entries
     cols = []
-    for k in range(source.group.ngens):
-        phi = source.decode_gen(k)
-        if pre is not None:
-            phi = phi @ pre
-        if post is not None:
-            phi = post @ phi
-        cols.append(target.encode(phi).coords)
+    for j, i, _order, coeff in source.summands:
+        r = right[i]
+        raws = (coeff * left[jt][j] * r[it] for jt, it, _, _ in target.summands)
+        cols.append(target.group.reduce(target._summand_coords(raws)))
     mat = IntMatrix.from_columns(cols, target.group.ngens)
     return GroupHom(source.group, target.group, mat)
 

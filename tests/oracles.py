@@ -12,7 +12,8 @@ operation docstrings, with dense_path; identities_confined gives a site
 the smallest confined class its axioms allow; joint_transfer_reference
 solves a transfer as one constraint system in the pairs (c, d), with no
 link map on solved groups, and decoded_link_reference builds that link map
-by decoding every generator, composing it with T and encoding it back.
+by decoding every generator, composing it with T and encoding it back;
+decoded_induced_hom builds each block of the constraint map the same way.
 The last three helpers read membership and build a class in ways only the
 tests need.
 """
@@ -369,6 +370,22 @@ def decoded_link_reference(transf, base, degree):
     proj = lift.top_rows(n)
     companion = IntMatrix(lift.rows - n, lift.cols, lift.entries[n:])
     return proj, companion, image(GroupHom(ker.group, source.group, proj))
+
+
+def decoded_induced_hom(source, target, pre=None, post=None):
+    """The map Hom(A,B) -> Hom(C,D), phi |-> post o phi o pre, built by
+    decoding every generator of the source codec into a checked hom,
+    composing it with pre and post, and encoding it into the target codec."""
+    cols = []
+    for k in range(source.group.ngens):
+        phi = source.decode(tuple(1 if i == k else 0 for i in range(source.group.ngens)))
+        if pre is not None:
+            phi = phi @ pre
+        if post is not None:
+            phi = post @ phi
+        cols.append(target.encode(phi).coords)
+    mat = IntMatrix.from_columns(cols, target.group.ngens)
+    return GroupHom(source.group, target.group, mat)
 
 
 def contains(sub, x):

@@ -13,7 +13,10 @@ tests/fixtures/instance_digests.json, which
 test_reader_and_writer_match_pinned_digests in tests/test_instance_fuzz.py
 compares against, and tests/fixtures/cli_outputs.json, the digests of the
 coop, op and bcoopt outputs that test_cli_outputs_match_fixture in
-tests/test_cli.py compares against.
+tests/test_cli.py compares against, and tests/fixtures/constraint_digests.json,
+the digests of the assembled constraint maps and their kernels that
+test_constraint_maps_match_pinned_digests in tests/test_famsolve.py
+compares against.
 """
 
 import json
@@ -23,6 +26,7 @@ from pathlib import Path
 from test_bivcore import comparison_reports, golden_reports
 from test_cli import cli_outputs
 from test_exactalg import snf_digests
+from test_famsolve import constraint_digests
 from test_instance_fuzz import instance_digests
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -37,5 +41,6 @@ if __name__ == "__main__":
     write("comparison_reports.json", comparison_reports())
     write("snf_digests.json", snf_digests())
     write("instance_digests.json", instance_digests())
+    write("constraint_digests.json", constraint_digests())
     with tempfile.TemporaryDirectory() as directory:
         write("cli_outputs.json", cli_outputs(directory))

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from bivariant.exactalg import (
     FgAbGroup,
     GroupHom,
+    HomGroup,
     IntMatrix,
     ShapeMismatchError,
     SmithDecomposition,
@@ -19,6 +20,7 @@ from bivariant.exactalg import (
     hom_group,
     hom_preimage,
     image,
+    induced_hom,
     is_surjective,
     kernel,
     kernel_image,
@@ -29,6 +31,7 @@ from bivariant.exactalg import (
 )
 
 from oracles import (
+    decoded_induced_hom,
     determinantal_divisors,
     hom_count_cyclic,
     hom_difference_is_zero,
@@ -361,6 +364,89 @@ class TestHomGroup:
         e2 = hg.group.element([rng.randint(-9, 9) for _ in range(hg.group.ngens)])
         assert hg.decode(e1 + e2).equals(hg.decode(e1) + hg.decode(e2))
         assert hg.encode(hg.decode(e1)) == e1
+
+
+def invariants(draw):
+    """(free rank, torsion) with torsion in any order, so that the Smith
+    transforms of from_invariants(*invariants) are often not the identity."""
+    return draw(st.integers(0, 2)), tuple(draw(st.lists(st.sampled_from([2, 3, 4, 6]), max_size=2)))
+
+
+def random_hom(rng, src_inv, tgt_inv):
+    src, tgt = FgAbGroup.from_invariants(*src_inv), FgAbGroup.from_invariants(*tgt_inv)
+    rows = random_well_defined_matrix(rng, src_inv, tgt_inv)
+    return GroupHom(src, tgt, IntMatrix(tgt.ngens, src.ngens, tuple(map(tuple, rows))))
+
+
+class TestInducedHom:
+    """induced_hom's closed form gives, entry for entry, the map built by
+    decoding each generator, composing it and encoding it back."""
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_matches_decoded_generators(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        a, b = invariants(data.draw), invariants(data.draw)
+        pre = random_hom(rng, invariants(data.draw), a) if data.draw(st.booleans()) else None
+        post = random_hom(rng, b, invariants(data.draw)) if data.draw(st.booleans()) else None
+        a_grp, b_grp = FgAbGroup.from_invariants(*a), FgAbGroup.from_invariants(*b)
+        c_grp = a_grp if pre is None else pre.src
+        d_grp = b_grp if post is None else post.tgt
+        source, target = hom_group(a_grp, b_grp), hom_group(c_grp, d_grp)
+        ours = induced_hom(source, target, pre, post)
+        assert (ours.src, ours.tgt) == (source.group, target.group)
+        assert ours.mat == decoded_induced_hom(source, target, pre, post).mat
+
+    @pytest.mark.parametrize(
+        "src, tgt",
+        [((0, (3,)), (1, ())), ((1, ()), (0, ())), ((0, ()), (1, (2,)))],
+        ids=["torsion-into-free", "into-zero", "from-zero"],
+    )
+    def test_zero_generator_hom_groups(self, src, tgt):
+        # Hom(A, B) has no generators on one side or both
+        rng = random.Random(0)
+        a, b = FgAbGroup.from_invariants(*src), FgAbGroup.from_invariants(*tgt)
+        for pre, post in ((None, None), (random_hom(rng, (1, (2,)), src), random_hom(rng, tgt, (1, (4,))))):
+            c = a if pre is None else pre.src
+            d = b if post is None else post.tgt
+            source, target = hom_group(a, b), hom_group(c, d)
+            ours = induced_hom(source, target, pre, post)
+            assert ours.mat == decoded_induced_hom(source, target, pre, post).mat
+            assert (ours.mat.rows, ours.mat.cols) == (target.group.ngens, source.group.ngens)
+
+    def test_mismatched_pre_or_post(self):
+        z4 = FgAbGroup.from_invariants(0, (4,))
+        source = hom_group(Z, z4)
+        with pytest.raises(ShapeMismatchError):
+            induced_hom(source, source, pre=GroupHom.identity(z4))
+        with pytest.raises(ShapeMismatchError):
+            induced_hom(source, source, post=GroupHom.identity(Z))
+
+    def test_result_outside_the_target_codec(self):
+        z4 = FgAbGroup.from_invariants(0, (4,))
+        source = hom_group(Z, z4)
+        with pytest.raises(ShapeMismatchError):
+            induced_hom(source, hom_group(Z, Z))
+        with pytest.raises(ShapeMismatchError):
+            induced_hom(source, hom_group(z4, z4), post=GroupHom(z4, z4, IntMatrix.from_rows([[2]])))
+
+    def test_decodes_and_encodes_no_hom(self, monkeypatch):
+        calls = []
+        for name in ("decode", "encode"):
+
+            def counting(*args, original=getattr(HomGroup, name), name=name):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(HomGroup, name, counting)
+        z2, z_z6 = FgAbGroup.from_invariants(0, (2,)), FgAbGroup.from_invariants(1, (6,))
+        pre = GroupHom(z_z6, Z, IntMatrix.from_rows([[3, 0]]))
+        post = GroupHom(z2, z_z6, IntMatrix.from_rows([[0], [3]]))
+        source, target = hom_group(Z, z2), hom_group(z_z6, z_z6)
+        assert source.group.ngens and target.group.ngens
+        ours = induced_hom(source, target, pre, post)
+        assert calls == []
+        assert ours.mat == decoded_induced_hom(source, target, pre, post).mat
 
 
 class TestHomAlgebra:

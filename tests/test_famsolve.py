@@ -2,9 +2,12 @@
 
 import bisect
 import dataclasses
+import hashlib
 import inspect
+import json
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +27,6 @@ from bivariant.exactalg import (
     IntMatrix,
     ShapeMismatchError,
     image,
-    induced_hom,
     kernel,
 )
 from bivariant.famsolve import (
@@ -47,6 +49,7 @@ from bivariant.workbench import build_graded_instance, build_subsets_instance, l
 
 from oracles import (
     contains,
+    decoded_induced_hom,
     decoded_link_reference,
     dense_path,
     dense_product,
@@ -69,13 +72,14 @@ def bundle():
 
 
 def reference_constraint_hom(sol):
-    """The constraint map as the sum of injection o induced hom o projection."""
+    """The constraint map as the sum of injection o induced hom o projection,
+    each induced hom built by decoding, composing and encoding generators."""
     keys = [s.key for s in sol.summands]
     total = GroupHom.zero(sol.unknowns.group, sol.constraint_sum.group)
     for ci, c in enumerate(sol.constraints):
         for t in c.terms:
             si = keys.index(t.summand_key)
-            ind = induced_hom(sol.hom_groups[si], sol.targets[ci], t.pre, t.post)
+            ind = decoded_induced_hom(sol.hom_groups[si], sol.targets[ci], t.pre, t.post)
             block = injections(sol.constraint_sum)[ci] @ ind @ projections(sol.unknowns)[si]
             total = total + (block if t.sign > 0 else -block)
     return total
@@ -85,6 +89,43 @@ def assert_matches_reference(sol):
     ref = reference_constraint_hom(sol)
     assert sol.constraint_hom.mat == ref.mat
     assert sol.kernel.inclusion.mat == kernel(ref).inclusion.mat
+
+
+CONSTRAINT_DIGESTS = Path(__file__).parent / "fixtures" / "constraint_digests.json"
+
+
+def matrix_digest(m: IntMatrix) -> str:
+    return hashlib.sha256(json.dumps([m.rows, m.cols, m.entries]).encode()).hexdigest()
+
+
+def constraint_digests() -> dict:
+    """The sha256 of the constraint matrix and of the kernel inclusion of
+    every family group of F and h on subsets(3) and of the graded instance
+    at k = 2, at every base and feasible degree."""
+    subsets, graded = build_subsets_instance(3), build_graded_instance(2)
+    functors = {
+        "subsets3 F": subsets.functors["F"],
+        "subsets3 h": subsets.functors["h"],
+        "graded2 Heven": graded.functors["Heven"],
+    }
+    digests = {}
+    for label, functor in functors.items():
+        for mor in functor.site.morphisms:
+            for degree in feasible_degrees(functor):
+                sol = family_group(functor, mor.name, degree).solution
+                digests[f"{label} {mor.name} {degree}"] = {
+                    "constraint_hom": matrix_digest(sol.constraint_hom.mat),
+                    "kernel_inclusion": matrix_digest(sol.kernel.inclusion.mat),
+                }
+    return digests
+
+
+def test_constraint_maps_match_pinned_digests():
+    """Every assembled constraint matrix and kernel inclusion is byte for byte
+    as recorded.  Regenerate with tests/record_golden.py only for an intended
+    change of the solver's output."""
+    expected = json.loads(CONSTRAINT_DIGESTS.read_text(encoding="utf-8"))
+    assert constraint_digests() == expected
 
 
 class TestAssembledConstraintMatrix:
