@@ -397,34 +397,15 @@ class TestInducedHom:
         assert (ours.src, ours.tgt) == (source.group, target.group)
         assert ours.mat == decoded_induced_hom(source, target, pre, post).mat
 
-    @pytest.mark.parametrize(
-        "src, tgt",
-        [((0, (3,)), (1, ())), ((1, ()), (0, ())), ((0, ()), (1, (2,)))],
-        ids=["torsion-into-free", "into-zero", "from-zero"],
-    )
-    def test_zero_generator_hom_groups(self, src, tgt):
-        # Hom(A, B) has no generators on one side or both
-        rng = random.Random(0)
-        a, b = FgAbGroup.from_invariants(*src), FgAbGroup.from_invariants(*tgt)
-        for pre, post in ((None, None), (random_hom(rng, (1, (2,)), src), random_hom(rng, tgt, (1, (4,))))):
-            c = a if pre is None else pre.src
-            d = b if post is None else post.tgt
-            source, target = hom_group(a, b), hom_group(c, d)
-            ours = induced_hom(source, target, pre, post)
-            assert ours.mat == decoded_induced_hom(source, target, pre, post).mat
-            assert (ours.mat.rows, ours.mat.cols) == (target.group.ngens, source.group.ngens)
-
-    def test_mismatched_pre_or_post(self):
+    def test_groups_that_do_not_meet_raise(self):
+        # a pre or post that does not meet Hom(Z, Z/4), and results that do
+        # not land in the target codec
         z4 = FgAbGroup.from_invariants(0, (4,))
         source = hom_group(Z, z4)
         with pytest.raises(ShapeMismatchError):
             induced_hom(source, source, pre=GroupHom.identity(z4))
         with pytest.raises(ShapeMismatchError):
             induced_hom(source, source, post=GroupHom.identity(Z))
-
-    def test_result_outside_the_target_codec(self):
-        z4 = FgAbGroup.from_invariants(0, (4,))
-        source = hom_group(Z, z4)
         with pytest.raises(ShapeMismatchError):
             induced_hom(source, hom_group(Z, Z))
         with pytest.raises(ShapeMismatchError):
