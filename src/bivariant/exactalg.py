@@ -13,6 +13,7 @@ immutable IntMatrix values like every other function.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, cached_property
 from math import gcd
@@ -61,7 +62,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(map(operator.index, r)) for r in rows)
         ncols = len(rows[0]) if rows else 0
         return IntMatrix(len(rows), ncols, rows)
 
@@ -77,7 +78,7 @@ class IntMatrix:
 
     @staticmethod
     def from_columns(cols, rows: int) -> "IntMatrix":
-        cols = [tuple(int(x) for x in c) for c in cols]
+        cols = [tuple(map(operator.index, c)) for c in cols]
         if any(len(c) != rows for c in cols):
             raise ShapeMismatchError("column length mismatch")
         return IntMatrix(
@@ -315,7 +316,7 @@ def padded_diagonal(sm: SmithDecomposition, length: int) -> tuple:
 
 def lattice_solve(a: IntMatrix, b):
     """One integer solution x of a @ x == b, or None."""
-    b = tuple(int(x) for x in b)
+    b = tuple(map(operator.index, b))
     if len(b) != a.rows:
         raise ShapeMismatchError("rhs length mismatch")
     sm = smith_decomposition(a)
@@ -347,8 +348,9 @@ def lattice_kernel(a: IntMatrix) -> IntMatrix:
 # groups
 
 
-def _nonzero_rows(m: IntMatrix) -> tuple:
-    return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in m.entries)
+def _nonzero_columns(m: IntMatrix) -> tuple:
+    """The nonzero (row, entry) pairs of each column of m."""
+    return tuple(tuple((i, a) for i, a in enumerate(m.col(j)) if a) for j in range(m.cols))
 
 
 class FgAbGroup:
@@ -380,7 +382,7 @@ class FgAbGroup:
     @staticmethod
     def from_invariants(free_rank: int, torsion) -> "FgAbGroup":
         """Canonical presentation: free generators first, then torsion."""
-        torsion = tuple(int(d) for d in torsion)
+        torsion = tuple(map(operator.index, torsion))
         if any(d < 2 for d in torsion):
             raise ValueError("torsion coefficients must be >= 2")
         n = free_rank + len(torsion)
@@ -433,23 +435,29 @@ class FgAbGroup:
 
     @cached_property
     def _reduction(self) -> tuple:
-        """(path, u rows, u_inv rows): how reduce computes u_inv (u x mod d).
+        """(path, u columns, u_inv columns): how reduce computes u_inv (u x mod d).
 
         "free" when there are no relations (every x is its own
         representative), "diagonal" when u is the identity (reduce each x_i
-        mod d_i), else "general" on the nonzero (index, entry) pairs of the
-        rows of u and u_inv.
+        mod d_i), else "general" on the nonzero (row, entry) pairs of the
+        columns of u and u_inv, so reduce scatters only nonzero coordinates.
         """
         sm = self._smith  # on every path, so which Smith forms a run computes never depends on it
         if not self.relations.cols:
             return ("free", (), ())
         if sm.u.is_identity():
             return ("diagonal", (), ())
-        return ("general", _nonzero_rows(sm.u), _nonzero_rows(sm.u_inv))
+        return ("general", _nonzero_columns(sm.u), _nonzero_columns(sm.u_inv))
 
     def reduce(self, coords) -> tuple:
-        """Canonical representative of coords modulo the relation lattice."""
-        coords = tuple(int(x) for x in coords)
+        """Canonical representative of coords modulo the relation lattice.
+
+        Coordinates must be integers (int or bool); a float or Fraction
+        raises TypeError.  The general path adds x_j * u[:, j] for each
+        nonzero x_j, takes each c_k mod d_k, then adds c_k * u_inv[:, k] for
+        each nonzero c_k.
+        """
+        coords = tuple(map(operator.index, coords))
         if len(coords) != self.ngens:
             raise ShapeMismatchError("coordinate length mismatch")
         path, u, u_inv = self._reduction
@@ -457,12 +465,22 @@ class FgAbGroup:
             return coords
         if path == "diagonal":
             return tuple(x % d if d else x for x, d in zip(coords, self._diag))
-        c = [sum(a * coords[j] for j, a in row) for row in u]
-        c = [x % d if d else x for x, d in zip(c, self._diag)]
-        return tuple(sum(a * c[j] for j, a in row) for row in u_inv)
+        c = [0] * self.ngens
+        for x, col in zip(coords, u):
+            if x:
+                for i, a in col:
+                    c[i] += a * x
+        out = [0] * self.ngens
+        for ck, d, col in zip(c, self._diag, u_inv):
+            if d:
+                ck %= d
+            if ck:
+                for i, a in col:
+                    out[i] += a * ck
+        return tuple(out)
 
     def element(self, coords) -> "GroupElement":
-        return GroupElement(self, tuple(int(x) for x in coords))
+        return GroupElement(self, coords)
 
     def zero_element(self) -> "GroupElement":
         return self.element((0,) * self.ngens)
@@ -559,9 +577,9 @@ class GroupHom:
                 f"hom matrix must be {self.tgt.ngens}x{self.src.ngens}, "
                 f"got {self.mat.rows}x{self.mat.cols}"
             )
+        reduce = self.tgt.reduce
         for j in range(self.src.relations.cols):
-            img = self.mat.apply(self.src.relations.col(j))
-            if not self.tgt.element(img).is_zero:
+            if any(reduce(self.mat.apply(self.src.relations.col(j)))):
                 raise WellDefinednessError(
                     f"relation column {j} does not map into target relations"
                 )
@@ -659,7 +677,7 @@ class HomGroup:
             if x.group != self.group:
                 raise ShapeMismatchError("element not in hom group")
             x = x.coords
-        x = tuple(int(v) for v in x)
+        x = tuple(map(operator.index, x))
         if len(x) != self.group.ngens:
             raise ShapeMismatchError("coordinate length mismatch")
         rows = [[0] * self.src.ngens for _ in range(self.tgt.ngens)]

@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from bivariant.exactalg import (
     IntMatrix,
     ShapeMismatchError,
     SmithDecomposition,
+    WellDefinednessError,
     direct_sum,
     hom_group,
     hom_preimage,
@@ -288,8 +291,49 @@ class TestGroups:
         assert len(set(elems)) == 6
 
 
+def _general(ngens, *relation_columns):
+    g = FgAbGroup(ngens, IntMatrix.from_columns(relation_columns, ngens))
+    assert g._reduction[0] == "general"
+    return g
+
+
+# general-path groups whose relation matrices are not square, or square and
+# rank-deficient, so that the Smith diagonal is padded or has zeros
+GENERAL_SHAPES = {
+    "tall": _general(3, (2, 3, 0)),
+    "wide": _general(2, (2, 1), (3, 0), (4, 5)),
+    "square-rank-1": _general(2, (2, 3), (4, 6)),
+    "square-rank-2": _general(3, (1, 2, 0), (2, 1, 3), (3, 3, 3)),
+    "tall-rank-1": _general(4, (0, 2, 4, 6), (0, -3, -6, -9)),
+}
+
+
+def sparse_vectors(n):
+    """The zero vector, every unit vector and its negative and multiples,
+    and every vector with two nonzero coordinates from a small set."""
+    yield (0,) * n
+    for i in range(n):
+        for k in (1, -1, 2, 5, -7, 12):
+            yield tuple(k if j == i else 0 for j in range(n))
+    for i, j in itertools.combinations(range(n), 2):
+        for a, b in ((1, 1), (1, -1), (3, -2), (-4, 9)):
+            yield tuple(a if t == i else b if t == j else 0 for t in range(n))
+
+
+def assert_reduces_as_dense(g, vectors):
+    s = smith_decomposition(g.relations)
+    diag = padded_diagonal(s, g.ngens)
+    for x in vectors:
+        assert g.reduce(x) == naive_reduce(s.u.entries, s.u_inv.entries, diag, x), x
+
+
 class TestReducePaths:
     """reduce equals the dense u_inv (u x mod d) on each of its three paths."""
+
+    @pytest.mark.parametrize("shape", sorted(GENERAL_SHAPES))
+    def test_sparse_inputs_on_general_shapes(self, shape):
+        g = GENERAL_SHAPES[shape]
+        assert_reduces_as_dense(g, sparse_vectors(g.ngens))
 
     def test_matches_dense_formula(self):
         rng = random.Random(6)
@@ -299,6 +343,13 @@ class TestReducePaths:
             n, r = rng.randint(1, 6), rng.randint(1, 6)
             rel = IntMatrix.from_rows([[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(r)] for _ in range(n)])
             cases.append((FgAbGroup(n, rel), None))
+        for _ in range(12):
+            # an n x k times k x r product has rank at most k
+            n, r = rng.randint(1, 6), rng.randint(1, 7)
+            k = rng.randint(1, min(n, r))
+            left = IntMatrix.from_rows([[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(k)] for _ in range(n)])
+            right = IntMatrix.from_rows([[rng.choice((0, 0, 1, -1, 2)) for _ in range(r)] for _ in range(k)])
+            cases.append((FgAbGroup(n, left @ right), None))
         seen = set()
         for g, path in cases:
             s = smith_decomposition(g.relations)
@@ -306,11 +357,12 @@ class TestReducePaths:
             assert taken == path or path is None
             assert (taken == "general") == (g.relations.cols > 0 and not s.u.is_identity())
             seen.add(taken)
-            diag = padded_diagonal(s, g.ngens)
-            for _ in range(20):
-                x = [rng.randint(-30, 30) for _ in range(g.ngens)]
-                assert g.reduce(x) == naive_reduce(s.u.entries, s.u_inv.entries, diag, x)
+            dense = [[rng.randint(-30, 30) for _ in range(g.ngens)] for _ in range(20)]
+            assert_reduces_as_dense(g, itertools.chain(sparse_vectors(g.ngens), dense))
         assert seen == {"free", "diagonal", "general"}
+        general = [g for g, _ in cases if g._reduction[0] == "general"]
+        assert any(g.ngens != g.relations.cols for g in general)
+        assert any(padded_diagonal(g._smith, g.ngens).count(0) > max(0, g.ngens - g.relations.cols) for g in general)
 
 
 class TestHomGroup:
@@ -524,6 +576,106 @@ class TestHomEquality:
     def test_different_groups(self):
         z2 = FgAbGroup.from_invariants(0, (2,))
         assert GroupHom.zero(Z, z2) != GroupHom.zero(z2, z2)
+
+
+def naive_image_reduces_to_zero(tgt, rows, column):
+    s = smith_decomposition(tgt.relations)
+    img = [sum(a * x for a, x in zip(row, column)) for row in rows]
+    return not any(naive_reduce(s.u.entries, s.u_inv.entries, padded_diagonal(s, tgt.ngens), img))
+
+
+class TestHomCheck:
+    """GroupHom raises WellDefinednessError exactly when the image of some
+    relation column of the source does not reduce to zero in the target."""
+
+    def test_rejects_exactly_the_ill_defined_matrices(self):
+        sources = ALL_EQUALITY_GROUPS + list(GENERAL_SHAPES.values())
+        targets = EQUALITY_GROUPS["general"] + list(GENERAL_SHAPES.values())
+        outcomes = set()
+
+        @given(st.data())
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        def check(data):
+            src, tgt = data.draw(st.sampled_from(sources)), data.draw(st.sampled_from(targets))
+            hg = hom_group(src, tgt)
+            coords = data.draw(st.lists(st.integers(-4, 4), min_size=hg.group.ngens, max_size=hg.group.ngens))
+            rows = [list(r) for r in hg.decode(coords).mat.entries]
+            # a well-defined matrix, then up to two entries moved off it
+            bumps = st.tuples(st.integers(0, tgt.ngens - 1), st.integers(0, src.ngens - 1), st.integers(-3, 3))
+            for i, j, k in data.draw(st.lists(bumps, max_size=2)):
+                rows[i][j] += k
+            mat = IntMatrix.from_rows(rows)
+            well_defined = all(
+                naive_image_reduces_to_zero(tgt, rows, src.relations.col(j)) for j in range(src.relations.cols)
+            )
+            if well_defined:
+                assert GroupHom(src, tgt, mat).mat == mat
+            else:
+                with pytest.raises(WellDefinednessError):
+                    GroupHom(src, tgt, mat)
+            outcomes.add(well_defined)
+
+        check()
+        assert outcomes == {True, False}
+
+    def test_checks_the_last_relation_column(self):
+        src = _presented(2, (2, 0), (0, 3))  # Z/2 + Z/3
+        tgt = FgAbGroup.from_invariants(0, (6,))
+        GroupHom(src, tgt, IntMatrix.from_rows([[3, 2]]))
+        with pytest.raises(WellDefinednessError, match="relation column 1"):
+            GroupHom(src, tgt, IntMatrix.from_rows([[3, 1]]))
+
+
+NON_INTEGRAL = [2.7, 2.0, Fraction(5, 2), Fraction(4, 2)]
+
+
+class TestIntegralInputs:
+    """Coordinates and matrix entries must be integers: a float or a Fraction
+    raises TypeError, even when its value is whole, instead of being
+    truncated.  int and bool are accepted."""
+
+    @pytest.mark.parametrize("bad", NON_INTEGRAL, ids=repr)
+    @pytest.mark.parametrize(
+        "group",
+        [FgAbGroup.free(2), FgAbGroup.from_invariants(0, (2, 4)), FgAbGroup.from_invariants(1, (2,))],
+        ids=["free", "diagonal", "general"],
+    )
+    def test_reduce_and_element(self, group, bad):
+        with pytest.raises(TypeError):
+            group.reduce((bad, 1))
+        with pytest.raises(TypeError):
+            group.element((1, bad))
+
+    def test_element_does_not_truncate(self):
+        g = FgAbGroup.from_invariants(1, (2,))
+        with pytest.raises(TypeError):
+            g.element((2.7, 1.9))
+        assert g.element((True, 3)).coords == g.element((1, 1)).coords == g.reduce((1, 1))
+        assert [type(x) for x in FgAbGroup.free(2).reduce((True, False))] == [int, int]
+
+    @pytest.mark.parametrize("bad", NON_INTEGRAL, ids=repr)
+    def test_hom_group_decode(self, bad):
+        hg = hom_group(FgAbGroup.free(1), FgAbGroup.from_invariants(0, (4,)))
+        with pytest.raises(TypeError):
+            hg.decode((bad,))
+        assert hg.decode((True,)).equals(hg.decode((1,)))
+
+    @pytest.mark.parametrize("bad", NON_INTEGRAL, ids=repr)
+    def test_lattice_solve(self, bad):
+        a = IntMatrix.from_rows([[2, 0], [0, 3]])
+        with pytest.raises(TypeError):
+            lattice_solve(a, (bad, 3))
+        assert lattice_solve(a, (False, 3)) == (0, 1)
+
+    @pytest.mark.parametrize("bad", NON_INTEGRAL, ids=repr)
+    def test_matrix_constructors(self, bad):
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[1, bad]])
+        with pytest.raises(TypeError):
+            IntMatrix.from_columns([(1, bad)], 2)
+        with pytest.raises(TypeError):
+            FgAbGroup.from_invariants(0, (bad,))
+        assert IntMatrix.from_rows([[True, 2]]) == IntMatrix.from_columns([(1,), (2,)], 1)
 
 
 class TestKernelImage:

@@ -14,6 +14,7 @@ import pytest
 from bivariant import bivcore, cooperational, famsolve
 from bivariant.bivcore import GrothTransf, InvalidTransformationError
 from bivariant.cooperational import (
+    coop_group,
     coop_image_transfer,
     coop_unit,
     naturality_cube_report,
@@ -43,7 +44,7 @@ from bivariant.famsolve import (
     family_unit,
     feasible_degrees,
 )
-from bivariant.operational import op_image_transfer, verify_op_axioms, verify_point_isomorphism
+from bivariant.operational import op_group, op_image_transfer, verify_op_axioms, verify_point_isomorphism
 from bivariant.site import GradedFunctor, NaturalTransf
 from bivariant.workbench import build_graded_instance, build_subsets_instance, load_instance, reduction_transformation
 
@@ -862,3 +863,64 @@ class TestPlanTable:
         _, _, paths = F._plans[("pullback", "0>01", 0, "1>01")]
         assert ("1>1", 0) not in dict(paths)
         assert paths == ()  # the other key, E>1, runs from F(E) = 0 as well
+
+
+def unitriangular(n):
+    """The n x n matrix with ones on and above the diagonal, and its inverse:
+    ones on the diagonal, -1 just above it."""
+    p = IntMatrix(n, n, tuple(tuple(1 if j >= i else 0 for j in range(n)) for i in range(n)))
+    q = IntMatrix(n, n, tuple(tuple(1 if j == i else -1 if j == i + 1 else 0 for j in range(n)) for i in range(n)))
+    assert (p @ q).is_identity()
+    return p, q
+
+
+def off_canonical(functor):
+    """functor with each group Z^k / R presented as Z^(k+1) / P (R + [1]): one
+    more generator, killed by a relation, then the basis changed by the
+    unimodular P with inverse Q.  The iso G -> G' is P[:, :k] and its inverse
+    Q[:k, :], so a map with matrix M becomes P_tgt[:, :k] M Q_src[:k, :]."""
+    moved = {}
+    for key, g in functor._groups.items():
+        k = g.ngens
+        p, q = unitriangular(k + 1)
+        killed = [col + (0,) for col in zip(*g.relations.entries)] + [(0,) * k + (1,)]
+        new = FgAbGroup(k + 1, p @ IntMatrix.from_columns(killed, k + 1))
+        to_new = IntMatrix.from_columns([p.col(j) for j in range(k)], k + 1)
+        moved[key] = (new, to_new, IntMatrix(k, k + 1, q.entries[:k]))
+    maps = {}
+    for (mor, m), hom in functor._maps.items():
+        src, tgt = functor._objects(mor)
+        new_src, _, from_src = moved[(src, m)]
+        new_tgt, to_tgt, _ = moved[(tgt, m)]
+        maps[(mor, m)] = GroupHom(new_src, new_tgt, to_tgt @ hom.mat @ from_src)
+    groups = {key: new for key, (new, _, _) in moved.items()}
+    return GradedFunctor(functor.site, functor.variance, functor.window, groups, maps)
+
+
+OFF_CANONICAL = {
+    "F": (coop_group, verify_coop_axioms),
+    "F2": (coop_group, verify_coop_axioms),
+    "h": (op_group, verify_op_axioms),
+    "h2": (op_group, verify_op_axioms),
+}
+
+
+class TestOffCanonicalPresentations:
+    """Metamorphic: presenting every group of a functor off its canonical
+    basis, so that reduce and the constraint maps meet non-identity Smith
+    transforms, changes no group and breaks no axiom."""
+
+    @pytest.mark.parametrize("name", sorted(OFF_CANONICAL))
+    def test_groups_and_axioms_are_unchanged(self, bundle, name):
+        group, verify = OFF_CANONICAL[name]
+        functor = bundle.functors[name]
+        moved = off_canonical(functor)
+        assert moved.validate().ok
+        objects = bundle.site.objects
+        assert all(moved.group(obj, 0).canonical() == functor.group(obj, 0).canonical() for obj in objects)
+        assert sum(moved.group(obj, 0)._reduction[0] == "general" for obj in objects) >= 3
+        for mor in bundle.site.morphisms:
+            for degree in feasible_degrees(functor):
+                got = group(moved, mor.name, degree).group.canonical()
+                assert got == group(functor, mor.name, degree).group.canonical(), (mor.name, degree)
+        assert verify(moved).ok
