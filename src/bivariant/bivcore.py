@@ -235,8 +235,7 @@ def _structural(theory: TabulatedBivTheory, rb: ReportBuilder) -> None:
                 # relation of one factor times any generator of the other is 0
                 sides = (("left", ga.relations, table), ("right", gb.relations, tuple(zip(*table))))
                 for side, relations, cells in sides:
-                    for rc in range(relations.cols):
-                        rel = relations.col(rc)
+                    for rc, rel in enumerate(relations.columns()):
                         for column in zip(*cells):
                             acc = [0] * tgtg.ngens
                             for cell, r in zip(column, rel):

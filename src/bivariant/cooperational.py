@@ -193,7 +193,7 @@ class TransferSubgroupResult:
             # both halves keep the same links, so they land in one sum
             _, _, links, half = result.solution.constraint_map(constraints)
             lifted = half.mat @ result.solution.kernel.inclusion.mat
-            cols += [links.group.reduce(lifted.col(j)) for j in range(lifted.cols)]
+            cols += map(links.group.reduce, lifted.columns())
         pairs = direct_sum([source.group, target.group]).group
         ker = kernel(GroupHom(pairs, links.group, IntMatrix.from_columns(cols, links.group.ngens)))
 

@@ -7,7 +7,12 @@ normal form with tracked unimodular transforms, drives everything else:
 canonical forms, element reduction, lattice membership, kernels, images
 and Hom groups.  The matrices met here are sparse, so the Smith form
 eliminates on sparse rows and columns internally; it returns dense
-immutable IntMatrix values like every other function.
+immutable IntMatrix values like every other function.  The hom kernels
+walk only nonzero entries too: the well-definedness check scatters the
+image of each relation column from its nonzero entries, and the Hom codec
+adds one outer product of Smith transform columns and rows per nonzero
+summand, with no dense matrix product.  Columns are read by one transpose
+(IntMatrix.columns), never one index at a time.
 """
 
 from __future__ import annotations
@@ -46,6 +51,12 @@ class InfiniteGroupError(ValueError):
 # matrices
 
 
+def _transposed(vectors, length: int) -> tuple:
+    """The transpose of a sequence of tuples that all have length entries:
+    length tuples, empty ones when there are no vectors."""
+    return tuple(zip(*vectors)) if vectors else ((),) * length
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, entries stored row-major."""
@@ -81,12 +92,12 @@ class IntMatrix:
         cols = [tuple(map(operator.index, c)) for c in cols]
         if any(len(c) != rows for c in cols):
             raise ShapeMismatchError("column length mismatch")
-        return IntMatrix(
-            rows, len(cols), tuple(tuple(c[i] for c in cols) for i in range(rows))
-        )
+        return IntMatrix(rows, len(cols), _transposed(cols, rows))
 
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
+    def columns(self) -> tuple:
+        """Every column as a tuple, by one transpose; a matrix with no rows
+        has cols empty columns."""
+        return _transposed(self.entries, self.cols)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -341,7 +352,8 @@ def lattice_kernel(a: IntMatrix) -> IntMatrix:
     free = [
         j for j in range(a.cols) if j >= mn or sm.d.entries[j][j] == 0
     ]
-    return IntMatrix.from_columns([sm.v.col(j) for j in free], a.cols)
+    cols = sm.v.columns()
+    return IntMatrix.from_columns([cols[j] for j in free], a.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +362,7 @@ def lattice_kernel(a: IntMatrix) -> IntMatrix:
 
 def _nonzero_columns(m: IntMatrix) -> tuple:
     """The nonzero (row, entry) pairs of each column of m."""
-    return tuple(tuple((i, a) for i, a in enumerate(m.col(j)) if a) for j in range(m.cols))
+    return tuple(tuple((i, a) for i, a in enumerate(col) if a) for col in m.columns())
 
 
 class FgAbGroup:
@@ -434,6 +446,11 @@ class FgAbGroup:
         return " x ".join(parts) if parts else "0"
 
     @cached_property
+    def _relation_columns(self) -> tuple:
+        """The nonzero (row, entry) pairs of each relation column."""
+        return _nonzero_columns(self.relations)
+
+    @cached_property
     def _reduction(self) -> tuple:
         """(path, u columns, u_inv columns): how reduce computes u_inv (u x mod d).
 
@@ -486,10 +503,7 @@ class FgAbGroup:
         return self.element((0,) * self.ngens)
 
     def gens(self) -> list["GroupElement"]:
-        return [
-            self.element(tuple(1 if j == i else 0 for j in range(self.ngens)))
-            for i in range(self.ngens)
-        ]
+        return [self.element(unit) for unit in _identity_rows(self.ngens)]
 
     def elements(self):
         """All elements; raises InfiniteGroupError if the group is infinite."""
@@ -563,7 +577,10 @@ class GroupHom:
     """Homomorphism src -> tgt given by a (tgt.ngens x src.ngens) matrix.
 
     Construction checks well-definedness: every relation of src must map
-    into the relation lattice of tgt.  Equality of homs is always taken
+    into the relation lattice of tgt.  Each relation column's image is the
+    sum of r * mat[:, k] over the column's nonzero (k, r) pairs, which src
+    keeps once; it is reduced in tgt and must be zero.  Every column is
+    checked, all-zero ones included.  Equality of homs is always taken
     modulo the target relations, never by raw matrix comparison.
     """
 
@@ -577,9 +594,15 @@ class GroupHom:
                 f"hom matrix must be {self.tgt.ngens}x{self.src.ngens}, "
                 f"got {self.mat.rows}x{self.mat.cols}"
             )
-        reduce = self.tgt.reduce
-        for j in range(self.src.relations.cols):
-            if any(reduce(self.mat.apply(self.src.relations.col(j)))):
+        relation_columns = self.src._relation_columns
+        if not relation_columns:
+            return
+        reduce, mat_cols, zero = self.tgt.reduce, self.mat.columns(), (0,) * self.tgt.ngens
+        for j, pairs in enumerate(relation_columns):
+            img = zero
+            for k, r in pairs:
+                img = [x + r * a for x, a in zip(img, mat_cols[k])]
+            if any(reduce(img)):
                 raise WellDefinednessError(
                     f"relation column {j} does not map into target relations"
                 )
@@ -644,7 +667,7 @@ class GroupHom:
         return self._agrees_with(other)
 
     def __hash__(self):
-        cols = tuple(self.tgt.reduce(self.mat.col(j)) for j in range(self.src.ngens))
+        cols = tuple(map(self.tgt.reduce, self.mat.columns()))
         return hash((self.src, self.tgt, cols))
 
     def __repr__(self):
@@ -665,6 +688,13 @@ class HomGroup:
     both are additive and mutually inverse on equivalence classes.  A
     summand (j, i, order, coeff) stands for coeff * E_ji in the canonical
     bases: the hom u_tgt^-1 (coeff * E_ji) u_src.
+
+    Both directions are closed forms with no matrix product.  decode adds
+    e * coeff * u_tgt^-1[:, j] (outer) u_src[i, :] for each nonzero
+    coordinate e and returns a checked GroupHom.  encode computes only the
+    summand entries (u_tgt mat u_src^-1)[j][i], one row u_tgt[j] mat per
+    target index j, then _summand_coords takes them mod b_j and divides by
+    coeff.  The integers equal those of the dense triple products.
     """
 
     src: FgAbGroup
@@ -680,18 +710,34 @@ class HomGroup:
         x = tuple(map(operator.index, x))
         if len(x) != self.group.ngens:
             raise ShapeMismatchError("coordinate length mismatch")
+        u_inv, u = self.tgt._smith.u_inv.entries, self.src._smith.u.entries
         rows = [[0] * self.src.ngens for _ in range(self.tgt.ngens)]
         for (j, i, _order, coeff), e in zip(self.summands, x):
-            rows[j][i] = e * coeff
-        mp = IntMatrix(self.tgt.ngens, self.src.ngens, tuple(tuple(r) for r in rows))
-        mat = self.tgt._smith.u_inv @ mp @ self.src._smith.u
+            if e:
+                e *= coeff
+                right = [(c, b) for c, b in enumerate(u[i]) if b]
+                for out, left in zip(rows, u_inv):
+                    a = e * left[j]
+                    if a:
+                        for c, b in right:
+                            out[c] += a * b
+        mat = IntMatrix(self.tgt.ngens, self.src.ngens, tuple(map(tuple, rows)))
         return GroupHom(self.src, self.tgt, mat)
 
     def encode(self, hom: GroupHom) -> GroupElement:
         if hom.src != self.src or hom.tgt != self.tgt:
             raise ShapeMismatchError("hom does not match this Hom group")
-        mp = self.tgt._smith.u @ hom.mat @ self.src._smith.u_inv
-        return self.group.element(self._summand_coords(mp.entries[j][i] for j, i, _, _ in self.summands))
+        u, u_inv = self.tgt._smith.u.entries, self.src._smith.u_inv.entries
+        left = {}  # row j of u_tgt . mat, for each j a summand names
+        for j, _i, _order, _coeff in self.summands:
+            if j not in left:
+                acc = (0,) * self.src.ngens
+                for a, row in zip(u[j], hom.mat.entries):
+                    if a:
+                        acc = [x + a * b for x, b in zip(acc, row)]
+                left[j] = acc
+        raws = (sum(x * r[i] for x, r in zip(left[j], u_inv) if x) for j, i, _, _ in self.summands)
+        return self.group.element(self._summand_coords(raws))
 
     def _summand_coords(self, raws) -> list:
         """Unreduced coordinates of the hom whose matrix in the canonical
@@ -853,11 +899,8 @@ def direct_sum(parts) -> DirectSum:
         total += p.ngens
     rel_cols = []
     for off, p in zip(offsets, parts):
-        for j in range(p.relations.cols):
-            col = [0] * total
-            for i, v in enumerate(p.relations.col(j)):
-                col[off + i] = v
-            rel_cols.append(tuple(col))
+        before, after = (0,) * off, (0,) * (total - off - p.ngens)
+        rel_cols += [before + col + after for col in p.relations.columns()]
     grp = FgAbGroup(total, IntMatrix.from_columns(rel_cols, total))
     return DirectSum(grp, parts, tuple(offsets))
 

@@ -13,7 +13,9 @@ the smallest confined class its axioms allow; joint_transfer_reference
 solves a transfer as one constraint system in the pairs (c, d), with no
 link map on solved groups, and decoded_link_reference builds that link map
 by decoding every generator, composing it with T and encoding it back;
-decoded_induced_hom builds each block of the constraint map the same way.
+decoded_induced_hom builds each block of the constraint map the same way;
+dense_decode and dense_encode are the Hom codec as dense triple products in
+the canonical bases.
 The last three helpers read membership and build a class in ways only the
 tests need.
 """
@@ -199,7 +201,7 @@ def is_zero_matrix(m):
 
 def is_zero_hom(h):
     """Whether every column of a GroupHom reduces to zero in its target."""
-    return all(h.tgt.element(h.mat.col(j)).is_zero for j in range(h.src.ngens))
+    return all(h.tgt.element(column).is_zero for column in h.mat.columns())
 
 
 def hom_difference_is_zero(a, b):
@@ -386,6 +388,24 @@ def decoded_induced_hom(source, target, pre=None, post=None):
         cols.append(target.encode(phi).coords)
     mat = IntMatrix.from_columns(cols, target.group.ngens)
     return GroupHom(source.group, target.group, mat)
+
+
+def dense_decode(hg, coords):
+    """The matrix of the hom with these codec coordinates: the summand
+    matrix (coord * coeff at each summand's (tgt_index, src_index)) between
+    the dense Smith transforms, u_inv_tgt @ that @ u_src."""
+    rows = [[0] * hg.src.ngens for _ in range(hg.tgt.ngens)]
+    for (j, i, _order, coeff), e in zip(hg.summands, coords):
+        rows[j][i] = e * coeff
+    mp = IntMatrix(hg.tgt.ngens, hg.src.ngens, tuple(tuple(r) for r in rows))
+    return hg.tgt._smith.u_inv @ mp @ hg.src._smith.u
+
+
+def dense_encode(hg, hom):
+    """The reduced codec coordinates of hom, read off the dense product
+    u_tgt @ hom.mat @ u_inv_src at the summands' entries."""
+    mp = hg.tgt._smith.u @ hom.mat @ hg.src._smith.u_inv
+    return hg.group.element(hg._summand_coords(mp.entries[j][i] for j, i, _, _ in hg.summands)).coords
 
 
 def contains(sub, x):

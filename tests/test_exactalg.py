@@ -19,6 +19,7 @@ from bivariant.exactalg import (
     ShapeMismatchError,
     SmithDecomposition,
     WellDefinednessError,
+    _nonzero_columns,
     direct_sum,
     hom_group,
     hom_preimage,
@@ -35,6 +36,8 @@ from bivariant.exactalg import (
 
 from oracles import (
     decoded_induced_hom,
+    dense_decode,
+    dense_encode,
     determinantal_divisors,
     hom_count_cyclic,
     hom_difference_is_zero,
@@ -261,8 +264,8 @@ class TestLattice:
         a = IntMatrix.from_rows([[1, 2, 3]])
         k = lattice_kernel(a)
         assert k.cols == 2
-        for j in range(k.cols):
-            assert a.apply(k.col(j)) == (0,)
+        for column in k.columns():
+            assert a.apply(column) == (0,)
 
 
 class TestGroups:
@@ -482,6 +485,69 @@ class TestInducedHom:
         assert ours.mat == decoded_induced_hom(source, target, pre, post).mat
 
 
+def codec_group(draw):
+    """A group drawn as TestInducedHom draws one, or a group presented off
+    its canonical basis (a general reduce path)."""
+    if draw(st.booleans()):
+        return FgAbGroup.from_invariants(*invariants(draw))
+    return draw(st.sampled_from(ALL_EQUALITY_GROUPS + list(GENERAL_SHAPES.values())))
+
+
+class TestCodecClosedForm:
+    """decode and encode give, integer for integer, the dense triple
+    products u_inv_tgt (summand matrix) u_src and u_tgt (hom matrix) u_inv_src."""
+
+    def test_matches_dense_products(self):
+        transforms = set()  # (src u is identity, tgt u is identity)
+
+        @given(st.data())
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        def check(data):
+            src, tgt = codec_group(data.draw), codec_group(data.draw)
+            hg = hom_group(src, tgt)
+            coords = st.lists(st.integers(-9, 9), min_size=hg.group.ngens, max_size=hg.group.ngens)
+            x = data.draw(coords)
+            decoded = hg.decode(x)
+            assert decoded.mat.entries == dense_decode(hg, x).entries
+            # a decoded hom's matrix moved by relations of tgt in every
+            # column: the same hom, off the image of decode
+            shift = [
+                [sum(k * a for k, a in zip(ks, row)) for row in tgt.relations.entries]
+                for ks in data.draw(
+                    st.lists(
+                        st.lists(st.integers(-3, 3), min_size=tgt.relations.cols, max_size=tgt.relations.cols),
+                        min_size=src.ngens,
+                        max_size=src.ngens,
+                    )
+                )
+            ]
+            moved = hg.decode(data.draw(coords)).mat + IntMatrix.from_columns(shift, tgt.ngens)
+            for h in (decoded, GroupHom(src, tgt, moved)):
+                assert hg.encode(h).coords == dense_encode(hg, h)
+            transforms.add((src._smith.u.is_identity(), tgt._smith.u.is_identity()))
+
+        check()
+        assert transforms == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_decode_and_encode_multiply_no_matrices(self, monkeypatch):
+        src, tgt = FgAbGroup.from_invariants(1, (6, 4)), _general(3, (1, 2, 0), (2, 1, 3), (3, 3, 3))
+        hg = hom_group(src, tgt)
+        x = [k + 1 for k in range(hg.group.ngens)]
+        expected = dense_decode(hg, x)
+        assert not (src._smith.u.is_identity() or tgt._smith.u.is_identity())
+        calls = []
+
+        def counting(*args, original=IntMatrix.__matmul__):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+        h = hg.decode(x)
+        assert hg.encode(h) == hg.group.element(x)
+        assert calls == []
+        assert h.mat == expected
+
+
 class TestHomAlgebra:
     def test_compose_identity(self):
         ident = GroupHom.identity(Z)
@@ -584,39 +650,59 @@ def naive_image_reduces_to_zero(tgt, rows, column):
     return not any(naive_reduce(s.u.entries, s.u_inv.entries, padded_diagonal(s, tgt.ngens), img))
 
 
+def assert_rejects_exactly_the_ill_defined(sources):
+    """GroupHom raises WellDefinednessError exactly when the image of some
+    relation column does not reduce to zero, for homs from these sources
+    into general-path targets: a decoded well-defined matrix with up to two
+    entries moved off it.  Both outcomes must occur."""
+    targets = EQUALITY_GROUPS["general"] + list(GENERAL_SHAPES.values())
+    outcomes = set()
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def check(data):
+        src, tgt = data.draw(st.sampled_from(sources)), data.draw(st.sampled_from(targets))
+        hg = hom_group(src, tgt)
+        coords = data.draw(st.lists(st.integers(-4, 4), min_size=hg.group.ngens, max_size=hg.group.ngens))
+        rows = [list(r) for r in hg.decode(coords).mat.entries]
+        # a well-defined matrix, then up to two entries moved off it
+        bumps = st.tuples(st.integers(0, tgt.ngens - 1), st.integers(0, src.ngens - 1), st.integers(-3, 3))
+        for i, j, k in data.draw(st.lists(bumps, max_size=2)):
+            rows[i][j] += k
+        mat = IntMatrix.from_rows(rows)
+        relations = src.relations.entries
+        well_defined = all(
+            naive_image_reduces_to_zero(tgt, rows, [r[j] for r in relations]) for j in range(src.relations.cols)
+        )
+        if well_defined:
+            assert GroupHom(src, tgt, mat).mat == mat
+        else:
+            with pytest.raises(WellDefinednessError):
+                GroupHom(src, tgt, mat)
+        outcomes.add(well_defined)
+
+    check()
+    assert outcomes == {True, False}
+
+
+# sources whose relation columns have several nonzero entries, or none
+SPARSE_RELATION_SOURCES = {
+    "dense-pair": _presented(2, (2, 2)),
+    "three-nonzeros": _presented(3, (2, -4, 6), (0, 3, 3)),
+    "zero-then-sparse": _presented(3, (0, 0, 0), (1, 2, 0), (0, 0, 0), (4, 0, -2)),
+    "all-zero": _presented(2, (0, 0), (0, 0)),
+}
+
+
 class TestHomCheck:
     """GroupHom raises WellDefinednessError exactly when the image of some
     relation column of the source does not reduce to zero in the target."""
 
     def test_rejects_exactly_the_ill_defined_matrices(self):
-        sources = ALL_EQUALITY_GROUPS + list(GENERAL_SHAPES.values())
-        targets = EQUALITY_GROUPS["general"] + list(GENERAL_SHAPES.values())
-        outcomes = set()
+        assert_rejects_exactly_the_ill_defined(ALL_EQUALITY_GROUPS + list(GENERAL_SHAPES.values()))
 
-        @given(st.data())
-        @settings(max_examples=200, deadline=None, derandomize=True)
-        def check(data):
-            src, tgt = data.draw(st.sampled_from(sources)), data.draw(st.sampled_from(targets))
-            hg = hom_group(src, tgt)
-            coords = data.draw(st.lists(st.integers(-4, 4), min_size=hg.group.ngens, max_size=hg.group.ngens))
-            rows = [list(r) for r in hg.decode(coords).mat.entries]
-            # a well-defined matrix, then up to two entries moved off it
-            bumps = st.tuples(st.integers(0, tgt.ngens - 1), st.integers(0, src.ngens - 1), st.integers(-3, 3))
-            for i, j, k in data.draw(st.lists(bumps, max_size=2)):
-                rows[i][j] += k
-            mat = IntMatrix.from_rows(rows)
-            well_defined = all(
-                naive_image_reduces_to_zero(tgt, rows, src.relations.col(j)) for j in range(src.relations.cols)
-            )
-            if well_defined:
-                assert GroupHom(src, tgt, mat).mat == mat
-            else:
-                with pytest.raises(WellDefinednessError):
-                    GroupHom(src, tgt, mat)
-            outcomes.add(well_defined)
-
-        check()
-        assert outcomes == {True, False}
+    def test_sources_with_sparse_relation_columns(self):
+        assert_rejects_exactly_the_ill_defined(list(SPARSE_RELATION_SOURCES.values()))
 
     def test_checks_the_last_relation_column(self):
         src = _presented(2, (2, 0), (0, 3))  # Z/2 + Z/3
@@ -624,6 +710,30 @@ class TestHomCheck:
         GroupHom(src, tgt, IntMatrix.from_rows([[3, 2]]))
         with pytest.raises(WellDefinednessError, match="relation column 1"):
             GroupHom(src, tgt, IntMatrix.from_rows([[3, 1]]))
+
+    def test_checks_every_entry_of_a_relation_column(self):
+        # (2, 2) maps to 0 under [1, -1], to 2 under [0, 1]: only the
+        # column's last nonzero entry sees the second
+        src = SPARSE_RELATION_SOURCES["dense-pair"]
+        GroupHom(src, Z, IntMatrix.from_rows([[1, -1]]))
+        with pytest.raises(WellDefinednessError, match="relation column 0"):
+            GroupHom(src, Z, IntMatrix.from_rows([[0, 1]]))
+        src = SPARSE_RELATION_SOURCES["three-nonzeros"]
+        GroupHom(src, Z, IntMatrix.from_rows([[5, 1, -1]]))
+        with pytest.raises(WellDefinednessError, match="relation column 0"):
+            GroupHom(src, Z, IntMatrix.from_rows([[0, 0, 1]]))
+
+    def test_all_zero_relation_columns(self):
+        # zero columns impose nothing and do not shift the reported index
+        z2 = FgAbGroup.from_invariants(0, (2,))
+        GroupHom(SPARSE_RELATION_SOURCES["all-zero"], Z, IntMatrix.from_rows([[5, -7]]))
+        src = SPARSE_RELATION_SOURCES["zero-then-sparse"]
+        assert [len(pairs) for pairs in src._relation_columns] == [0, 2, 0, 2]
+        GroupHom(src, z2, IntMatrix.from_rows([[0, 0, 1]]))
+        with pytest.raises(WellDefinednessError, match="relation column 1"):
+            GroupHom(src, z2, IntMatrix.from_rows([[1, 0, 0]]))
+        with pytest.raises(WellDefinednessError, match="relation column 3"):
+            GroupHom(src, Z, IntMatrix.from_rows([[0, 0, 1]]))
 
 
 NON_INTEGRAL = [2.7, 2.0, Fraction(5, 2), Fraction(4, 2)]
@@ -676,6 +786,62 @@ class TestIntegralInputs:
         with pytest.raises(TypeError):
             FgAbGroup.from_invariants(0, (bad,))
         assert IntMatrix.from_rows([[True, 2]]) == IntMatrix.from_columns([(1,), (2,)], 1)
+
+
+class TestColumnWalk:
+    """IntMatrix.columns, from_columns and _nonzero_columns transpose by one
+    zip, and must keep both dimensions when one of them is 0."""
+
+    def test_no_columns(self):
+        m = IntMatrix.from_columns([], 3)
+        assert (m.rows, m.cols, m.entries) == (3, 0, ((), (), ()))
+        assert m.columns() == () and _nonzero_columns(m) == ()
+
+    def test_no_rows(self):
+        m = IntMatrix.from_columns([(), ()], 0)
+        assert (m.rows, m.cols, m.entries) == (0, 2, ())
+        assert m.columns() == ((), ()) == _nonzero_columns(m)
+        assert IntMatrix.zeros(0, 0).columns() == ()
+
+    def test_bad_columns(self):
+        with pytest.raises(ShapeMismatchError):
+            IntMatrix.from_columns([(1, 2), (3,)], 2)
+        with pytest.raises(ShapeMismatchError):
+            IntMatrix.from_columns([(1, 2)], 3)
+        with pytest.raises(TypeError):
+            IntMatrix.from_columns([(1, 2), (3, 4.0)], 2)
+
+    def test_nonzero_columns(self):
+        assert _nonzero_columns(IntMatrix.zeros(2, 3)) == ((), (), ())
+        m = IntMatrix.from_rows([[0, 2, 0], [0, 0, -1], [0, 5, 7]])
+        assert _nonzero_columns(m) == ((), ((0, 2), (2, 5)), ((1, -1), (2, 7)))
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_round_trip(self, rows, cols, data):
+        entries = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+        m = IntMatrix(rows, cols, tuple(map(tuple, entries)))
+        assert m.columns() == tuple(tuple(row[j] for row in m.entries) for j in range(cols))
+        assert IntMatrix.from_columns(m.columns(), rows) == m
+
+    @pytest.mark.parametrize(
+        "group, path",
+        [
+            (FgAbGroup.zero(), "free"),
+            (FgAbGroup.free(3), "free"),
+            (FgAbGroup.from_invariants(0, (2, 4)), "diagonal"),
+            (FgAbGroup.from_invariants(1, (2, 4)), "general"),
+            *((g, "general") for g in GENERAL_SHAPES.values()),
+        ],
+        ids=["zero", "free", "diagonal", "general", *GENERAL_SHAPES],
+    )
+    def test_gens_are_the_reduced_unit_vectors(self, group, path):
+        assert group._reduction[0] == path
+        s = smith_decomposition(group.relations)
+        diag = padded_diagonal(s, group.ngens)
+        units = [tuple(int(i == j) for j in range(group.ngens)) for i in range(group.ngens)]
+        assert [x.coords for x in group.gens()] == [naive_reduce(s.u.entries, s.u_inv.entries, diag, e) for e in units]
+        assert all(x.group is group for x in group.gens())
 
 
 class TestKernelImage:

@@ -885,7 +885,7 @@ def off_canonical(functor):
         p, q = unitriangular(k + 1)
         killed = [col + (0,) for col in zip(*g.relations.entries)] + [(0,) * k + (1,)]
         new = FgAbGroup(k + 1, p @ IntMatrix.from_columns(killed, k + 1))
-        to_new = IntMatrix.from_columns([p.col(j) for j in range(k)], k + 1)
+        to_new = IntMatrix.from_columns(p.columns()[:k], k + 1)
         moved[key] = (new, to_new, IntMatrix(k, k + 1, q.entries[:k]))
     maps = {}
     for (mor, m), hom in functor._maps.items():
