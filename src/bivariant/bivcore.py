@@ -515,6 +515,10 @@ class GrothTransf:
         self.tgt = tgt
         self.site = src.site
         self._components = dict(components)
+        lo, hi = src.window
+        for _f, i in self._components:
+            if not (lo <= i <= hi):
+                raise InvalidTransformationError(f"component at degree {i} outside window")
 
     def component(self, f: str, i: int) -> GroupHom:
         stored = self._components.get((f, i))

@@ -3,11 +3,12 @@
 Matrices are immutable tuples of Python ints, so arithmetic is exact at
 arbitrary precision.  A group is a presentation Z^ngens modulo the column
 lattice of an integer relations matrix.  A single primitive, the Smith
-normal form with tracked unimodular transforms, drives everything else:
-canonical forms, element reduction, lattice membership, kernels, images
-and Hom groups.  The matrices met here are sparse, so the Smith form
-eliminates on sparse rows and columns internally; it returns dense
-immutable IntMatrix values like every other function.  The hom kernels
+normal form, drives everything else: canonical forms, element reduction,
+lattice membership, kernels, images and Hom groups.  It returns only what
+those read: the diagonal as a tuple, the unimodular transforms U and V,
+and U's inverse.  The matrices met here are sparse, so the Smith form
+eliminates on sparse rows and columns internally; its transforms come back
+as dense immutable IntMatrix values like every other matrix.  The hom kernels
 walk only nonzero entries too: the well-definedness check scatters the
 image of each relation column from its nonzero entries, and the Hom codec
 adds one outer product of Smith transform columns and rows per nonzero
@@ -180,13 +181,14 @@ def _identity_rows(n: int) -> tuple:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """u @ m @ v == d with u, v unimodular, d diagonal with a divisibility chain."""
+    """u @ m @ v is the rows x cols matrix with diagonal on its diagonal and 0
+    elsewhere, for unimodular u and v.  The diagonal has min(rows, cols)
+    entries, all >= 0, each dividing the next; u_inv is the inverse of u."""
 
-    d: IntMatrix
+    diagonal: tuple
     u: IntMatrix
     v: IntMatrix
     u_inv: IntMatrix
-    v_inv: IntMatrix
 
 
 def _axpy(dst: dict, src: dict, q: int) -> None:
@@ -201,43 +203,33 @@ def _axpy(dst: dict, src: dict, q: int) -> None:
             del dst[k]
 
 
-def _from_sparse_rows(rows: list, ncols: int) -> IntMatrix:
-    """The dense matrix with these sparse rows; with no rows it is 0 x 0,
-    as IntMatrix.from_rows(()) is."""
-    dense = [[0] * ncols for _ in rows]
-    for out, row in zip(dense, rows):
-        for j, x in row.items():
+def _dense(vecs: list) -> tuple:
+    """The n sparse vectors, each of length n, as n dense tuples."""
+    n = len(vecs)
+    dense = [[0] * n for _ in vecs]
+    for out, vec in zip(dense, vecs):
+        for j, x in vec.items():
             out[j] = x
-    return IntMatrix(len(dense), ncols if dense else 0, tuple(map(tuple, dense)))
-
-
-def _from_sparse_columns(cols: list) -> IntMatrix:
-    """The dense square matrix with these sparse columns."""
-    n = len(cols)
-    dense = [[0] * n for _ in range(n)]
-    for j, col in enumerate(cols):
-        for i, x in col.items():
-            dense[i][j] = x
-    return IntMatrix(n, n, tuple(map(tuple, dense)))
+    return tuple(map(tuple, dense))
 
 
 @lru_cache(maxsize=SNF_CACHE_SIZE)
 def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
-    """Deterministic Smith normal form with both transforms and their inverses.
+    """Deterministic Smith normal form: its diagonal, u, v and u's inverse.
 
     Pivot selection always takes the smallest nonzero absolute value in the
     remaining block, ties broken in row-major order, so the output is
     bit-identical across runs.  The elimination runs on sparse vectors
-    {index: nonzero entry}: rows of D, U and Vi, columns of V and Ui.  At
+    {index: nonzero entry}: rows of D and U, columns of V and Ui.  At
     step t, the rows and columns of D before t hold only their diagonal
-    entry, so column operations touch rows t onwards only.
+    entry, so column operations touch rows t onwards only.  When it ends D
+    is diagonal, and only its diagonal is returned.
     """
     R, C = m.rows, m.cols
     D = [{j: x for j, x in enumerate(r) if x} for r in m.entries]
     U = [{i: 1} for i in range(R)]
     Ui = [{i: 1} for i in range(R)]
     V = [{j: 1} for j in range(C)]
-    Vi = [{j: 1} for j in range(C)]
 
     def row_add(i, j, q):  # row_i += q * row_j
         _axpy(D[i], D[j], q)
@@ -258,7 +250,6 @@ def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
             if i in row:
                 _axpy(row, {j: row[i]}, q)
         _axpy(V[j], V[i], q)
-        _axpy(Vi[i], Vi[j], -q)
 
     def col_swap(i, j):
         for row in D[t:]:
@@ -268,7 +259,6 @@ def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
             if a:
                 row[j] = a
         V[i], V[j] = V[j], V[i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
 
     t = 0
     limit = min(R, C)
@@ -308,17 +298,16 @@ def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
         t += 1
 
     return SmithDecomposition(
-        _from_sparse_rows(D, C),
-        _from_sparse_rows(U, R),
-        _from_sparse_columns(V),
-        _from_sparse_columns(Ui),
-        _from_sparse_rows(Vi, C),
+        tuple(D[i].get(i, 0) for i in range(limit)),
+        IntMatrix(R, R, _dense(U)),
+        IntMatrix(C, C, _transposed(_dense(V), C)),
+        IntMatrix(R, R, _transposed(_dense(Ui), R)),
     )
 
 
 def padded_diagonal(sm: SmithDecomposition, length: int) -> tuple:
-    diag = tuple(sm.d.entries[i][i] for i in range(min(sm.d.rows, sm.d.cols)))
-    return diag + (0,) * (length - len(diag))
+    """The Smith diagonal followed by zeros up to length entries."""
+    return sm.diagonal + (0,) * (length - len(sm.diagonal))
 
 
 # ---------------------------------------------------------------------------
@@ -331,29 +320,23 @@ def lattice_solve(a: IntMatrix, b):
     if len(b) != a.rows:
         raise ShapeMismatchError("rhs length mismatch")
     sm = smith_decomposition(a)
-    c = sm.u.apply(b)
-    mn = min(a.rows, a.cols)
     y = [0] * a.cols
-    for i in range(a.rows):
-        d = sm.d.entries[i][i] if i < mn else 0
+    for i, (c, d) in enumerate(zip(sm.u.apply(b), padded_diagonal(sm, a.rows))):
         if d:
-            if c[i] % d:
+            if c % d:
                 return None
-            y[i] = c[i] // d
-        elif c[i]:
+            y[i] = c // d
+        elif c:
             return None
     return sm.v.apply(y)
 
 
 def lattice_kernel(a: IntMatrix) -> IntMatrix:
-    """Columns generate the lattice {x : a @ x == 0}."""
+    """Columns generate the lattice {x : a @ x == 0}: the columns of v at the
+    zero entries of the padded Smith diagonal."""
     sm = smith_decomposition(a)
-    mn = min(a.rows, a.cols)
-    free = [
-        j for j in range(a.cols) if j >= mn or sm.d.entries[j][j] == 0
-    ]
-    cols = sm.v.columns()
-    return IntMatrix.from_columns([cols[j] for j in free], a.cols)
+    free = [col for col, d in zip(sm.v.columns(), padded_diagonal(sm, a.cols)) if not d]
+    return IntMatrix.from_columns(free, a.cols)
 
 
 # ---------------------------------------------------------------------------

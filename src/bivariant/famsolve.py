@@ -682,14 +682,14 @@ def family_transport(cls: FamilyClass, new_base: str, iso: str) -> FamilyClass:
         for k in site.morphisms_into(site.tgt(new_base)):
             sq_new = site.chosen_pullback(new_base, k)
             sq_old = site.chosen_pullback(cls.base, k)
-            v_inv = site._mediator(
+            apex_map = site._mediator(
                 sq_old.apex,
                 [
                     (sq_new.top, site.compose(iso_inv, sq_old.top), sq_new.apex),
                     (sq_new.left, sq_old.left, sq_new.apex),
                 ],
             )
-            by_key[k] = [(0, k), v_inv]
+            by_key[k] = [(0, k), apex_map]
         return new_base, cls.degree, by_key
 
     return _planned(("transport", cls.base, cls.degree, new_base, iso), steps, cls)
@@ -791,8 +791,6 @@ class NotSurjectiveError(InvalidTransformationError):
 class ImageTransfer:
     """Map cls(alpha) |-> cls(gamma(alpha)) between images of comparison maps."""
 
-    source_theory: TabulatedBivTheory
-    target_theory: TabulatedBivTheory
     base: str
     degree: int
     source: Subgroup
@@ -835,7 +833,7 @@ def image_transfer(t: GrothTransf, base: str, degree: int, mode: str, variance: 
     mapping = GroupHom(
         source_sub.group, target_sub.group, IntMatrix.from_columns(cols, target_sub.group.ngens)
     )
-    return ImageTransfer(t.src, t.tgt, base, degree, source_sub, target_sub, mapping)
+    return ImageTransfer(base, degree, source_sub, target_sub, mapping)
 
 
 def recover(b: TabulatedBivTheory, cls: FamilyClass) -> GroupElement:

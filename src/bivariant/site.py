@@ -564,6 +564,10 @@ class NaturalTransf:
         self.tgt = tgt
         self.site = src.site
         self._components = dict(components)
+        lo, hi = src.window
+        for _obj, m in self._components:
+            if not (lo <= m <= hi):
+                raise SiteStructureError(f"component at grade {m} outside window")
 
     def component(self, obj: str, m: int) -> GroupHom:
         stored = self._components.get((obj, m))

@@ -1,10 +1,10 @@
 """Independent oracles used to cross-check the library's computations.
 
 These are deliberately naive: Laplace determinants, fraction-free row
-reduction, exhaustive enumeration, composition factor by factor.  None of
-them share code with the Smith-normal-form path they verify.  The
-direct-sum injections and projections build the reference constraint map
-that the assembled one is checked against; hom_difference_is_zero is the
+reduction for ranks and determinants, exhaustive enumeration, composition
+factor by factor.  None of them share code with the Smith-normal-form path
+they verify.  The direct-sum injections and projections build the
+reference constraint map that the assembled one is checked against; hom_difference_is_zero is the
 reference for hom equality; dense_path is the reference for composing a
 class's components, and the dense_* operations rebuild each class
 operation's composites from the site's pastes, by the formulas of the
@@ -42,6 +42,34 @@ def naive_det(rows):
         minor = [[r[col] for col in range(n) if col != j] for r in rows[1:]]
         total += (-1) ** j * a * naive_det(minor)
     return total
+
+
+def bareiss_det(rows):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination, with a row swap (and a sign flip) when a pivot is 0.
+
+    After pivot k every row below it becomes (p * row - a * pivot row)
+    divided by the previous pivot, as in rational_rank; the division is
+    exact, and the last pivot is the determinant up to the swaps' sign.
+    """
+    m = [[int(x) for x in row] for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        top = m[k][k:]
+        p = top[0]
+        for i in range(k + 1, n):
+            row = m[i][k:]
+            a = row[0]
+            m[i] = [0] * k + [(p * x - a * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return sign * prev
 
 
 def determinantal_divisors(rows, ncols):

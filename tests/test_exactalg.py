@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,7 @@ from bivariant.exactalg import (
 )
 
 from oracles import (
+    bareiss_det,
     decoded_induced_hom,
     dense_decode,
     dense_encode,
@@ -43,10 +45,10 @@ from oracles import (
     hom_difference_is_zero,
     injections,
     is_zero_hom,
-    is_zero_matrix,
     naive_reduce,
     projections,
     random_well_defined_matrix,
+    rational_rank,
 )
 
 
@@ -60,18 +62,16 @@ SNF_CORPUS = HERE / "fixtures" / "snf_corpus.json"
 
 
 def snf_certificate(m: IntMatrix, s: SmithDecomposition) -> list:
-    """Assert u @ m @ v == d, u @ u_inv == I, v @ v_inv == I and that d is
-    diagonal with a divisibility chain; return the diagonal."""
-    d = s.d
-    # a matrix with no rows has a 0 x 0 d, so compare entries, not shapes
-    assert (s.u @ m @ s.v).entries == d.entries
+    """Assert that u @ m @ v is the rows x cols matrix with s.diagonal on its
+    diagonal and 0 elsewhere, that u @ u_inv == I, that det v is +-1 (so v is
+    unimodular) and that the diagonal is a divisibility chain of entries
+    >= 0; return the diagonal."""
+    diag = list(s.diagonal)
+    assert len(diag) == min(m.rows, m.cols)
+    d = [[diag[i] if i == j else 0 for j in range(m.cols)] for i in range(m.rows)]
+    assert (s.u @ m @ s.v) == IntMatrix(m.rows, m.cols, tuple(map(tuple, d)))
     assert (s.u @ s.u_inv).is_identity()
-    assert (s.v @ s.v_inv).is_identity()
-    diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
-    for i in range(d.rows):
-        for j in range(d.cols):
-            if i != j:
-                assert d.entries[i][j] == 0
+    assert s.v.rows == s.v.cols and abs(bareiss_det(s.v.entries)) == 1
     assert all(x >= 0 for x in diag)
     for a, b in zip(diag, diag[1:]):
         if a == 0:
@@ -83,9 +83,9 @@ def snf_certificate(m: IntMatrix, s: SmithDecomposition) -> list:
 
 def check_snf(m: IntMatrix):
     s = smith_decomposition(m)
-    diag = snf_certificate(m, s)  # u and v are unimodular: they have inverses
+    diag = snf_certificate(m, s)  # u and v are unimodular
     assert diag == determinantal_divisors(m.entries, m.cols)
-    return s.d
+    return s.diagonal
 
 
 # Records every distinct (input, output) pair of smith_decomposition during
@@ -125,7 +125,7 @@ def mat(x):
     return [x.rows, x.cols, x.entries]
 
 
-pairs = [[mat(m), [mat(s.d), mat(s.u), mat(s.v), mat(s.u_inv), mat(s.v_inv)]] for m, s in seen]
+pairs = [[mat(m), [s.diagonal, mat(s.u), mat(s.v), mat(s.u_inv)]] for m, s in seen]
 print(json.dumps(sorted(json.dumps(p) for p in pairs)))
 """
 
@@ -156,7 +156,7 @@ def corpus_records(run: str) -> list:
     for k in corpus["runs"][run]:
         m = _matrix(corpus["matrices"][k])
         s = smith_decomposition(m)
-        records.append(json.dumps([doc(m), [doc(s.d), doc(s.u), doc(s.v), doc(s.u_inv), doc(s.v_inv)]]))
+        records.append(json.dumps([doc(m), [s.diagonal, doc(s.u), doc(s.v), doc(s.u_inv)]]))
     return sorted(records)
 
 
@@ -176,18 +176,18 @@ def _matrix(doc) -> IntMatrix:
 class TestSmithNormalForm:
     def test_identity(self):
         s = smith_decomposition(IntMatrix.identity(2))
-        assert s.d.is_identity() and s.u.is_identity() and s.v.is_identity()
+        assert s.diagonal == (1, 1) and s.u.is_identity() and s.v.is_identity()
 
     def test_frozen_example(self):
         # d1 = gcd of all entries = 2; d1*d2 = |det| = |16 - 24| = 8
         m = IntMatrix.from_rows([[2, 4], [6, 8]])
         s = smith_decomposition(m)
-        assert s.d == IntMatrix.from_rows([[2, 0], [0, 4]])
-        assert (s.u @ m @ s.v) == s.d
+        assert s.diagonal == (2, 4)
+        assert (s.u @ m @ s.v) == IntMatrix.from_rows([[2, 0], [0, 4]])
 
     def test_zero(self):
         s = smith_decomposition(IntMatrix.zeros(2, 3))
-        assert is_zero_matrix(s.d) and s.u.is_identity() and s.v.is_identity()
+        assert s.diagonal == (0, 0) and s.u.is_identity() and s.v.is_identity()
 
     def test_deterministic(self):
         m = IntMatrix.from_rows([[3, -1, 4], [1, 5, -9], [2, 6, 5]])
@@ -198,8 +198,8 @@ class TestSmithNormalForm:
     def test_tracked_inverses(self):
         m = IntMatrix.from_rows([[2, 4], [6, 8]])
         s = smith_decomposition(m)
-        assert (s.u @ s.u_inv).is_identity()
-        assert (s.v @ s.v_inv).is_identity()
+        assert (s.u @ s.u_inv).is_identity() and (s.u_inv @ s.u).is_identity()
+        assert abs(bareiss_det(s.v.entries)) == 1  # v's inverse is not tracked
 
     @given(
         st.integers(1, 5),
@@ -235,9 +235,8 @@ class TestSmithNormalForm:
         check_snf(m)
         s = smith_decomposition(m)
         assert s.u == s.u_inv == IntMatrix.identity(rows)
-        assert s.v == s.v_inv == IntMatrix.identity(cols)
-        # a matrix with no rows has a 0 x 0 d, as IntMatrix.from_rows(()) is
-        assert s.d == (m if rows else IntMatrix.from_rows(()))
+        assert s.v == IntMatrix.identity(cols)
+        assert s.diagonal == ()
 
 
 class TestSnfIdentity:
@@ -248,8 +247,8 @@ class TestSnfIdentity:
     def test_outputs_match_recorded_digest(self, run):
         assert snf_digest(corpus_records(run)) == json.loads(SNF_DIGESTS.read_text())[run]
         for rec in snf_records(run):
-            m, outs = json.loads(rec)
-            snf_certificate(_matrix(m), SmithDecomposition(*map(_matrix, outs)))
+            m, (diagonal, *transforms) = json.loads(rec)
+            snf_certificate(_matrix(m), SmithDecomposition(tuple(diagonal), *map(_matrix, transforms)))
 
 
 class TestLattice:
@@ -266,6 +265,78 @@ class TestLattice:
         assert k.cols == 2
         for column in k.columns():
             assert a.apply(column) == (0,)
+
+
+# lattice_solve and lattice_kernel read the Smith diagonal padded to the
+# number of rows or columns: shapes with no rows or columns, taller or wider
+# than square, or of lower rank than either side
+LATTICE_SHAPES = {
+    "0-row": IntMatrix(0, 3, ()),
+    "0-column": IntMatrix(3, 0, ((),) * 3),
+    "0x0": IntMatrix(0, 0, ()),
+    "tall": IntMatrix.from_rows([[2, 0], [0, 4], [2, 4], [0, 0]]),
+    "wide": IntMatrix.from_rows([[2, 4, 6, 0], [0, 2, 0, 4]]),
+    "square-rank-1": IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [-1, -2, -3]]),
+    "wide-rank-1": IntMatrix.from_rows([[2, 4, 6], [3, 6, 9]]),
+    "tall-rank-1": IntMatrix.from_rows([[3, -6], [0, 0], [6, -12]]),
+    "zero": IntMatrix.zeros(2, 3),
+}
+
+
+def outside_lattice(a: IntMatrix):
+    """The unit vectors that are not a @ x for any integer x, by oracles that
+    do not use the Smith form: e_i is outside when it raises the rational
+    rank of a, or when every entry of a has a common factor > 1."""
+    common = 0
+    for row in a.entries:
+        for x in row:
+            common = gcd(common, x)
+    rank = rational_rank(a.entries, a.cols)
+    for i in range(a.rows):
+        unit = tuple(int(r == i) for r in range(a.rows))
+        widened = [row + (e,) for row, e in zip(a.entries, unit)]
+        if common != 1 or rational_rank(widened, a.cols + 1) > rank:
+            yield unit
+
+
+def assert_lattice_solves(a: IntMatrix, rng: random.Random):
+    for _ in range(5):
+        b = a.apply([rng.randint(-5, 5) for _ in range(a.cols)])
+        x = lattice_solve(a, b)
+        assert x is not None and a.apply(x) == b
+    outside = list(outside_lattice(a))
+    for b in outside:
+        assert lattice_solve(a, b) is None
+    k = lattice_kernel(a)
+    assert k.rows == a.cols
+    assert k.cols == a.cols - rational_rank(a.entries, a.cols)
+    for column in k.columns():
+        assert a.apply(column) == (0,) * a.rows
+    # all-1 divisors: the columns span a saturated lattice, so all of the kernel
+    assert determinantal_divisors(k.entries, k.cols) == [1] * k.cols
+    return outside
+
+
+class TestLatticeEdgeShapes:
+    @pytest.mark.parametrize("name", LATTICE_SHAPES)
+    def test_named_shapes(self, name):
+        a = LATTICE_SHAPES[name]
+        outside = assert_lattice_solves(a, random.Random(name))
+        assert bool(outside) == (a.rows > 0)  # every shape with rows has a miss
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_random_shapes(self, data):
+        """Products A B through a small inner dimension, scaled by 1 to 3,
+        so that low rank and a lattice smaller than the column space are
+        common; either side may be 0."""
+        rows, cols, inner = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5)), data.draw(st.integers(0, 4))
+        entries = st.integers(-3, 3)
+        left = data.draw(st.lists(st.lists(entries, min_size=inner, max_size=inner), min_size=rows, max_size=rows))
+        right = data.draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=inner, max_size=inner))
+        k = data.draw(st.integers(1, 3))
+        product = IntMatrix(rows, inner, tuple(map(tuple, left))) @ IntMatrix(inner, cols, tuple(map(tuple, right)))
+        assert_lattice_solves(product.scaled(k), random.Random(data.draw(st.integers(0, 2**16))))
 
 
 class TestGroups:

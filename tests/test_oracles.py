@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import rational_rank
+from oracles import bareiss_det, naive_det, rational_rank
 
 
 def fraction_rank(rows, ncols):
@@ -35,10 +35,14 @@ def _rows(nrows, ncols, entries=st.integers(-4, 4)):
 
 
 @st.composite
-def matrices(draw):
-    """(ncols, rows) of a small integer matrix; half of them are a product
-    A B through an inner dimension of at most 3, so low ranks are common."""
-    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+def matrices(draw, square=False):
+    """(ncols, rows) of a small integer matrix, at most 7 x 7, or n x n with
+    n <= 6 when square; half of them are a product A B through an inner
+    dimension of at most 3, so low ranks are common."""
+    if square:
+        nrows = ncols = draw(st.integers(0, 6))
+    else:
+        nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
     if not draw(st.booleans()):
         return ncols, draw(_rows(nrows, ncols))
     inner = draw(st.integers(0, 3))
@@ -51,3 +55,10 @@ def matrices(draw):
 def test_fraction_free_rank_matches_the_fraction_rank(case):
     ncols, rows = case
     assert rational_rank(rows, ncols) == fraction_rank(rows, ncols)
+
+
+@given(matrices(square=True))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_bareiss_det_matches_the_laplace_det(case):
+    _, rows = case
+    assert bareiss_det(rows) == naive_det(rows)

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from bivariant.bivcore import InvalidTransformationError
 from bivariant.cooperational import coop_group, transfer_subgroup
 from bivariant.exactalg import IntMatrix
 from bivariant.operational import op_group
+from bivariant.site import SiteStructureError
 from bivariant.workbench import (
     InstanceFileError,
     InstanceViolationError,
@@ -251,6 +253,28 @@ def test_a_repeated_table_entry_is_an_input_error(path, changes):
     with pytest.raises(InstanceFileError, match="repeats the entry for") as err:
         parse_instance(doc)
     assert err.value.location == f"{'.'.join(path)}[{len(table) - 1}]"
+
+
+@pytest.mark.parametrize(
+    "section, name, key, error",
+    [
+        ("transformations", "T", "0@-1", SiteStructureError),
+        ("groth", "gamma", "0>01@3", InvalidTransformationError),
+    ],
+    ids=["natural-transformation", "groth-transformation"],
+)
+def test_a_component_outside_the_window_is_an_input_error(tmp_path, section, name, key, error):
+    # it used to parse, validate OK, and be dropped when written back
+    doc = bundle_to_json(build_subsets_instance(2))
+    doc[section][name]["components"][key] = []
+    with pytest.raises(InstanceFileError, match="outside window") as err:
+        parse_instance(doc)
+    assert err.value.location == f"{section}.{name}"
+    assert isinstance(err.value.__cause__, error)
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc), encoding="utf-8")
+    result = run_cli("validate", str(file))
+    assert result.returncode == 2 and result.stderr.startswith(f"input error: {section}.{name}: ")
 
 
 def test_a_repeated_object_key_is_an_input_error(tmp_path):
