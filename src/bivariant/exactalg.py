@@ -7,12 +7,16 @@ normal form, drives everything else: canonical forms, element reduction,
 lattice membership, kernels, images and Hom groups.  It returns only what
 those read: the diagonal as a tuple, the unimodular transforms U and V,
 and U's inverse.  The matrices met here are sparse, so the Smith form
-eliminates on sparse rows and columns internally; its transforms come back
-as dense immutable IntMatrix values like every other matrix.  The hom kernels
-walk only nonzero entries too: the well-definedness check scatters the
-image of each relation column from its nonzero entries, and the Hom codec
-adds one outer product of Smith transform columns and rows per nonzero
-summand, with no dense matrix product.  Columns are read by one transpose
+eliminates on sparse rows and columns and returns its transforms as it
+holds them: the rows of U, the columns of V and of U's inverse, each over
+its nonzero entries.  Every reader walks those vectors; no dense transform
+is built.  lattice_kernel densifies only the columns of V that it returns.
+kernel and image each build only their own half of kernel_image, which
+builds both on one lattice kernel.  The hom kernels walk only nonzero
+entries too: the well-definedness check scatters the image of each
+relation column from its nonzero entries, and the Hom codec adds one outer
+product of a sparse U^-1 column and U row per nonzero summand, with no
+matrix product.  Columns of a dense matrix are read by one transpose
 (IntMatrix.columns), never one index at a time.
 """
 
@@ -183,12 +187,17 @@ def _identity_rows(n: int) -> tuple:
 class SmithDecomposition:
     """u @ m @ v is the rows x cols matrix with diagonal on its diagonal and 0
     elsewhere, for unimodular u and v.  The diagonal has min(rows, cols)
-    entries, all >= 0, each dividing the next; u_inv is the inverse of u."""
+    entries, all >= 0, each dividing the next; u_inv is the inverse of u.
+
+    The transforms are sparse, in the form their readers walk: u is the
+    tuple of its rows, v and u_inv the tuples of their columns.  Each vector
+    is a tuple of (index, entry) pairs over its nonzero entries, in no fixed
+    order."""
 
     diagonal: tuple
-    u: IntMatrix
-    v: IntMatrix
-    u_inv: IntMatrix
+    u: tuple
+    v: tuple
+    u_inv: tuple
 
 
 def _axpy(dst: dict, src: dict, q: int) -> None:
@@ -203,14 +212,43 @@ def _axpy(dst: dict, src: dict, q: int) -> None:
             del dst[k]
 
 
-def _dense(vecs: list) -> tuple:
-    """The n sparse vectors, each of length n, as n dense tuples."""
-    n = len(vecs)
-    dense = [[0] * n for _ in vecs]
-    for out, vec in zip(dense, vecs):
-        for j, x in vec.items():
-            out[j] = x
-    return tuple(map(tuple, dense))
+def _scatter(vectors, coeffs, length: int) -> list:
+    """The sum of coeffs[k] * vectors[k] over the nonzero coeffs, as a dense
+    list of length entries, for sparse vectors of (index, entry) pairs."""
+    out = [0] * length
+    for x, vec in zip(coeffs, vectors):
+        if x:
+            for i, a in vec:
+                out[i] += a * x
+    return out
+
+
+def _sparse_transpose(vectors, length: int) -> tuple:
+    """The transpose of sparse vectors of (index, entry) pairs: length sparse
+    vectors, each with its pairs in ascending index."""
+    out = [[] for _ in range(length)]
+    for i, vec in enumerate(vectors):
+        for j, a in vec:
+            out[j].append((i, a))
+    return tuple(map(tuple, out))
+
+
+def _row_times(row, mat: IntMatrix) -> list:
+    """The sparse row vector times mat, as a dense list."""
+    acc = [0] * mat.cols
+    for k, a in row:
+        acc = [x + a * b for x, b in zip(acc, mat.entries[k])]
+    return acc
+
+
+def _conjugated(u: tuple, mat: IntMatrix, u_inv: tuple) -> list:
+    """The dense rows of u @ mat @ u_inv, from the sparse rows of u and the
+    sparse columns of u_inv."""
+    out = []
+    for row in u:
+        acc = _row_times(row, mat)
+        out.append([sum(acc[r] * a for r, a in col) for col in u_inv])
+    return out
 
 
 @lru_cache(maxsize=SNF_CACHE_SIZE)
@@ -223,7 +261,9 @@ def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
     {index: nonzero entry}: rows of D and U, columns of V and Ui.  At
     step t, the rows and columns of D before t hold only their diagonal
     entry, so column operations touch rows t onwards only.  When it ends D
-    is diagonal, and only its diagonal is returned.
+    is diagonal, and only its diagonal is returned; U, V and Ui are
+    returned as the sparse vectors the elimination holds (see
+    SmithDecomposition).
     """
     R, C = m.rows, m.cols
     D = [{j: x for j, x in enumerate(r) if x} for r in m.entries]
@@ -299,9 +339,7 @@ def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
 
     return SmithDecomposition(
         tuple(D[i].get(i, 0) for i in range(limit)),
-        IntMatrix(R, R, _dense(U)),
-        IntMatrix(C, C, _transposed(_dense(V), C)),
-        IntMatrix(R, R, _transposed(_dense(Ui), R)),
+        *(tuple(tuple(vec.items()) for vec in vecs) for vecs in (U, V, Ui)),
     )
 
 
@@ -321,22 +359,30 @@ def lattice_solve(a: IntMatrix, b):
         raise ShapeMismatchError("rhs length mismatch")
     sm = smith_decomposition(a)
     y = [0] * a.cols
-    for i, (c, d) in enumerate(zip(sm.u.apply(b), padded_diagonal(sm, a.rows))):
+    for i, (row, d) in enumerate(zip(sm.u, padded_diagonal(sm, a.rows))):
+        c = sum(x * b[k] for k, x in row)  # (u b)_i
         if d:
             if c % d:
                 return None
             y[i] = c // d
         elif c:
             return None
-    return sm.v.apply(y)
+    return tuple(_scatter(sm.v, y, a.cols))
 
 
 def lattice_kernel(a: IntMatrix) -> IntMatrix:
     """Columns generate the lattice {x : a @ x == 0}: the columns of v at the
-    zero entries of the padded Smith diagonal."""
+    zero entries of the padded Smith diagonal, the only columns of v made
+    dense."""
     sm = smith_decomposition(a)
-    free = [col for col, d in zip(sm.v.columns(), padded_diagonal(sm, a.cols)) if not d]
-    return IntMatrix.from_columns(free, a.cols)
+    free = []
+    for col, d in zip(sm.v, padded_diagonal(sm, a.cols)):
+        if not d:
+            dense = [0] * a.cols
+            for k, x in col:
+                dense[k] = x
+            free.append(tuple(dense))
+    return IntMatrix(a.cols, len(free), _transposed(free, a.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +486,15 @@ class FgAbGroup:
         "free" when there are no relations (every x is its own
         representative), "diagonal" when u is the identity (reduce each x_i
         mod d_i), else "general" on the nonzero (row, entry) pairs of the
-        columns of u and u_inv, so reduce scatters only nonzero coordinates.
+        columns of u (its sparse rows transposed) and u_inv, so reduce
+        scatters only nonzero coordinates.
         """
         sm = self._smith  # on every path, so which Smith forms a run computes never depends on it
         if not self.relations.cols:
             return ("free", (), ())
-        if sm.u.is_identity():
+        if all(row == ((i, 1),) for i, row in enumerate(sm.u)):
             return ("diagonal", (), ())
-        return ("general", _nonzero_columns(sm.u), _nonzero_columns(sm.u_inv))
+        return ("general", _sparse_transpose(sm.u, self.ngens), sm.u_inv)
 
     def reduce(self, coords) -> tuple:
         """Canonical representative of coords modulo the relation lattice.
@@ -494,7 +541,7 @@ class FgAbGroup:
             raise InfiniteGroupError(self.pretty())
         ranges = [range(d if d else 1) for d in self._diag]
         for c in itertools.product(*ranges):
-            yield self.element(self._smith.u_inv.apply(c))
+            yield self.element(_scatter(self._smith.u_inv, c, self.ngens))
 
     def __eq__(self, other):
         if self is other:
@@ -672,12 +719,14 @@ class HomGroup:
     summand (j, i, order, coeff) stands for coeff * E_ji in the canonical
     bases: the hom u_tgt^-1 (coeff * E_ji) u_src.
 
-    Both directions are closed forms with no matrix product.  decode adds
-    e * coeff * u_tgt^-1[:, j] (outer) u_src[i, :] for each nonzero
-    coordinate e and returns a checked GroupHom.  encode computes only the
-    summand entries (u_tgt mat u_src^-1)[j][i], one row u_tgt[j] mat per
-    target index j, then _summand_coords takes them mod b_j and divides by
-    coeff.  The integers equal those of the dense triple products.
+    Both directions are closed forms with no matrix product, on the sparse
+    Smith transforms.  decode adds e * coeff * u_tgt^-1[:, j] (outer)
+    u_src[i, :] for each nonzero coordinate e and returns a checked
+    GroupHom.  encode computes only the summand entries
+    (u_tgt mat u_src^-1)[j][i], one row u_tgt[j] mat per target index j
+    dotted with column i of u_src^-1, then _summand_coords takes them mod
+    b_j and divides by coeff.  The integers equal those of the dense triple
+    products.
     """
 
     src: FgAbGroup
@@ -693,33 +742,28 @@ class HomGroup:
         x = tuple(map(operator.index, x))
         if len(x) != self.group.ngens:
             raise ShapeMismatchError("coordinate length mismatch")
-        u_inv, u = self.tgt._smith.u_inv.entries, self.src._smith.u.entries
+        u_inv, u = self.tgt._smith.u_inv, self.src._smith.u  # columns, rows
         rows = [[0] * self.src.ngens for _ in range(self.tgt.ngens)]
         for (j, i, _order, coeff), e in zip(self.summands, x):
             if e:
                 e *= coeff
-                right = [(c, b) for c, b in enumerate(u[i]) if b]
-                for out, left in zip(rows, u_inv):
-                    a = e * left[j]
-                    if a:
-                        for c, b in right:
-                            out[c] += a * b
+                right = u[i]
+                for r, a in u_inv[j]:
+                    out, a = rows[r], e * a
+                    for c, b in right:
+                        out[c] += a * b
         mat = IntMatrix(self.tgt.ngens, self.src.ngens, tuple(map(tuple, rows)))
         return GroupHom(self.src, self.tgt, mat)
 
     def encode(self, hom: GroupHom) -> GroupElement:
         if hom.src != self.src or hom.tgt != self.tgt:
             raise ShapeMismatchError("hom does not match this Hom group")
-        u, u_inv = self.tgt._smith.u.entries, self.src._smith.u_inv.entries
+        u, u_inv = self.tgt._smith.u, self.src._smith.u_inv  # rows, columns
         left = {}  # row j of u_tgt . mat, for each j a summand names
         for j, _i, _order, _coeff in self.summands:
             if j not in left:
-                acc = (0,) * self.src.ngens
-                for a, row in zip(u[j], hom.mat.entries):
-                    if a:
-                        acc = [x + a * b for x, b in zip(acc, row)]
-                left[j] = acc
-        raws = (sum(x * r[i] for x, r in zip(left[j], u_inv) if x) for j, i, _, _ in self.summands)
+                left[j] = _row_times(u[j], hom.mat)
+        raws = (sum(left[j][r] * a for r, a in u_inv[i]) for j, i, _, _ in self.summands)
         return self.group.element(self._summand_coords(raws))
 
     def _summand_coords(self, raws) -> list:
@@ -798,8 +842,8 @@ def induced_hom(
     if c != target.src or d != target.tgt:
         raise ShapeMismatchError("hom does not match this Hom group")
     # with no pre, C == A so U_A U_C^-1 is the identity; likewise for post
-    left = _identity_rows(b.ngens) if post is None else (d._smith.u @ post.mat @ b._smith.u_inv).entries
-    right = _identity_rows(a.ngens) if pre is None else (a._smith.u @ pre.mat @ c._smith.u_inv).entries
+    left = _identity_rows(b.ngens) if post is None else _conjugated(d._smith.u, post.mat, b._smith.u_inv)
+    right = _identity_rows(a.ngens) if pre is None else _conjugated(a._smith.u, pre.mat, c._smith.u_inv)
     cols = []
     for j, i, _order, coeff in source.summands:
         r = right[i]
@@ -821,32 +865,44 @@ class Subgroup:
     inclusion: GroupHom
 
 
-def kernel_image(f: GroupHom) -> tuple[Subgroup, Subgroup]:
-    """Kernel and image of f, each as (abstract group, inclusion hom)."""
-    n = f.src.ngens
-    stacked = f.mat.hstack(f.tgt.relations)
-    null = lattice_kernel(stacked)
-    preimage_gens = null.top_rows(n)  # columns generate {x : f(x) is a relation}
+def _preimage_gens(f: GroupHom) -> IntMatrix:
+    """Columns generate {x : f(x) is a relation of f.tgt}: the x-parts of the
+    lattice kernel of [f | R_tgt]."""
+    return lattice_kernel(f.mat.hstack(f.tgt.relations)).top_rows(f.src.ngens)
 
-    # image: generated by the images of the source generators, with
-    # relation lattice exactly the x-parts above
-    im_group = FgAbGroup(n, preimage_gens)
-    im = Subgroup(im_group, GroupHom(im_group, f.tgt, f.mat))
 
-    # kernel: same lattice, now presented abstractly with its own relations
+def _image(f: GroupHom, preimage_gens: IntMatrix) -> Subgroup:
+    """The image: generated by the images of the source generators, with
+    relation lattice exactly preimage_gens."""
+    im_group = FgAbGroup(f.src.ngens, preimage_gens)
+    return Subgroup(im_group, GroupHom(im_group, f.tgt, f.mat))
+
+
+def _kernel(f: GroupHom, preimage_gens: IntMatrix) -> Subgroup:
+    """The kernel: the lattice preimage_gens, presented abstractly with its
+    own relations (a second lattice kernel)."""
     r = preimage_gens.cols
     ker_rel = lattice_kernel(preimage_gens.hstack(f.src.relations)).top_rows(r)
     ker_group = FgAbGroup(r, ker_rel)
-    ker = Subgroup(ker_group, GroupHom(ker_group, f.src, preimage_gens))
-    return ker, im
+    return Subgroup(ker_group, GroupHom(ker_group, f.src, preimage_gens))
+
+
+def kernel_image(f: GroupHom) -> tuple[Subgroup, Subgroup]:
+    """Kernel and image of f, each as (abstract group, inclusion hom), on one
+    lattice kernel of [f | R_tgt].  kernel and image each build only their
+    own half: kernel never reduces in f.tgt, and image computes no second
+    lattice kernel."""
+    preimage_gens = _preimage_gens(f)
+    im = _image(f, preimage_gens)
+    return _kernel(f, preimage_gens), im
 
 
 def kernel(f: GroupHom) -> Subgroup:
-    return kernel_image(f)[0]
+    return _kernel(f, _preimage_gens(f))
 
 
 def image(f: GroupHom) -> Subgroup:
-    return kernel_image(f)[1]
+    return _image(f, _preimage_gens(f))
 
 
 def hom_preimage(f: GroupHom, y: GroupElement):

@@ -819,7 +819,7 @@ def image_transfer(t: GrothTransf, base: str, degree: int, mode: str, variance: 
     src_hom = comparison(t.src, base, degree)
     tgt_hom = comparison(t.tgt, base, degree)
     composed = tgt_hom @ to_target
-    src_kernel = kernel(src_hom)
+    src_kernel, source_sub = kernel_image(src_hom)
     name = COMPARISON[variance]
     for k in src_kernel.group.gens():
         if not composed(src_kernel.inclusion(k)).is_zero:
@@ -827,7 +827,6 @@ def image_transfer(t: GrothTransf, base: str, degree: int, mode: str, variance: 
                 f"transfer is not well-defined: {name}(alpha)={name}(beta) but images differ"
             )
 
-    source_sub = image(src_hom)
     target_sub = image(tgt_hom)
     cols = [to_target(a).coords for a in t.src.group(base, degree).gens()]
     mapping = GroupHom(

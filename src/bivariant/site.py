@@ -433,7 +433,8 @@ class GradedFunctor:
     """Grade-windowed functor into f.g. abelian groups.
 
     variance "contra": every morphism h: X''->X' gets h^*: F^m(X') -> F^m(X'').
-    variance "cov": every *confined* f: X->Y gets f_*: F_m(X) -> F_m(Y).
+    variance "cov": every *confined* f: X->Y gets f_*: F_m(X) -> F_m(Y), and
+    a map given along any other morphism raises SiteStructureError.
     Groups outside the window are zero; maps involving a zero group default
     to the zero hom and identity morphisms default to the identity hom.
 
@@ -468,6 +469,8 @@ class GradedFunctor:
                 raise SiteStructureError(f"functor map along unknown morphism {mor}")
             if not (lo <= m <= hi):
                 raise SiteStructureError(f"functor map at grade {m} outside window")
+            if not self.acts_along(mor):
+                raise SiteStructureError(f"covariant functor map along non-confined {mor}")
             self._maps[(mor, m)] = hom_
         self._plans = {}  # (operation, operand bases and degrees, morphisms) -> plan
 

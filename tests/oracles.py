@@ -15,7 +15,12 @@ link map on solved groups, and decoded_link_reference builds that link map
 by decoding every generator, composing it with T and encoding it back;
 decoded_induced_hom builds each block of the constraint map the same way;
 dense_decode and dense_encode are the Hom codec as dense triple products in
-the canonical bases.
+the canonical bases.  dense_transforms turns the sparse Smith transforms
+into the dense U, V and U^-1 that every test reads; dense_lattice_solve,
+dense_lattice_kernel and dense_reduce are the lattice solve, the lattice
+kernel and element reduction as dense matrix-vector products on them, the
+references for the library's sparse walks (they share the Smith form, not
+its readers).
 The last three helpers read membership and build a class in ways only the
 tests need.
 """
@@ -23,7 +28,18 @@ tests need.
 from itertools import combinations, product
 from math import gcd
 
-from bivariant.exactalg import GroupHom, IntMatrix, direct_sum, hom_group, hom_preimage, image, kernel, kernel_image
+from bivariant.exactalg import (
+    GroupHom,
+    IntMatrix,
+    direct_sum,
+    hom_group,
+    hom_preimage,
+    image,
+    kernel,
+    kernel_image,
+    padded_diagonal,
+    smith_decomposition,
+)
 from bivariant.famsolve import ConstraintSpec, FamilyClass, FamilySolution, SummandSpec, TermSpec, family_group
 from bivariant.site import Site
 
@@ -137,6 +153,60 @@ def naive_reduce(u_rows, u_inv_rows, diag, coords):
     c = [sum(a * x for a, x in zip(row, coords)) for row in u_rows]
     c = [x % d if d else x for x, d in zip(c, diag)]
     return tuple(sum(a * x for a, x in zip(row, c)) for row in u_inv_rows)
+
+
+def _dense_vectors(vectors, length):
+    """Sparse vectors of (index, entry) pairs as dense tuples of length entries."""
+    out = []
+    for vec in vectors:
+        dense = [0] * length
+        for k, x in vec:
+            dense[k] = x
+        out.append(tuple(dense))
+    return out
+
+
+def dense_transforms(s):
+    """The dense (u, v, u_inv) of a Smith decomposition, whose transforms are
+    sparse: u by its rows, v and u_inv by their columns."""
+    rows, cols = len(s.u), len(s.v)
+    u = IntMatrix(rows, rows, tuple(_dense_vectors(s.u, rows)))
+    v = IntMatrix.from_columns(_dense_vectors(s.v, cols), cols)
+    u_inv = IntMatrix.from_columns(_dense_vectors(s.u_inv, rows), rows)
+    return u, v, u_inv
+
+
+def dense_lattice_solve(a, b):
+    """One integer x with a @ x == b, or None, by dense products on the Smith
+    transforms: c = u b, y_i = c_i / d_i (c_i must vanish where d_i is 0 and
+    be divisible by d_i elsewhere), x = v y."""
+    s = smith_decomposition(a)
+    u, v, _ = dense_transforms(s)
+    y = [0] * a.cols
+    for i, (c, d) in enumerate(zip(u.apply(b), padded_diagonal(s, a.rows))):
+        if d:
+            if c % d:
+                return None
+            y[i] = c // d
+        elif c:
+            return None
+    return v.apply(y)
+
+
+def dense_lattice_kernel(a):
+    """The columns of the dense v at the zero entries of the padded Smith
+    diagonal, as a matrix."""
+    s = smith_decomposition(a)
+    _, v, _ = dense_transforms(s)
+    free = [col for col, d in zip(v.columns(), padded_diagonal(s, a.cols)) if not d]
+    return IntMatrix.from_columns(free, a.cols)
+
+
+def dense_reduce(group, coords):
+    """naive_reduce on the dense Smith transforms of group's relations."""
+    s = smith_decomposition(group.relations)
+    u, _, u_inv = dense_transforms(s)
+    return naive_reduce(u.entries, u_inv.entries, padded_diagonal(s, group.ngens), coords)
 
 
 def hom_count_cyclic(a, b):
@@ -426,13 +496,13 @@ def dense_decode(hg, coords):
     for (j, i, _order, coeff), e in zip(hg.summands, coords):
         rows[j][i] = e * coeff
     mp = IntMatrix(hg.tgt.ngens, hg.src.ngens, tuple(tuple(r) for r in rows))
-    return hg.tgt._smith.u_inv @ mp @ hg.src._smith.u
+    return dense_transforms(hg.tgt._smith)[2] @ mp @ dense_transforms(hg.src._smith)[0]
 
 
 def dense_encode(hg, hom):
     """The reduced codec coordinates of hom, read off the dense product
     u_tgt @ hom.mat @ u_inv_src at the summands' entries."""
-    mp = hg.tgt._smith.u @ hom.mat @ hg.src._smith.u_inv
+    mp = dense_transforms(hg.tgt._smith)[0] @ hom.mat @ dense_transforms(hg.src._smith)[2]
     return hg.group.element(hg._summand_coords(mp.entries[j][i] for j, i, _, _ in hg.summands)).coords
 
 

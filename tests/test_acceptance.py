@@ -43,7 +43,14 @@ from bivariant.workbench import (
     subsets_site,
 )
 
-from oracles import bareiss_det, determinantal_divisors, family_from_self_transformation, in_transfer_subgroup, rational_rank
+from oracles import (
+    bareiss_det,
+    dense_transforms,
+    determinantal_divisors,
+    family_from_self_transformation,
+    in_transfer_subgroup,
+    rational_rank,
+)
 from test_cooperational import brute_force_membership
 
 HERE = Path(__file__).parent
@@ -71,11 +78,11 @@ def test_criterion_01_snf_suite():
             [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         )
         s = smith_decomposition(m)
-        diag, u, v = list(s.diagonal), s.u, s.v
+        diag, (u, v, u_inv) = list(s.diagonal), dense_transforms(s)
         assert len(diag) == min(rows, cols)
         d = [[diag[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
         assert (u @ m @ v) == IntMatrix.from_rows(d)
-        assert (u @ s.u_inv).is_identity() and abs(bareiss_det(v.entries)) == 1
+        assert (u @ u_inv).is_identity() and abs(bareiss_det(v.entries)) == 1
         for a, b in zip(diag, diag[1:]):
             assert (a == 0 and b == 0) or (a != 0 and b % a == 0)
         assert diag == determinantal_divisors(m.entries, cols)

@@ -18,7 +18,6 @@ from bivariant.exactalg import (
     HomGroup,
     IntMatrix,
     ShapeMismatchError,
-    SmithDecomposition,
     WellDefinednessError,
     _nonzero_columns,
     direct_sum,
@@ -40,12 +39,15 @@ from oracles import (
     decoded_induced_hom,
     dense_decode,
     dense_encode,
+    dense_lattice_kernel,
+    dense_lattice_solve,
+    dense_reduce,
+    dense_transforms,
     determinantal_divisors,
     hom_count_cyclic,
     hom_difference_is_zero,
     injections,
     is_zero_hom,
-    naive_reduce,
     projections,
     random_well_defined_matrix,
     rational_rank,
@@ -61,17 +63,17 @@ SNF_DIGESTS = HERE / "fixtures" / "snf_digests.json"
 SNF_CORPUS = HERE / "fixtures" / "snf_corpus.json"
 
 
-def snf_certificate(m: IntMatrix, s: SmithDecomposition) -> list:
-    """Assert that u @ m @ v is the rows x cols matrix with s.diagonal on its
-    diagonal and 0 elsewhere, that u @ u_inv == I, that det v is +-1 (so v is
-    unimodular) and that the diagonal is a divisibility chain of entries
-    >= 0; return the diagonal."""
-    diag = list(s.diagonal)
+def snf_certificate(m: IntMatrix, diagonal, u: IntMatrix, v: IntMatrix, u_inv: IntMatrix) -> list:
+    """Assert, for dense transforms, that u @ m @ v is the rows x cols matrix
+    with diagonal on its diagonal and 0 elsewhere, that u @ u_inv == I, that
+    det v is +-1 (so v is unimodular) and that the diagonal is a
+    divisibility chain of entries >= 0; return the diagonal."""
+    diag = list(diagonal)
     assert len(diag) == min(m.rows, m.cols)
     d = [[diag[i] if i == j else 0 for j in range(m.cols)] for i in range(m.rows)]
-    assert (s.u @ m @ s.v) == IntMatrix(m.rows, m.cols, tuple(map(tuple, d)))
-    assert (s.u @ s.u_inv).is_identity()
-    assert s.v.rows == s.v.cols and abs(bareiss_det(s.v.entries)) == 1
+    assert (u @ m @ v) == IntMatrix(m.rows, m.cols, tuple(map(tuple, d)))
+    assert (u @ u_inv).is_identity()
+    assert v.rows == v.cols and abs(bareiss_det(v.entries)) == 1
     assert all(x >= 0 for x in diag)
     for a, b in zip(diag, diag[1:]):
         if a == 0:
@@ -83,7 +85,7 @@ def snf_certificate(m: IntMatrix, s: SmithDecomposition) -> list:
 
 def check_snf(m: IntMatrix):
     s = smith_decomposition(m)
-    diag = snf_certificate(m, s)  # u and v are unimodular
+    diag = snf_certificate(m, s.diagonal, *dense_transforms(s))  # u and v are unimodular
     assert diag == determinantal_divisors(m.entries, m.cols)
     return s.diagonal
 
@@ -97,6 +99,7 @@ def check_snf(m: IntMatrix):
 _RECORD_SNF = """
 import json, sys
 from bivariant import exactalg
+from oracles import dense_transforms
 from bivariant.cooperational import transfer_subgroup
 from bivariant.workbench import build_subsets_instance, demo_checks
 
@@ -125,7 +128,7 @@ def mat(x):
     return [x.rows, x.cols, x.entries]
 
 
-pairs = [[mat(m), [s.diagonal, mat(s.u), mat(s.v), mat(s.u_inv)]] for m, s in seen]
+pairs = [[mat(m), [s.diagonal, *map(mat, dense_transforms(s))]] for m, s in seen]
 print(json.dumps(sorted(json.dumps(p) for p in pairs)))
 """
 
@@ -137,7 +140,7 @@ SNF_DIGEST_RUNS = ("demo-subsets-2", "transfer-subsets-3")
 def snf_records(run: str) -> list:
     """The sorted JSON lines of the distinct Smith forms one run computes."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = os.pathsep.join((str(SRC), str(HERE), env.get("PYTHONPATH", "")))
     out = subprocess.run(
         [sys.executable, "-c", _RECORD_SNF, run], capture_output=True, text=True, env=env, check=True
     )
@@ -156,7 +159,7 @@ def corpus_records(run: str) -> list:
     for k in corpus["runs"][run]:
         m = _matrix(corpus["matrices"][k])
         s = smith_decomposition(m)
-        records.append(json.dumps([doc(m), [s.diagonal, doc(s.u), doc(s.v), doc(s.u_inv)]]))
+        records.append(json.dumps([doc(m), [s.diagonal, *map(doc, dense_transforms(s))]]))
     return sorted(records)
 
 
@@ -176,18 +179,21 @@ def _matrix(doc) -> IntMatrix:
 class TestSmithNormalForm:
     def test_identity(self):
         s = smith_decomposition(IntMatrix.identity(2))
-        assert s.diagonal == (1, 1) and s.u.is_identity() and s.v.is_identity()
+        u, v, _ = dense_transforms(s)
+        assert s.diagonal == (1, 1) and u.is_identity() and v.is_identity()
 
     def test_frozen_example(self):
         # d1 = gcd of all entries = 2; d1*d2 = |det| = |16 - 24| = 8
         m = IntMatrix.from_rows([[2, 4], [6, 8]])
         s = smith_decomposition(m)
+        u, v, _ = dense_transforms(s)
         assert s.diagonal == (2, 4)
-        assert (s.u @ m @ s.v) == IntMatrix.from_rows([[2, 0], [0, 4]])
+        assert (u @ m @ v) == IntMatrix.from_rows([[2, 0], [0, 4]])
 
     def test_zero(self):
         s = smith_decomposition(IntMatrix.zeros(2, 3))
-        assert s.diagonal == (0, 0) and s.u.is_identity() and s.v.is_identity()
+        u, v, _ = dense_transforms(s)
+        assert s.diagonal == (0, 0) and u.is_identity() and v.is_identity()
 
     def test_deterministic(self):
         m = IntMatrix.from_rows([[3, -1, 4], [1, 5, -9], [2, 6, 5]])
@@ -197,9 +203,9 @@ class TestSmithNormalForm:
 
     def test_tracked_inverses(self):
         m = IntMatrix.from_rows([[2, 4], [6, 8]])
-        s = smith_decomposition(m)
-        assert (s.u @ s.u_inv).is_identity() and (s.u_inv @ s.u).is_identity()
-        assert abs(bareiss_det(s.v.entries)) == 1  # v's inverse is not tracked
+        u, v, u_inv = dense_transforms(smith_decomposition(m))
+        assert (u @ u_inv).is_identity() and (u_inv @ u).is_identity()
+        assert abs(bareiss_det(v.entries)) == 1  # v's inverse is not tracked
 
     @given(
         st.integers(1, 5),
@@ -234,8 +240,9 @@ class TestSmithNormalForm:
         m = IntMatrix.zeros(rows, cols)
         check_snf(m)
         s = smith_decomposition(m)
-        assert s.u == s.u_inv == IntMatrix.identity(rows)
-        assert s.v == IntMatrix.identity(cols)
+        u, v, u_inv = dense_transforms(s)
+        assert u == u_inv == IntMatrix.identity(rows)
+        assert v == IntMatrix.identity(cols)
         assert s.diagonal == ()
 
 
@@ -248,7 +255,7 @@ class TestSnfIdentity:
         assert snf_digest(corpus_records(run)) == json.loads(SNF_DIGESTS.read_text())[run]
         for rec in snf_records(run):
             m, (diagonal, *transforms) = json.loads(rec)
-            snf_certificate(_matrix(m), SmithDecomposition(tuple(diagonal), *map(_matrix, transforms)))
+            snf_certificate(_matrix(m), diagonal, *map(_matrix, transforms))
 
 
 class TestLattice:
@@ -339,6 +346,55 @@ class TestLatticeEdgeShapes:
         assert_lattice_solves(product.scaled(k), random.Random(data.draw(st.integers(0, 2**16))))
 
 
+def corpus_matrices() -> list:
+    """Every matrix of snf_corpus.json."""
+    return [_matrix(m) for m in json.loads(SNF_CORPUS.read_text())["matrices"]]
+
+
+def solve_targets(a: IntMatrix, rng: random.Random):
+    """Right-hand sides for lattice_solve: images a @ x, which it solves,
+    and unit and random vectors, which it may or may not."""
+    for _ in range(3):
+        yield a.apply([rng.randint(-4, 4) for _ in range(a.cols)])
+    for i in rng.sample(range(a.rows), min(a.rows, 3)):
+        yield tuple(int(r == i) for r in range(a.rows))
+    yield tuple(rng.randint(-6, 6) for _ in range(a.rows))
+
+
+class TestSparseReadersMatchDense:
+    """lattice_solve, lattice_kernel and reduce, which walk the sparse Smith
+    transforms, equal entry for entry their dense references in oracles on
+    every corpus matrix and every edge shape."""
+
+    @staticmethod
+    def assert_matches_dense(a: IntMatrix, rng: random.Random):
+        assert lattice_kernel(a) == dense_lattice_kernel(a)
+        solved = 0
+        for b in solve_targets(a, rng):
+            x = lattice_solve(a, b)
+            assert x == dense_lattice_solve(a, b), b
+            solved += x is not None
+        assert solved >= 3
+        g = FgAbGroup(a.rows, a)
+        vectors = [tuple(rng.choice((0, 0, 0, 1, -1, 3, -5)) for _ in range(a.rows)) for _ in range(4)]
+        for x in vectors:
+            assert g.reduce(x) == dense_reduce(g, x), x
+
+    def test_corpus(self):
+        rng = random.Random(17)
+        matrices = corpus_matrices()
+        assert len(matrices) == 105
+        for a in matrices:
+            self.assert_matches_dense(a, rng)
+        # the corpus meets the general reduce path and free columns of v
+        assert any(FgAbGroup(a.rows, a)._reduction[0] == "general" for a in matrices)
+        assert any(lattice_kernel(a).cols for a in matrices)
+
+    @pytest.mark.parametrize("name", LATTICE_SHAPES)
+    def test_edge_shapes(self, name):
+        self.assert_matches_dense(LATTICE_SHAPES[name], random.Random(name))
+
+
 class TestGroups:
     def test_canonical_form(self):
         g = FgAbGroup(2, IntMatrix.from_rows([[2, 0], [0, 0]]))
@@ -395,10 +451,8 @@ def sparse_vectors(n):
 
 
 def assert_reduces_as_dense(g, vectors):
-    s = smith_decomposition(g.relations)
-    diag = padded_diagonal(s, g.ngens)
     for x in vectors:
-        assert g.reduce(x) == naive_reduce(s.u.entries, s.u_inv.entries, diag, x), x
+        assert g.reduce(x) == dense_reduce(g, x), x
 
 
 class TestReducePaths:
@@ -426,10 +480,10 @@ class TestReducePaths:
             cases.append((FgAbGroup(n, left @ right), None))
         seen = set()
         for g, path in cases:
-            s = smith_decomposition(g.relations)
+            u = dense_transforms(smith_decomposition(g.relations))[0]
             taken = g._reduction[0]
             assert taken == path or path is None
-            assert (taken == "general") == (g.relations.cols > 0 and not s.u.is_identity())
+            assert (taken == "general") == (g.relations.cols > 0 and not u.is_identity())
             seen.add(taken)
             dense = [[rng.randint(-30, 30) for _ in range(g.ngens)] for _ in range(20)]
             assert_reduces_as_dense(g, itertools.chain(sparse_vectors(g.ngens), dense))
@@ -595,7 +649,7 @@ class TestCodecClosedForm:
             moved = hg.decode(data.draw(coords)).mat + IntMatrix.from_columns(shift, tgt.ngens)
             for h in (decoded, GroupHom(src, tgt, moved)):
                 assert hg.encode(h).coords == dense_encode(hg, h)
-            transforms.add((src._smith.u.is_identity(), tgt._smith.u.is_identity()))
+            transforms.add(tuple(dense_transforms(g._smith)[0].is_identity() for g in (src, tgt)))
 
         check()
         assert transforms == {(False, False), (False, True), (True, False), (True, True)}
@@ -605,7 +659,7 @@ class TestCodecClosedForm:
         hg = hom_group(src, tgt)
         x = [k + 1 for k in range(hg.group.ngens)]
         expected = dense_decode(hg, x)
-        assert not (src._smith.u.is_identity() or tgt._smith.u.is_identity())
+        assert not any(dense_transforms(g._smith)[0].is_identity() for g in (src, tgt))
         calls = []
 
         def counting(*args, original=IntMatrix.__matmul__):
@@ -716,9 +770,8 @@ class TestHomEquality:
 
 
 def naive_image_reduces_to_zero(tgt, rows, column):
-    s = smith_decomposition(tgt.relations)
     img = [sum(a * x for a, x in zip(row, column)) for row in rows]
-    return not any(naive_reduce(s.u.entries, s.u_inv.entries, padded_diagonal(s, tgt.ngens), img))
+    return not any(dense_reduce(tgt, img))
 
 
 def assert_rejects_exactly_the_ill_defined(sources):
@@ -908,10 +961,8 @@ class TestColumnWalk:
     )
     def test_gens_are_the_reduced_unit_vectors(self, group, path):
         assert group._reduction[0] == path
-        s = smith_decomposition(group.relations)
-        diag = padded_diagonal(s, group.ngens)
         units = [tuple(int(i == j) for j in range(group.ngens)) for i in range(group.ngens)]
-        assert [x.coords for x in group.gens()] == [naive_reduce(s.u.entries, s.u_inv.entries, diag, e) for e in units]
+        assert [x.coords for x in group.gens()] == [dense_reduce(group, e) for e in units]
         assert all(x.group is group for x in group.gens())
 
 
@@ -974,6 +1025,61 @@ class TestKernelImage:
         for x in z4.elements():
             if f(x).is_zero:
                 assert hom_preimage(ker.inclusion, x) is not None
+
+
+def assert_halves_of_kernel_image(f: GroupHom):
+    """kernel(f) and image(f) are entry for entry the halves of kernel_image(f)."""
+    ker, im = kernel_image(f)
+    for half, whole in ((kernel(f), ker), (image(f), im)):
+        assert half.group.ngens == whole.group.ngens
+        assert half.group.relations == whole.group.relations
+        assert half.inclusion.mat == whole.inclusion.mat
+        assert (half.inclusion.src, half.inclusion.tgt) == (half.group, whole.inclusion.tgt)
+
+
+def quotient_map(a: IntMatrix) -> GroupHom:
+    """Z^rows -> Z^rows / (columns of a), the identity on coordinates; its
+    kernel is the column lattice of a.  Built afresh, with no Smith form."""
+    return GroupHom(FgAbGroup.free(a.rows), FgAbGroup(a.rows, a), IntMatrix.identity(a.rows))
+
+
+def smith_forms_computed(op, f: GroupHom) -> int:
+    """The Smith forms op(f) computes from an empty memo, for an f whose
+    groups hold no Smith form yet."""
+    smith_decomposition.cache_clear()
+    op(f)
+    return smith_decomposition.cache_info().misses
+
+
+class TestKernelImageSplit:
+    """kernel and image build only their own half of kernel_image."""
+
+    @pytest.mark.parametrize("name", LATTICE_SHAPES)
+    def test_halves_on_edge_shapes(self, name):
+        a = LATTICE_SHAPES[name]
+        assert_halves_of_kernel_image(GroupHom(FgAbGroup.free(a.cols), FgAbGroup.free(a.rows), a))
+        assert_halves_of_kernel_image(quotient_map(a))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_halves_on_random_homs(self, data):
+        def invariants():
+            return data.draw(st.integers(0, 2)), tuple(data.draw(st.lists(st.sampled_from((2, 3, 4, 6)), max_size=3)))
+
+        src_inv, tgt_inv = invariants(), invariants()
+        src, tgt = FgAbGroup.from_invariants(*src_inv), FgAbGroup.from_invariants(*tgt_inv)
+        rows = random_well_defined_matrix(random.Random(data.draw(st.integers(0, 2**16))), src_inv, tgt_inv)
+        assert_halves_of_kernel_image(GroupHom(src, tgt, IntMatrix(tgt.ngens, src.ngens, tuple(map(tuple, rows)))))
+
+    @pytest.mark.parametrize("name", ["tall", "wide", "square-rank-1", "wide-rank-1", "tall-rank-1"])
+    def test_each_half_computes_fewer_smith_forms(self, name):
+        # image skips the kernel's second lattice kernel; kernel skips the
+        # image's inclusion check, which reduces in the target, so it needs
+        # the target's Smith form when the target has relations
+        a = LATTICE_SHAPES[name]
+        both = smith_forms_computed(kernel_image, quotient_map(a))
+        assert smith_forms_computed(image, quotient_map(a)) < both
+        assert smith_forms_computed(kernel, quotient_map(a)) < both
 
 
 class TestDirectSumAndProjection:

@@ -277,6 +277,25 @@ def test_a_component_outside_the_window_is_an_input_error(tmp_path, section, nam
     assert result.returncode == 2 and result.stderr.startswith(f"input error: {section}.{name}: ")
 
 
+def test_a_covariant_map_along_a_non_confined_morphism_is_an_input_error(tmp_path):
+    # it used to parse, never be read, and be dropped when written back
+    for n in (1, 2, 3):
+        parse_instance(bundle_to_json(build_subsets_instance(n)))
+    for k in (1, 2, 3):
+        parse_instance(bundle_to_json(build_graded_instance(k)))
+    doc = bundle_to_json(build_subsets_instance(2))
+    assert doc["functors"]["h"]["variance"] == "cov" and "0>01@0" in doc["functors"]["h"]["maps"]
+    doc["confined"].remove("0>01")
+    with pytest.raises(InstanceFileError, match="non-confined 0>01") as err:
+        parse_instance(doc)
+    assert err.value.location == "functors.h"
+    assert isinstance(err.value.__cause__, SiteStructureError)
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc), encoding="utf-8")
+    result = run_cli("validate", str(file))
+    assert result.returncode == 2 and result.stderr.startswith("input error: functors.h: ")
+
+
 def test_a_repeated_object_key_is_an_input_error(tmp_path):
     doc = bundle_to_json(build_subsets_instance(1))
     groups = json.dumps(doc["functors"]["F"]["groups"])
