@@ -13,6 +13,7 @@ generators (bilinearity makes generator checks complete).
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 
 from .exactalg import (
@@ -20,7 +21,6 @@ from .exactalg import (
     GroupElement,
     GroupHom,
     ZERO_GROUP,
-    hom_preimage,
     image,
     IntMatrix,
 )
@@ -62,7 +62,7 @@ class TabulatedBivTheory:
         self._groups = dict(groups)
         self._products = {}
         for key, table in dict(products).items():
-            self._products[key] = tuple(tuple(tuple(int(x) for x in cell) for cell in row) for row in table)
+            self._products[key] = tuple(tuple(tuple(map(operator.index, cell)) for cell in row) for row in table)
         self._pushforwards = dict(pushforwards)
         self._pullbacks = dict(pullbacks)
         self._units = {}
@@ -236,14 +236,14 @@ def _structural(theory: TabulatedBivTheory, rb: ReportBuilder) -> None:
                 sides = (("left", ga.relations, table), ("right", gb.relations, tuple(zip(*table))))
                 for side, relations, cells in sides:
                     for rc, rel in enumerate(relations.columns()):
-                        for column in zip(*cells):
+                        for generator, column in enumerate(zip(*cells)):
                             acc = [0] * tgtg.ngens
                             for cell, r in zip(column, rel):
                                 if r:
                                     for t in range(tgtg.ngens):
                                         acc[t] += r * cell[t]
                             if not tgtg.element(acc).is_zero:
-                                rb.add("product-well-defined", f"table does not respect {side} relations", f=f, g=g, i=i, j=j, relation=rc)
+                                rb.add("product-well-defined", f"table does not respect {side} relations", f=f, g=g, i=i, j=j, relation=rc, generator=generator)
     for f, g in site.composable_pairs():
         if not site.is_confined(f):
             continue
@@ -625,76 +625,49 @@ def verify_transformation(src, tgt, phi, prefix: str, name: str, defined=_everyw
 def image_subtheory(t: GrothTransf) -> TabulatedBivTheory:
     """The groupwise image of a Grothendieck transformation, as a theory.
 
-    Groups are Image(gamma: B(f) -> B'(f)) with operations restricted from
-    the target theory; the unit over X is gamma(1_X).
+    exactalg.image presents Im(gamma: B(f) -> B'(f)) on the generators of
+    B(f), with the lattice that gamma sends to zero as its relations.  gamma
+    commutes with products, pushforwards and pullbacks (t.report, computed
+    once per transformation), so the image's tables are B's own, each entry
+    reduced in its image group, and its unit over X is the class of 1_X.
+    Each pushforward and pullback hom checks, as it is built, that B's map
+    respects the image relations: that check is its well-definedness
+    certificate.  A degree sum outside the window lands in the zero group.
     """
-    rep = validate_groth(t)
-    if not rep.ok:
+    if not t.report.ok:
         raise InvalidTransformationError(
-            "not a Grothendieck transformation: " + "; ".join(rep.lines())
+            "not a Grothendieck transformation: " + "; ".join(t.report.lines())
         )
-    site = t.site
-    degrees = list(t.src.degrees())
+    src, site = t.src, t.site
+    degrees = list(src.degrees())
+    groups = {(f.name, i): image(t.component(f.name, i)).group for f in site.morphisms for i in degrees}
 
-    subs = {}
-    for f in site.morphisms:
-        for i in degrees:
-            subs[(f.name, i)] = image(t.component(f.name, i))
+    def restricted(hom: GroupHom, a: FgAbGroup, b: FgAbGroup) -> GroupHom:
+        """hom's matrix as a hom a -> b of image groups, columns reduced in b."""
+        return GroupHom(a, b, IntMatrix.from_columns(map(b.reduce, hom.mat.columns()), b.ngens))
 
-    def encode(key, elt: GroupElement) -> GroupElement:
-        sub = subs[key]
-        pre = hom_preimage(sub.inclusion, elt)
-        if pre is None:
-            raise InvalidTransformationError("image element has no preimage; image is not closed")
-        return pre
-
-    groups = {k: s.group for k, s in subs.items()}
     products = {}
     for f, g in site.composable_pairs():
         gf = site.compose(g, f)
         for i in degrees:
             for j in degrees:
-                ga = groups[(f, i)]
-                gb = groups[(g, j)]
-                tgt = groups[(gf, i + j)]
-                if ga.is_trivial or gb.is_trivial or tgt.is_trivial:
+                tgt = groups.get((gf, i + j), ZERO_GROUP)
+                if groups[(f, i)].is_trivial or groups[(g, j)].is_trivial or tgt.is_trivial:
                     continue
-                table = []
-                for a in ga.gens():
-                    row = []
-                    for b in gb.gens():
-                        val = t.tgt.product(
-                            f, g, i, j, subs[(f, i)].inclusion(a), subs[(g, j)].inclusion(b)
-                        )
-                        row.append(encode((gf, i + j), val).coords)
-                    table.append(tuple(row))
-                products[(f, g, i, j)] = tuple(table)
+                table = src._products[(f, g, i, j)]
+                products[(f, g, i, j)] = tuple(tuple(map(tgt.reduce, row)) for row in table)
     pushforwards = {}
     for f, g in site.composable_pairs():
         if not site.is_confined(f):
             continue
         gf = site.compose(g, f)
         for i in degrees:
-            src = groups[(gf, i)]
-            tgt = groups[(g, i)]
-            cols = [
-                encode((g, i), t.tgt.pushforward(f, g, i, subs[(gf, i)].inclusion(a))).coords
-                for a in src.gens()
-            ]
-            pushforwards[(f, g, i)] = GroupHom(src, tgt, IntMatrix.from_columns(cols, tgt.ngens))
+            hom = src.pushforward_hom(f, g, i)
+            pushforwards[(f, g, i)] = restricted(hom, groups[(gf, i)], groups[(g, i)])
     pullbacks = {}
     for (f, g), sq in sorted(site._pullbacks.items()):
         for i in degrees:
-            src = groups[(f, i)]
-            tgt = groups[(sq.left, i)]
-            cols = [
-                encode((sq.left, i), t.tgt.pullback(f, g, i, subs[(f, i)].inclusion(a))).coords
-                for a in src.gens()
-            ]
-            pullbacks[(f, g, i)] = GroupHom(src, tgt, IntMatrix.from_columns(cols, tgt.ngens))
-    units = {}
-    for x in site.objects:
-        idx = site.identity(x)
-        units[x] = encode((idx, 0), t(idx, 0, t.src.unit(x)))
-
-    return TabulatedBivTheory(site, t.src.window, groups, products, pushforwards, pullbacks, units)
+            hom = src.pullback_hom(f, g, i)
+            pullbacks[(f, g, i)] = restricted(hom, groups[(f, i)], groups[(sq.left, i)])
+    units = {x: src.unit(x).coords for x in site.objects}
+    return TabulatedBivTheory(site, src.window, groups, products, pushforwards, pullbacks, units)

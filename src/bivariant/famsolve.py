@@ -63,6 +63,7 @@ from .exactalg import (
     MembershipError,
     ShapeMismatchError,
     Subgroup,
+    WellDefinednessError,
     direct_sum,
     hom_group,
     hom_preimage,
@@ -802,10 +803,12 @@ def image_transfer(t: GrothTransf, base: str, degree: int, mode: str, variance: 
     """Transfer between the images of comparison(theory, base, degree).
 
     mode must be 'full', the one mode: the transfer maps into the target
-    theory and needs gamma onto the part of the given variance.
-    Well-definedness is certified computationally: every kernel generator of
-    the comparison on the source side must map to a kernel element on the
-    target side.
+    theory and needs gamma onto the part of the given variance.  Both images
+    are presented on the generators of their theory's group, so the relations
+    of the source image are exactly the kernel lattice of the source
+    comparison.  The mapping's own check is the well-definedness certificate:
+    building it checks that gamma sends each of those relations into the
+    kernel lattice of the target comparison.
     """
     if mode != "full":
         raise ValueError("mode must be 'full'")
@@ -815,23 +818,18 @@ def image_transfer(t: GrothTransf, base: str, degree: int, mode: str, variance: 
     if witness is not None:
         raise NotSurjectiveError(variance, witness)
     to_target = t.component(base, degree)
-
-    src_hom = comparison(t.src, base, degree)
-    tgt_hom = comparison(t.tgt, base, degree)
-    composed = tgt_hom @ to_target
-    src_kernel, source_sub = kernel_image(src_hom)
-    name = COMPARISON[variance]
-    for k in src_kernel.group.gens():
-        if not composed(src_kernel.inclusion(k)).is_zero:
-            raise InvalidTransformationError(
-                f"transfer is not well-defined: {name}(alpha)={name}(beta) but images differ"
-            )
-
-    target_sub = image(tgt_hom)
+    source_sub = image(comparison(t.src, base, degree))
+    target_sub = image(comparison(t.tgt, base, degree))
     cols = [to_target(a).coords for a in t.src.group(base, degree).gens()]
-    mapping = GroupHom(
-        source_sub.group, target_sub.group, IntMatrix.from_columns(cols, target_sub.group.ngens)
-    )
+    try:
+        mapping = GroupHom(
+            source_sub.group, target_sub.group, IntMatrix.from_columns(cols, target_sub.group.ngens)
+        )
+    except WellDefinednessError as exc:
+        name = COMPARISON[variance]
+        raise InvalidTransformationError(
+            f"transfer is not well-defined: {name}(alpha)={name}(beta) but images differ"
+        ) from exc
     return ImageTransfer(base, degree, source_sub, target_sub, mapping)
 
 

@@ -20,7 +20,9 @@ into the dense U, V and U^-1 that every test reads; dense_lattice_solve,
 dense_lattice_kernel and dense_reduce are the lattice solve, the lattice
 kernel and element reduction as dense matrix-vector products on them, the
 references for the library's sparse walks (they share the Smith form, not
-its readers).
+its readers).  preimage_image_subtheory builds the image theory of a
+Grothendieck transformation from the target's operations, solving for a
+preimage of every table entry.
 The last three helpers read membership and build a class in ways only the
 tests need.
 """
@@ -28,7 +30,9 @@ tests need.
 from itertools import combinations, product
 from math import gcd
 
+from bivariant.bivcore import TabulatedBivTheory
 from bivariant.exactalg import (
+    ZERO_GROUP,
     GroupHom,
     IntMatrix,
     direct_sum,
@@ -526,3 +530,58 @@ def family_from_self_transformation(t, obj):
         for m in t.src.grades():
             comps[(g, m)] = t.component(site.src(g), m)
     return FamilyClass(t.src, site.identity(obj), 0, comps)
+
+
+def preimage_image_subtheory(t):
+    """The image theory of a valid Grothendieck transformation t, each table
+    entry solved for: B'(f)'s product, pushforward or pullback of the images
+    of generators, pulled back to the image group by a lattice solve.  Its
+    unit over X is the solved preimage of gamma(1_X).  A degree sum outside
+    the window lands in the zero group."""
+    site = t.site
+    degrees = list(t.src.degrees())
+    subs = {(f.name, i): image(t.component(f.name, i)) for f in site.morphisms for i in degrees}
+    groups = {key: sub.group for key, sub in subs.items()}
+
+    def encode(key, elt):
+        pre = hom_preimage(subs[key].inclusion, elt)
+        assert pre is not None, f"image is not closed at {key}"
+        return pre
+
+    products = {}
+    for f, g in site.composable_pairs():
+        gf = site.compose(g, f)
+        for i in degrees:
+            for j in degrees:
+                ga, gb, tgt = groups[(f, i)], groups[(g, j)], groups.get((gf, i + j), ZERO_GROUP)
+                if ga.is_trivial or gb.is_trivial or tgt.is_trivial:
+                    continue
+                products[(f, g, i, j)] = tuple(
+                    tuple(
+                        encode((gf, i + j), t.tgt.product(f, g, i, j, subs[(f, i)].inclusion(a), subs[(g, j)].inclusion(b))).coords
+                        for b in gb.gens()
+                    )
+                    for a in ga.gens()
+                )
+
+    def solved(hom, src_key, tgt_key):
+        """hom of B' restricted to the image groups at src_key -> tgt_key."""
+        src, tgt = groups[src_key], groups[tgt_key]
+        cols = [encode(tgt_key, hom(subs[src_key].inclusion(a))).coords for a in src.gens()]
+        return GroupHom(src, tgt, IntMatrix.from_columns(cols, tgt.ngens))
+
+    pushforwards = {}
+    for f, g in site.composable_pairs():
+        if site.is_confined(f):
+            gf = site.compose(g, f)
+            for i in degrees:
+                pushforwards[(f, g, i)] = solved(t.tgt.pushforward_hom(f, g, i), (gf, i), (g, i))
+    pullbacks = {}
+    for (f, g), sq in sorted(site._pullbacks.items()):
+        for i in degrees:
+            pullbacks[(f, g, i)] = solved(t.tgt.pullback_hom(f, g, i), (f, i), (sq.left, i))
+    units = {}
+    for x in site.objects:
+        idx = site.identity(x)
+        units[x] = encode((idx, 0), t(idx, 0, t.src.unit(x)))
+    return TabulatedBivTheory(site, t.src.window, groups, products, pushforwards, pullbacks, units)

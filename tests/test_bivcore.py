@@ -1,5 +1,7 @@
 import json
 import random
+from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -17,11 +19,12 @@ from bivariant.exactalg import FgAbGroup, GroupHom, IntMatrix
 from bivariant.operational import verify_op_transform_identities, verify_point_isomorphism
 from bivariant.workbench import (
     build_subsets_instance,
+    reduction_groth,
     subsets_site,
     subsets_theory,
 )
 
-from oracles import identities_confined
+from oracles import identities_confined, preimage_image_subtheory
 
 
 @pytest.fixture(scope="module")
@@ -164,12 +167,37 @@ class TestProductTableChecks:
             groups={**base._groups, ("E>0", 0): z2, ("0>01", 0): z2, ("E>01", 0): FgAbGroup.free(1)},
             products={**base._products, ("E>0", "0>01", 0, 0): (((1,),),)},
         )
-        where = {"f": "E>0", "g": "0>01", "i": 0, "j": 0, "relation": 0}
+        where = {"f": "E>0", "g": "0>01", "i": 0, "j": 0, "relation": 0, "generator": 0}
         report = validate_axioms(theory)
         assert [v for v in report.to_json() if v["kind"] == "product-well-defined"] == [
             {"kind": "product-well-defined", "message": "table does not respect left relations", "witness": where},
             {"kind": "product-well-defined", "message": "table does not respect right relations", "witness": where},
         ]
+
+    def test_product_well_defined_names_the_other_generator(self):
+        # Z/2 x Z^2 -> Z with both cells 1 breaks the relation 2 = 0 once
+        # per generator of Z^2, and Z^2 has no relation to break
+        base = subsets_theory(subsets_site(2))
+        theory = rebuild(
+            base,
+            groups={**base._groups, ("E>0", 0): FgAbGroup.from_invariants(0, [2]), ("0>01", 0): FgAbGroup.free(2), ("E>01", 0): FgAbGroup.free(1)},
+            products={**base._products, ("E>0", "0>01", 0, 0): (((1,), (1,)),)},
+        )
+        report = validate_axioms(theory)
+        assert [v for v in report.to_json() if v["kind"] == "product-well-defined"] == [
+            {
+                "kind": "product-well-defined",
+                "message": "table does not respect left relations",
+                "witness": {"f": "E>0", "g": "0>01", "i": 0, "j": 0, "relation": 0, "generator": k},
+            }
+            for k in (0, 1)
+        ]
+
+    @pytest.mark.parametrize("cell", [1.9, Fraction(3, 2)], ids=["float", "fraction"])
+    def test_a_cell_that_is_not_an_integer_raises(self, cell):
+        base = subsets_theory(subsets_site(1))
+        with pytest.raises(TypeError):
+            rebuild(base, products={**base._products, ("0>0", "0>0", 0, 0): (((cell,),),)})
 
 
 class TestStructuralChecks:
@@ -267,7 +295,60 @@ class TestGrothendieck:
             GrothTransf(theory, other, {})
 
 
+def zero_groth(src, tgt):
+    comps = {(m.name, i): GroupHom.zero(src.group(m.name, i), tgt.group(m.name, i)) for m in src.site.morphisms for i in src.degrees()}
+    return GrothTransf(src, tgt, comps)
+
+
+IMAGE_CASES = ("gamma", "identity-B", "identity-B2", "zero-B-B2", "zero-theory", "unreduced-B2")
+
+
+@cache
+def image_cases(n):
+    """Transformations on subsets(n) by name.  unreduced-B2 writes each
+    product cell of B2 with 3 in place of 1, which is the same class mod 2."""
+    bundle = build_subsets_instance(n)
+    site, b, b2 = bundle.site, bundle.theories["B"], bundle.theories["B2"]
+    zero = TabulatedBivTheory(site, (0, 0), {}, {}, {}, {}, {x: () for x in site.objects})
+    unreduced = {key: tuple(tuple(tuple(3 if x == 1 else x for x in cell) for cell in row) for row in table) for key, table in b2._products.items()}
+    return {
+        "gamma": bundle.groth["gamma"],
+        "identity-B": reduction_groth(b, b),
+        "identity-B2": reduction_groth(b2, b2),
+        "zero-B-B2": zero_groth(b, b2),
+        "zero-theory": zero_groth(b, zero),
+        "unreduced-B2": reduction_groth(rebuild(b2, products=unreduced), b2),
+    }
+
+
+def tables(theory):
+    """Every entry of a tabulated theory: groups, product cells, the
+    endpoints and matrix of each pushforward and pullback, unit coordinates."""
+    return (
+        theory._groups,
+        theory._products,
+        {key: (h.src, h.tgt, h.mat) for key, h in theory._pushforwards.items()},
+        {key: (h.src, h.tgt, h.mat) for key, h in theory._pullbacks.items()},
+        {x: u.coords for x, u in theory._units.items()},
+    )
+
+
 class TestImageSubtheory:
+    @pytest.mark.parametrize("name", IMAGE_CASES)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_preimage_reference(self, n, name):
+        t = image_cases(n)[name]
+        assert tables(image_subtheory(t)) == tables(preimage_image_subtheory(t))
+
+    @pytest.mark.parametrize("n, window", [(2, (-1, 1)), (1, (0, 1))])
+    def test_degree_sums_outside_the_window_read_as_zero(self, n, window):
+        b = build_subsets_instance(n).theories["B"]
+        wide = TabulatedBivTheory(b.site, window, b._groups, b._products, b._pushforwards, b._pullbacks, b._units)
+        t = reduction_groth(wide, wide)
+        im = image_subtheory(t)
+        assert validate_axioms(im).ok
+        assert tables(im) == tables(preimage_image_subtheory(t))
+
     def test_identity_gives_same_groups(self, theory):
         comps = {
             (m.name, 0): GroupHom.identity(theory.group(m.name, 0))

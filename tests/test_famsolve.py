@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from bivariant import bivcore, cooperational, famsolve
-from bivariant.bivcore import GrothTransf, InvalidTransformationError
+from bivariant.bivcore import GrothTransf, InvalidTransformationError, TabulatedBivTheory
 from bivariant.cooperational import (
     coop_group,
     coop_image_transfer,
@@ -45,8 +45,9 @@ from bivariant.famsolve import (
     feasible_degrees,
 )
 from bivariant.operational import op_group, op_image_transfer, verify_op_axioms, verify_point_isomorphism
+from bivariant.report import ValidationReport
 from bivariant.site import GradedFunctor, NaturalTransf
-from bivariant.workbench import build_graded_instance, build_subsets_instance, load_instance, reduction_transformation
+from bivariant.workbench import build_graded_instance, build_subsets_instance, load_instance, reduction_groth, reduction_transformation
 
 from oracles import (
     contains,
@@ -402,8 +403,8 @@ def doubling(b):
 
 
 class TestTransformationComputedOnce:
-    """image_transfer checks gamma once per transformation; the public
-    validate_groth computes afresh."""
+    """image_subtheory and image_transfer check gamma once per
+    transformation; the public validate_groth computes afresh."""
 
     def test_validate_groth_runs_once_across_full_transfers(self, monkeypatch):
         bundle = build_subsets_instance(3)
@@ -411,6 +412,7 @@ class TestTransformationComputedOnce:
         calls = count_calls(monkeypatch, bivcore, "validate_groth")
         bases = [m.name for m in bundle.site.morphisms]
         assert len(bases) == 27
+        bivcore.image_subtheory(gamma)
         for base in bases:
             coop_image_transfer(gamma, base, 0, mode="full")
         assert calls == [gamma]
@@ -426,10 +428,52 @@ class TestTransformationComputedOnce:
             messages.append(str(err.value))
         assert messages[0] and messages == messages[:1] * 3
 
+    @pytest.mark.parametrize("transfer, name", [(op_image_transfer, "op"), (coop_image_transfer, "coop")])
+    def test_a_transfer_that_is_not_well_defined_raises(self, bundle, transfer, name):
+        # identity from B with every product zero onto B: each comparison of
+        # the source is zero, so its image is 0 and cannot map onto B's.
+        # The report is taken as ok, so only the mapping's own check stands.
+        b = bundle.theories["B"]
+        zero = {key: tuple(tuple((0,) * len(cell) for cell in row) for row in table) for key, table in b._products.items()}
+        t = reduction_groth(TabulatedBivTheory(b.site, b.window, b._groups, zero, b._pushforwards, b._pullbacks, b._units), b)
+        t.report = ValidationReport()
+        with pytest.raises(InvalidTransformationError, match=rf"^transfer is not well-defined: {name}\(alpha\)={name}\(beta\) but images differ$") as err:
+            transfer(t, "0>01", 0, mode="full")
+        assert type(err.value) is InvalidTransformationError
+
     @pytest.mark.parametrize("transfer", [op_image_transfer, coop_image_transfer])
     def test_full_is_the_only_mode(self, bundle, transfer):
         with pytest.raises(ValueError, match="mode must be 'full'"):
             transfer(bundle.groth["gamma"], "0>01", 0, mode="image")
+
+
+# per functor of subsets(2): its group of classes, and the one violation
+# that breaking its decoded generator over 0>01 at (0>01, 0) reports
+BROKEN_COMPATIBILITY = {
+    "F": (coop_group, "pullback-compatibility", "c_(g o h) o w^* != h^* o c_g", {"g": "01>01", "grade": 0, "h": "0>01"}),
+    "h": (op_group, "pushforward-compatibility", "w_* o c_(g o k) != c_g o k_*", {"g": "01>01", "grade": 0, "k": "0>01"}),
+}
+
+
+class TestCompatibilityViolations:
+    """A class whose components break a compatibility square reports it
+    with kind, message and witness: a scaled component makes both sides
+    differ, a dropped one makes one side zero."""
+
+    @pytest.mark.parametrize("perturb", ["scaled", "dropped"])
+    @pytest.mark.parametrize("name", sorted(BROKEN_COMPATIBILITY))
+    def test_a_broken_square_is_reported(self, bundle, name, perturb):
+        group, kind, message, witness = BROKEN_COMPATIBILITY[name]
+        gen = group(bundle.functors[name], "0>01", 0).decoded_gens()[0]
+        assert gen.compatibility_report().ok
+        components = dict(gen.components)
+        key = ("0>01", 0)
+        if perturb == "scaled":
+            components[key] = components[key].scaled(2)
+        else:
+            del components[key]
+        broken = FamilyClass(gen.functor, gen.base, gen.degree, components)
+        assert broken.compatibility_report().to_json() == [{"kind": kind, "message": message, "witness": witness}]
 
 
 class TestFamilyClassEquality:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from bivariant.bivcore import GrothTransf, InvalidTransformationError
+from bivariant.cooperational import coop_image_transfer
 from bivariant.exactalg import FgAbGroup, GroupHom, IntMatrix, image, kernel
 from bivariant.famsolve import NotSurjectiveError, recover, surjectivity_witness
 from bivariant.operational import (
@@ -246,13 +247,18 @@ class TestImageTransfer:
             g = b.group(m.name, 0)
             comps[(m.name, 0)] = GroupHom(g, g, IntMatrix.identity(g.ngens).scaled(3))
         tripling = GrothTransf(b, b, comps)
-        # x3 is a valid transformation for the pointwise product? (3a)(3b) = 9ab != 3ab
-        report_ok = True
-        try:
+        # (3a)(3b) = 9ab != 3ab, so the product check fails before surjectivity
+        with pytest.raises(InvalidTransformationError) as err:
             op_image_transfer(tripling, "0>01", 0, mode="full")
-        except (InvalidTransformationError, NotSurjectiveError):
-            report_ok = False
-        assert not report_ok
+        assert type(err.value) is InvalidTransformationError
+        # the zero map B -> B2 is a Grothendieck transformation onto nothing
+        b2 = bundle.theories["B2"]
+        zero = GrothTransf(b, b2, {(m.name, 0): GroupHom.zero(b.group(m.name, 0), b2.group(m.name, 0)) for m in b.site.morphisms})
+        assert zero.report.ok
+        for transfer in (op_image_transfer, coop_image_transfer):
+            with pytest.raises(NotSurjectiveError) as err:
+                transfer(zero, "0>01", 0, mode="full")
+            assert err.value.witness == ("0", 0)
 
 
 class TestDegreeWindow:
