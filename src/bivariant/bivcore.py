@@ -162,6 +162,10 @@ class TabulatedBivTheory:
     def witness(self, **elements) -> dict:
         return {name: e.coords for name, e in elements.items()}
 
+    def value(self, e: GroupElement) -> tuple:
+        """The canonical coordinates of e; its base and degree fix its group."""
+        return e.coords
+
     # -- associated functors --------------------------------------------------
 
     @cached_property
@@ -279,6 +283,26 @@ def _unchanged(a):
     return a
 
 
+def _remembered(op, nvalues: int, value):
+    """op, evaluated once per key while the returned callable lives.
+
+    The key is op's first nvalues arguments, which are bases, degrees and
+    other structural arguments, followed by value(x) of each later argument,
+    an operand.  value(x) must fix everything op reads from x, so a hit is
+    what evaluating op again would return.  No operand is kept.
+    """
+    memo = {}
+
+    def call(*args):
+        key = args[:nvalues] + tuple(map(value, args[nvalues:]))
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = op(*args)
+        return hit
+
+    return call
+
+
 def verify_axioms(theory) -> ValidationReport:
     """The seven axioms plus units, checked exhaustively on generators.
 
@@ -291,41 +315,24 @@ def verify_axioms(theory) -> ValidationReport:
       - nonstrict(rb, phrase, bases, new_base, iso, **where): what to do
         when a check crosses a non-strictly pasted square: a map moving the
         pasted side to (new_base, along iso), or None to skip the check;
-      - witness(**elements): extra witness fields naming the elements.
+      - witness(**elements): extra witness fields naming the elements;
+      - value(x): a hashable key of an operand x that, with the bases and
+        degrees of an operation, fixes everything the operation reads from x.
 
-    Each generator list is fetched once per run.  The three operations go
-    through one memo, emptied at the start of each axiom family: bases and
-    degrees are keyed by value, operands by identity, and an entry keeps its
-    operands alive, so no id is reused while it is a key.  Every comparison
-    still runs; a repeated operation is only not evaluated again.
+    Each generator list is fetched once per run.  Each of the three
+    operations is evaluated at most once per run for each key: its bases,
+    degrees and morphisms, and the value of each operand.  Distinct operands
+    of equal value share one evaluation, and the memo dies with the call.
+    Every comparison still runs, in the same order, with the same
+    witnesses; no linearity is assumed.
     """
     site = theory.site
     degrees = list(theory.degrees())
     rb = ReportBuilder()
-    gen_table = {}
-    memo = {}
-
-    def gens(f, i):
-        if (f, i) not in gen_table:
-            gen_table[f, i] = theory.gens(f, i)
-        return gen_table[f, i]
-
-    def remembered(op, nvalues):
-        """op, evaluated once per memo entry; its last arguments are operands."""
-
-        def call(*args):
-            operands = args[nvalues:]
-            key = (op, args[:nvalues], tuple(map(id, operands)))
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = (op(*args), operands)
-            return hit[0]
-
-        return call
-
-    product = remembered(theory.product, 4)
-    push = remembered(theory.pushforward, 3)
-    pull = remembered(theory.pullback, 3)
+    gens = _remembered(theory.gens, 2, theory.value)
+    product = _remembered(theory.product, 4, theory.value)
+    push = _remembered(theory.pushforward, 3, theory.value)
+    pull = _remembered(theory.pullback, 3, theory.value)
 
     def aligned(paste, phrase, bases, new_base, iso, **where):
         if paste.is_identity(site):
@@ -333,7 +340,6 @@ def verify_axioms(theory) -> ValidationReport:
         return theory.nonstrict(rb, phrase, bases, new_base, iso, **where)
 
     # associativity
-    memo.clear()
     for f, g, h in site.composable_triples():
         gf = site.compose(g, f)
         hg = site.compose(h, g)
@@ -352,7 +358,6 @@ def verify_axioms(theory) -> ValidationReport:
                                     rb.add("associativity", "(a.b).c != a.(b.c)", f=f, g=g, h=h, i=i, j=j, k=k, **theory.witness(a=a, b=b, c=c))
 
     # pushforward functoriality: identities act trivially and composites agree
-    memo.clear()
     for x in site.objects:
         idx = site.identity(x)
         for g in site.morphisms_out_of(x):
@@ -372,7 +377,6 @@ def verify_axioms(theory) -> ValidationReport:
                     rb.add("pushforward-functorial", "(g o f)_* != g_* o f_*", f=f, g=g, h=h, i=i, **theory.witness(a=a))
 
     # pullback functoriality
-    memo.clear()
     for f in site.morphisms:
         idt = site.identity(f.tgt)
         for i in degrees:
@@ -395,7 +399,6 @@ def verify_axioms(theory) -> ValidationReport:
                             rb.add("pullback-functorial", "(g o h)^* != h^* o g^*", f=f.name, g=g, h=h, i=i, **theory.witness(a=a))
 
     # product and pushforward commute
-    memo.clear()
     for f, g, h in site.composable_triples():
         if not theory.can_push(f):
             continue
@@ -413,7 +416,6 @@ def verify_axioms(theory) -> ValidationReport:
                             rb.add("product-pushforward", "f_*(a.b) != f_*a . b", f=f, g=g, h=h, i=i, j=j, **theory.witness(a=a, b=b))
 
     # product and pullback commute
-    memo.clear()
     for f, g in site.composable_pairs():
         gf = site.compose(g, f)
         for h in site.morphisms_into(site.tgt(g)):
@@ -435,7 +437,6 @@ def verify_axioms(theory) -> ValidationReport:
                                 rb.add("product-pullback", "h^*(a.b) != h'^*a . h^*b", f=f, g=g, h=h, i=i, j=j, **theory.witness(a=a, b=b))
 
     # pushforward and pullback commute
-    memo.clear()
     for f, g in site.composable_pairs():
         if not theory.can_push(f):
             continue
@@ -456,7 +457,6 @@ def verify_axioms(theory) -> ValidationReport:
                         rb.add("pushforward-pullback", "f'_*(h^*a) != h^*(f_*a)", f=f, g=g, h=h, i=i, **theory.witness(a=a))
 
     # projection formula
-    memo.clear()
     for f in site.morphisms:
         for g in site.morphisms_into(f.tgt):
             if not theory.can_push(g):
@@ -478,7 +478,6 @@ def verify_axioms(theory) -> ValidationReport:
                                     rb.add("projection-formula", "g'_*(g^*a . b) != a . g_*b", f=f.name, g=g, h=h, i=i, j=j, **theory.witness(a=a, b=b))
 
     # units
-    memo.clear()
     for x in site.objects:
         u = theory.unit(x)
         idx = site.identity(x)
@@ -516,9 +515,11 @@ class GrothTransf:
         self.site = src.site
         self._components = dict(components)
         lo, hi = src.window
-        for _f, i in self._components:
+        for f, i in self._components:
             if not (lo <= i <= hi):
                 raise InvalidTransformationError(f"component at degree {i} outside window")
+            if not self.site.has_morphism(f):
+                raise InvalidTransformationError(f"component at {f}, which is not a morphism of the site")
 
     def component(self, f: str, i: int) -> GroupHom:
         stored = self._components.get((f, i))
@@ -572,20 +573,15 @@ def verify_transformation(src, tgt, phi, prefix: str, name: str, defined=_everyw
     Grothendieck transformation, or the op or coop comparison map.  Checks
     run only over bases where defined(base) holds; violations are of kinds
     prefix-product, prefix-pushforward and prefix-pullback.  phi is
-    evaluated once per generator for the whole run; on the products,
-    pushforwards and pullbacks it is evaluated as they come, so no
+    evaluated at most once per (base, degree, src.value of its argument) for
+    the whole run, so once per generator and once per distinct product,
+    pushforward and pullback; it is evaluated on those as they come, so no
     linearity of phi is assumed.
     """
     site = src.site
     rb = ReportBuilder()
     degrees = list(src.degrees())
-    table = {}
-
-    def phi_gen(f, i, k, a):
-        """phi(f, i, a) for the k-th generator a of src over f in degree i."""
-        if (f, i, k) not in table:
-            table[f, i, k] = phi(f, i, a)
-        return table[f, i, k]
+    phi = _remembered(phi, 2, src.value)
 
     for f, g in site.composable_pairs():
         if not (defined(f) and defined(g)):
@@ -593,11 +589,11 @@ def verify_transformation(src, tgt, phi, prefix: str, name: str, defined=_everyw
         gf = site.compose(g, f)
         for i in degrees:
             for j in degrees:
-                for k, a in enumerate(src.gens(f, i)):
-                    pa = phi_gen(f, i, k, a)
-                    for m, b in enumerate(src.gens(g, j)):
+                for a in src.gens(f, i):
+                    pa = phi(f, i, a)
+                    for b in src.gens(g, j):
                         lhs = phi(gf, i + j, src.product(f, g, i, j, a, b))
-                        rhs = tgt.product(f, g, i, j, pa, phi_gen(g, j, m, b))
+                        rhs = tgt.product(f, g, i, j, pa, phi(g, j, b))
                         if lhs != rhs:
                             rb.add(f"{prefix}-product", f"{name}(a.b) != {name}(a).{name}(b)", f=f, g=g, i=i, j=j, a=a.coords, b=b.coords)
     for f, g in site.composable_pairs():
@@ -605,18 +601,18 @@ def verify_transformation(src, tgt, phi, prefix: str, name: str, defined=_everyw
             continue
         gf = site.compose(g, f)
         for i in degrees:
-            for k, a in enumerate(src.gens(gf, i)):
+            for a in src.gens(gf, i):
                 lhs = phi(g, i, src.pushforward(f, g, i, a))
-                rhs = tgt.pushforward(f, g, i, phi_gen(gf, i, k, a))
+                rhs = tgt.pushforward(f, g, i, phi(gf, i, a))
                 if lhs != rhs:
                     rb.add(f"{prefix}-pushforward", f"{name}(f_*a) != f_*{name}(a)", f=f, g=g, i=i, a=a.coords)
     for (f, g), sq in sorted(site._pullbacks.items()):
         if not defined(f):
             continue
         for i in degrees:
-            for k, a in enumerate(src.gens(f, i)):
+            for a in src.gens(f, i):
                 lhs = phi(sq.left, i, src.pullback(f, g, i, a))
-                rhs = tgt.pullback(f, g, i, phi_gen(f, i, k, a))
+                rhs = tgt.pullback(f, g, i, phi(f, i, a))
                 if lhs != rhs:
                     rb.add(f"{prefix}-pullback", f"{name}(g^*a) != g^*{name}(a)", f=f, g=g, i=i, a=a.coords)
     return rb.done()

@@ -46,6 +46,7 @@ components and multiplies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from .bivcore import (
@@ -438,6 +439,17 @@ class FamilyClass:
     def site(self) -> Site:
         return self.functor.site
 
+    @cached_property
+    def value(self) -> tuple:
+        """(base, degree, the set of (key, matrix entries) of the components
+        whose matrix is nonzero): over one functor, all that an operation
+        reads from the class, since an absent component reads as zero and the
+        key, base and degree fix each component's ends.  Kept once computed:
+        nothing writes a class after it is built."""
+        comps = self.components.items()
+        nonzero = frozenset((key, hom.mat.entries) for key, hom in comps if any(map(any, hom.mat.entries)))
+        return self.base, self.degree, nonzero
+
     def _component_ends(self, g: str, m: int):
         """(source, target) groups of the component at (g, m)."""
         site = self.site
@@ -734,6 +746,9 @@ class FamilyTheory:
 
     def witness(self, **elements) -> dict:
         return {}
+
+    def value(self, cls: FamilyClass) -> tuple:
+        return cls.value
 
 
 # ---------------------------------------------------------------------------

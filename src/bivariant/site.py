@@ -568,9 +568,11 @@ class NaturalTransf:
         self.site = src.site
         self._components = dict(components)
         lo, hi = src.window
-        for _obj, m in self._components:
+        for obj, m in self._components:
             if not (lo <= m <= hi):
                 raise SiteStructureError(f"component at grade {m} outside window")
+            if obj not in self.site.objects:
+                raise SiteStructureError(f"component at {obj}, which is not an object of the site")
 
     def component(self, obj: str, m: int) -> GroupHom:
         stored = self._components.get((obj, m))

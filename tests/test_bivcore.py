@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from bivariant import bivcore
 from bivariant.bivcore import (
     GrothTransf,
     InvalidTransformationError,
@@ -228,6 +229,28 @@ class TestStructuralChecks:
         ]
 
 
+class TestTableMemo:
+    """The checkers evaluate each table operation once per run for each
+    (structural arguments, operand coordinates); test_famsolve's
+    TestCheckerCounts counts them over whole runs."""
+
+    def test_distinct_elements_of_one_value_are_evaluated_once(self, theory):
+        calls = []
+
+        def product(*args):
+            calls.append(args)
+            return theory.product(*args)
+
+        product = bivcore._remembered(product, 4, theory.value)
+        a, b = theory.group("0>01", 0).gens()[0], theory.group("01>01", 0).gens()[0]
+        twin = theory.group("0>01", 0).element(a.coords)
+        assert twin is not a and twin == a
+        assert product("0>01", "01>01", 0, 0, a, b) is product("0>01", "01>01", 0, 0, twin, b)
+        assert len(calls) == 1
+        product("0>01", "01>01", 0, 0, a + a, b)
+        assert len(calls) == 2
+
+
 class TestGeneratorChecksAreComplete:
     """Spot-check that generator-level identities extend to random elements."""
 
@@ -288,6 +311,13 @@ class TestGrothendieck:
         assert validate_groth(GrothTransf(gamma.src, gamma.tgt, comps)).to_json() == [
             {"kind": "component-typing", "message": "component endpoints mismatch", "witness": {"f": "0>01", "i": 0}}
         ]
+
+    def test_a_component_off_the_site_raises(self, bundle):
+        # validate_groth reads components by the site's morphisms, so it would never see this one
+        gamma = bundle.groth["gamma"]
+        comps = {**gamma._components, ("nowhere", 0): gamma.component("0>01", 0)}
+        with pytest.raises(InvalidTransformationError, match="^component at nowhere, which is not a morphism of the site$"):
+            GrothTransf(gamma.src, gamma.tgt, comps)
 
     def test_window_mismatch(self, theory):
         other = TabulatedBivTheory(theory.site, (0, 1), theory._groups, theory._products, theory._pushforwards, theory._pullbacks, theory._units)

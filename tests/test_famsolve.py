@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bivariant import bivcore, cooperational, famsolve
+from bivariant import bivcore, cooperational, famsolve, operational
 from bivariant.bivcore import GrothTransf, InvalidTransformationError, TabulatedBivTheory
 from bivariant.cooperational import (
     coop_group,
@@ -766,18 +766,58 @@ class TestSparseComposition:
 
 
 def axiom_family_starts():
-    """Source lines of verify_axioms that start an axiom family: the lines
-    that empty its memo."""
+    """Source lines of verify_axioms that start an axiom family: the comment
+    that heads it, one per family."""
     lines, first = inspect.getsourcelines(bivcore.verify_axioms)
-    return [first + k for k, line in enumerate(lines) if line.strip() == "memo.clear()"]
+    starts = [first + k for k, line in enumerate(lines) if line.startswith("    # ")]
+    assert len(starts) == len(bivcore.AXIOM_NAMES)
+    return starts
+
+
+def class_key(cls: FamilyClass):
+    """What an operation reads from a class, computed here: its base, its
+    degree and its components whose matrix is nonzero."""
+    nonzero = {key: hom.mat.entries for key, hom in cls.components.items() if not is_zero_matrix(hom.mat)}
+    return cls.base, cls.degree, tuple(sorted(nonzero.items()))
+
+
+def counting(op):
+    """(op wrapped to record each call's arguments, the list of calls)."""
+    calls = []
+
+    def call(*args):
+        calls.append(args)
+        return op(*args)
+
+    return call, calls
 
 
 class TestAxiomMemo:
-    """verify_axioms evaluates each operation once per axiom family and keeps
-    nothing after it returns."""
+    """verify_axioms evaluates each operation once per run for each value of
+    its operands and keeps nothing after it returns."""
 
-    def test_memo_is_emptied_once_per_axiom_family(self):
-        assert len(axiom_family_starts()) == len(bivcore.AXIOM_NAMES)
+    @pytest.mark.parametrize("name, verify", [("F", verify_coop_axioms), ("h", verify_op_axioms)])
+    def test_each_operation_is_evaluated_once_per_value_in_a_run(self, bundle, monkeypatch, name, verify):
+        seen, repeated, results = set(), [], []
+
+        def counted(operation):
+            original = getattr(famsolve, operation)
+
+            def call(*args):
+                key = (operation,) + tuple(class_key(x) if isinstance(x, FamilyClass) else x for x in args)
+                (repeated.append if key in seen else seen.add)(key)
+                result = original(*args)
+                results.append(weakref.ref(result))
+                return result
+
+            monkeypatch.setattr(famsolve, operation, call)
+
+        for operation in ("family_product", "family_pushforward", "family_pullback"):
+            counted(operation)
+        assert verify(bundle.functors[name]).ok
+        assert seen and not repeated
+        assert {key[0] for key in seen} == {"family_product", "family_pushforward", "family_pullback"}
+        assert all(ref() is None for ref in results)
 
     @pytest.mark.parametrize("name, verify", [("F", verify_coop_axioms), ("h", verify_op_axioms)])
     def test_no_operation_is_evaluated_twice_within_an_axiom_family(self, bundle, monkeypatch, name, verify):
@@ -808,6 +848,92 @@ class TestAxiomMemo:
         assert seen and not repeated
         assert {key[1] for key in seen} == {"family_product", "family_pushforward", "family_pullback"}
         assert all(ref() is None for ref in results)
+
+    def test_distinct_classes_of_one_value_are_evaluated_once(self):
+        F = functor_copy("F")
+        first, second = (family_group(F, "0>01", 0).decoded_gens()[0] for _ in range(2))
+        assert first is not second and first.value == second.value
+        pull, calls = counting(lambda f, g, i, c: family_pullback(c, g))
+        pull = bivcore._remembered(pull, 3, famsolve.FamilyTheory(F).value)
+        assert pull("0>01", "1>01", 0, first) is pull("0>01", "1>01", 0, second)
+        assert len(calls) == 1
+
+    def test_equal_matrices_over_other_bases_or_degrees_are_not_merged(self):
+        # a class over 0>01 and one over 1>01 store the same matrix at the
+        # same key: F(0) and F(1) are equal groups, so both are well typed
+        F = functor_copy("F")
+        key = ("01>01", 0)
+        hom = family_group(F, "0>01", 0).decoded_gens()[0].components[key]
+        assert F.group("0", 0) == F.group("1", 0)
+        classes = [
+            FamilyClass(F, "0>01", 0, {key: hom}),
+            FamilyClass(F, "1>01", 0, {key: hom}),
+            FamilyClass(F, "0>01", 0),
+            FamilyClass(F, "1>01", 0),
+            FamilyClass(F, "0>01", 1),
+        ]
+        assert len({cls.value for cls in classes}) == len(classes)
+        op, calls = counting(lambda cls: cls)
+        op = bivcore._remembered(op, 0, famsolve.FamilyTheory(F).value)
+        assert [op(cls) for cls in classes] == classes
+        assert len(calls) == len(classes)
+
+    def test_a_stored_zero_component_merges_with_an_absent_one(self):
+        F = functor_copy("F")
+        gen = family_group(F, "0>01", 0).decoded_gens()[0]
+        key = ("01>01", 0)
+        zero = FamilyClass(F, "0>01", 0).component(*key)
+        stored = FamilyClass(F, "0>01", 0, {**gen.components, key: zero})
+        absent = FamilyClass(F, "0>01", 0, {k: hom for k, hom in gen.components.items() if k != key})
+        assert key in stored.components and key not in absent.components
+        assert stored.value == absent.value != gen.value
+        push, calls = counting(lambda f, g, i, c: family_pushforward(c, f, g))
+        push = bivcore._remembered(push, 3, famsolve.FamilyTheory(F).value)
+        assert push("0>0", "0>01", 0, stored) is push("0>0", "0>01", 0, absent)
+        assert len(calls) == 1
+
+
+def operation_counts(monkeypatch, owner, names, check):
+    """How often check(), which must pass, calls each of owner's functions
+    in names; owner is a module or a class."""
+    calls = {}
+    for name in names:
+        wrapped, calls[name] = counting(getattr(owner, name))
+        monkeypatch.setattr(owner, name, wrapped)
+    assert check().ok
+    return {name: len(made) for name, made in calls.items()}
+
+
+class TestCheckerCounts:
+    """On subsets(3), the checkers evaluate each operation once per distinct
+    operand value.  Evaluating on every generator tuple took 2,283 products,
+    900 pushforwards and 1,992 pullbacks per axiom run and 321 comparison
+    classes per identity run."""
+
+    @pytest.mark.parametrize("name, verify", [("F", verify_coop_axioms), ("h", verify_op_axioms)])
+    def test_axiom_runs_evaluate_710_family_operations(self, monkeypatch, name, verify):
+        functor = build_subsets_instance(3).functors[name]
+        names = ("family_product", "family_pushforward", "family_pullback")
+        counts = operation_counts(monkeypatch, famsolve, names, lambda: verify(functor))
+        assert counts == {"family_product": 313, "family_pushforward": 110, "family_pullback": 287}
+
+    def test_validate_axioms_evaluates_710_table_operations(self, monkeypatch):
+        b = build_subsets_instance(3).theories["B"]
+        names = ("product", "pushforward", "pullback")
+        counts = operation_counts(monkeypatch, TabulatedBivTheory, names, lambda: bivcore.validate_axioms(b))
+        assert counts == {"product": 313, "pushforward": 110, "pullback": 287}
+
+    @pytest.mark.parametrize(
+        "module, name, verify",
+        [
+            (cooperational, "coop_from_bivariant", cooperational.verify_coop_transform_identities),
+            (operational, "op_from_bivariant", operational.verify_op_transform_identities),
+        ],
+        ids=["coop", "op"],
+    )
+    def test_identity_runs_build_53_comparison_classes(self, monkeypatch, module, name, verify):
+        b = build_subsets_instance(3).theories["B"]
+        assert operation_counts(monkeypatch, module, [name], lambda: verify(b)) == {name: 53}
 
 
 def count_plans(monkeypatch):

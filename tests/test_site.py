@@ -424,6 +424,15 @@ class TestNaturalTransf:
         broken = NaturalTransf(f, f2, comps)
         assert broken.validate().has("naturality")
 
+    def test_a_component_off_the_site_raises(self, s2):
+        # validate() reads components by the site's objects, so it would never see this one
+        f = subsets_presheaf(s2)
+        f2 = subsets_presheaf(s2, modulus=2)
+        t = reduction_transformation(f, f2)
+        comps = {**t._components, ("nowhere", 0): t.component("0", 0)}
+        with pytest.raises(SiteStructureError, match="^component at nowhere, which is not an object of the site$"):
+            NaturalTransf(f, f2, comps)
+
     def test_covariant_reduction_validates(self, s2):
         h = subsets_homology(s2)
         h2 = subsets_homology(s2, modulus=2)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bivariant import bivcore, workbench
 from bivariant.bivcore import InvalidTransformationError
 from bivariant.cooperational import coop_group, transfer_subgroup
 from bivariant.exactalg import IntMatrix
@@ -315,3 +316,19 @@ class TestDemo:
         lines, ok = run_demo(1)
         assert ok
         assert any("7 axioms + Units" in l and "PASS" in l for l in lines)
+
+    def test_demo_checks_gamma_once(self, monkeypatch):
+        # the Grothendieck check reads gamma.report, which the image
+        # subtheory and the image transfers read again
+        calls = []
+        for module in (bivcore, workbench):
+            original = module.validate_groth
+
+            def counted(t, original=original):
+                calls.append(t)
+                return original(t)
+
+            monkeypatch.setattr(module, "validate_groth", counted)
+        lines, ok = run_demo(2)
+        assert ok and "Grothendieck transformation [gamma]: PASS" in lines
+        assert len(calls) == 1
