@@ -14,7 +14,6 @@ along a natural transformation, and cup and power families.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import partial
 
 from .exactalg import (
@@ -49,6 +48,7 @@ from .famsolve import (
     verify_comparison_isomorphism,
 )
 from .bivcore import GrothTransf, TabulatedBivTheory, verify_axioms, verify_transformation
+from .record import Frozen, setfield
 from .report import ReportBuilder, ValidationReport
 from .site import GradedFunctor, NaturalTransf, NonConfinedError
 
@@ -138,8 +138,7 @@ def coop_image_transfer(t: GrothTransf, base: str, degree: int, mode: str) -> Im
 # classes compatible with a natural transformation (the transfer subgroup)
 
 
-@dataclass(frozen=True)
-class CompanionSolutions:
+class CompanionSolutions(Frozen):
     """Affine solution set of companion classes d with T o c_g = d_g o T.
 
     particular None means the class admits no companion.  The homogeneous
@@ -147,9 +146,12 @@ class CompanionSolutions:
     co-operational group; solutions form the coset particular + homogeneous.
     """
 
-    particular: CoopClass | None
-    homogeneous: Subgroup
-    target_result: FamilyGroup
+    _fields = ("particular", "homogeneous", "target_result")
+
+    def __init__(self, particular: CoopClass | None, homogeneous: Subgroup, target_result: FamilyGroup):
+        setfield(self, "particular", particular)
+        setfield(self, "homogeneous", homogeneous)
+        setfield(self, "target_result", target_result)
 
     @property
     def is_unique(self) -> bool:
@@ -264,7 +266,6 @@ def cup_class(b: TabulatedBivTheory, obj: str, degree: int, alpha: GroupElement)
     return cls
 
 
-@dataclass
 class MapFamily:
     """A family of plain maps (not required additive) over an identity morphism.
 
@@ -272,11 +273,12 @@ class MapFamily:
     is required exactly as for additive classes, additivity is not.
     """
 
-    functor: GradedFunctor
-    base: str
-    components: dict  # (g, m) -> callable GroupElement -> GroupElement
-    grade_out: object  # m -> output grade
-    poly_degree: int
+    def __init__(self, functor: GradedFunctor, base: str, components: dict, grade_out, poly_degree: int):
+        self.functor = functor
+        self.base = base
+        self.components = components  # (g, m) -> callable GroupElement -> GroupElement
+        self.grade_out = grade_out  # m -> output grade
+        self.poly_degree = poly_degree
 
     def component(self, g: str, m: int):
         return self.components[(g, m)]
@@ -341,14 +343,16 @@ def power_naturality_report(fam: MapFamily) -> ValidationReport:
     return rb.done()
 
 
-@dataclass(frozen=True)
-class NonAdditivityWitness:
-    g: str
-    grade: int
-    x: tuple
-    y: tuple
-    lhs: tuple
-    rhs: tuple
+class NonAdditivityWitness(Frozen):
+    _fields = ("g", "grade", "x", "y", "lhs", "rhs")
+
+    def __init__(self, g: str, grade: int, x: tuple, y: tuple, lhs: tuple, rhs: tuple):
+        setfield(self, "g", g)
+        setfield(self, "grade", grade)
+        setfield(self, "x", x)
+        setfield(self, "y", y)
+        setfield(self, "lhs", lhs)
+        setfield(self, "rhs", rhs)
 
 
 def non_additivity_witness(fam: MapFamily) -> NonAdditivityWitness | None:

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, cached_property
 from math import gcd
+
+from .record import Frozen, setfield
 
 
 # Bounds of the two memo caches: about four and seven times the largest
@@ -62,19 +63,28 @@ def _transposed(vectors, length: int) -> tuple:
     return tuple(zip(*vectors)) if vectors else ((),) * length
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Frozen):
     """Immutable integer matrix, entries stored row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple  # tuple of row tuples
+    _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        if rows < 0 or cols < 0:
             raise ShapeMismatchError("negative dimensions")
-        if len(self.entries) != self.rows or any(map(self.cols.__ne__, map(len, self.entries))):
+        if len(entries) != rows or any(map(cols.__ne__, map(len, entries))):
             raise ShapeMismatchError("entry count does not match rows x cols")
+        setfield(self, "rows", rows)
+        setfield(self, "cols", cols)
+        setfield(self, "entries", entries)  # tuple of row tuples
+
+    # smith_decomposition's cache hashes every matrix it is given
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
@@ -183,8 +193,7 @@ def _identity_rows(n: int) -> tuple:
     return IntMatrix.identity(n).entries
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Frozen):
     """u @ m @ v is the rows x cols matrix with diagonal on its diagonal and 0
     elsewhere, for unimodular u and v.  The diagonal has min(rows, cols)
     entries, all >= 0, each dividing the next; u_inv is the inverse of u.
@@ -194,10 +203,13 @@ class SmithDecomposition:
     is a tuple of (index, entry) pairs over its nonzero entries, in no fixed
     order."""
 
-    diagonal: tuple
-    u: tuple
-    v: tuple
-    u_inv: tuple
+    _fields = ("diagonal", "u", "v", "u_inv")
+
+    def __init__(self, diagonal: tuple, u: tuple, v: tuple, u_inv: tuple):
+        setfield(self, "diagonal", diagonal)
+        setfield(self, "u", u)
+        setfield(self, "v", v)
+        setfield(self, "u_inv", u_inv)
 
 
 def _axpy(dst: dict, src: dict, q: int) -> None:
@@ -560,15 +572,23 @@ class FgAbGroup:
 ZERO_GROUP = FgAbGroup(0)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Frozen):
     """Element of an FgAbGroup, coordinates kept in canonical reduced form."""
 
-    group: FgAbGroup
-    coords: tuple
+    _fields = ("group", "coords")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", self.group.reduce(self.coords))
+    def __init__(self, group: FgAbGroup, coords: tuple):
+        setfield(self, "group", group)
+        setfield(self, "coords", group.reduce(coords))
+
+    # the checkers compare elements in their innermost loops
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.group, self.coords) == (other.group, other.coords)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.group, self.coords))
 
     @property
     def is_zero(self) -> bool:
@@ -602,8 +622,7 @@ class GroupElement:
 # homomorphisms
 
 
-@dataclass(frozen=True, eq=False)
-class GroupHom:
+class GroupHom(Frozen):
     """Homomorphism src -> tgt given by a (tgt.ngens x src.ngens) matrix.
 
     Construction checks well-definedness: every relation of src must map
@@ -614,11 +633,17 @@ class GroupHom:
     modulo the target relations, never by raw matrix comparison.
     """
 
-    src: FgAbGroup
-    tgt: FgAbGroup
-    mat: IntMatrix
+    def __init__(self, src: FgAbGroup, tgt: FgAbGroup, mat: IntMatrix):
+        setfield(self, "src", src)
+        setfield(self, "tgt", tgt)
+        setfield(self, "mat", mat)
+        # perfbench/tracing.py counts hom checks by wrapping
+        # GroupHom.__post_init__; calling it through self keeps every check
+        # counted
+        self.__post_init__()
 
     def __post_init__(self):
+        """The shape and well-definedness checks."""
         if self.mat.rows != self.tgt.ngens or self.mat.cols != self.src.ngens:
             raise ShapeMismatchError(
                 f"hom matrix must be {self.tgt.ngens}x{self.src.ngens}, "
@@ -708,8 +733,7 @@ class GroupHom:
 # Hom groups with codecs
 
 
-@dataclass(frozen=True)
-class HomGroup:
+class HomGroup(Frozen):
     """The abelian group of homomorphisms src -> tgt with an element codec.
 
     Internally the group is presented with one generator per nontrivial
@@ -729,10 +753,13 @@ class HomGroup:
     products.
     """
 
-    src: FgAbGroup
-    tgt: FgAbGroup
-    group: FgAbGroup
-    summands: tuple  # (tgt_index, src_index, order, coeff) in canonical bases
+    _fields = ("src", "tgt", "group", "summands")
+
+    def __init__(self, src: FgAbGroup, tgt: FgAbGroup, group: FgAbGroup, summands: tuple):
+        setfield(self, "src", src)
+        setfield(self, "tgt", tgt)
+        setfield(self, "group", group)
+        setfield(self, "summands", summands)  # (tgt_index, src_index, order, coeff) in canonical bases
 
     def decode(self, x) -> GroupHom:
         if isinstance(x, GroupElement):
@@ -857,12 +884,14 @@ def induced_hom(
 # kernels, images, preimages, direct sums
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Frozen):
     """An abstract group with a chosen inclusion into an ambient group."""
 
-    group: FgAbGroup
-    inclusion: GroupHom
+    _fields = ("group", "inclusion")
+
+    def __init__(self, group: FgAbGroup, inclusion: GroupHom):
+        setfield(self, "group", group)
+        setfield(self, "inclusion", inclusion)
 
 
 def _preimage_gens(f: GroupHom) -> IntMatrix:
@@ -920,13 +949,15 @@ def is_surjective(f: GroupHom) -> bool:
     return all(hom_preimage(f, g) is not None for g in f.tgt.gens())
 
 
-@dataclass(frozen=True)
-class DirectSum:
+class DirectSum(Frozen):
     """The sum of parts; part k sits at coordinates offsets[k] onwards."""
 
-    group: FgAbGroup
-    parts: tuple
-    offsets: tuple
+    _fields = ("group", "parts", "offsets")
+
+    def __init__(self, group: FgAbGroup, parts: tuple, offsets: tuple):
+        setfield(self, "group", group)
+        setfield(self, "parts", parts)
+        setfield(self, "offsets", offsets)
 
 
 def direct_sum(parts) -> DirectSum:

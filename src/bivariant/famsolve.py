@@ -45,7 +45,6 @@ components and multiplies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
@@ -74,31 +73,38 @@ from .exactalg import (
     kernel,
     kernel_image,
 )
+from .record import Frozen, setfield
 from .report import ReportBuilder, ValidationReport
 from .site import GradedFunctor, NonConfinedError, Site
 
 
-@dataclass(frozen=True)
-class SummandSpec:
-    key: object
-    src: FgAbGroup
-    tgt: FgAbGroup
+class SummandSpec(Frozen):
+    _fields = ("key", "src", "tgt")
+
+    def __init__(self, key, src: FgAbGroup, tgt: FgAbGroup):
+        setfield(self, "key", key)
+        setfield(self, "src", src)
+        setfield(self, "tgt", tgt)
 
 
-@dataclass(frozen=True)
-class TermSpec:
-    sign: int
-    summand_key: object
-    pre: GroupHom | None = None
-    post: GroupHom | None = None
+class TermSpec(Frozen):
+    _fields = ("sign", "summand_key", "pre", "post")
+
+    def __init__(self, sign: int, summand_key, pre: GroupHom | None = None, post: GroupHom | None = None):
+        setfield(self, "sign", sign)
+        setfield(self, "summand_key", summand_key)
+        setfield(self, "pre", pre)
+        setfield(self, "post", post)
 
 
-@dataclass(frozen=True)
-class ConstraintSpec:
-    key: object
-    src: FgAbGroup
-    tgt: FgAbGroup
-    terms: tuple
+class ConstraintSpec(Frozen):
+    _fields = ("key", "src", "tgt", "terms")
+
+    def __init__(self, key, src: FgAbGroup, tgt: FgAbGroup, terms: tuple):
+        setfield(self, "key", key)
+        setfield(self, "src", src)
+        setfield(self, "tgt", tgt)
+        setfield(self, "terms", terms)
 
 
 class FamilySolution:
@@ -412,19 +418,18 @@ _COMPATIBILITY = {
 }
 
 
-@dataclass(eq=False)
 class FamilyClass:
-    """A single class: functor, base morphism, degree, components."""
+    """A single class: functor, base morphism, degree, components.
 
-    functor: GradedFunctor
-    base: str
-    degree: int
-    components: dict = field(default_factory=dict)
+    Building one checks each stored component once: its key is (g into the
+    base's target, grade inside the window), and its hom runs between the
+    component's ends; ShapeMismatchError otherwise."""
 
-    def __post_init__(self):
-        """Check each stored component once: its key is (g into the base's
-        target, grade inside the window), and its hom runs between the
-        component's ends; ShapeMismatchError otherwise."""
+    def __init__(self, functor: GradedFunctor, base: str, degree: int, components: dict | None = None):
+        self.functor = functor
+        self.base = base
+        self.degree = degree
+        self.components = {} if components is None else components
         site, grades = self.site, self.functor.grades()
         into = site.morphisms_into(site.tgt(self.base))
         for key, hom in self.components.items():
@@ -560,14 +565,16 @@ class FamilyClass:
         return rb.done()
 
 
-@dataclass(frozen=True)
-class FamilyGroup:
+class FamilyGroup(Frozen):
     """The group of classes for (functor, base, degree)."""
 
-    functor: GradedFunctor
-    base: str
-    degree: int
-    solution: FamilySolution
+    _fields = ("functor", "base", "degree", "solution")
+
+    def __init__(self, functor: GradedFunctor, base: str, degree: int, solution: FamilySolution):
+        setfield(self, "functor", functor)
+        setfield(self, "base", base)
+        setfield(self, "degree", degree)
+        setfield(self, "solution", solution)
 
     @property
     def group(self):
@@ -803,15 +810,17 @@ class NotSurjectiveError(InvalidTransformationError):
         super().__init__(f"{PART[variance]} part not surjective at {witness}")
 
 
-@dataclass(frozen=True)
-class ImageTransfer:
+class ImageTransfer(Frozen):
     """Map cls(alpha) |-> cls(gamma(alpha)) between images of comparison maps."""
 
-    base: str
-    degree: int
-    source: Subgroup
-    target: Subgroup
-    mapping: GroupHom  # source.group -> target.group
+    _fields = ("base", "degree", "source", "target", "mapping")
+
+    def __init__(self, base: str, degree: int, source: Subgroup, target: Subgroup, mapping: GroupHom):
+        setfield(self, "base", base)
+        setfield(self, "degree", degree)
+        setfield(self, "source", source)
+        setfield(self, "target", target)
+        setfield(self, "mapping", mapping)  # source.group -> target.group
 
 
 def image_transfer(t: GrothTransf, base: str, degree: int, mode: str, variance: str, comparison) -> ImageTransfer:

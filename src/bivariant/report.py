@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import Frozen, setfield
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    message: str
-    witness: tuple = ()  # tuple of (name, value) pairs, deterministic order
+class Violation(Frozen):
+    _fields = ("kind", "message", "witness")
+
+    def __init__(self, kind: str, message: str, witness: tuple = ()):
+        setfield(self, "kind", kind)
+        setfield(self, "message", message)
+        setfield(self, "witness", witness)  # tuple of (name, value) pairs, deterministic order
 
     def witness_dict(self) -> dict:
         return {k: v for k, v in self.witness}
@@ -19,9 +21,11 @@ class Violation:
         return f"[{self.kind}] {self.message}{parts}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple = ()
+class ValidationReport(Frozen):
+    _fields = ("violations",)
+
+    def __init__(self, violations: tuple = ()):
+        setfield(self, "violations", violations)
 
     @property
     def ok(self) -> bool:

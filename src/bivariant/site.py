@@ -9,9 +9,8 @@ checked by validate_site, which reports witnesses instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactalg import FgAbGroup, GroupHom, ZERO_GROUP
+from .record import Frozen, setfield
 from .report import ReportBuilder, ValidationReport
 
 
@@ -39,40 +38,46 @@ class MissingMapError(KeyError):
     """A functor has no map stored where one is required."""
 
 
-@dataclass(frozen=True)
-class Mor:
-    name: str
-    src: str
-    tgt: str
+class Mor(Frozen):
+    _fields = ("name", "src", "tgt")
+
+    def __init__(self, name: str, src: str, tgt: str):
+        setfield(self, "name", name)
+        setfield(self, "src", src)
+        setfield(self, "tgt", tgt)
 
 
-@dataclass(frozen=True)
-class PullbackSquare:
+class PullbackSquare(Frozen):
     """Chosen square over the cospan (f: X->Y, g: Y'->Y).
 
     apex is X', top is g': X'->X and left is f': X'->Y'.
     """
 
-    f: str
-    g: str
-    apex: str
-    top: str
-    left: str
+    _fields = ("f", "g", "apex", "top", "left")
+
+    def __init__(self, f: str, g: str, apex: str, top: str, left: str):
+        setfield(self, "f", f)
+        setfield(self, "g", g)
+        setfield(self, "apex", apex)
+        setfield(self, "top", top)
+        setfield(self, "left", left)
 
 
-@dataclass(frozen=True)
-class PasteComparison:
+class PasteComparison(Frozen):
     """Canonical isomorphism between a pasted pullback and the direct one.
 
     to_direct : pasted apex -> direct apex, to_pasted its two-sided inverse.
     On poset sites both are identities.
     """
 
-    direct: PullbackSquare
-    first: PullbackSquare
-    second: PullbackSquare
-    to_direct: str
-    to_pasted: str
+    _fields = ("direct", "first", "second", "to_direct", "to_pasted")
+
+    def __init__(self, direct: PullbackSquare, first: PullbackSquare, second: PullbackSquare, to_direct: str, to_pasted: str):
+        setfield(self, "direct", direct)
+        setfield(self, "first", first)
+        setfield(self, "second", second)
+        setfield(self, "to_direct", to_direct)
+        setfield(self, "to_pasted", to_pasted)
 
     def is_identity(self, site: "Site") -> bool:
         return site.is_identity(self.to_direct) and site.is_identity(self.to_pasted)

@@ -12,12 +12,18 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
 
 from .exactalg import FgAbGroup, GroupHom, IntMatrix, WellDefinednessError
 from .report import ReportBuilder, ValidationReport
-from .site import GradedFunctor, NaturalTransf, Site, validate_site
-from .bivcore import GrothTransf, TabulatedBivTheory, image_subtheory, validate_axioms, validate_groth
+from .site import GradedFunctor, MissingMapError, NaturalTransf, Site, validate_site
+from .bivcore import (
+    GrothTransf,
+    MissingTableError,
+    TabulatedBivTheory,
+    image_subtheory,
+    validate_axioms,
+    validate_groth,
+)
 from .famsolve import surjectivity_witness
 from . import cooperational as coop
 from . import operational as op
@@ -39,13 +45,20 @@ class InstanceViolationError(ValueError):
         super().__init__(f"{location}: {message}")
 
 
-@dataclass
 class InstanceBundle:
-    site: Site
-    functors: dict = field(default_factory=dict)
-    transformations: dict = field(default_factory=dict)
-    theories: dict = field(default_factory=dict)
-    groth: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        site: Site,
+        functors: dict | None = None,
+        transformations: dict | None = None,
+        theories: dict | None = None,
+        groth: dict | None = None,
+    ):
+        self.site = site
+        self.functors = {} if functors is None else functors
+        self.transformations = {} if transformations is None else transformations
+        self.theories = {} if theories is None else theories
+        self.groth = {} if groth is None else groth
 
     def validate(self) -> ValidationReport:
         rb = ReportBuilder()
@@ -582,11 +595,16 @@ def _groups_json(names, window, group) -> dict:
 
 def _homs_json(names, window, hom) -> dict:
     """{'name@grade': matrix} for each hom(name, grade) with no zero end; the
-    readers restore a hom with a zero end as the zero hom."""
+    readers restore a hom with a zero end as the zero hom.  A hom with no
+    stored entry, which validation reports, is left out, so it stays missing
+    on read-back."""
     out = {}
     for x in names:
         for m in _grades(window):
-            h = hom(x, m)
+            try:
+                h = hom(x, m)
+            except (MissingMapError, MissingTableError):
+                continue
             if not (h.src.is_trivial or h.tgt.is_trivial):
                 out[f"{x}@{m}"] = [list(r) for r in h.mat.entries]
     return out
@@ -651,7 +669,7 @@ def bundle_to_json(bundle: InstanceBundle) -> dict:
                 ],
                 "pushforwards": _hom_table_json(theory._pushforwards),
                 "pullbacks": _hom_table_json(theory._pullbacks),
-                "units": {x: list(theory.unit(x).coords) for x in site.objects},
+                "units": {x: list(theory._units[x].coords) for x in site.objects if x in theory._units},
             }
             for name, theory in sorted(bundle.theories.items())
         }

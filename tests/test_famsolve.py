@@ -1,7 +1,6 @@
 """The constraint solver of famsolve and the companion system built on it."""
 
 import bisect
-import dataclasses
 import hashlib
 import inspect
 import json
@@ -14,6 +13,7 @@ import pytest
 from bivariant import bivcore, cooperational, famsolve, operational
 from bivariant.bivcore import GrothTransf, InvalidTransformationError, TabulatedBivTheory
 from bivariant.cooperational import (
+    CompanionSolutions,
     coop_group,
     coop_image_transfer,
     coop_unit,
@@ -319,7 +319,12 @@ def with_zero_companions(tsr):
     """tsr, answering every companion query with the zero class."""
     solve = tsr.companions
     zero = FamilyClass(tsr.transf.tgt, tsr.base, tsr.degree, {})
-    tsr.companions = lambda c: dataclasses.replace(solve(c), particular=zero)
+
+    def companions(c):
+        s = solve(c)
+        return CompanionSolutions(zero, s.homogeneous, s.target_result)
+
+    tsr.companions = companions
     return tsr
 
 

@@ -8,9 +8,16 @@ imports are the package's public names.  A private name (one leading
 underscore) bound at module level or in a class body, a method included,
 must be read as a plain name or as an attribute in some module of the
 package, so a deletion leaves no helper behind.
+
+Importing the command line module loads no dataclasses and no inspect:
+each CLI command is a fresh process, so every module loaded at import is
+paid for by every command.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,3 +91,24 @@ def test_the_check_finds_an_unread_private_name():
 
 def test_every_private_name_is_read_in_the_package():
     assert unread_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+# modules that importing the CLI may not load: dataclasses imports inspect,
+# which brings ast, dis and tokenize
+HEAVY = ("dataclasses", "inspect")
+
+PROBE = """
+import sys
+before = set(sys.modules)
+import bivariant.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    src = str(Path(bivariant.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True)
+    added = out.stdout.split()
+    assert "bivariant.cli" in added
+    assert [name for name in HEAVY if name in added] == []
