@@ -20,7 +20,6 @@ from .exactalg import (
     FgAbGroup,
     GroupElement,
     GroupHom,
-    Subgroup,
     direct_sum,
     hom_preimage,
     image,
@@ -48,7 +47,7 @@ from .famsolve import (
     verify_comparison_isomorphism,
 )
 from .bivcore import GrothTransf, TabulatedBivTheory, verify_axioms, verify_transformation
-from .record import Frozen, setfield
+from .record import Frozen
 from .report import ReportBuilder, ValidationReport
 from .site import GradedFunctor, NaturalTransf, NonConfinedError
 
@@ -147,11 +146,6 @@ class CompanionSolutions(Frozen):
     """
 
     _fields = ("particular", "homogeneous", "target_result")
-
-    def __init__(self, particular: CoopClass | None, homogeneous: Subgroup, target_result: FamilyGroup):
-        setfield(self, "particular", particular)
-        setfield(self, "homogeneous", homogeneous)
-        setfield(self, "target_result", target_result)
 
     @property
     def is_unique(self) -> bool:
@@ -345,14 +339,6 @@ def power_naturality_report(fam: MapFamily) -> ValidationReport:
 
 class NonAdditivityWitness(Frozen):
     _fields = ("g", "grade", "x", "y", "lhs", "rhs")
-
-    def __init__(self, g: str, grade: int, x: tuple, y: tuple, lhs: tuple, rhs: tuple):
-        setfield(self, "g", g)
-        setfield(self, "grade", grade)
-        setfield(self, "x", x)
-        setfield(self, "y", y)
-        setfield(self, "lhs", lhs)
-        setfield(self, "rhs", rhs)
 
 
 def non_additivity_witness(fam: MapFamily) -> NonAdditivityWitness | None:

@@ -205,12 +205,6 @@ class SmithDecomposition(Frozen):
 
     _fields = ("diagonal", "u", "v", "u_inv")
 
-    def __init__(self, diagonal: tuple, u: tuple, v: tuple, u_inv: tuple):
-        setfield(self, "diagonal", diagonal)
-        setfield(self, "u", u)
-        setfield(self, "v", v)
-        setfield(self, "u_inv", u_inv)
-
 
 def _axpy(dst: dict, src: dict, q: int) -> None:
     """dst += q * src on sparse vectors {index: nonzero entry}."""
@@ -633,6 +627,8 @@ class GroupHom(Frozen):
     modulo the target relations, never by raw matrix comparison.
     """
 
+    _fields = ("src", "tgt", "mat")
+
     def __init__(self, src: FgAbGroup, tgt: FgAbGroup, mat: IntMatrix):
         setfield(self, "src", src)
         setfield(self, "tgt", tgt)
@@ -754,12 +750,6 @@ class HomGroup(Frozen):
     """
 
     _fields = ("src", "tgt", "group", "summands")
-
-    def __init__(self, src: FgAbGroup, tgt: FgAbGroup, group: FgAbGroup, summands: tuple):
-        setfield(self, "src", src)
-        setfield(self, "tgt", tgt)
-        setfield(self, "group", group)
-        setfield(self, "summands", summands)  # (tgt_index, src_index, order, coeff) in canonical bases
 
     def decode(self, x) -> GroupHom:
         if isinstance(x, GroupElement):
@@ -889,10 +879,6 @@ class Subgroup(Frozen):
 
     _fields = ("group", "inclusion")
 
-    def __init__(self, group: FgAbGroup, inclusion: GroupHom):
-        setfield(self, "group", group)
-        setfield(self, "inclusion", inclusion)
-
 
 def _preimage_gens(f: GroupHom) -> IntMatrix:
     """Columns generate {x : f(x) is a relation of f.tgt}: the x-parts of the
@@ -902,8 +888,11 @@ def _preimage_gens(f: GroupHom) -> IntMatrix:
 
 def _image(f: GroupHom, preimage_gens: IntMatrix) -> Subgroup:
     """The image: generated by the images of the source generators, with
-    relation lattice exactly preimage_gens."""
-    im_group = FgAbGroup(f.src.ngens, preimage_gens)
+    relation lattice exactly preimage_gens, each column negated where its
+    first nonzero entry is negative: relations -2 * I become 2 * I, which
+    reduce on the diagonal path."""
+    cols = [col if next(filter(None, col), 0) >= 0 else tuple(-x for x in col) for col in preimage_gens.columns()]
+    im_group = FgAbGroup(f.src.ngens, IntMatrix.from_columns(cols, f.src.ngens))
     return Subgroup(im_group, GroupHom(im_group, f.tgt, f.mat))
 
 
@@ -953,11 +942,6 @@ class DirectSum(Frozen):
     """The sum of parts; part k sits at coordinates offsets[k] onwards."""
 
     _fields = ("group", "parts", "offsets")
-
-    def __init__(self, group: FgAbGroup, parts: tuple, offsets: tuple):
-        setfield(self, "group", group)
-        setfield(self, "parts", parts)
-        setfield(self, "offsets", offsets)
 
 
 def direct_sum(parts) -> DirectSum:

@@ -73,7 +73,7 @@ from .exactalg import (
     kernel,
     kernel_image,
 )
-from .record import Frozen, setfield
+from .record import Frozen
 from .report import ReportBuilder, ValidationReport
 from .site import GradedFunctor, NonConfinedError, Site
 
@@ -81,30 +81,14 @@ from .site import GradedFunctor, NonConfinedError, Site
 class SummandSpec(Frozen):
     _fields = ("key", "src", "tgt")
 
-    def __init__(self, key, src: FgAbGroup, tgt: FgAbGroup):
-        setfield(self, "key", key)
-        setfield(self, "src", src)
-        setfield(self, "tgt", tgt)
-
 
 class TermSpec(Frozen):
     _fields = ("sign", "summand_key", "pre", "post")
-
-    def __init__(self, sign: int, summand_key, pre: GroupHom | None = None, post: GroupHom | None = None):
-        setfield(self, "sign", sign)
-        setfield(self, "summand_key", summand_key)
-        setfield(self, "pre", pre)
-        setfield(self, "post", post)
+    _defaults = (None, None)
 
 
 class ConstraintSpec(Frozen):
     _fields = ("key", "src", "tgt", "terms")
-
-    def __init__(self, key, src: FgAbGroup, tgt: FgAbGroup, terms: tuple):
-        setfield(self, "key", key)
-        setfield(self, "src", src)
-        setfield(self, "tgt", tgt)
-        setfield(self, "terms", terms)
 
 
 class FamilySolution:
@@ -570,12 +554,6 @@ class FamilyGroup(Frozen):
 
     _fields = ("functor", "base", "degree", "solution")
 
-    def __init__(self, functor: GradedFunctor, base: str, degree: int, solution: FamilySolution):
-        setfield(self, "functor", functor)
-        setfield(self, "base", base)
-        setfield(self, "degree", degree)
-        setfield(self, "solution", solution)
-
     @property
     def group(self):
         return self.solution.group
@@ -813,14 +791,7 @@ class NotSurjectiveError(InvalidTransformationError):
 class ImageTransfer(Frozen):
     """Map cls(alpha) |-> cls(gamma(alpha)) between images of comparison maps."""
 
-    _fields = ("base", "degree", "source", "target", "mapping")
-
-    def __init__(self, base: str, degree: int, source: Subgroup, target: Subgroup, mapping: GroupHom):
-        setfield(self, "base", base)
-        setfield(self, "degree", degree)
-        setfield(self, "source", source)
-        setfield(self, "target", target)
-        setfield(self, "mapping", mapping)  # source.group -> target.group
+    _fields = ("base", "degree", "source", "target", "mapping")  # mapping: source.group -> target.group
 
 
 def image_transfer(t: GrothTransf, base: str, degree: int, mode: str, variance: str, comparison) -> ImageTransfer:

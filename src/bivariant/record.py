@@ -1,10 +1,11 @@
 """The shared base of the library's immutable value classes.
 
-Each value class lists its fields in _fields and sets them in its own
-__init__ with setfield, which is object.__setattr__ and so gets past the
-guard below.  The methods are written out once here, not generated for each
-class at import time: generating them took about a third of the package's
-import.
+A value class names its fields once, in _fields in constructor order, and
+gives its optional trailing fields' values in _defaults.  Unless it writes
+its own __init__, to check or reduce its inputs, Frozen compiles one for it
+at class creation: a plain def __init__(self, a, b, c=<default>) of
+setfield calls, as fast as one written by hand.  setfield is
+object.__setattr__, and so gets past the guard below.
 """
 
 setfield = object.__setattr__
@@ -19,6 +20,21 @@ class Frozen:
     """
 
     _fields = ()
+    _defaults = ()
+
+    def __init_subclass__(cls, **kwargs):
+        """Compile cls.__init__ from _fields and _defaults, unless cls writes one."""
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in cls.__dict__ or "__init__" in cls.__dict__:
+            return
+        names, defaults = cls._fields, cls._defaults
+        first = len(names) - len(defaults)
+        params = [*names[:first], *(f"{name}=_d{k}" for k, name in enumerate(names[first:]))]
+        body = "".join(f"\n    setfield(self, {name!r}, {name})" for name in names)
+        namespace = {"setfield": setfield, **{f"_d{k}": v for k, v in enumerate(defaults)}}
+        exec(f"def __init__(self, {', '.join(params)}):{body}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))

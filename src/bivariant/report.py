@@ -2,16 +2,12 @@
 
 from __future__ import annotations
 
-from .record import Frozen, setfield
+from .record import Frozen
 
 
 class Violation(Frozen):
-    _fields = ("kind", "message", "witness")
-
-    def __init__(self, kind: str, message: str, witness: tuple = ()):
-        setfield(self, "kind", kind)
-        setfield(self, "message", message)
-        setfield(self, "witness", witness)  # tuple of (name, value) pairs, deterministic order
+    _fields = ("kind", "message", "witness")  # witness: (name, value) pairs, deterministic order
+    _defaults = ((),)
 
     def witness_dict(self) -> dict:
         return {k: v for k, v in self.witness}
@@ -23,9 +19,7 @@ class Violation(Frozen):
 
 class ValidationReport(Frozen):
     _fields = ("violations",)
-
-    def __init__(self, violations: tuple = ()):
-        setfield(self, "violations", violations)
+    _defaults = ((),)
 
     @property
     def ok(self) -> bool:

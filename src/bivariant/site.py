@@ -10,7 +10,7 @@ checked by validate_site, which reports witnesses instead of raising.
 from __future__ import annotations
 
 from .exactalg import FgAbGroup, GroupHom, ZERO_GROUP
-from .record import Frozen, setfield
+from .record import Frozen
 from .report import ReportBuilder, ValidationReport
 
 
@@ -41,11 +41,6 @@ class MissingMapError(KeyError):
 class Mor(Frozen):
     _fields = ("name", "src", "tgt")
 
-    def __init__(self, name: str, src: str, tgt: str):
-        setfield(self, "name", name)
-        setfield(self, "src", src)
-        setfield(self, "tgt", tgt)
-
 
 class PullbackSquare(Frozen):
     """Chosen square over the cospan (f: X->Y, g: Y'->Y).
@@ -54,13 +49,6 @@ class PullbackSquare(Frozen):
     """
 
     _fields = ("f", "g", "apex", "top", "left")
-
-    def __init__(self, f: str, g: str, apex: str, top: str, left: str):
-        setfield(self, "f", f)
-        setfield(self, "g", g)
-        setfield(self, "apex", apex)
-        setfield(self, "top", top)
-        setfield(self, "left", left)
 
 
 class PasteComparison(Frozen):
@@ -71,13 +59,6 @@ class PasteComparison(Frozen):
     """
 
     _fields = ("direct", "first", "second", "to_direct", "to_pasted")
-
-    def __init__(self, direct: PullbackSquare, first: PullbackSquare, second: PullbackSquare, to_direct: str, to_pasted: str):
-        setfield(self, "direct", direct)
-        setfield(self, "first", first)
-        setfield(self, "second", second)
-        setfield(self, "to_direct", to_direct)
-        setfield(self, "to_pasted", to_pasted)
 
     def is_identity(self, site: "Site") -> bool:
         return site.is_identity(self.to_direct) and site.is_identity(self.to_pasted)

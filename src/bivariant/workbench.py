@@ -74,11 +74,17 @@ class InstanceBundle:
             # theories and Grothendieck maps paste chosen squares, which
             # needs a valid site
             return rb.done()
-        for name in sorted(self.theories):
-            for v in validate_axioms(self.theories[name]).violations:
+        valid = set()
+        for name, theory in sorted(self.theories.items()):
+            report = validate_axioms(theory)
+            if report.ok:
+                valid.add(theory)
+            for v in report.violations:
                 rb.add(v.kind, f"theory {name}: {v.message}", **v.witness_dict())
-        for name in sorted(self.groth):
-            for v in validate_groth(self.groth[name]).violations:
+        for name, t in sorted(self.groth.items()):
+            if not {t.src, t.tgt} <= valid:
+                continue  # checking t evaluates both theories' operations
+            for v in validate_groth(t).violations:
                 rb.add(v.kind, f"groth {name}: {v.message}", **v.witness_dict())
         return rb.done()
 

@@ -409,6 +409,19 @@ class TestImageSubtheory:
             assert im.group(m.name, 0).canonical() == b2.group(m.name, 0).canonical()
         assert validate_axioms(im).ok
 
+    def test_mod_two_image_groups_reduce_as_b2_does(self):
+        """At n = 3 every nontrivial image group has relations 2 * I, not
+        -2 * I, so it reduces on the diagonal path to B2's representatives."""
+        bundle = build_subsets_instance(3)
+        im, b2 = image_subtheory(bundle.groth["gamma"]), bundle.theories["B2"]
+        pairs = [(im.group(m.name, i), b2.group(m.name, i)) for m in bundle.site.morphisms for i in im.degrees()]
+        nontrivial = [(g, h) for g, h in pairs if not g.is_trivial]
+        assert len(nontrivial) == 19
+        for g, h in nontrivial:
+            assert g._reduction[0] == "diagonal"
+            coords = tuple(range(1, g.ngens + 1))
+            assert g.reduce(coords) == h.reduce(coords)
+
     def test_rejects_invalid_transformation(self, theory):
         comps = {
             (m.name, 0): GroupHom.identity(theory.group(m.name, 0)).scaled(2)

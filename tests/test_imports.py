@@ -9,6 +9,10 @@ underscore) bound at module level or in a class body, a method included,
 must be read as a plain name or as an attribute in some module of the
 package, so a deletion leaves no helper behind.
 
+No Frozen subclass writes an __init__ that only stores its arguments with
+setfield: record.Frozen generates that constructor from _fields, so the
+field names are written once.
+
 Importing the command line module loads no dataclasses and no inspect:
 each CLI command is a fresh process, so every module loaded at import is
 paid for by every command.
@@ -91,6 +95,45 @@ def test_the_check_finds_an_unread_private_name():
 
 def test_every_private_name_is_read_in_the_package():
     assert unread_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def _stores_its_argument(stmt) -> bool:
+    """Whether stmt is setfield(self, "name", name)."""
+    call = stmt.value if isinstance(stmt, ast.Expr) else None
+    if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "setfield"):
+        return False
+    args = call.args
+    return (
+        len(args) == 3
+        and isinstance(args[1], ast.Constant)
+        and isinstance(args[2], ast.Name)
+        and args[1].value == args[2].id
+    )
+
+
+def storing_constructors(source: str) -> list[str]:
+    """The Frozen subclasses of the source whose __init__ only stores its
+    arguments with setfield, sorted."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(isinstance(b, ast.Name) and b.id == "Frozen" for b in node.bases):
+            inits = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+            found += [node.name for f in inits if all(map(_stores_its_argument, f.body))]
+    return sorted(found)
+
+
+def test_the_check_finds_a_constructor_that_only_stores_its_arguments():
+    source = (
+        "class A(Frozen):\n    def __init__(self, x, y):\n        setfield(self, 'x', x)\n        setfield(self, 'y', y)\n"
+        "class B(Frozen):\n    def __init__(self, x):\n        setfield(self, 'x', abs(x))\n"
+        "class C(Frozen):\n    def __init__(self, x):\n        check(x)\n        setfield(self, 'x', x)\n"
+        "class D:\n    def __init__(self, x):\n        setfield(self, 'x', x)\n"
+    )
+    assert storing_constructors(source) == ["A"]
+
+
+def test_no_record_writes_the_constructor_frozen_generates():
+    assert [name for p in MODULES for name in storing_constructors(p.read_text())] == []
 
 
 # modules that importing the CLI may not load: dataclasses imports inspect,

@@ -38,6 +38,7 @@ from bivariant.famsolve import (
     SummandSpec,
     TermSpec,
 )
+from bivariant.record import Frozen, setfield
 from bivariant.report import ValidationReport, Violation
 from bivariant.site import Mor, PasteComparison, PullbackSquare
 from bivariant.workbench import InstanceBundle, build_subsets_instance
@@ -84,6 +85,23 @@ def fields_of(cls) -> list[str]:
     return list(inspect.signature(cls).parameters)
 
 
+def unlisted_attributes(obj) -> set:
+    """The attributes obj holds that its class does not list in _fields, and
+    the listed fields it lacks."""
+    return set(vars(obj)) ^ set(type(obj)._fields)
+
+
+def test_the_check_finds_an_attribute_outside_the_fields():
+    class Extra(Frozen):
+        _fields = ("a", "b")
+
+        def __init__(self, a, b):
+            setfield(self, "a", a)
+            setfield(self, "c", b)
+
+    assert unlisted_attributes(Extra(1, 2)) == {"b", "c"}
+
+
 class Twin:
     """Another class with the same fields."""
 
@@ -114,6 +132,9 @@ class TestFrozenValues:
         assert obj != Twin(fields_of(cls), values)
         assert obj != tuple(values)
         assert obj != object()
+
+    def test_an_instance_holds_exactly_its_fields(self, cls, values):
+        assert unlisted_attributes(cls(*values)) == set()
 
     def test_assigning_or_deleting_a_field_raises(self, cls, values):
         obj = cls(*values)
