@@ -14,7 +14,7 @@ generators (bilinearity makes generator checks complete).
 from __future__ import annotations
 
 import operator
-from functools import cached_property
+from functools import cache, cached_property
 
 from .exactalg import (
     FgAbGroup,
@@ -23,6 +23,7 @@ from .exactalg import (
     ZERO_GROUP,
     image,
     IntMatrix,
+    is_surjective,
 )
 from .report import ReportBuilder, ValidationReport
 from .site import GradedFunctor, MissingFinalObjectError, Site
@@ -65,6 +66,10 @@ class TabulatedBivTheory:
             self._products[key] = tuple(tuple(tuple(map(operator.index, cell)) for cell in row) for row in table)
         self._pushforwards = dict(pushforwards)
         self._pullbacks = dict(pullbacks)
+        for kind, table in (("product", self._products), ("pushforward", self._pushforwards), ("pullback", self._pullbacks)):
+            for key in table:
+                if not all(lo <= d <= hi for d in key[2:]):
+                    raise DegreeWindowError(f"{kind} entry {key} has a degree outside the window {self.window}")
         self._units = {}
         for obj, u in dict(units).items():
             grp = self.group(site.identity(obj), 0)
@@ -286,19 +291,35 @@ def _unchanged(a):
 def _remembered(op, nvalues: int, value):
     """op, evaluated once per key while the returned callable lives.
 
-    The key is op's first nvalues arguments, which are bases, degrees and
-    other structural arguments, followed by value(x) of each later argument,
-    an operand.  value(x) must fix everything op reads from x, so a hit is
-    what evaluating op again would return.  No operand is kept.
+    op's first nvalues arguments are structural: bases, degrees and other
+    arguments that are not operands.  The rest are its operands: two after
+    four structural arguments, as in a product, and one otherwise.  The key
+    is the structural arguments followed by value(x) of each operand.
+    value(x) must fix everything op reads from x, so a hit is what
+    evaluating op again would return.  No operand is kept.
+
+    The checkers call these memos in their innermost loops, so each key is
+    built in one tuple display, with no slice of the operands and no map.
     """
     memo = {}
+    get = memo.get
+    if nvalues == 4:
 
-    def call(*args):
-        key = args[:nvalues] + tuple(map(value, args[nvalues:]))
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = op(*args)
-        return hit
+        def call(f, g, i, j, a, b):
+            key = (f, g, i, j, value(a), value(b))
+            hit = get(key)
+            if hit is None:
+                hit = memo[key] = op(f, g, i, j, a, b)
+            return hit
+
+    else:
+
+        def call(*args):
+            key = (*args[:-1], value(args[-1]))
+            hit = get(key)
+            if hit is None:
+                hit = memo[key] = op(*args)
+            return hit
 
     return call
 
@@ -329,7 +350,7 @@ def verify_axioms(theory) -> ValidationReport:
     site = theory.site
     degrees = list(theory.degrees())
     rb = ReportBuilder()
-    gens = _remembered(theory.gens, 2, theory.value)
+    gens = cache(theory.gens)
     product = _remembered(theory.product, 4, theory.value)
     push = _remembered(theory.pushforward, 3, theory.value)
     pull = _remembered(theory.pullback, 3, theory.value)
@@ -502,6 +523,12 @@ def verify_axioms(theory) -> ValidationReport:
 # Grothendieck transformations
 
 
+def part_base(site: Site, x: str, variance: str) -> str:
+    """The base morphism over which the part of that variance lives at x:
+    X -> pt for the covariant part, id_X for the contravariant part."""
+    return site.to_point(x) if variance == "cov" else site.identity(x)
+
+
 class GrothTransf:
     """Collection of homs B(f)^i -> B'(f)^i over a shared site."""
 
@@ -520,6 +547,7 @@ class GrothTransf:
                 raise InvalidTransformationError(f"component at degree {i} outside window")
             if not self.site.has_morphism(f):
                 raise InvalidTransformationError(f"component at {f}, which is not a morphism of the site")
+        self._surjectivity = {}  # variance -> surjectivity_witness(variance)
 
     def component(self, f: str, i: int) -> GroupHom:
         stored = self._components.get((f, i))
@@ -534,12 +562,30 @@ class GrothTransf:
         return self.component(f, i)(a)
 
     # A transformation, its theories and its site are never written after
-    # construction, so its report is computed once and kept.
+    # construction, so its report and its surjectivity witnesses are computed
+    # once and kept: at most one report and two witnesses, freed with it.
 
     @cached_property
     def report(self) -> ValidationReport:
         """validate_groth(self), computed on first use."""
         return validate_groth(self)
+
+    def surjectivity_witness(self, variance: str):
+        """An (object, degree) where self is not onto the part of the given
+        variance, 'cov' or 'contra' (see part_base), or None; computed on the
+        first call for each variance."""
+        if variance not in ("cov", "contra"):
+            raise ValueError("variance must be 'contra' or 'cov'")
+        if variance not in self._surjectivity:
+            self._surjectivity[variance] = next(self._not_onto(variance), None)
+        return self._surjectivity[variance]
+
+    def _not_onto(self, variance: str):
+        for x in self.site.objects:
+            f = part_base(self.site, x, variance)
+            for i in self.src.degrees():
+                if not is_surjective(self.component(f, i)):
+                    yield (x, i)
 
 
 def validate_groth(t: GrothTransf) -> ValidationReport:

@@ -538,8 +538,14 @@ class FgAbGroup:
     def zero_element(self) -> "GroupElement":
         return self.element((0,) * self.ngens)
 
+    @cached_property
+    def _gens(self) -> tuple:
+        return tuple(self.element(unit) for unit in _identity_rows(self.ngens))
+
     def gens(self) -> list["GroupElement"]:
-        return [self.element(unit) for unit in _identity_rows(self.ngens)]
+        """The generators' elements, built once per group, in a new list on
+        every call, so a caller may change its list."""
+        return list(self._gens)
 
     def elements(self):
         """All elements; raises InfiniteGroupError if the group is infinite."""

@@ -53,6 +53,7 @@ from .bivcore import (
     GrothTransf,
     InvalidTransformationError,
     TabulatedBivTheory,
+    part_base,
 )
 from .exactalg import (
     FgAbGroup,
@@ -69,7 +70,6 @@ from .exactalg import (
     hom_preimage,
     image,
     induced_hom,
-    is_surjective,
     kernel,
     kernel_image,
 )
@@ -765,23 +765,6 @@ def comparison_hom(b: TabulatedBivTheory, base: str, degree: int, result: Family
     return GroupHom(src, result.group, IntMatrix.from_columns(cols, result.group.ngens))
 
 
-def part_base(site: Site, x: str, variance: str) -> str:
-    """The base morphism over which the part of that variance lives at x:
-    X -> pt for the covariant part, id_X for the contravariant part."""
-    return site.to_point(x) if variance == "cov" else site.identity(x)
-
-
-def surjectivity_witness(t: GrothTransf, variance: str):
-    """An (object, degree) where gamma is not onto the part of the given
-    variance, or None."""
-    for x in t.site.objects:
-        f = part_base(t.site, x, variance)
-        for i in t.src.degrees():
-            if not is_surjective(t.component(f, i)):
-                return (x, i)
-    return None
-
-
 class NotSurjectiveError(InvalidTransformationError):
     def __init__(self, variance, witness):
         self.witness = witness
@@ -798,7 +781,9 @@ def image_transfer(t: GrothTransf, base: str, degree: int, mode: str, variance: 
     """Transfer between the images of comparison(theory, base, degree).
 
     mode must be 'full', the one mode: the transfer maps into the target
-    theory and needs gamma onto the part of the given variance.  Both images
+    theory and needs gamma onto the part of the given variance, which
+    t.surjectivity_witness checks once per variance and keeps, as t.report
+    is kept, so a run of transfers along one t pays for it once.  Both images
     are presented on the generators of their theory's group, so the relations
     of the source image are exactly the kernel lattice of the source
     comparison.  The mapping's own check is the well-definedness certificate:
@@ -809,7 +794,7 @@ def image_transfer(t: GrothTransf, base: str, degree: int, mode: str, variance: 
         raise ValueError("mode must be 'full'")
     if not t.report.ok:
         raise InvalidTransformationError("; ".join(t.report.lines()))
-    witness = surjectivity_witness(t, variance)
+    witness = t.surjectivity_witness(variance)
     if witness is not None:
         raise NotSurjectiveError(variance, witness)
     to_target = t.component(base, degree)

@@ -424,13 +424,17 @@ class GradedFunctor:
     Groups outside the window are zero; maps involving a zero group default
     to the zero hom and identity morphisms default to the identity hom.
 
-    A functor is never written after construction, so it keeps one private
-    table, filled on first use, bounded by the functor and freed with it:
-    the plans of the class operations and compatibility checks over it,
-    which famsolve builds (see there).  A plan holds functor maps and slots
-    that name class components, and no group of a component: each class
-    checks its components' ends once, when it is built.  A plan that raises
-    is not stored, so it raises again on the next call.
+    A functor is never written after construction, so it keeps two private
+    tables, filled on first use, bounded by the functor and freed with it:
+      - _defaults: each default map that map() builds, one per (morphism,
+        grade) in the window, so each is built and checked once.  A
+        missing map is not stored, so it raises on every call.
+      - _plans: the plans of the class operations and compatibility checks
+        over it, which famsolve builds (see there).  A plan holds functor
+        maps and slots that name class components, and no group of a
+        component: each class checks its components' ends once, when it is
+        built.  A plan that raises is not stored, so it raises again on the
+        next call.
     """
 
     def __init__(self, site: Site, variance: str, window, groups, maps):
@@ -458,6 +462,7 @@ class GradedFunctor:
             if not self.acts_along(mor):
                 raise SiteStructureError(f"covariant functor map along non-confined {mor}")
             self._maps[(mor, m)] = hom_
+        self._defaults = {}  # (morphism, grade) -> default map, filled by map()
         self._plans = {}  # (operation, operand bases and degrees, morphisms) -> plan
 
     def grades(self):
@@ -488,15 +493,19 @@ class GradedFunctor:
             raise NonConfinedError(
                 f"covariant functor has no pushforward along non-confined {mor}"
             )
-        stored = self._maps.get((mor, m))
+        stored = self._maps.get((mor, m)) or self._defaults.get((mor, m))
         if stored is not None:
             return stored
         src, tgt = self._endpoints(mor, m)
         if self.site.is_identity(mor):
-            return GroupHom.identity(src)
-        if src.is_trivial or tgt.is_trivial:
-            return GroupHom.zero(src, tgt)
-        raise MissingMapError(f"no map stored for ({mor}, grade {m})")
+            default = GroupHom.identity(src)
+        elif src.is_trivial or tgt.is_trivial:
+            default = GroupHom.zero(src, tgt)
+        else:
+            raise MissingMapError(f"no map stored for ({mor}, grade {m})")
+        if self.window[0] <= m <= self.window[1]:
+            self._defaults[(mor, m)] = default
+        return default
 
     def _is_typed(self, mor: str, m: int) -> bool:
         """Whether the map along mor in grade m exists and runs between the

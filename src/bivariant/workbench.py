@@ -24,7 +24,6 @@ from .bivcore import (
     validate_axioms,
     validate_groth,
 )
-from .famsolve import surjectivity_witness
 from . import cooperational as coop
 from . import operational as op
 
@@ -726,9 +725,9 @@ def demo_checks(n: int):
     yield "point isomorphism", op.verify_point_isomorphism(b)
 
     rb = ReportBuilder()
-    if surjectivity_witness(gamma, "cov") is not None:
+    if gamma.surjectivity_witness("cov") is not None:
         rb.add("transfer", "reduction is not covariant-surjective")
-    if surjectivity_witness(gamma, "contra") is not None:
+    if gamma.surjectivity_witness("contra") is not None:
         rb.add("transfer", "reduction is not contravariant-surjective")
     for mor in site.morphisms:
         op.op_image_transfer(gamma, mor.name, 0, mode="full")

@@ -26,7 +26,7 @@ from bivariant.cooperational import (
     verify_identity_isomorphism,
 )
 from bivariant.exactalg import FgAbGroup, GroupHom, IntMatrix, image, kernel
-from bivariant.famsolve import recover, surjectivity_witness
+from bivariant.famsolve import recover
 from bivariant.site import GradedFunctor, NaturalTransf, NonConfinedError
 from bivariant.workbench import (
     build_subsets_instance,
@@ -228,7 +228,7 @@ class TestComparisonIdentities:
             assert sub.group.canonical() == b.group(idx, 0).canonical()
 
     def test_contravariant_surjectivity(self, bundle):
-        assert surjectivity_witness(bundle.groth["gamma"], "contra") is None
+        assert bundle.groth["gamma"].surjectivity_witness("contra") is None
         for mor in bundle.site.morphisms:
             coop_image_transfer(bundle.groth["gamma"], mor.name, 0, mode="full")
 

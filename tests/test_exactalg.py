@@ -965,6 +965,17 @@ class TestColumnWalk:
         assert [x.coords for x in group.gens()] == [dense_reduce(group, e) for e in units]
         assert all(x.group is group for x in group.gens())
 
+    def test_gens_are_built_once_and_returned_in_a_fresh_list(self):
+        group = FgAbGroup.from_invariants(1, (2, 4))
+        first = group.gens()
+        assert type(first) is list
+        kept = list(first)
+        first.append(group.zero_element())
+        first[0] = first[1]
+        second = group.gens()
+        assert second is not first and second == kept
+        assert all(x is y for x, y in zip(second, kept))
+
 
 class TestKernelImage:
     def test_kernel_of_identity(self):

@@ -242,7 +242,7 @@ def test_the_writer_serializes_every_document_the_reader_accepts():
     bundles = parsed_mutations()
     for bundle in bundles:
         assert_written_back(bundle)
-    assert len(bundles) == 196
+    assert len(bundles) == 172
 
 
 def test_a_missing_product_table_is_reported():

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from bivariant import bivcore
 from bivariant.bivcore import GrothTransf, InvalidTransformationError
 from bivariant.cooperational import coop_image_transfer
-from bivariant.exactalg import FgAbGroup, GroupHom, IntMatrix, image, kernel
-from bivariant.famsolve import NotSurjectiveError, recover, surjectivity_witness
+from bivariant.exactalg import FgAbGroup, GroupHom, IntMatrix, image, is_surjective, kernel
+from bivariant.famsolve import NotSurjectiveError, recover
 from bivariant.operational import (
     op_from_bivariant,
     op_group,
@@ -209,7 +210,7 @@ class TestImageTransfer:
 
     def test_mod_two_is_covariant_surjective(self, bundle):
         gamma = bundle.groth["gamma"]
-        assert surjectivity_witness(gamma, "cov") is None
+        assert gamma.surjectivity_witness("cov") is None
 
     def test_mod_two_transfer_identities(self, bundle):
         gamma = bundle.groth["gamma"]
@@ -259,6 +260,50 @@ class TestImageTransfer:
             with pytest.raises(NotSurjectiveError) as err:
                 transfer(zero, "0>01", 0, mode="full")
             assert err.value.witness == ("0", 0)
+
+
+class TestSurjectivityOnce:
+    """A Grothendieck map checks surjectivity onto each part once, on the
+    first image transfer of that variance, and keeps the witness."""
+
+    def test_is_surjective_runs_only_for_the_first_transfer_of_each_variance(self, monkeypatch):
+        bundle = build_subsets_instance(3)
+        gamma = bundle.groth["gamma"]
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return is_surjective(f)
+
+        monkeypatch.setattr(bivcore, "is_surjective", counted)
+        bases = sorted(m.name for m in bundle.site.morphisms)
+        assert len(bases) == 27
+        per_variance = len(bundle.site.objects) * len(list(gamma.src.degrees()))
+        for transfer in (op_image_transfer, coop_image_transfer):
+            before = len(calls)
+            transfer(gamma, bases[0], 0, mode="full")
+            assert len(calls) - before == per_variance
+            for base in bases[1:]:
+                transfer(gamma, base, 0, mode="full")
+            assert len(calls) - before == per_variance
+        assert len(calls) == 2 * per_variance
+        assert gamma._surjectivity == {"cov": None, "contra": None}
+
+    def test_a_non_surjective_map_raises_the_same_witness_on_every_call(self, bundle):
+        b, b2 = bundle.theories["B"], bundle.theories["B2"]
+        zero = GrothTransf(b, b2, {(m.name, 0): GroupHom.zero(b.group(m.name, 0), b2.group(m.name, 0)) for m in b.site.morphisms})
+        for _ in range(3):
+            for transfer in (op_image_transfer, coop_image_transfer):
+                with pytest.raises(NotSurjectiveError) as err:
+                    transfer(zero, "0>01", 0, mode="full")
+                assert err.value.witness == ("0", 0)
+        assert zero._surjectivity == {"cov": ("0", 0), "contra": ("0", 0)}
+
+    def test_an_unknown_variance_is_rejected_and_not_kept(self, bundle):
+        gamma = bundle.groth["gamma"]
+        with pytest.raises(ValueError, match="variance"):
+            gamma.surjectivity_witness("both")
+        assert "both" not in gamma._surjectivity
 
 
 class TestDegreeWindow:

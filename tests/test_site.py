@@ -366,6 +366,23 @@ class TestFunctorTables:
             with pytest.raises(NonConfinedError):
                 h.map("0>01", 0)
         assert missing._maps == maps
+        assert missing._defaults == {}
+
+    def test_a_default_map_is_built_once_and_kept_apart(self):
+        # the document stores neither E's maps, which end at the zero group,
+        # nor an identity map that is dropped below
+        f = parsed_subsets(2).functors["F"]
+        maps = {key: hom for key, hom in f._maps.items() if key != ("01>01", 0)}
+        functor = GradedFunctor(f.site, "contra", (0, 0), f._groups, maps)
+        identity, zero = functor.map("01>01", 0), functor.map("E>0", 0)
+        assert identity.equals(GroupHom.identity(functor.group("01", 0)))
+        assert zero.tgt.is_trivial
+        assert functor.map("01>01", 0) is identity and functor.map("E>0", 0) is zero
+        assert functor._defaults == {("01>01", 0): identity, ("E>0", 0): zero}
+        assert functor._maps == maps
+        # a grade outside the window reads the zero map, which is not kept
+        assert functor.map("01>01", 1).src.is_trivial
+        assert ("01>01", 1) not in functor._defaults
 
     def test_verifying_leaves_the_given_maps_and_the_report_unchanged(self):
         bundle = parsed_subsets(2)
@@ -452,6 +469,69 @@ class TestNaturalTransf:
 
 def one_object_site(confined=("E>E",)):
     return Site(["E"], [("E>E", "E", "E")], {"E": "E>E"}, {("E>E", "E>E"): "E>E"}, confined, {("E>E", "E>E"): ("E", "E>E", "E>E")})
+
+
+def arrow_site(**changes):
+    """Site(**args) of the arrow f: x -> y with its identities, after
+    replacing the arguments named in changes."""
+    args = {
+        "objects": ["x", "y"],
+        "morphisms": [("ix", "x", "x"), ("iy", "y", "y"), ("f", "x", "y")],
+        "identities": {"x": "ix", "y": "iy"},
+        "composition": {("ix", "ix"): "ix", ("iy", "iy"): "iy", ("f", "ix"): "f", ("iy", "f"): "f"},
+        "confined": ["ix", "iy", "f"],
+        "pullbacks": {
+            ("ix", "ix"): ("x", "ix", "ix"),
+            ("iy", "iy"): ("y", "iy", "iy"),
+            ("f", "iy"): ("x", "ix", "f"),
+            ("iy", "f"): ("x", "f", "ix"),
+            ("f", "f"): ("x", "ix", "ix"),
+        },
+    }
+    return Site(**{**args, **changes})
+
+
+class TestStructureErrors:
+    """Each structure check of Site and GradedFunctor that no instance file
+    reaches, because the reader rejects the same input first, or that only
+    the library API can send."""
+
+    def test_the_arrow_site_is_valid(self):
+        assert validate_site(arrow_site()).ok
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"objects": ["x", "y", "x"]}, "duplicate object names"),
+            (
+                {"morphisms": [("ix", "x", "x"), ("iy", "y", "y"), ("f", "x", "y"), ("f", "x", "y")]},
+                "duplicate morphism names",
+            ),
+            ({"identities": {"x": "f", "y": "iy"}}, "identity of x is not an endomorphism of x"),
+            ({"composition": {("f", "f"): "f"}}, "(f, f) is not a composable pair"),
+            ({"composition": {("iy", "f"): "ix"}}, "composite of (iy, f) has wrong endpoints"),
+            ({"pullbacks": {("f", "ix"): ("x", "ix", "ix")}}, "(f, ix) is not a cospan"),
+            ({"pullbacks": {("f", "iy"): ("x", "ix", "ix")}}, "left leg of (f, iy) is ill-typed"),
+        ],
+        ids=["objects", "morphisms", "identity", "composable", "composite", "cospan", "left-leg"],
+    )
+    def test_site(self, changes, message):
+        with pytest.raises(SiteStructureError) as err:
+            arrow_site(**changes)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "groups, maps, message",
+        [
+            ({("x", 1): FgAbGroup.free(1)}, {}, "functor group at grade 1 outside window"),
+            ({}, {("f", -1): GroupHom.identity(FgAbGroup.free(1))}, "functor map at grade -1 outside window"),
+        ],
+        ids=["group", "map"],
+    )
+    def test_functor_grade_outside_the_window(self, groups, maps, message):
+        with pytest.raises(SiteStructureError) as err:
+            GradedFunctor(arrow_site(), "contra", (0, 0), groups, maps)
+        assert str(err.value) == message
 
 
 class TestStructuralReports:

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -278,6 +280,44 @@ def test_a_component_outside_the_window_is_an_input_error(tmp_path, section, nam
     assert result.returncode == 2 and result.stderr.startswith(f"input error: {section}.{name}: ")
 
 
+@pytest.mark.parametrize(
+    "table, index, field, kind",
+    [
+        ("products", 1, "i", "product"),
+        ("products", 1, "j", "product"),
+        ("pushforwards", 2, "i", "pushforward"),
+        ("pullbacks", 1, "i", "pullback"),
+    ],
+)
+def test_a_theory_entry_outside_the_window_is_an_input_error(tmp_path, table, index, field, kind):
+    # it used to parse, validate OK, and be written back
+    doc = bundle_to_json(build_subsets_instance(1))
+    assert doc["theories"]["B"]["window"] == [0, 0]
+    doc["theories"]["B"][table][index][field] = -1
+    with pytest.raises(InstanceFileError, match=f"^theories.B: {kind} entry .* outside the window \\(0, 0\\)$") as err:
+        parse_instance(doc)
+    assert err.value.location == "theories.B"
+    assert isinstance(err.value.__cause__, bivcore.DegreeWindowError)
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc), encoding="utf-8")
+    result = run_cli("validate", str(file))
+    assert result.returncode == 2 and result.stderr.startswith("input error: theories.B: ")
+
+
+@pytest.mark.parametrize(
+    "table, key",
+    [("products", ("E>0", "0>0", 0, 1)), ("pushforwards", ("E>E", "E>0", 1)), ("pullbacks", ("0>0", "E>0", -2))],
+)
+def test_a_theory_rejects_a_table_entry_outside_its_window(table, key):
+    b = build_subsets_instance(1).theories["B"]
+    tables = {"products": b._products, "pushforwards": b._pushforwards, "pullbacks": b._pullbacks}
+    tables[table] = {**tables[table], key: next(iter(tables[table].values()))}
+    kind = table[:-1]
+    with pytest.raises(bivcore.DegreeWindowError) as err:
+        bivcore.TabulatedBivTheory(b.site, b.window, b._groups, tables["products"], tables["pushforwards"], tables["pullbacks"], {})
+    assert str(err.value) == f"{kind} entry {key} has a degree outside the window (0, 0)"
+
+
 def test_a_covariant_map_along_a_non_confined_morphism_is_an_input_error(tmp_path):
     # it used to parse, never be read, and be dropped when written back
     for n in (1, 2, 3):
@@ -312,6 +352,35 @@ def test_a_repeated_object_key_is_an_input_error(tmp_path):
 
 
 class TestDemo:
+    def test_demo_caches_are_bounded_and_die_with_the_bundle(self, monkeypatch):
+        # the per-object caches live on the bundle's functors and maps, never
+        # grow past their bounds, and are freed with the bundle; the bundle is
+        # read from its document, which stores no map a functor supplies by
+        # default, so the default-map tables fill
+        built = []
+
+        def build(n):
+            built.append(parse_instance(bundle_to_json(build_subsets_instance(n))))
+            return built[-1]
+
+        monkeypatch.setattr(workbench, "build_subsets_instance", build)
+        assert all(report.ok for _, report in workbench.demo_checks(3))
+        bundle = built.pop()
+        morphisms = len(bundle.site.morphisms)
+        functors = [*bundle.functors.values()]
+        for theory in bundle.theories.values():
+            functors += [theory.covariant_part, theory.contravariant_part]
+        assert any(functor._defaults for functor in functors)
+        for functor in functors:
+            assert len(functor._defaults) <= morphisms * len(functor.grades())
+        for gamma in bundle.groth.values():
+            assert len(gamma._surjectivity) <= 2
+        assert bundle.groth["gamma"]._surjectivity == {"cov": None, "contra": None}
+        ref = weakref.ref(bundle)
+        del bundle, functors, theory, functor, gamma
+        gc.collect()
+        assert ref() is None
+
     def test_demo_one_passes(self):
         lines, ok = run_demo(1)
         assert ok
