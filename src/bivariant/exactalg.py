@@ -847,7 +847,15 @@ def hom_group(src: FgAbGroup, tgt: FgAbGroup) -> HomGroup:
 def induced_hom(
     source: HomGroup, target: HomGroup, pre: GroupHom | None = None, post: GroupHom | None = None
 ) -> GroupHom:
-    """The map Hom(A,B) -> Hom(C,D), phi |-> post o phi o pre, on codec groups.
+    """The map Hom(A,B) -> Hom(C,D), phi |-> post o phi o pre, on codec
+    groups: the checked hom whose columns induced_columns computes."""
+    cols = induced_columns(source, target, pre, post, {})
+    return GroupHom(source.group, target.group, IntMatrix.from_columns(cols, target.group.ngens))
+
+
+def induced_columns(source: HomGroup, target: HomGroup, pre, post, canonical: dict) -> list:
+    """The columns of induced_hom(source, target, pre, post), each reduced in
+    target.group, with no IntMatrix or GroupHom built.
 
     In the canonical bases (U_X the left Smith transform of X) the generator
     of source summand (j, i, order, coeff) is coeff * E_ji, and post o phi o
@@ -856,6 +864,11 @@ def induced_hom(
     image has the raw value coeff * L[j'][j] * R[i][i'] at target summand
     (j', i', order', coeff'), encoded as HomGroup.encode does: mod b_j',
     then divided by coeff'.  No hom is decoded per generator.
+
+    L and R are each a map in the canonical bases of its own ends, so they
+    depend on the map alone.  canonical is a dict id(map) -> those rows,
+    filled here, so that a caller building many blocks from a few maps
+    conjugates each once; it must not outlive the maps it names.
     """
     a, b = source.src, source.tgt
     if (pre is not None and pre.tgt != a) or (post is not None and post.src != b):
@@ -865,15 +878,22 @@ def induced_hom(
     if c != target.src or d != target.tgt:
         raise ShapeMismatchError("hom does not match this Hom group")
     # with no pre, C == A so U_A U_C^-1 is the identity; likewise for post
-    left = _identity_rows(b.ngens) if post is None else _conjugated(d._smith.u, post.mat, b._smith.u_inv)
-    right = _identity_rows(a.ngens) if pre is None else _conjugated(a._smith.u, pre.mat, c._smith.u_inv)
+    left = _identity_rows(b.ngens) if post is None else _canonical_rows(post, canonical)
+    right = _identity_rows(a.ngens) if pre is None else _canonical_rows(pre, canonical)
+    reduce, coords, summands = target.group.reduce, target._summand_coords, target.summands
     cols = []
     for j, i, _order, coeff in source.summands:
         r = right[i]
-        raws = (coeff * left[jt][j] * r[it] for jt, it, _, _ in target.summands)
-        cols.append(target.group.reduce(target._summand_coords(raws)))
-    mat = IntMatrix.from_columns(cols, target.group.ngens)
-    return GroupHom(source.group, target.group, mat)
+        cols.append(reduce(coords(coeff * left[jt][j] * r[it] for jt, it, _, _ in summands)))
+    return cols
+
+
+def _canonical_rows(h: GroupHom, canonical: dict) -> list:
+    """The dense rows of U_tgt h U_src^-1, kept in canonical under id(h)."""
+    rows = canonical.get(id(h))
+    if rows is None:
+        rows = canonical[id(h)] = _conjugated(h.tgt._smith.u, h.mat, h.src._smith.u_inv)
+    return rows
 
 
 # ---------------------------------------------------------------------------

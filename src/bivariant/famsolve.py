@@ -22,12 +22,20 @@ signed sum of terms post o c_key o pre that must vanish.  FamilySolution
 assembles the constraint map between the direct sums of the Hom groups and
 returns its kernel with an element <-> family codec; its assembler,
 constraint_map, also yields the transfer's link map on coop(F) and coop(G).
+The assembler writes each term's block in place: its columns come from
+exactalg.induced_columns, the closed form that induced_hom is built on, and
+are added with their sign straight into the rows, so the only hom it builds,
+and checks, is the constraint map itself.
 
 A class stores its components in a dict, and an absent key reads as the
 zero hom.  Each stored component is checked once, when its class is built:
 its key must be (g into the base's target, grade inside the window), and
 its hom must run between the component's ends, or ShapeMismatchError is
-raised; nothing writes the components afterwards.  The results of the
+raised; nothing writes the components afterwards.  Both the keys and the
+ends are read from the functor's table of ends (GradedFunctor._ends),
+filled once per base and feasible degree.  Two classes over one functor
+with equal values (see FamilyClass.value) are equal with no component
+compared.  The results of the
 operations (product, pushforward, pullback, transport) store only their
 nonzero components; decoded generators store every component of the
 solution, zero ones included.
@@ -69,7 +77,7 @@ from .exactalg import (
     hom_group,
     hom_preimage,
     image,
-    induced_hom,
+    induced_columns,
     kernel,
     kernel_image,
 )
@@ -108,30 +116,36 @@ class FamilySolution:
     def constraint_map(self, constraints):
         """(kept, codecs, sum, hom): the constraints in a nontrivial Hom group,
         their terms on trivial summands dropped, the codecs and direct sum of
-        those Hom groups, and u |-> (sum of sign * post o u_key o pre) on it."""
-        kept, targets = [], []
+        those Hom groups, and u |-> (sum of sign * post o u_key o pre) on it.
+
+        Each term is one signed block of the matrix, at the offsets of its
+        constraint (rows) and its unknown (columns); its columns, from
+        induced_columns, are added straight into the rows.  The Hom groups
+        are looked up once per (src, tgt) pair, and each pre or post map is
+        conjugated once, in tables that die with the call."""
+        kept, targets, homs = [], [], {}
         for c in constraints:
-            hg = hom_group(c.src, c.tgt)
+            pair = id(c.src), id(c.tgt)
+            hg = homs.get(pair)
+            if hg is None:
+                hg = homs[pair] = hom_group(c.src, c.tgt)
             if not hg.group.is_trivial:
                 kept.append(ConstraintSpec(c.key, c.src, c.tgt, tuple(t for t in c.terms if t.summand_key in self._pos)))
                 targets.append(hg)
         total = direct_sum([hg.group for hg in targets])
-        # each term's induced hom is one signed block of the matrix, at the
-        # offsets of its constraint (rows) and its unknown (columns)
         ncols = self.unknowns.group.ngens
         rows = [[0] * ncols for _ in range(total.group.ngens)]
-        for ci, c in enumerate(kept):
-            top = total.offsets[ci]
+        canonical = {}
+        for c, target, top in zip(kept, targets, total.offsets):
             for t in c.terms:
                 si = self._pos[t.summand_key]
                 left = self.unknowns.offsets[si]
                 sign = 1 if t.sign > 0 else -1
-                ind = induced_hom(self.hom_groups[si], targets[ci], t.pre, t.post)
-                for i, entries in enumerate(ind.mat.entries):
-                    row = rows[top + i]
-                    for j, a in enumerate(entries):
+                cols = induced_columns(self.hom_groups[si], target, t.pre, t.post, canonical)
+                for j, col in enumerate(cols, left):
+                    for i, a in enumerate(col, top):
                         if a:
-                            row[left + j] += sign * a
+                            rows[i][j] += sign * a
         mat = IntMatrix(len(rows), ncols, tuple(tuple(r) for r in rows))
         return kept, targets, total, GroupHom(self.unknowns.group, total.group, mat)
 
@@ -230,6 +244,24 @@ def _ends(functor: GradedFunctor, leg_obj: str, apex_obj: str, m: int, degree: i
     """(source, target) groups of the component at grade m between the two objects."""
     leg, apex = _grades(functor, m, degree)
     return _oriented(functor, functor.group(leg_obj, leg), functor.group(apex_obj, apex))
+
+
+def _component_table(functor: GradedFunctor, base: str, degree: int) -> dict:
+    """{(g, m): (source, target)} over every key of a class over base of the
+    degree: g into the base's target, m in the window.  Kept in the
+    functor's table of ends (GradedFunctor._ends) on first use, only for a
+    feasible degree; for any other degree it is computed and not kept."""
+    table = functor._ends.get((base, degree))
+    if table is None:
+        site = functor.site
+        table = {}
+        for g in site.morphisms_into(site.tgt(base)):
+            apex = site.chosen_pullback(base, g).apex
+            for m in functor.grades():
+                table[(g, m)] = _ends(functor, site.src(g), apex, m, degree)
+        if degree in feasible_degrees(functor):
+            functor._ends[(base, degree)] = table
+    return table
 
 
 def _is_zero(hom: GroupHom) -> bool:
@@ -414,13 +446,12 @@ class FamilyClass:
         self.base = base
         self.degree = degree
         self.components = {} if components is None else components
-        site, grades = self.site, self.functor.grades()
-        into = site.morphisms_into(site.tgt(self.base))
+        ends = _component_table(functor, base, degree)
         for key, hom in self.components.items():
-            g, m = key
-            if not (g in into and m in grades):
+            found = ends.get(key)
+            if found is None:
                 raise ShapeMismatchError(f"a class over {self.base} has no component at {key}")
-            src, tgt = self._component_ends(g, m)
+            src, tgt = found
             if (hom.src is not src and hom.src != src) or (hom.tgt is not tgt and hom.tgt != tgt):
                 raise ShapeMismatchError(f"the component at {key} does not run between its ends")
 
@@ -440,10 +471,13 @@ class FamilyClass:
         return self.base, self.degree, nonzero
 
     def _component_ends(self, g: str, m: int):
-        """(source, target) groups of the component at (g, m)."""
-        site = self.site
-        apex = site.chosen_pullback(self.base, g).apex
-        return _ends(self.functor, site.src(g), apex, m, self.degree)
+        """(source, target) groups of the component at (g, m), read from the
+        functor's table of ends; computed for a grade outside the window."""
+        ends = _component_table(self.functor, self.base, self.degree).get((g, m))
+        if ends is None:
+            site = self.site
+            ends = _ends(self.functor, site.src(g), site.chosen_pullback(self.base, g).apex, m, self.degree)
+        return ends
 
     def component(self, g: str, m: int) -> GroupHom:
         """The stored component, or the zero hom where none is stored."""
@@ -479,9 +513,16 @@ class FamilyClass:
 
     def __eq__(self, other):
         """Equal components at every key; a component stored on one side only
-        must vanish."""
+        must vanish.
+
+        Over one functor, equal values settle it at once: the value holds the
+        base, the degree and the entries of every nonzero component, and an
+        absent component reads as zero.  Otherwise the components are
+        compared one by one, modulo the target relations."""
         if not isinstance(other, FamilyClass):
             return NotImplemented
+        if self.functor is other.functor and self.value == other.value:
+            return True
         if not self._same_context(other):
             return False
         mine, theirs = self.components, other.components
@@ -574,11 +615,7 @@ class FamilyGroup(Frozen):
 def family_group(functor: GradedFunctor, base: str, degree: int) -> FamilyGroup:
     """Solve for every compatible family over the base morphism."""
     site = functor.site
-    summands = []
-    for g in site.morphisms_into(site.tgt(base)):
-        apex = site.chosen_pullback(base, g).apex
-        for m in functor.grades():
-            summands.append(SummandSpec((g, m), *_ends(functor, site.src(g), apex, m, degree)))
+    summands = [SummandSpec(key, *ends) for key, ends in _component_table(functor, base, degree).items()]
     constraints = []
     for g, k, w, gk in _squares(functor, base):
         apex = site.chosen_pullback(base, g).apex

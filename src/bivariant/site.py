@@ -424,11 +424,18 @@ class GradedFunctor:
     Groups outside the window are zero; maps involving a zero group default
     to the zero hom and identity morphisms default to the identity hom.
 
-    A functor is never written after construction, so it keeps two private
-    tables, filled on first use, bounded by the functor and freed with it:
+    A functor is never written after construction, so it keeps three
+    private tables, filled on first use, bounded by the functor and freed
+    with it:
       - _defaults: each default map that map() builds, one per (morphism,
         grade) in the window, so each is built and checked once.  A
         missing map is not stored, so it raises on every call.
+      - _ends: per (base, degree), the (source, target) groups of every
+        component key (g, m) of a class over that base, which famsolve
+        fills and every class reads.  Only degrees in
+        famsolve.feasible_degrees are kept, so it holds at most |morphisms|
+        x |feasible degrees| tables of |morphisms into a target| x |grades|
+        entries; the ends at any other degree are computed and not kept.
       - _plans: the plans of the class operations and compatibility checks
         over it, which famsolve builds (see there).  A plan holds functor
         maps and slots that name class components, and no group of a
@@ -464,6 +471,7 @@ class GradedFunctor:
             self._maps[(mor, m)] = hom_
         self._defaults = {}  # (morphism, grade) -> default map, filled by map()
         self._plans = {}  # (operation, operand bases and degrees, morphisms) -> plan
+        self._ends = {}  # (base, degree) -> {(g, m): component ends}, filled by famsolve
 
     def grades(self):
         return range(self.window[0], self.window[1] + 1)

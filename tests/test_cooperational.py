@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from bivariant.bivcore import TabulatedBivTheory
+from bivariant.bivcore import GrothTransf, TabulatedBivTheory
 from bivariant.cooperational import (
     CoopClass,
+    MapFamily,
     RingStructureError,
     coop_from_bivariant,
     coop_group,
@@ -426,6 +427,35 @@ class TestCupAndPower:
 
     def test_cup_compatible_with_reduction(self, bundle):
         assert cup_transform_compatibility(bundle.groth["gamma"], "01", 0).ok
+
+    def test_a_component_that_is_not_natural_is_reported(self, bundle):
+        # the square's component at 0>01 made the identity: along h = 0>01,
+        # the pulled-back square (h^*x)^2 and h^*x differ exactly where the
+        # coordinate at 0 is neither 0 nor 1, which on the degree-2 grid
+        # {0, 1, 2}^2 is x = (2, *)
+        fam = power_family(bundle.theories["B"], "01", 2)
+        comps = {**fam.components, ("0>01", 0): lambda x: x}
+        broken = MapFamily(fam.functor, fam.base, comps, fam.grade_out, fam.poly_degree)
+        message = "family does not commute with pullback"
+        assert power_naturality_report(broken).to_json() == [
+            {"kind": "power-naturality", "message": message, "witness": {"g": "01>01", "grade": 0, "h": "0>01", "x": (2, y)}}
+            for y in range(3)
+        ]
+
+    def test_a_transformation_that_breaks_the_cup_is_reported(self, bundle):
+        # gamma made zero over id_01 only: t(a) = 0, so the right side
+        # vanishes, while t(x cup g^*a) = x cup g^*a mod 2 is nonzero exactly
+        # where g^*a is, that is at g = 0>01 for e0 and g = 1>01 for e1; over
+        # g = 01>01 both sides read t over id_01, and B(E) is trivial
+        gamma = bundle.groth["gamma"]
+        b, b2 = gamma.src, gamma.tgt
+        zero = GroupHom.zero(b.group("01>01", 0), b2.group("01>01", 0))
+        broken = GrothTransf(b, b2, {**gamma._components, ("01>01", 0): zero})
+        message = "t(x cup g^*a) != t(x) cup g^*t(a)"
+        assert cup_transform_compatibility(broken, "01", 0).to_json() == [
+            {"kind": "cup-compatibility", "message": message, "witness": {"a": (1, 0), "g": "0>01", "obj": "01", "x": (1,)}},
+            {"kind": "cup-compatibility", "message": message, "witness": {"a": (0, 1), "g": "1>01", "obj": "01", "x": (1,)}},
+        ]
 
     def test_transfer_recovers_reduction_on_cup_classes(self, bundle):
         # companion of coop(alpha) under the reduction is coop(alpha mod 2)

@@ -28,6 +28,7 @@ from bivariant.exactalg import (
     IntMatrix,
     ShapeMismatchError,
     image,
+    induced_hom,
     kernel,
 )
 from bivariant.famsolve import (
@@ -138,9 +139,96 @@ class TestAssembledConstraintMatrix:
             for degree in feasible_degrees(functor):
                 assert_matches_reference(family_group(functor, mor.name, degree).solution)
 
+    @pytest.mark.parametrize("part", ["contravariant_part", "covariant_part"])
+    def test_torsion_theory_parts_at_every_base(self, bundle, part):
+        # B2's parts take values in Z/2, so every Hom group of a nonzero
+        # block is torsion and each block is reduced before its signed sum
+        functor = getattr(bundle.theories["B2"], part)
+        torsion = 0
+        for mor in bundle.site.morphisms:
+            for degree in feasible_degrees(functor):
+                sol = family_group(functor, mor.name, degree).solution
+                torsion += sum(bool(hg.group.torsion) for hg in sol.hom_groups + sol.targets)
+                assert_matches_reference(sol)
+        assert torsion
+
+    def test_mixed_torsion_blocks_are_reduced_before_their_sum(self):
+        # Hom(Z/2 + Z/6, Z/3 + Z/6) has summands of orders 3, 2 and 6, which
+        # reduce on the general path, where a block's raw coordinates are not
+        # yet its representatives
+        a, b = FgAbGroup.from_invariants(0, (2, 6)), FgAbGroup.from_invariants(0, (3, 6))
+        pre = GroupHom(a, a, IntMatrix(2, 2, ((1, 1), (0, 1))))
+        post = GroupHom(b, b, IntMatrix(2, 2, ((1, 1), (0, 5))))
+        terms = (TermSpec(1, "x", post=post), TermSpec(-1, "x", pre=pre))
+        sol = FamilySolution([SummandSpec("x", a, b)], [ConstraintSpec("c", a, b, terms)])
+        assert sol.hom_groups[0].group._reduction[0] == "general"
+        assert sol.group.canonical() == (0, (6,))
+        assert_matches_reference(sol)
+
     def test_transfer_joint_system(self, bundle):
         joint, _, _ = joint_transfer_reference(bundle.transformations["T"], "01>01", 0)
         assert_matches_reference(joint)
+
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            (lambda z, z2: TermSpec(1, "x", pre=GroupHom.identity(z2)), "middle groups disagree in composition"),
+            (lambda z, z2: TermSpec(1, "x", post=GroupHom.identity(z2)), "middle groups disagree in composition"),
+            (lambda z, z2: TermSpec(1, "x", pre=GroupHom.zero(z2, z)), "hom does not match this Hom group"),
+            (lambda z, z2: TermSpec(1, "x", post=GroupHom.zero(z, z2)), "hom does not match this Hom group"),
+        ],
+        ids=["pre-misses-the-summand", "post-misses-the-summand", "pre-misses-the-constraint", "post-misses-the-constraint"],
+    )
+    def test_a_term_that_does_not_meet_its_summand_raises(self, term, message):
+        # the summand is Hom(Z, Z) and the constraint Hom(Z, Z); a pre or post
+        # on Z/2 meets neither, and one from or to Z/2 runs into the wrong
+        # Hom group; each raises with induced_hom's own message, also when
+        # the assembler is called on a solution already built
+        z = FgAbGroup.free(1)
+        z2 = FgAbGroup.from_invariants(0, (2,))
+        bad = ConstraintSpec("c", z, z, (term(z, z2),))
+        pattern = f"^{message}$"
+        with pytest.raises(ShapeMismatchError, match=pattern):
+            FamilySolution([SummandSpec("x", z, z)], [bad])
+        sol = FamilySolution([SummandSpec("x", z, z)], [ConstraintSpec("c", z, z, (TermSpec(1, "x"),))])
+        with pytest.raises(ShapeMismatchError, match=pattern):
+            sol.constraint_map([bad])
+        with pytest.raises(ShapeMismatchError, match=pattern):
+            induced_hom(sol.hom_groups[0], sol.targets[0], bad.terms[0].pre, bad.terms[0].post)
+
+    def test_each_call_builds_one_checked_hom(self, monkeypatch):
+        # every block is written into the rows in place; the one GroupHom
+        # built, and checked, is the constraint hom that the call returns
+        checked = []
+        original_check = GroupHom.__post_init__
+
+        def counted_check(hom):
+            checked.append(hom)
+            original_check(hom)
+
+        built = []
+        original_map = FamilySolution.constraint_map
+
+        def counted_map(sol, constraints):
+            before = len(checked)
+            out = original_map(sol, constraints)
+            built.append((checked[before:], out[3]))
+            return out
+
+        monkeypatch.setattr(GroupHom, "__post_init__", counted_check)
+        monkeypatch.setattr(FamilySolution, "constraint_map", counted_map)
+        subsets = build_subsets_instance(3)
+        for name in ("F", "h"):
+            functor = subsets.functors[name]
+            for mor in subsets.site.morphisms:
+                for degree in feasible_degrees(functor):
+                    family_group(functor, mor.name, degree)
+        assert len(built) == 2 * 27  # two functors, 27 bases, one feasible degree
+        for base in ("01>01", "0>012", "01>012"):
+            # the coop groups of F and F2, then the link map's two halves
+            transfer_subgroup(subsets.transformations["T"], base, 0)
+        assert len(built) == 2 * 27 + 3 * 4
+        assert all(len(homs) == 1 and homs[0] is hom for homs, hom in built)
 
     def test_no_kept_constraints(self):
         z = FgAbGroup.free(1)
@@ -341,6 +429,22 @@ class TestNaturalityCube:
             {"kind": "naturality-cube", "message": self.LINK, "witness": {"g": "E>E", "grade": 0}}
         ]
 
+    def test_a_transformation_that_is_not_natural_is_reported(self, bundle):
+        # T made zero at the object 0: over 01>01 the square at g = 01>01
+        # along h = 0>01 compares T_0 o w^* = 0 with w^* o T_01 != 0, with w
+        # the inclusion of 0 in 01; every other square over 01>01 avoids 0
+        # or ends at E, where F and F2 vanish
+        T = bundle.transformations["T"]
+        zero = GroupHom.zero(T.src.group("0", 0), T.tgt.group("0", 0))
+        broken = NaturalTransf(T.src, T.tgt, {**T._components, ("0", 0): zero})
+        tsr = transfer_subgroup(broken, "01>01", 0)
+        assert naturality_cube_report(tsr).to_json() == [
+            {"kind": "naturality-cube", "message": "T naturality face fails", "witness": {"g": "01>01", "grade": 0, "h": "0>01"}}
+        ]
+        # over 0>01 every apex is 0 or E, so each square compares T_0 with
+        # itself or ends at E
+        assert naturality_cube_report(transfer_subgroup(broken, "0>01", 0)).ok
+
     def test_each_linking_face_reported_once(self, bundle):
         # one report per failing (member, g, m), however many h run into
         # src(g); the g o h faces are among the g
@@ -499,6 +603,33 @@ class TestFamilyClassEquality:
         # F(01) is Z^2 and F2(01) is (Z/2)^2; neither class stores a component
         bundle = build_subsets_instance(2)
         assert FamilyClass(bundle.functors["F"], "01>01", 0) != FamilyClass(bundle.functors["F2"], "01>01", 0)
+
+    def test_value_equal_classes_over_one_functor_compare_no_component(self, monkeypatch):
+        F = functor_copy("F")
+        first, second = (family_group(F, "0>01", 0).decoded_gens()[0] for _ in range(2))
+        assert first is not second and first.components is not second.components
+        agrees, calls = counting(GroupHom._agrees_with)
+        monkeypatch.setattr(GroupHom, "_agrees_with", agrees)
+        assert first == second and not first != second
+        assert calls == []
+
+    def test_a_stored_zero_torsion_component_equals_an_absent_one(self, monkeypatch):
+        # on subsets(2) F2, 2 * id on the Z/2 at a key is a nonzero matrix of
+        # the zero hom, so the two values differ and the classes are compared
+        # component by component, modulo the relations of Z/2
+        F2 = functor_copy("F2")
+        unit = family_unit(F2, "0")
+        key = ("0>0", 0)
+        doubled = unit.components[key] + unit.components[key]
+        assert doubled.mat.entries == ((2,),) and doubled.tgt.torsion == (2,)
+        stored = FamilyClass(F2, "0>0", 0, {key: doubled})
+        absent = FamilyClass(F2, "0>0", 0)
+        assert stored.value != absent.value
+        same_context, calls = counting(FamilyClass._same_context)
+        monkeypatch.setattr(FamilyClass, "_same_context", same_context)
+        assert stored == absent and absent == stored
+        assert len(calls) == 2
+        assert stored != unit
 
     def test_classes_over_different_functors_do_not_combine(self):
         bundle = build_subsets_instance(2)
@@ -996,6 +1127,15 @@ class TestPlanTable:
         for gen in family_group(functor, "0>01", 0).decoded_gens():
             assert gen.compatibility_report().ok
         assert ("compatibility", "0>01", 0) in functor._plans
+        # the table of ends holds one entry per (base, feasible degree) that
+        # a class or group was built over, each with every key of such a
+        # class, and nothing for a degree outside feasible_degrees
+        site, degrees = functor.site, feasible_degrees(functor)
+        FamilyClass(functor, "0>01", max(degrees) + 1)
+        assert functor._ends and ("0>01", 0) in functor._ends
+        for (base, degree), ends in functor._ends.items():
+            assert degree in degrees
+            assert list(ends) == [(g, m) for g in site.morphisms_into(site.tgt(base)) for m in functor.grades()]
         ref = weakref.ref(functor)
         del functor, gen
         assert ref() is None
