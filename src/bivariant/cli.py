@@ -96,10 +96,7 @@ def _cmd_family(args, started):
     pre = ValidationReport.merged(validate_site(bundle.site), functor.validate())
     if not pre.ok:
         return _emit(args, {"inputs": inputs, "lines": []}, pre, started)
-    if args.command == "op":
-        name, result = "operational", op.op_group(functor, args.morphism, args.degree)
-    else:
-        name, result = "co-operational", coop.coop_group(functor, args.morphism, args.degree)
+    result = args.group(functor, args.morphism, args.degree)
     gens = result.decoded_gens()
     payload = {
         "inputs": inputs,
@@ -108,7 +105,7 @@ def _cmd_family(args, started):
             "generators": [_class_json(c.components) for c in gens],
         },
         "lines": [
-            f"{name} group ({args.functor}, {args.morphism}, degree {args.degree}): {result.group.pretty()}"
+            f"{args.theory} group ({args.functor}, {args.morphism}, degree {args.degree}): {result.group.pretty()}"
         ]
         + [f"generator {i}: {len(c.components)} components" for i, c in enumerate(gens)],
     }
@@ -202,19 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.set_defaults(func=_cmd_validate)
 
-    sp = sub.add_parser("coop", help="compute a co-operational group")
-    sp.add_argument("file")
-    sp.add_argument("--functor", required=True)
-    sp.add_argument("--morphism", required=True)
-    sp.add_argument("--degree", type=int, required=True)
-    sp.set_defaults(func=_cmd_family)
-
-    sp = sub.add_parser("op", help="compute an operational group")
-    sp.add_argument("file")
-    sp.add_argument("--functor", required=True)
-    sp.add_argument("--morphism", required=True)
-    sp.add_argument("--degree", type=int, required=True)
-    sp.set_defaults(func=_cmd_family)
+    for command, text, group, theory in (
+        ("coop", "compute a co-operational group", coop.coop_group, "co-operational"),
+        ("op", "compute an operational group", op.op_group, "operational"),
+    ):
+        sp = sub.add_parser(command, help=text)
+        sp.add_argument("file")
+        sp.add_argument("--functor", required=True)
+        sp.add_argument("--morphism", required=True)
+        sp.add_argument("--degree", type=int, required=True)
+        sp.set_defaults(func=_cmd_family, group=group, theory=theory)
 
     sp = sub.add_parser("axioms", help="check the seven axioms plus units of a theory")
     sp.add_argument("file")

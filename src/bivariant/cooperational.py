@@ -4,11 +4,10 @@ A class of degree i over f: X->Y is a family of homomorphisms
 c_g: F^m(X'_g) -> F^{m+i}(Y'), one per morphism g: Y'->Y and grade m,
 compatible with pullback along every h: Y''->Y'.  Over an identity
 morphism such a family is exactly a natural self-transformation, i.e. a
-cohomology operation.  The classes, their groups and operations are the
-family engine of famsolve at contravariant variance, where pushforward
-needs no confined hypothesis; only the comparison map from a tabulated
-theory does.  This module adds that comparison map, the transfer subgroup
-along a natural transformation, and cup and power families.
+cohomology operation.  Classes, groups, operations and the comparison map
+are famsolve's, bound below to their coop_* names at "contra".  This
+module adds what has no operational mirror: the transfer subgroup along a
+natural transformation, and cup and power families.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from __future__ import annotations
 import itertools
 from functools import partial
 
+from . import famsolve
 from .exactalg import (
     FgAbGroup,
     GroupElement,
@@ -29,47 +29,37 @@ from .exactalg import (
 )
 from .famsolve import (
     ConstraintSpec,
-    FamilyClass,
-    FamilyGroup,
-    FamilyTheory,
-    ImageTransfer,
     TermSpec,
     _squares,
-    comparison_hom,
-    family_group,
     family_product,
     family_pullback,
     family_pushforward,
     family_transport,
-    family_unit,
-    image_transfer,
     require_variance,
-    verify_comparison_isomorphism,
 )
-from .bivcore import GrothTransf, TabulatedBivTheory, verify_axioms, verify_transformation
+from .bivcore import GrothTransf, TabulatedBivTheory
 from .record import Frozen
 from .report import ReportBuilder, ValidationReport
-from .site import GradedFunctor, NaturalTransf, NonConfinedError
+from .site import GradedFunctor, NaturalTransf
 
-CoopClass = FamilyClass
+CoopClass = famsolve.FamilyClass
+coop_from_bivariant = famsolve.coop_from_bivariant
+
+coop_group = partial(famsolve.variance_group, "contra")
+coop_unit = partial(famsolve.variance_unit, "contra")
+coop_hom = partial(famsolve.comparison_map, "contra")
+coop_image_transfer = partial(famsolve.image_transfer, "contra")
+verify_coop_axioms = partial(famsolve.verify_family_axioms, "contra")
+verify_coop_transform_identities = partial(famsolve.verify_comparison_identities, "contra")
+verify_identity_isomorphism = partial(famsolve.verify_comparison_isomorphism, "contra")
 
 
 class RingStructureError(ValueError):
     """The theory's identity-morphism groups do not form a commutative ring."""
 
 
-def coop_group(functor: GradedFunctor, base: str, degree: int) -> FamilyGroup:
-    """Solve for all pullback-compatible families over the base morphism."""
-    return family_group(require_variance(functor, "contra"), base, degree)
-
-
 # ---------------------------------------------------------------------------
-# the three operations and the unit
-
-
-def coop_unit(functor: GradedFunctor, obj: str) -> CoopClass:
-    """The family of identity operations over id_X."""
-    return family_unit(require_variance(functor, "contra"), obj)
+# the three operations
 
 
 def coop_product(c: CoopClass, d: CoopClass) -> CoopClass:
@@ -90,47 +80,6 @@ def coop_pullback(c: CoopClass, g: str) -> CoopClass:
 def coop_transport(cls: CoopClass, new_base: str, iso: str) -> CoopClass:
     """Move a class along an isomorphism of base morphisms (see family_transport)."""
     return family_transport(cls, new_base, iso)
-
-
-# ---------------------------------------------------------------------------
-# classes from a tabulated bivariant theory
-
-
-def coop_from_bivariant(b: TabulatedBivTheory, base: str, degree: int, alpha: GroupElement) -> CoopClass:
-    """The family g |-> f'_*((-) . g^* alpha) for confined base morphisms."""
-    site = b.site
-    if not site.is_confined(base):
-        raise NonConfinedError("comparison classes need a confined base morphism")
-    if alpha.group != b.group(base, degree):
-        raise ValueError("element does not live in the stated bivariant group")
-    F = b.contravariant_part
-    comps = {}
-    for g in site.morphisms_into(site.tgt(base)):
-        sq = site.chosen_pullback(base, g)
-        if not site.is_confined(sq.left):
-            raise NonConfinedError("base change of the base morphism is not confined")
-        galpha = b.pullback(base, g, degree, alpha)
-        id_apex = site.identity(sq.apex)
-        id_src = site.identity(site.src(g))
-        for m in F.grades():
-            src = F.group(sq.apex, m)
-            tgt = F.group(site.src(g), m + degree)
-            cols = []
-            for e in src.gens():
-                prod = b.product(id_apex, sq.left, m, degree, e, galpha)
-                cols.append(b.pushforward(sq.left, id_src, m + degree, prod).coords)
-            comps[(g, m)] = GroupHom(src, tgt, IntMatrix.from_columns(cols, tgt.ngens))
-    return CoopClass(F, base, degree, comps)
-
-
-def coop_hom(b: TabulatedBivTheory, base: str, degree: int) -> GroupHom:
-    """The canonical map B(f)^i -> co-operational group, alpha |-> coop(alpha)."""
-    return comparison_hom(b, base, degree, coop_group(b.contravariant_part, base, degree), coop_from_bivariant)
-
-
-def coop_image_transfer(t: GrothTransf, base: str, degree: int, mode: str) -> ImageTransfer:
-    """Transfer coop(alpha) |-> coop(gamma(alpha)) between coop images."""
-    return image_transfer(t, base, degree, mode, "contra", coop_hom)
 
 
 # ---------------------------------------------------------------------------
@@ -381,27 +330,6 @@ def cup_transform_compatibility(t: GrothTransf, obj: str, degree: int) -> Valida
                     if lhs != rhs:
                         rb.add("cup-compatibility", "t(x cup g^*a) != t(x) cup g^*t(a)", obj=obj, g=g, a=a.coords, x=x.coords)
     return rb.done()
-
-
-# ---------------------------------------------------------------------------
-# exhaustive verification suites
-
-
-def verify_coop_axioms(functor: GradedFunctor) -> ValidationReport:
-    """Re-prove the seven axioms plus units on computed co-operational groups."""
-    return verify_axioms(FamilyTheory(require_variance(functor, "contra")))
-
-
-def verify_coop_transform_identities(b: TabulatedBivTheory) -> ValidationReport:
-    """coop(a.b) = coop(a).coop(b) and the pushforward/pullback analogues,
-    over the confined bases, where coop(alpha) is defined."""
-    phi = partial(coop_from_bivariant, b)
-    return verify_transformation(b, FamilyTheory(b.contravariant_part), phi, "coop", "coop", b.site.is_confined)
-
-
-def verify_identity_isomorphism(b: TabulatedBivTheory) -> ValidationReport:
-    """B^*(X) = B(id_X) embeds isomorphically onto the coop image over id_X."""
-    return verify_comparison_isomorphism(b, "contra", coop_from_bivariant)
 
 
 def naturality_cube_report(tsr: TransferSubgroupResult) -> ValidationReport:

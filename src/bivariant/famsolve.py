@@ -35,10 +35,9 @@ raised; nothing writes the components afterwards.  Both the keys and the
 ends are read from the functor's table of ends (GradedFunctor._ends),
 filled once per base and feasible degree.  Two classes over one functor
 with equal values (see FamilyClass.value) are equal with no component
-compared.  The results of the
-operations (product, pushforward, pullback, transport) store only their
-nonzero components; decoded generators store every component of the
-solution, zero ones included.
+compared.  The results of the operations (product, pushforward, pullback,
+transport) store only their nonzero components; decoded generators store
+every component of the solution, zero ones included.
 
 Each operation, and the compatibility check of a class, runs through a plan
 kept in the functor's table of plans (GradedFunctor._plans), built on first
@@ -49,11 +48,19 @@ slots naming an operand's component.  Building it checks that adjacent
 factors meet in one group, drops identity maps and stores no path for a
 composite that a zero map kills; running it only fetches the operands'
 components and multiplies.
+
+Each public function of the two theories is written here once, with the
+variance as its first argument (variance_group, variance_unit,
+verify_family_axioms, comparison_map, image_transfer,
+verify_comparison_identities, verify_comparison_isomorphism); operational
+and cooperational bind them at "cov" and "contra" to their op_* and coop_*
+names.  Only the two comparison formulas, op_from_bivariant and
+coop_from_bivariant, are written apart: they differ in substance.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 
 from .bivcore import (
@@ -61,7 +68,10 @@ from .bivcore import (
     GrothTransf,
     InvalidTransformationError,
     TabulatedBivTheory,
+    _everywhere,
     part_base,
+    verify_axioms,
+    verify_transformation,
 )
 from .exactalg import (
     FgAbGroup,
@@ -774,7 +784,81 @@ class FamilyTheory:
 
 
 # ---------------------------------------------------------------------------
+# groups, units and axiom checks of the theory of a variance
+
+
+def variance_group(variance: str, functor: GradedFunctor, base: str, degree: int) -> FamilyGroup:
+    """The group of classes over the base morphism, for a functor of the variance."""
+    return family_group(require_variance(functor, variance), base, degree)
+
+
+def variance_unit(variance: str, functor: GradedFunctor, obj: str) -> FamilyClass:
+    """The unit class over id_X, for a functor of the variance."""
+    return family_unit(require_variance(functor, variance), obj)
+
+
+def verify_family_axioms(variance: str, functor: GradedFunctor) -> ValidationReport:
+    """Re-prove the seven axioms plus units on the computed groups of the functor."""
+    return verify_axioms(FamilyTheory(require_variance(functor, variance)))
+
+
+# ---------------------------------------------------------------------------
 # comparison maps from a tabulated theory, and transfers between their images
+
+
+def op_from_bivariant(b: TabulatedBivTheory, base: str, degree: int, alpha: GroupElement) -> FamilyClass:
+    """The family g |-> (g^* alpha) . (-) acting on the covariant part of b."""
+    site = b.site
+    if alpha.group != b.group(base, degree):
+        raise ValueError("element does not live in the stated bivariant group")
+    h = b.covariant_part
+    comps = {}
+    for g in site.morphisms_into(site.tgt(base)):
+        sq = site.chosen_pullback(base, g)
+        galpha = b.pullback(base, g, degree, alpha)
+        a_src = site.to_point(site.src(g))
+        for m in h.grades():
+            src = h.group(site.src(g), m)
+            tgt = h.group(sq.apex, m - degree)
+            cols = [
+                b.product(sq.left, a_src, degree, -m, galpha, e).coords for e in src.gens()
+            ]
+            comps[(g, m)] = GroupHom(src, tgt, IntMatrix.from_columns(cols, tgt.ngens))
+    return FamilyClass(h, base, degree, comps)
+
+
+def coop_from_bivariant(b: TabulatedBivTheory, base: str, degree: int, alpha: GroupElement) -> FamilyClass:
+    """The family g |-> f'_*((-) . g^* alpha) for confined base morphisms."""
+    site = b.site
+    if not site.is_confined(base):
+        raise NonConfinedError("comparison classes need a confined base morphism")
+    if alpha.group != b.group(base, degree):
+        raise ValueError("element does not live in the stated bivariant group")
+    F = b.contravariant_part
+    comps = {}
+    for g in site.morphisms_into(site.tgt(base)):
+        sq = site.chosen_pullback(base, g)
+        if not site.is_confined(sq.left):
+            raise NonConfinedError("base change of the base morphism is not confined")
+        galpha = b.pullback(base, g, degree, alpha)
+        id_apex = site.identity(sq.apex)
+        id_src = site.identity(site.src(g))
+        for m in F.grades():
+            src = F.group(sq.apex, m)
+            tgt = F.group(site.src(g), m + degree)
+            cols = []
+            for e in src.gens():
+                prod = b.product(id_apex, sq.left, m, degree, e, galpha)
+                cols.append(b.pushforward(sq.left, id_src, m + degree, prod).coords)
+            comps[(g, m)] = GroupHom(src, tgt, IntMatrix.from_columns(cols, tgt.ngens))
+    return FamilyClass(F, base, degree, comps)
+
+
+def _comparison(variance: str, b: TabulatedBivTheory):
+    """(b's part of the variance, the comparison formula on it); the formula
+    is read by its module-level name on each call."""
+    formula = op_from_bivariant if variance == "cov" else coop_from_bivariant
+    return getattr(b, f"{PART[variance]}_part"), formula
 
 
 class NotAClassError(MembershipError):
@@ -785,7 +869,7 @@ class NotAClassError(MembershipError):
         super().__init__(f"comparison family of generator {generator.coords} is not a class")
 
 
-def comparison_hom(b: TabulatedBivTheory, base: str, degree: int, result: FamilyGroup, classify) -> GroupHom:
+def _comparison_hom(b: TabulatedBivTheory, base: str, degree: int, result: FamilyGroup, classify) -> GroupHom:
     """The map B(f)^i -> result.group, alpha |-> classify(b, base, degree, alpha).
 
     Raises NotAClassError naming the first generator whose family is not a
@@ -802,6 +886,23 @@ def comparison_hom(b: TabulatedBivTheory, base: str, degree: int, result: Family
     return GroupHom(src, result.group, IntMatrix.from_columns(cols, result.group.ngens))
 
 
+def comparison_map(variance: str, b: TabulatedBivTheory, base: str, degree: int) -> GroupHom:
+    """The canonical map B(f)^i -> the group of classes of b's part of the
+    variance, alpha |-> op(alpha) (cov) or coop(alpha) (contra)."""
+    part, formula = _comparison(variance, b)
+    return _comparison_hom(b, base, degree, family_group(part, base, degree), formula)
+
+
+def verify_comparison_identities(variance: str, b: TabulatedBivTheory) -> ValidationReport:
+    """phi(a.b) = phi(a).phi(b), phi(f_*a) = f_*phi(a) and phi(g^*a) = g^*phi(a)
+    on generators for phi = op (cov) or coop (contra), over the bases where phi
+    is defined: every one for op, the confined ones for coop."""
+    name = COMPARISON[variance]
+    part, formula = _comparison(variance, b)
+    defined = _everywhere if variance == "cov" else b.site.is_confined
+    return verify_transformation(b, FamilyTheory(part), partial(formula, b), name, name, defined)
+
+
 class NotSurjectiveError(InvalidTransformationError):
     def __init__(self, variance, witness):
         self.witness = witness
@@ -814,8 +915,8 @@ class ImageTransfer(Frozen):
     _fields = ("base", "degree", "source", "target", "mapping")  # mapping: source.group -> target.group
 
 
-def image_transfer(t: GrothTransf, base: str, degree: int, mode: str, variance: str, comparison) -> ImageTransfer:
-    """Transfer between the images of comparison(theory, base, degree).
+def image_transfer(variance: str, t: GrothTransf, base: str, degree: int, mode: str) -> ImageTransfer:
+    """Transfer between the images of the variance's comparison_map.
 
     mode must be 'full', the one mode: the transfer maps into the target
     theory and needs gamma onto the part of the given variance, which
@@ -835,8 +936,8 @@ def image_transfer(t: GrothTransf, base: str, degree: int, mode: str, variance: 
     if witness is not None:
         raise NotSurjectiveError(variance, witness)
     to_target = t.component(base, degree)
-    source_sub = image(comparison(t.src, base, degree))
-    target_sub = image(comparison(t.tgt, base, degree))
+    source_sub = image(comparison_map(variance, t.src, base, degree))
+    target_sub = image(comparison_map(variance, t.tgt, base, degree))
     cols = [to_target(a).coords for a in t.src.group(base, degree).gens()]
     try:
         mapping = GroupHom(
@@ -880,21 +981,21 @@ _ISOMORPHISM = {
 }
 
 
-def verify_comparison_isomorphism(b: TabulatedBivTheory, variance: str, classify) -> ValidationReport:
-    """Over each part base f (see part_base), the comparison map
-    alpha |-> classify(b, f, i, alpha) embeds B(f)^i isomorphically onto its
-    image, and recover takes each class back to alpha."""
+def verify_comparison_isomorphism(variance: str, b: TabulatedBivTheory) -> ValidationReport:
+    """Over each part base f (see part_base), the comparison map of the
+    variance embeds B(f)^i isomorphically onto its image, and recover takes
+    each class back to alpha; each group is solved once."""
     site = b.site
     kind, not_a_class, has_kernel, wrong_image, not_recovered = _ISOMORPHISM[variance]
     rb = ReportBuilder()
     for x in site.objects:
         base = part_base(site, x, variance)
         # after part_base: on a site without a final object, to_point reports it
-        functor = b.covariant_part if variance == "cov" else b.contravariant_part
+        functor, classify = _comparison(variance, b)
         for i in b.degrees():
             result = family_group(functor, base, i)
             try:
-                hom = comparison_hom(b, base, i, result, classify)
+                hom = _comparison_hom(b, base, i, result, classify)
             except NotAClassError as exc:
                 rb.add(kind, not_a_class, obj=x, i=i, a=exc.generator.coords)
                 continue

@@ -251,6 +251,22 @@ class TestBrokenSite:
         assert "square-commutes" in {v["kind"] for v in doc["violations"]}
 
 
+@pytest.mark.parametrize(
+    "command, functor, message",
+    [
+        ("op", "F", "operational classes need a covariant functor"),
+        ("coop", "h", "co-operational classes need a contravariant functor"),
+    ],
+    ids=["op", "coop"],
+)
+def test_a_functor_of_the_other_variance_is_an_input_error(subsets_file, capsys, command, functor, message):
+    code = cli.main([command, str(subsets_file), "--functor", functor, "--morphism", "0>01", "--degree", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"input error: {message}\n"
+    assert captured.out == ""
+
+
 def cli_outputs(directory):
     """{command line: sha256 of stdout} for coop, op and bcoopt, in text and
     --json, at every morphism of subsets(2) and graded(2) at degree 0: coop for

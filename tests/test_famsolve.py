@@ -391,7 +391,7 @@ class TestLinkAssembler:
 
     def test_building_decodes_no_class(self, monkeypatch):
         calls = []
-        for owner, name in ((FamilySolution, "decode"), (cooperational, "family_group")):
+        for owner, name in ((FamilySolution, "decode"), (famsolve, "family_group")):
 
             def counting(*args, original=getattr(owner, name), name=name):
                 calls.append(name)
@@ -537,7 +537,11 @@ class TestTransformationComputedOnce:
             messages.append(str(err.value))
         assert messages[0] and messages == messages[:1] * 3
 
-    @pytest.mark.parametrize("transfer, name", [(op_image_transfer, "op"), (coop_image_transfer, "coop")])
+    @pytest.mark.parametrize(
+        "transfer, name",
+        [(op_image_transfer, "op"), (coop_image_transfer, "coop")],
+        ids=["op_image_transfer-op", "coop_image_transfer-coop"],
+    )
     def test_a_transfer_that_is_not_well_defined_raises(self, bundle, transfer, name):
         # identity from B with every product zero onto B: each comparison of
         # the source is zero, so its image is 0 and cannot map onto B's.
@@ -550,7 +554,7 @@ class TestTransformationComputedOnce:
             transfer(t, "0>01", 0, mode="full")
         assert type(err.value) is InvalidTransformationError
 
-    @pytest.mark.parametrize("transfer", [op_image_transfer, coop_image_transfer])
+    @pytest.mark.parametrize("transfer", [op_image_transfer, coop_image_transfer], ids=["op_image_transfer", "coop_image_transfer"])
     def test_full_is_the_only_mode(self, bundle, transfer):
         with pytest.raises(ValueError, match="mode must be 'full'"):
             transfer(bundle.groth["gamma"], "0>01", 0, mode="image")
@@ -856,7 +860,11 @@ class TestSparseComposition:
             count += 1
         assert count
 
-    @pytest.mark.parametrize("functor, verify", [(swap_presheaf, verify_coop_axioms), (swap_homology, verify_op_axioms)])
+    @pytest.mark.parametrize(
+        "functor, verify",
+        [(swap_presheaf, verify_coop_axioms), (swap_homology, verify_op_axioms)],
+        ids=["swap_presheaf-verify_coop_axioms", "swap_homology-verify_op_axioms"],
+    )
     def test_transports_across_non_strict_pastes_match_the_dense_composite(self, monkeypatch, functor, verify):
         original = famsolve.family_transport
         checked = []
@@ -932,7 +940,9 @@ class TestAxiomMemo:
     """verify_axioms evaluates each operation once per run for each value of
     its operands and keeps nothing after it returns."""
 
-    @pytest.mark.parametrize("name, verify", [("F", verify_coop_axioms), ("h", verify_op_axioms)])
+    @pytest.mark.parametrize(
+        "name, verify", [("F", verify_coop_axioms), ("h", verify_op_axioms)], ids=["F-verify_coop_axioms", "h-verify_op_axioms"]
+    )
     def test_each_operation_is_evaluated_once_per_value_in_a_run(self, bundle, monkeypatch, name, verify):
         seen, repeated, results = set(), [], []
 
@@ -955,7 +965,9 @@ class TestAxiomMemo:
         assert {key[0] for key in seen} == {"family_product", "family_pushforward", "family_pullback"}
         assert all(ref() is None for ref in results)
 
-    @pytest.mark.parametrize("name, verify", [("F", verify_coop_axioms), ("h", verify_op_axioms)])
+    @pytest.mark.parametrize(
+        "name, verify", [("F", verify_coop_axioms), ("h", verify_op_axioms)], ids=["F-verify_coop_axioms", "h-verify_op_axioms"]
+    )
     def test_no_operation_is_evaluated_twice_within_an_axiom_family(self, bundle, monkeypatch, name, verify):
         starts = axiom_family_starts()
         seen, repeated, results = set(), [], []
@@ -1040,13 +1052,52 @@ def operation_counts(monkeypatch, owner, names, check):
     return {name: len(made) for name, made in calls.items()}
 
 
+OP_NEEDS = "operational classes need a covariant functor"
+COOP_NEEDS = "co-operational classes need a contravariant functor"
+
+
+class TestVarianceChecks:
+    """Each public op_* / coop_* entry point refuses a functor of the other variance."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda F: op_group(F, "0>01", 0),
+            lambda F: operational.op_unit(F, "01"),
+            verify_op_axioms,
+        ],
+        ids=["op_group", "op_unit", "verify_op_axioms"],
+    )
+    def test_op_entry_points_refuse_a_contravariant_functor(self, bundle, call):
+        with pytest.raises(ValueError) as info:
+            call(bundle.functors["F"])
+        assert str(info.value) == OP_NEEDS
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda h: coop_group(h, "0>01", 0),
+            lambda h: coop_unit(h, "01"),
+            verify_coop_axioms,
+            lambda h: transfer_subgroup(NaturalTransf(h, h, {}), "0>01", 0),
+        ],
+        ids=["coop_group", "coop_unit", "verify_coop_axioms", "transfer_subgroup"],
+    )
+    def test_coop_entry_points_refuse_a_covariant_functor(self, bundle, call):
+        with pytest.raises(ValueError) as info:
+            call(bundle.functors["h"])
+        assert str(info.value) == COOP_NEEDS
+
+
 class TestCheckerCounts:
     """On subsets(3), the checkers evaluate each operation once per distinct
     operand value.  Evaluating on every generator tuple took 2,283 products,
     900 pushforwards and 1,992 pullbacks per axiom run and 321 comparison
     classes per identity run."""
 
-    @pytest.mark.parametrize("name, verify", [("F", verify_coop_axioms), ("h", verify_op_axioms)])
+    @pytest.mark.parametrize(
+        "name, verify", [("F", verify_coop_axioms), ("h", verify_op_axioms)], ids=["F-verify_coop_axioms", "h-verify_op_axioms"]
+    )
     def test_axiom_runs_evaluate_710_family_operations(self, monkeypatch, name, verify):
         functor = build_subsets_instance(3).functors[name]
         names = ("family_product", "family_pushforward", "family_pullback")
@@ -1062,8 +1113,8 @@ class TestCheckerCounts:
     @pytest.mark.parametrize(
         "module, name, verify",
         [
-            (cooperational, "coop_from_bivariant", cooperational.verify_coop_transform_identities),
-            (operational, "op_from_bivariant", operational.verify_op_transform_identities),
+            (famsolve, "coop_from_bivariant", cooperational.verify_coop_transform_identities),
+            (famsolve, "op_from_bivariant", operational.verify_op_transform_identities),
         ],
         ids=["coop", "op"],
     )
@@ -1099,7 +1150,9 @@ class TestPlanTable:
     table of its own that dies with it; a stored component with the wrong
     ends never reaches a plan, because its class raises while it is built."""
 
-    @pytest.mark.parametrize("name, verify", [("F", verify_coop_axioms), ("h", verify_op_axioms)])
+    @pytest.mark.parametrize(
+        "name, verify", [("F", verify_coop_axioms), ("h", verify_op_axioms)], ids=["F-verify_coop_axioms", "h-verify_op_axioms"]
+    )
     def test_each_plan_is_built_once_per_key(self, monkeypatch, name, verify):
         built = count_plans(monkeypatch)
         functor = parsed_subsets(2).functors[name]

@@ -16,17 +16,22 @@ field names are written once.
 Importing the command line module loads no dataclasses and no inspect:
 each CLI command is a fresh process, so every module loaded at import is
 paid for by every command.
+
+Each op_* / coop_* twin is one famsolve function bound at a variance, and
+operational.py defines no function but the four class-operation forwarders.
 """
 
 import ast
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import bivariant
+from bivariant import cooperational, famsolve, operational
 
 PACKAGE = sorted(Path(bivariant.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
@@ -155,3 +160,50 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     added = out.stdout.split()
     assert "bivariant.cli" in added
     assert [name for name in HEAVY if name in added] == []
+
+
+# (operational name, co-operational name, the famsolve function both bind)
+TWINS = [
+    ("op_group", "coop_group", "variance_group"),
+    ("op_unit", "coop_unit", "variance_unit"),
+    ("op_hom", "coop_hom", "comparison_map"),
+    ("op_image_transfer", "coop_image_transfer", "image_transfer"),
+    ("verify_op_axioms", "verify_coop_axioms", "verify_family_axioms"),
+    ("verify_op_transform_identities", "verify_coop_transform_identities", "verify_comparison_identities"),
+    ("verify_point_isomorphism", "verify_identity_isomorphism", "verify_comparison_isomorphism"),
+]
+
+
+@pytest.mark.parametrize("op_name, coop_name, engine", TWINS, ids=[t[0] for t in TWINS])
+def test_each_twin_binds_one_famsolve_function_at_its_variance(op_name, coop_name, engine):
+    fn = getattr(famsolve, engine)
+    for module, name, variance in ((operational, op_name, "cov"), (cooperational, coop_name, "contra")):
+        bound = vars(module)[name]
+        assert isinstance(bound, partial) and bound.func is fn
+        assert bound.args == (variance,) and not bound.keywords
+
+
+def traced_names() -> list[tuple[str, str]]:
+    """(module, name) of every module-level function that the benchmark's
+    tracer wraps in operational or cooperational."""
+    tree = ast.parse((Path(__file__).parent.parent / "perfbench" / "tracing.py").read_text())
+    value = next(n.value for n in tree.body if isinstance(n, ast.Assign) and n.targets[0].id == "TARGETS")
+    return [(module, path) for _, module, path in ast.literal_eval(value) if module in ("operational", "cooperational") and "." not in path]
+
+
+def test_every_traced_name_is_its_own_object():
+    # the tracer wraps every namespace holding a target's object, so two
+    # names bound to one object would nest their spans
+    names = traced_names()
+    assert len(names) == 19
+    objects = [vars(getattr(bivariant, module))[name] for module, name in names]
+    assert len({id(obj) for obj in objects}) == len(objects)
+
+
+FORWARDERS = ["op_product", "op_pullback", "op_pushforward", "op_transport"]
+
+
+def test_operational_defines_only_the_four_forwarders():
+    tree = ast.parse(Path(operational.__file__).read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert sorted(getattr(node, "name", "<lambda>") for node in functions) == FORWARDERS
