@@ -5,7 +5,8 @@ list item dropped, a value retyped, a chosen pullback square broken, a
 confined flag flipped.  parse_instance either builds a bundle or raises an
 instance error, and every CLI command exits 0, 1 or 2 with a report.
 Every document the reader accepts, after one edit or several, is written
-back by bundle_to_json unchanged and validates the same.
+back by bundle_to_json in its normal form (normal_form below), and what is
+written back is read and written unchanged and validates the same.
 """
 
 import contextlib
@@ -282,3 +283,119 @@ def test_writing_back_holds_for_combined_edits(doc):
     except (InstanceFileError, InstanceViolationError):
         reject()
     assert_written_back(bundle)
+
+
+# ---------------------------------------------------------------------------
+# the normal form: what bundle_to_json writes for a document the reader accepts
+
+OPTIONAL_SECTIONS = ("functors", "transformations", "theories", "groth")
+
+
+def _rank(spec) -> int:
+    return spec["free_rank"] + len(spec.get("torsion", []))
+
+
+def _canonical_groups(groups: dict) -> dict:
+    """Every nonzero group, its absent torsion written as []."""
+    return {key: {"free_rank": g["free_rank"], "torsion": g.get("torsion", [])} for key, g in groups.items() if _rank(g)}
+
+
+def _grades(window):
+    return range(window[0], window[1] + 1)
+
+
+def _nonzero_homs(homs: dict, keys, ends) -> dict:
+    """The entries of homs at keys (name, grade) whose two ends are nonzero
+    groups; ends(name, grade) gives the two group specs or None for zero."""
+    return {f"{x}@{m}": homs[f"{x}@{m}"] for x, m in keys if f"{x}@{m}" in homs and all(ends(x, m))}
+
+
+def normal_form(doc: dict) -> dict:
+    """doc as bundle_to_json writes it back, by the README's rules:
+      - composition, confined, site and theory pullbacks, products and
+        pushforwards are sorted by their key;
+      - an absent optional field or section takes its default, while an
+        empty top-level section or a "final_object": null is left out;
+      - a zero group is left out, and so is a functor map, transformation
+        or Grothendieck component with a zero end;
+      - an omitted functor map along an identity morphism is written back
+        as the identity, where the functor acts along it;
+      - unit coordinates are reduced modulo the torsion of their group."""
+    out = copy.deepcopy(doc)
+    identities = set(doc["identities"].values())
+    ends = {m["name"]: (m["src"], m["tgt"]) for m in doc["morphisms"]}
+    out["composition"] = sorted(doc["composition"], key=lambda e: (e["then"], e["first"]))
+    out["confined"] = sorted(doc["confined"])
+    out["pullbacks"] = sorted(doc["pullbacks"], key=lambda e: (e["f"], e["g"]))
+    if out.get("final_object") is None:
+        out.pop("final_object", None)
+    for section in OPTIONAL_SECTIONS:
+        if not out.get(section, True):
+            del out[section]
+
+    groups = {}  # section name -> {key: nonzero group spec}
+    for name, fdoc in out.get("functors", {}).items():
+        groups[name] = _canonical_groups(fdoc.get("groups", {}))
+        given = fdoc.get("maps", {})
+        of = groups[name].get
+        maps = {}
+        for mor, (src, tgt) in ends.items():
+            acts = fdoc["variance"] == "contra" or mor in doc["confined"]
+            a, b = (tgt, src) if fdoc["variance"] == "contra" else (src, tgt)
+            for m in _grades(fdoc["window"]):
+                ga, gb = of(f"{a}@{m}"), of(f"{b}@{m}")
+                if not (ga and gb):
+                    continue
+                if f"{mor}@{m}" in given:
+                    maps[f"{mor}@{m}"] = given[f"{mor}@{m}"]
+                elif acts and mor in identities:
+                    n = _rank(ga)
+                    maps[f"{mor}@{m}"] = [[int(r == c) for c in range(n)] for r in range(n)]
+        out["functors"][name] = {**fdoc, "groups": groups[name], "maps": maps}
+    for name, tdoc in out.get("transformations", {}).items():
+        src, tgt = out["functors"][tdoc["src"]], out["functors"][tdoc["tgt"]]
+        keys = [(x, m) for x in doc["objects"] for m in _grades(src["window"])]
+        components = _nonzero_homs(tdoc.get("components", {}), keys, lambda x, m: (src["groups"].get(f"{x}@{m}"), tgt["groups"].get(f"{x}@{m}")))
+        out["transformations"][name] = {**tdoc, "components": components}
+
+    for name, bdoc in out.get("theories", {}).items():
+        g = _canonical_groups(bdoc.get("groups", {}))
+        units = {}
+        for x, coords in bdoc.get("units", {}).items():
+            spec = g.get(f"{doc['identities'][x]}@0", {"free_rank": 0, "torsion": []})
+            fr, torsion = spec["free_rank"], spec["torsion"]
+            units[x] = coords[:fr] + [c % d for c, d in zip(coords[fr:], torsion)]
+        out["theories"][name] = {
+            **bdoc,
+            "groups": g,
+            "products": sorted(bdoc.get("products", []), key=lambda e: (e["f"], e["g"], e["i"], e["j"])),
+            "pushforwards": sorted(bdoc.get("pushforwards", []), key=lambda e: (e["f"], e["g"], e["i"])),
+            "pullbacks": sorted(bdoc.get("pullbacks", []), key=lambda e: (e["f"], e["g"], e["i"])),
+            "units": units,
+        }
+    for name, gdoc in out.get("groth", {}).items():
+        src, tgt = out["theories"][gdoc["src"]], out["theories"][gdoc["tgt"]]
+        keys = [(f, i) for f in ends for i in _grades(src["window"])]
+        components = _nonzero_homs(gdoc.get("components", {}), keys, lambda f, i: (src["groups"].get(f"{f}@{i}"), tgt["groups"].get(f"{f}@{i}")))
+        out["groth"][name] = {**gdoc, "components": components}
+    return out
+
+
+def test_the_writer_writes_the_normal_form_of_every_accepted_document():
+    """bundle_to_json(parse_instance(doc)) is normal_form(doc) for each of
+    the 172 single-mutation documents that the reader accepts."""
+    accepted = [edited(SOURCES[name], path, value) for name, path, value, bundle, _ in single_mutations() if bundle is not None]
+    for doc in accepted:
+        assert bundle_to_json(parse_instance(doc)) == normal_form(doc)
+    assert len(accepted) == 172
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(readable())
+def test_the_writer_writes_the_normal_form_of_combined_edits(doc):
+    """The normal-form property on 200 documents with one to three edits."""
+    try:
+        bundle = parse_instance(doc)
+    except (InstanceFileError, InstanceViolationError):
+        reject()
+    assert bundle_to_json(bundle) == normal_form(doc)
