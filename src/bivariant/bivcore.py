@@ -26,7 +26,7 @@ from .exactalg import (
     is_surjective,
 )
 from .report import ReportBuilder, ValidationReport
-from .site import GradedFunctor, MissingFinalObjectError, Site
+from .site import GradedFunctor, MissingFinalObjectError, Site, SiteStructureError
 
 
 class MissingTableError(KeyError):
@@ -61,6 +61,9 @@ class TabulatedBivTheory:
         self.site = site
         self.window = (lo, hi)
         self._groups = dict(groups)
+        for f, i in self._groups:
+            if not site.has_morphism(f):
+                raise SiteStructureError(f"theory group at the unknown morphism {f!r}", "groups", (f, i))
         self._products = {}
         for key, table in dict(products).items():
             self._products[key] = tuple(tuple(tuple(map(operator.index, cell)) for cell in row) for row in table)
@@ -68,10 +71,15 @@ class TabulatedBivTheory:
         self._pullbacks = dict(pullbacks)
         for kind, table in (("product", self._products), ("pushforward", self._pushforwards), ("pullback", self._pullbacks)):
             for key in table:
+                for f in key[:2]:
+                    if not site.has_morphism(f):
+                        raise SiteStructureError(f"{kind} entry {key} names the unknown morphism {f!r}", f"{kind}s", key)
                 if not all(lo <= d <= hi for d in key[2:]):
                     raise DegreeWindowError(f"{kind} entry {key} has a degree outside the window {self.window}")
         self._units = {}
         for obj, u in dict(units).items():
+            if not site.has_object(obj):
+                raise SiteStructureError(f"unit at the unknown object {obj!r}", "units", obj)
             grp = self.group(site.identity(obj), 0)
             self._units[obj] = u if isinstance(u, GroupElement) else grp.element(u)
 
@@ -545,15 +553,20 @@ class GrothTransf:
         for f, i in self._components:
             if not (lo <= i <= hi):
                 raise InvalidTransformationError(f"component at degree {i} outside window")
-            if not self.site.has_morphism(f):
-                raise InvalidTransformationError(f"component at {f}, which is not a morphism of the site")
+            self._endpoints(f, i)
         self._surjectivity = {}  # variance -> surjectivity_witness(variance)
+
+    def _endpoints(self, f: str, i: int):
+        """(source, target) group of the component at (f, i)."""
+        if not self.site.has_morphism(f):
+            raise InvalidTransformationError(f"component at {f}, which is not a morphism of the site")
+        return self.src.group(f, i), self.tgt.group(f, i)
 
     def component(self, f: str, i: int) -> GroupHom:
         stored = self._components.get((f, i))
         if stored is not None:
             return stored
-        a, b = self.src.group(f, i), self.tgt.group(f, i)
+        a, b = self._endpoints(f, i)
         if a.is_trivial or b.is_trivial:
             return GroupHom.zero(a, b)
         raise MissingTableError(f"no component stored for ({f}, {i})")

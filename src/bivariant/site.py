@@ -5,6 +5,11 @@ A Site is schema-checked at construction (names resolve, tables are total
 and well-typed); the mathematical invariants -- associativity, closure of
 the confined class, universal properties of the chosen squares -- are
 checked by validate_site, which reports witnesses instead of raising.
+
+The constructors here and in bivcore are the one place where an instance's
+names are checked: a reader of instance files checks only what JSON alone
+can tell, and locates each unknown name by the table and key that the
+error carries.
 """
 
 from __future__ import annotations
@@ -15,7 +20,18 @@ from .report import ReportBuilder, ValidationReport
 
 
 class SiteStructureError(ValueError):
-    """Malformed site data: unresolved names, partial or ill-typed tables."""
+    """Malformed site data: unresolved names, partial or ill-typed tables.
+
+    A constructor's error about an unknown name carries the table that holds
+    the name and the key of its entry there (None for a table of one value),
+    so that a reader can locate the entry; every other error carries None
+    for both.
+    """
+
+    def __init__(self, message: str, table: str | None = None, key=None):
+        super().__init__(message)
+        self.table = table
+        self.key = key
 
 
 class CospanMismatchError(ValueError):
@@ -64,6 +80,10 @@ class PasteComparison(Frozen):
         return site.is_identity(self.to_direct) and site.is_identity(self.to_pasted)
 
 
+def _unknown(kind: str, name) -> SiteStructureError:
+    return SiteStructureError(f"unknown {kind} {name!r}")
+
+
 class Site:
     def __init__(
         self,
@@ -92,13 +112,20 @@ class Site:
         self._mor = {m.name: m for m in self.morphisms}
         objset = set(self.objects)
         for m in self.morphisms:
-            if m.src not in objset or m.tgt not in objset:
-                raise SiteStructureError(f"morphism {m.name} references unknown object")
+            for end, obj in (("src", m.src), ("tgt", m.tgt)):
+                if obj not in objset:
+                    raise SiteStructureError(f"morphism {m.name} has the unknown {end} object {obj!r}", "morphisms", (m.name, end))
 
+        # keyed by exactly the objects, so has_object reads it
         self._identity = dict(identities)
+        for x, i in self._identity.items():
+            if x not in objset:
+                raise SiteStructureError(f"identity given for the unknown object {x!r}", "identities", x)
+            if i not in self._mor:
+                raise SiteStructureError(f"identity of {x} is the unknown morphism {i!r}", "identities", x)
         for x in self.objects:
             i = self._identity.get(x)
-            if i is None or i not in self._mor:
+            if i is None:
                 raise SiteStructureError(f"missing identity for object {x}")
             im = self._mor[i]
             if im.src != x or im.tgt != x:
@@ -106,9 +133,9 @@ class Site:
 
         self._comp = {}
         for (g, f), h in dict(composition).items():
-            for n in (g, f, h):
+            for n in (f, g, h):
                 if n not in self._mor:
-                    raise SiteStructureError(f"composition table references unknown morphism {n}")
+                    raise SiteStructureError(f"composition of ({g}, {f}) names the unknown morphism {n!r}", "composition", (g, f))
             if self._mor[f].tgt != self._mor[g].src:
                 raise SiteStructureError(f"({g}, {f}) is not a composable pair")
             hm = self._mor[h]
@@ -122,10 +149,11 @@ class Site:
                         f"composition table is missing ({g.name}, {f.name})"
                     )
 
-        self.confined = frozenset(confined)
-        for c in self.confined:
+        confined = list(confined)
+        for c in confined:
             if c not in self._mor:
-                raise SiteStructureError(f"confined class references unknown morphism {c}")
+                raise SiteStructureError(f"confined class names the unknown morphism {c!r}", "confined", c)
+        self.confined = frozenset(confined)
 
         self._pullbacks = {}
         for (f, g), square in dict(pullbacks).items():
@@ -133,14 +161,13 @@ class Site:
                 apex, top, left = square.apex, square.top, square.left
             else:
                 apex, top, left = square
-            if f not in self._mor or g not in self._mor:
-                raise SiteStructureError("pullback table references unknown morphism")
+            for n in (f, g, top, left):
+                if n not in self._mor:
+                    raise SiteStructureError(f"chosen pullback of ({f}, {g}) names the unknown morphism {n!r}", "pullbacks", (f, g))
+            if apex not in objset:
+                raise SiteStructureError(f"chosen pullback of ({f}, {g}) has the unknown apex {apex!r}", "pullbacks", (f, g))
             if self._mor[f].tgt != self._mor[g].tgt:
                 raise SiteStructureError(f"({f}, {g}) is not a cospan")
-            if apex not in objset:
-                raise SiteStructureError(f"pullback apex {apex} is not an object")
-            if top not in self._mor or left not in self._mor:
-                raise SiteStructureError("pullback legs reference unknown morphisms")
             tm, lm = self._mor[top], self._mor[left]
             if tm.src != apex or tm.tgt != self._mor[f].src:
                 raise SiteStructureError(f"top leg of ({f}, {g}) is ill-typed")
@@ -156,7 +183,7 @@ class Site:
 
         self.final_object = final_object
         if final_object is not None and final_object not in objset:
-            raise SiteStructureError(f"final object {final_object} is not an object")
+            raise SiteStructureError(f"final object {final_object!r} is not an object", "final_object")
 
         self._into = {
             x: tuple(m.name for m in self.morphisms if m.tgt == x) for x in self.objects
@@ -174,26 +201,45 @@ class Site:
         self._pastes = {}
 
     # -- basic queries ------------------------------------------------------
+    #
+    # A lookup of an unknown name raises SiteStructureError naming it; the
+    # handler runs only then, so a lookup that succeeds costs what a bare
+    # table read does.
 
     def src(self, name: str) -> str:
-        return self._mor[name].src
+        try:
+            return self._mor[name].src
+        except KeyError:
+            raise _unknown("morphism", name) from None
 
     def tgt(self, name: str) -> str:
-        return self._mor[name].tgt
+        try:
+            return self._mor[name].tgt
+        except KeyError:
+            raise _unknown("morphism", name) from None
 
     def has_morphism(self, name: str) -> bool:
         return name in self._mor
 
+    def has_object(self, name: str) -> bool:
+        return name in self._identity
+
     def identity(self, obj: str) -> str:
-        return self._identity[obj]
+        try:
+            return self._identity[obj]
+        except KeyError:
+            raise _unknown("object", obj) from None
 
     def is_identity(self, name: str) -> bool:
         return self._identity[self._mor[name].src] == name and self.src(name) == self.tgt(name)
 
     def compose(self, g: str, f: str) -> str:
         """g after f."""
-        if self._mor[f].tgt != self._mor[g].src:
-            raise SiteStructureError(f"({g}, {f}) is not composable")
+        try:
+            if self._mor[f].tgt != self._mor[g].src:
+                raise SiteStructureError(f"({g}, {f}) is not composable")
+        except KeyError:
+            raise _unknown("morphism", f if f not in self._mor else g) from None
         return self._comp[(g, f)]
 
     def is_confined(self, name: str) -> bool:
@@ -219,8 +265,11 @@ class Site:
                 yield (f, g, hname)
 
     def chosen_pullback(self, f: str, g: str) -> PullbackSquare:
-        if self._mor[f].tgt != self._mor[g].tgt:
-            raise CospanMismatchError(f"{f} and {g} do not share a target")
+        try:
+            if self._mor[f].tgt != self._mor[g].tgt:
+                raise CospanMismatchError(f"{f} and {g} do not share a target")
+        except KeyError:
+            raise _unknown("morphism", f if f not in self._mor else g) from None
         return self._pullbacks[(f, g)]
 
     def to_point(self, obj: str) -> str:
@@ -446,7 +495,7 @@ class GradedFunctor:
 
     def __init__(self, site: Site, variance: str, window, groups, maps):
         if variance not in ("contra", "cov"):
-            raise ValueError("variance must be 'contra' or 'cov'")
+            raise SiteStructureError(f"variance must be 'contra' or 'cov', not {variance!r}", "variance")
         lo, hi = window
         if lo > hi:
             raise ValueError("empty grade window")
@@ -455,15 +504,15 @@ class GradedFunctor:
         self.window = (lo, hi)
         self._groups = {}
         for (obj, m), grp in dict(groups).items():
-            if obj not in site.objects:
-                raise SiteStructureError(f"functor group at unknown object {obj}")
+            if not site.has_object(obj):
+                raise SiteStructureError(f"functor group at the unknown object {obj!r}", "groups", (obj, m))
             if not (lo <= m <= hi):
                 raise SiteStructureError(f"functor group at grade {m} outside window")
             self._groups[(obj, m)] = grp
         self._maps = {}
         for (mor, m), hom_ in dict(maps).items():
             if not site.has_morphism(mor):
-                raise SiteStructureError(f"functor map along unknown morphism {mor}")
+                raise SiteStructureError(f"functor map along the unknown morphism {mor!r}", "maps", (mor, m))
             if not (lo <= m <= hi):
                 raise SiteStructureError(f"functor map at grade {m} outside window")
             if not self.acts_along(mor):
@@ -574,14 +623,19 @@ class NaturalTransf:
         for obj, m in self._components:
             if not (lo <= m <= hi):
                 raise SiteStructureError(f"component at grade {m} outside window")
-            if obj not in self.site.objects:
-                raise SiteStructureError(f"component at {obj}, which is not an object of the site")
+            self._endpoints(obj, m)
+
+    def _endpoints(self, obj: str, m: int):
+        """(source, target) group of the component at (obj, m)."""
+        if not self.site.has_object(obj):
+            raise SiteStructureError(f"component at {obj}, which is not an object of the site", "components", (obj, m))
+        return self.src.group(obj, m), self.tgt.group(obj, m)
 
     def component(self, obj: str, m: int) -> GroupHom:
         stored = self._components.get((obj, m))
         if stored is not None:
             return stored
-        a, b = self.src.group(obj, m), self.tgt.group(obj, m)
+        a, b = self._endpoints(obj, m)
         if a.is_trivial or b.is_trivial:
             return GroupHom.zero(a, b)
         raise MissingMapError(f"no component stored for ({obj}, grade {m})")

@@ -15,7 +15,7 @@ import re
 
 from .exactalg import FgAbGroup, GroupHom, IntMatrix, WellDefinednessError
 from .report import ReportBuilder, ValidationReport
-from .site import GradedFunctor, MissingMapError, NaturalTransf, Site, validate_site
+from .site import GradedFunctor, MissingMapError, NaturalTransf, Site, SiteStructureError, validate_site
 from .bivcore import (
     GrothTransf,
     MissingTableError,
@@ -203,7 +203,6 @@ def subsets_theory(site: Site, modulus: int | None = None) -> TabulatedBivTheory
     for fname, gname in site.composable_pairs():
         s = _members(site.src(fname))
         t = _members(site.src(gname))
-        tgt = obj_group[site.src(fname)]
         table = []
         for x in s:
             row = []
@@ -302,9 +301,13 @@ def build_graded_instance(k: int) -> InstanceBundle:
 # ---------------------------------------------------------------------------
 # instance files (JSON-compatible, explicit tables, no inference)
 #
-# JSON true and false load as bool, a subclass of int, so an integer field is
-# checked with type(x) is int; a grade is written as str(int) writes it, so
-# that one key has one spelling.
+# The reader checks what JSON alone can tell: types, the spelling of integers
+# and grades, repeated entries and keys, and references between sections.
+# The constructors check every name, and the reader locates an unknown one by
+# the table and key that the error carries.  JSON true and false load as
+# bool, a subclass of int, so an integer field is checked with type(x) is
+# int; a grade is written as str(int) writes it, so that one key has one
+# spelling.
 
 
 def _expect(cond, location, message):
@@ -325,17 +328,21 @@ def _section(doc: dict, key, location, kind=dict):
     return value
 
 
-def _named(value, names, location, message):
-    """value when it is a string among names, else InstanceFileError."""
-    _expect(isinstance(value, str) and value in names, location, message)
+def _named(value, location, message, among=None):
+    """value when it is a string (one of among, if given), else InstanceFileError."""
+    _expect(isinstance(value, str) and (among is None or value in among), location, message)
     return value
 
 
-def _built(location, make, *args):
-    """make(*args), with an inconsistent or missing entry reported as an InstanceFileError."""
+def _built(location, make, *args, where=None):
+    """make(*args), with an inconsistent or missing entry reported as an
+    InstanceFileError: an unknown name at where[(table, key)] of its entry
+    (see SiteStructureError), every other error at location."""
     try:
         return make(*args)
     except (ValueError, KeyError) as exc:
+        if where is not None and isinstance(exc, SiteStructureError):
+            location = where.get((exc.table, exc.key), location)
         raise InstanceFileError(location, str(exc)) from exc
 
 
@@ -368,16 +375,17 @@ def _as_hom(rows, location, src: FgAbGroup, tgt: FgAbGroup) -> GroupHom:
         raise InstanceViolationError(location, str(exc)) from exc
 
 
-def _graded(doc: dict, key, location, names, kind):
+def _graded(doc: dict, key, location, where=None):
     """((name, grade), value, location) per 'name@grade' entry of the object
-    doc[key], the name among names (of the given kind)."""
+    doc[key]; where, when given, records each location at (key, (name, grade))."""
     loc = f"{location}.{key}"
     for entry, value in _section(doc, key, loc).items():
         kloc = f"{loc}.{entry}"
         _expect(isinstance(entry, str) and "@" in entry, kloc, "expected 'name@grade'")
         name, _, grade = entry.rpartition("@")
         _expect(re.fullmatch("0|-?[1-9][0-9]*", grade), kloc, f"grade {grade!r} is not an integer in canonical form")
-        _expect(name in names, kloc, f"unknown {kind} {name!r}")
+        if where is not None:
+            where[key, (name, int(grade))] = kloc
         yield (name, int(grade)), value, kloc
 
 
@@ -391,28 +399,29 @@ def _window(doc: dict, location):
     return tuple(window)
 
 
-def _fields(entry, location, names, ints):
-    """The morphism names f and g of a table entry, then its integer fields ints."""
+def _fields(entry, location, names, ints=()):
+    """The morphism names in the fields names of a table entry, then its
+    integer fields ints."""
     _expect(isinstance(entry, dict), location, "expected an object")
-    for fld in ("f", "g"):
-        _named(entry.get(fld), names, location, f"field {fld!r} must name a morphism")
+    for fld in names:
+        _named(entry.get(fld), location, f"field {fld!r} must name a morphism")
     for fld in ints:
         _expect(type(entry.get(fld)) is int, location, f"field {fld!r} must be an integer")
-    return (entry["f"], entry["g"], *(entry[fld] for fld in ints))
+    return tuple(entry[fld] for fld in (*names, *ints))
 
 
-def _hom_table(doc: dict, key, location, names, ends) -> dict:
+def _hom_table(doc: dict, key, location, ends) -> dict:
     """{(f, g, i): hom} from the list doc[key] of {f, g, i, matrix} entries;
     ends(f, g, i, location) gives the (source, target) groups of the hom."""
     table = {}
     for idx, entry in enumerate(_section(doc, key, f"{location}.{key}", list)):
         loc = f"{location}.{key}[{idx}]"
-        f, g, i = _fields(entry, loc, names, ("i",))
+        f, g, i = _fields(entry, loc, ("f", "g"), ("i",))
         _put(table, (f, g, i), _as_hom(entry.get("matrix"), f"{loc}.matrix", *ends(f, g, i, loc)), loc)
     return table
 
 
-def _transformations(doc: dict, section, sources: dict, what, names, kind, make) -> dict:
+def _transformations(doc: dict, section, sources: dict, what, make) -> dict:
     """{name: make(src, tgt, components)} for the transformations or groth
     section: src and tgt name entries of sources, the components sit at
     'name@grade' keys."""
@@ -420,11 +429,12 @@ def _transformations(doc: dict, section, sources: dict, what, names, kind, make)
     for name, tdoc in sorted(_section(doc, section, section).items()):
         loc = f"{section}.{name}"
         _expect(isinstance(tdoc, dict), loc, "expected an object")
-        src = sources[_named(tdoc.get("src"), sources, f"{loc}.src", f"unknown {what}")]
-        tgt = sources[_named(tdoc.get("tgt"), sources, f"{loc}.tgt", f"unknown {what}")]
+        src = sources[_named(tdoc.get("src"), f"{loc}.src", f"unknown {what}", sources)]
+        tgt = sources[_named(tdoc.get("tgt"), f"{loc}.tgt", f"unknown {what}", sources)]
+        ends = _built(loc, make, src, tgt, {})._endpoints
         comps = {
-            key: _as_hom(rows, kloc, src.group(*key), tgt.group(*key))
-            for key, rows, kloc in _graded(tdoc, "components", loc, names, kind)
+            key: _as_hom(rows, kloc, *_built(kloc, ends, *key))
+            for key, rows, kloc in _graded(tdoc, "components", loc)
         }
         out[name] = _built(loc, make, src, tgt, comps)
     return out
@@ -438,123 +448,108 @@ def parse_instance(doc) -> InstanceBundle:
 
     objects = doc["objects"]
     _expect(isinstance(objects, list) and all(isinstance(o, str) for o in objects), "objects", "expected a list of names")
+    where = {}  # (table, key) -> location of the entry, for the Site's errors
     morphisms = []
     for idx, m in enumerate(_section(doc, "morphisms", "morphisms", list)):
         loc = f"morphisms[{idx}]"
         _expect(isinstance(m, dict), loc, "expected an object")
         for fld in ("name", "src", "tgt"):
             _expect(isinstance(m.get(fld), str), loc, f"missing field {fld!r}")
-        _expect(m["src"] in objects, f"{loc}.src", f"unknown object {m['src']!r}")
-        _expect(m["tgt"] in objects, f"{loc}.tgt", f"unknown object {m['tgt']!r}")
         morphisms.append((m["name"], m["src"], m["tgt"]))
-    names = {m[0] for m in morphisms}
+        for end in ("src", "tgt"):
+            where["morphisms", (m["name"], end)] = f"{loc}.{end}"
 
     identities = _section(doc, "identities", "identities")
     for obj, mor in identities.items():
-        _expect(obj in objects, f"identities.{obj}", "unknown object")
-        _named(mor, names, f"identities.{obj}", f"unknown morphism {mor!r}")
+        _expect(isinstance(mor, str), f"identities.{obj}", f"unknown morphism {mor!r}")
+        where["identities", obj] = f"identities.{obj}"
 
     composition = {}
     for idx, entry in enumerate(_section(doc, "composition", "composition", list)):
         loc = f"composition[{idx}]"
-        _expect(isinstance(entry, dict), loc, "expected an object")
-        for fld in ("first", "then", "equals"):
-            _named(entry.get(fld), names, loc, f"field {fld!r} must name a morphism")
-        _put(composition, (entry["then"], entry["first"]), entry["equals"], loc)
+        first, then, equals = _fields(entry, loc, ("first", "then", "equals"))
+        _put(composition, (then, first), equals, loc)
+        where["composition", (then, first)] = loc
 
-    confined = [_named(c, names, "confined", "expected a list of morphism names") for c in _section(doc, "confined", "confined", list)]
+    confined = [_named(c, "confined", "expected a list of morphism names") for c in _section(doc, "confined", "confined", list)]
+    where.update((("confined", c), "confined") for c in confined)
 
     pullbacks = {}
     for idx, entry in enumerate(_section(doc, "pullbacks", "pullbacks", list)):
         loc = f"pullbacks[{idx}]"
-        _expect(isinstance(entry, dict), loc, "expected an object")
-        for fld in ("f", "g", "top", "left"):
-            _named(entry.get(fld), names, loc, f"field {fld!r} must name a morphism")
-        _named(entry.get("apex"), objects, loc, "field 'apex' must name an object")
-        _put(pullbacks, (entry["f"], entry["g"]), (entry["apex"], entry["top"], entry["left"]), loc)
+        f, g, top, left = _fields(entry, loc, ("f", "g", "top", "left"))
+        apex = _named(entry.get("apex"), loc, "field 'apex' must name an object")
+        _put(pullbacks, (f, g), (apex, top, left), loc)
+        where["pullbacks", (f, g)] = loc
 
     final_object = doc.get("final_object")
-    if final_object is not None:
-        _expect(final_object in objects, "final_object", "unknown object")
+    _expect(final_object is None or isinstance(final_object, str), "final_object", "unknown object")
+    where["final_object", None] = "final_object"
 
-    site = _built("site", Site, objects, morphisms, identities, composition, confined, pullbacks, final_object)
+    site = _built("site", Site, objects, morphisms, identities, composition, confined, pullbacks, final_object, where=where)
 
     functors = {}
     for fname, fdoc in sorted(_section(doc, "functors", "functors").items()):
         loc = f"functors.{fname}"
         _expect(isinstance(fdoc, dict), loc, "expected an object")
-        variance = fdoc.get("variance")
-        _expect(variance in ("contra", "cov"), f"{loc}.variance", "must be 'contra' or 'cov'")
+        variance = _named(fdoc.get("variance"), f"{loc}.variance", "expected a string")
         window = _window(fdoc, loc)
-        groups = {key: _as_group(spec, kloc) for key, spec, kloc in _graded(fdoc, "groups", loc, objects, "object")}
-        functor = _built(loc, GradedFunctor, site, variance, window, groups, {})
+        where = {("variance", None): f"{loc}.variance"}
+        groups = {key: _as_group(spec, kloc) for key, spec, kloc in _graded(fdoc, "groups", loc, where)}
+        functor = _built(loc, GradedFunctor, site, variance, window, groups, {}, where=where)
         maps = {
-            key: _as_hom(rows, kloc, *functor._endpoints(*key))
-            for key, rows, kloc in _graded(fdoc, "maps", loc, names, "morphism")
+            key: _as_hom(rows, kloc, *_built(kloc, functor._endpoints, *key))
+            for key, rows, kloc in _graded(fdoc, "maps", loc)
         }
         functors[fname] = _built(loc, GradedFunctor, site, variance, window, groups, maps)
 
-    transformations = _transformations(doc, "transformations", functors, "functor", objects, "object", NaturalTransf)
+    transformations = _transformations(doc, "transformations", functors, "functor", NaturalTransf)
 
     theories = {}
     for bname, bdoc in sorted(_section(doc, "theories", "theories").items()):
         loc = f"theories.{bname}"
         _expect(isinstance(bdoc, dict), loc, "expected an object")
         window = _window(bdoc, loc)
-        groups = {key: _as_group(spec, kloc) for key, spec, kloc in _graded(bdoc, "groups", loc, names, "morphism")}
-
-        def grp(mor, deg):
-            lo, hi = window
-            if not (lo <= deg <= hi):
-                return FgAbGroup.zero()
-            return groups.get((mor, deg), FgAbGroup.zero())
+        where = {}
+        groups = {key: _as_group(spec, kloc) for key, spec, kloc in _graded(bdoc, "groups", loc, where)}
+        # the theory's groups, for the shapes of its tables
+        grp = _built(loc, TabulatedBivTheory, site, window, groups, {}, {}, {}, {}, where=where).group
 
         products = {}
         for idx, entry in enumerate(_section(bdoc, "products", f"{loc}.products", list)):
             ploc = f"{loc}.products[{idx}]"
-            f_, g_, i_, j_ = _fields(entry, ploc, names, ("i", "j"))
+            f_, g_, i_, j_ = _fields(entry, ploc, ("f", "g"), ("i", "j"))
             ga, gb = grp(f_, i_), grp(g_, j_)
             gf = _built(ploc, site.compose, g_, f_)
             gt = grp(gf, i_ + j_)
             table = entry.get("table")
             _expect(isinstance(table, list) and len(table) == ga.ngens, f"{ploc}.table", f"expected {ga.ngens} rows")
-            parsed = []
             for r, row in enumerate(table):
                 _expect(isinstance(row, list) and len(row) == gb.ngens, f"{ploc}.table[{r}]", f"expected {gb.ngens} cells")
-                prow = []
-                for cidx, cell in enumerate(row):
+                for c, cell in enumerate(row):
                     _expect(
                         isinstance(cell, list) and len(cell) == gt.ngens and all(type(x) is int for x in cell),
-                        f"{ploc}.table[{r}][{cidx}]",
+                        f"{ploc}.table[{r}][{c}]",
                         f"expected {gt.ngens} integer coordinates",
                     )
-                    prow.append(tuple(cell))
-                parsed.append(tuple(prow))
-            _put(products, (f_, g_, i_, j_), tuple(parsed), ploc)
+            _put(products, (f_, g_, i_, j_), table, ploc)
 
-        def pushforward_ends(f, g, i, loc):
-            return grp(_built(loc, site.compose, g, f), i), grp(g, i)
-
-        def pullback_ends(f, g, i, loc):
-            return grp(f, i), grp(_built(loc, site.chosen_pullback, f, g).left, i)
-
-        pushforwards = _hom_table(bdoc, "pushforwards", loc, names, pushforward_ends)
-        pullbacks_t = _hom_table(bdoc, "pullbacks", loc, names, pullback_ends)
+        pushforwards = _hom_table(bdoc, "pushforwards", loc, lambda f, g, i, at: (grp(_built(at, site.compose, g, f), i), grp(g, i)))
+        pullbacks_t = _hom_table(bdoc, "pullbacks", loc, lambda f, g, i, at: (grp(f, i), grp(_built(at, site.chosen_pullback, f, g).left, i)))
 
         units = {}
         for obj, coords in _section(bdoc, "units", f"{loc}.units").items():
             uloc = f"{loc}.units.{obj}"
-            _expect(obj in objects, uloc, "unknown object")
-            g0 = grp(site.identity(obj), 0)
+            g0 = grp(_built(uloc, site.identity, obj), 0)
             _expect(
                 isinstance(coords, list) and len(coords) == g0.ngens and all(type(x) is int for x in coords),
                 uloc,
                 f"expected {g0.ngens} integer coordinates",
             )
-            units[obj] = g0.element(coords)
+            units[obj] = coords
         theories[bname] = _built(loc, TabulatedBivTheory, site, window, groups, products, pushforwards, pullbacks_t, units)
 
-    groth = _transformations(doc, "groth", theories, "theory", names, "morphism", GrothTransf)
+    groth = _transformations(doc, "groth", theories, "theory", GrothTransf)
     return InstanceBundle(site, functors, transformations, theories, groth)
 
 

@@ -19,6 +19,9 @@ paid for by every command.
 
 Each op_* / coop_* twin is one famsolve function bound at a variance, and
 operational.py defines no function but the four class-operation forwarders.
+
+No function of workbench.py tests a name against the site's objects or
+morphisms: the constructors check every name of an instance once.
 """
 
 import ast
@@ -207,3 +210,38 @@ def test_operational_defines_only_the_four_forwarders():
     tree = ast.parse(Path(operational.__file__).read_text())
     functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
     assert sorted(getattr(node, "name", "<lambda>") for node in functions) == FORWARDERS
+
+
+# names that hold a site's objects or morphism names, or the tables of a Site
+SITE_NAMES = {"objects", "morphisms", "names", "objset", "_mor", "_identity"}
+
+
+def site_name_tests(source: str) -> list[str]:
+    """The tests in source of a value against a site's names: an in or not
+    in whose right side is a name or attribute in SITE_NAMES, and every call
+    of has_morphism or has_object, as source text."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            sides = [right for op, right in zip(node.ops, node.comparators) if isinstance(op, (ast.In, ast.NotIn))]
+            hit = any(getattr(side, "id", getattr(side, "attr", None)) in SITE_NAMES for side in sides)
+        else:
+            hit = isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("has_morphism", "has_object")
+        if hit:
+            found.append(ast.get_source_segment(source, node))
+    return found
+
+
+def test_the_check_finds_a_test_against_site_names():
+    source = (
+        "def read(doc, site, sources, m, name, obj):\n"
+        "    objects = doc['objects']\n"
+        "    names = {m[0] for m in doc['morphisms']}\n"
+        "    ok = m['src'] in objects and name not in names and obj in site.objects\n"
+        "    ok = ok and site.has_morphism(name) and doc['src'] in sources\n"
+    )
+    assert site_name_tests(source) == ["m['src'] in objects", "name not in names", "obj in site.objects", "site.has_morphism(name)"]
+
+
+def test_the_reader_tests_no_name_against_the_site():
+    assert site_name_tests((Path(bivariant.__file__).parent / "workbench.py").read_text()) == []

@@ -492,9 +492,9 @@ def arrow_site(**changes):
 
 
 class TestStructureErrors:
-    """Each structure check of Site and GradedFunctor that no instance file
-    reaches, because the reader rejects the same input first, or that only
-    the library API can send."""
+    """Structure checks of Site and GradedFunctor that no single-mutation
+    document of the fuzz corpus reaches.  An instance file can reach each of
+    them, and the reader then reports it at the constructor's location."""
 
     def test_the_arrow_site_is_valid(self):
         assert validate_site(arrow_site()).ok
