@@ -25,6 +25,7 @@ from bivariant.bivcore import GrothTransf, InvalidTransformationError, Tabulated
 from bivariant.exactalg import FgAbGroup, GroupHom
 from bivariant.site import GradedFunctor, NaturalTransf, SiteStructureError
 from bivariant.workbench import build_subsets_instance, bundle_to_json
+from test_instance_fuzz import at
 from test_site import arrow_site
 
 Z = FgAbGroup.free(1)
@@ -276,16 +277,6 @@ def test_every_constructor_check_is_reached():
 # instance files: a well-typed name that names nothing
 
 
-def renamed(table: dict, old, new) -> dict:
-    return {new if key == old else key: value for key, value in table.items()}
-
-
-def at(doc, path):
-    for key in path:
-        doc = doc[key]
-    return doc
-
-
 def set_zz(*path):
     def edit(doc):
         at(doc, path[:-1])[path[-1]] = "zz"
@@ -296,7 +287,7 @@ def set_zz(*path):
 def rename_zz(*path, key, new):
     def edit(doc):
         parent = at(doc, path[:-1])
-        parent[path[-1]] = renamed(parent[path[-1]], key, new)
+        parent[path[-1]] = {new if k == key else k: value for k, value in parent[path[-1]].items()}
 
     return edit
 
