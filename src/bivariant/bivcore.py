@@ -64,6 +64,8 @@ class TabulatedBivTheory:
         for f, i in self._groups:
             if not site.has_morphism(f):
                 raise SiteStructureError(f"theory group at the unknown morphism {f!r}", "groups", (f, i))
+            if not lo <= i <= hi:
+                raise SiteStructureError(f"theory group at degree {i} outside the window {self.window}", "groups", (f, i))
         self._products = {}
         for key, table in dict(products).items():
             self._products[key] = tuple(tuple(tuple(map(operator.index, cell)) for cell in row) for row in table)
@@ -76,6 +78,15 @@ class TabulatedBivTheory:
                         raise SiteStructureError(f"{kind} entry {key} names the unknown morphism {f!r}", f"{kind}s", key)
                 if not all(lo <= d <= hi for d in key[2:]):
                     raise DegreeWindowError(f"{kind} entry {key} has a degree outside the window {self.window}")
+                # a product or pushforward is read at a composable pair, a pullback at a cospan
+                f, g = key[:2]
+                if kind == "pullback":
+                    if site.tgt(f) != site.tgt(g):
+                        raise SiteStructureError(f"pullback entry {key} is not at a cospan", "pullbacks", key)
+                elif site.tgt(f) != site.src(g):
+                    raise SiteStructureError(f"{kind} entry {key} is not at a composable pair", f"{kind}s", key)
+                if kind == "pushforward" and not site.is_confined(f):
+                    raise SiteStructureError(f"pushforward entry {key} is along the non-confined morphism {f!r}", "pushforwards", key)
         self._units = {}
         for obj, u in dict(units).items():
             if not site.has_object(obj):

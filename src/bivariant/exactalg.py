@@ -753,9 +753,21 @@ class HomGroup(Frozen):
     dotted with column i of u_src^-1, then _summand_coords takes them mod
     b_j and divides by coeff.  The integers equal those of the dense triple
     products.
+
+    Zero homs take neither closed form: decode returns the codec's one zero
+    hom (zero_hom, built and checked on first use, on this codec's src and
+    tgt) for all-zero coordinates, and encode gives the group's zero
+    element for a hom whose matrix has no nonzero entry, after the same
+    shape check.
     """
 
     _fields = ("src", "tgt", "group", "summands")
+
+    @cached_property
+    def zero_hom(self) -> GroupHom:
+        """The zero hom src -> tgt, the one decode returns for all-zero
+        coordinates; it lives as long as the codec."""
+        return GroupHom.zero(self.src, self.tgt)
 
     def decode(self, x) -> GroupHom:
         if isinstance(x, GroupElement):
@@ -765,6 +777,8 @@ class HomGroup(Frozen):
         x = tuple(map(operator.index, x))
         if len(x) != self.group.ngens:
             raise ShapeMismatchError("coordinate length mismatch")
+        if not any(x):
+            return self.zero_hom
         u_inv, u = self.tgt._smith.u_inv, self.src._smith.u  # columns, rows
         rows = [[0] * self.src.ngens for _ in range(self.tgt.ngens)]
         for (j, i, _order, coeff), e in zip(self.summands, x):
@@ -779,15 +793,22 @@ class HomGroup(Frozen):
         return GroupHom(self.src, self.tgt, mat)
 
     def encode(self, hom: GroupHom) -> GroupElement:
+        return self.group.element(self.encode_coords(hom))
+
+    def encode_coords(self, hom: GroupHom) -> list:
+        """Coordinates of encode(hom), unreduced: zeros, with no product
+        taken, for a hom whose matrix has no nonzero entry."""
         if hom.src != self.src or hom.tgt != self.tgt:
             raise ShapeMismatchError("hom does not match this Hom group")
+        if not any(map(any, hom.mat.entries)):
+            return [0] * self.group.ngens
         u, u_inv = self.tgt._smith.u, self.src._smith.u_inv  # rows, columns
         left = {}  # row j of u_tgt . mat, for each j a summand names
         for j, _i, _order, _coeff in self.summands:
             if j not in left:
                 left[j] = _row_times(u[j], hom.mat)
         raws = (sum(left[j][r] * a for r, a in u_inv[i]) for j, i, _, _ in self.summands)
-        return self.group.element(self._summand_coords(raws))
+        return self._summand_coords(raws)
 
     def _summand_coords(self, raws) -> list:
         """Unreduced coordinates of the hom whose matrix in the canonical

@@ -37,7 +37,10 @@ filled once per base and feasible degree.  Two classes over one functor
 with equal values (see FamilyClass.value) are equal with no component
 compared.  The results of the operations (product, pushforward, pullback,
 transport) store only their nonzero components; decoded generators store
-every component of the solution, zero ones included.
+every component of the solution, zero ones included, and each zero one is
+its Hom codec's one zero hom (exactalg.HomGroup.zero_hom), so decoding
+builds and checks at most one zero hom per codec and encoding a zero
+component takes no product.
 
 Each operation, and the compatibility check of a class, runs through a plan
 kept in the functor's table of plans (GradedFunctor._plans), built on first
@@ -164,12 +167,16 @@ class FamilySolution:
         return self.kernel.group
 
     def decode_unknowns(self, u: GroupElement) -> dict:
-        """Family components from an element of the unknown direct sum."""
+        """Family components from an element of the unknown direct sum, one
+        per summand: a summand whose slice of u is all zero gets its codec's
+        zero hom as it is, and any other slice is reduced in its Hom group
+        and decoded."""
         if u.group != self.unknowns.group:
             raise ShapeMismatchError("element not in the unknown sum")
         out = {}
         for s, hg, off in zip(self.summands, self.hom_groups, self.unknowns.offsets):
-            out[s.key] = hg.decode(hg.group.element(u.coords[off : off + hg.group.ngens]))
+            part = u.coords[off : off + hg.group.ngens]
+            out[s.key] = hg.decode(hg.group.element(part)) if any(part) else hg.zero_hom
         return out
 
     def decode(self, x: GroupElement) -> dict:
@@ -207,11 +214,12 @@ def _between(hg: HomGroup, src: FgAbGroup, tgt: FgAbGroup) -> HomGroup:
 
 def _sum_element(group: FgAbGroup, specs, hom_groups, homs) -> GroupElement:
     """The element of a direct sum of Hom groups whose part at spec.key encodes
-    homs[spec.key], zero where homs has no entry; reduced once, as a whole."""
+    homs[spec.key], zero where homs has no entry or a zero-matrix hom; no
+    part is reduced on its own, the sum is reduced once, as a whole."""
     coords = []
     for spec, hg in zip(specs, hom_groups):
         h = homs.get(spec.key)
-        coords.extend((0,) * hg.group.ngens if h is None else hg.encode(h).coords)
+        coords.extend((0,) * hg.group.ngens if h is None else hg.encode_coords(h))
     return group.element(coords)
 
 

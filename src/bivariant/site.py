@@ -22,10 +22,10 @@ from .report import ReportBuilder, ValidationReport
 class SiteStructureError(ValueError):
     """Malformed site data: unresolved names, partial or ill-typed tables.
 
-    A constructor's error about an unknown name carries the table that holds
-    the name and the key of its entry there (None for a table of one value),
-    so that a reader can locate the entry; every other error carries None
-    for both.
+    A constructor's error about an unknown name, or about a theory entry
+    that the theory would never read, carries the table that holds the entry
+    and its key there (None for a table of one value), so that a reader can
+    locate the entry; every other error carries None for both.
     """
 
     def __init__(self, message: str, table: str | None = None, key=None):

@@ -410,14 +410,16 @@ def _fields(entry, location, names, ints=()):
     return tuple(entry[fld] for fld in (*names, *ints))
 
 
-def _hom_table(doc: dict, key, location, ends) -> dict:
+def _hom_table(doc: dict, key, location, ends, where) -> dict:
     """{(f, g, i): hom} from the list doc[key] of {f, g, i, matrix} entries;
-    ends(f, g, i, location) gives the (source, target) groups of the hom."""
+    ends(f, g, i, location) gives the (source, target) groups of the hom,
+    and where records each entry's location at (key, (f, g, i))."""
     table = {}
     for idx, entry in enumerate(_section(doc, key, f"{location}.{key}", list)):
         loc = f"{location}.{key}[{idx}]"
         f, g, i = _fields(entry, loc, ("f", "g"), ("i",))
         _put(table, (f, g, i), _as_hom(entry.get("matrix"), f"{loc}.matrix", *ends(f, g, i, loc)), loc)
+        where[key, (f, g, i)] = loc
     return table
 
 
@@ -534,8 +536,8 @@ def parse_instance(doc) -> InstanceBundle:
                     )
             _put(products, (f_, g_, i_, j_), table, ploc)
 
-        pushforwards = _hom_table(bdoc, "pushforwards", loc, lambda f, g, i, at: (grp(_built(at, site.compose, g, f), i), grp(g, i)))
-        pullbacks_t = _hom_table(bdoc, "pullbacks", loc, lambda f, g, i, at: (grp(f, i), grp(_built(at, site.chosen_pullback, f, g).left, i)))
+        pushforwards = _hom_table(bdoc, "pushforwards", loc, lambda f, g, i, at: (grp(_built(at, site.compose, g, f), i), grp(g, i)), where)
+        pullbacks_t = _hom_table(bdoc, "pullbacks", loc, lambda f, g, i, at: (grp(f, i), grp(_built(at, site.chosen_pullback, f, g).left, i)), where)
 
         units = {}
         for obj, coords in _section(bdoc, "units", f"{loc}.units").items():
@@ -547,7 +549,7 @@ def parse_instance(doc) -> InstanceBundle:
                 f"expected {g0.ngens} integer coordinates",
             )
             units[obj] = coords
-        theories[bname] = _built(loc, TabulatedBivTheory, site, window, groups, products, pushforwards, pullbacks_t, units)
+        theories[bname] = _built(loc, TabulatedBivTheory, site, window, groups, products, pushforwards, pullbacks_t, units, where=where)
 
     groth = _transformations(doc, "groth", theories, "theory", GrothTransf)
     return InstanceBundle(site, functors, transformations, theories, groth)

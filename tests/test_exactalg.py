@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bivariant import exactalg
 from bivariant.exactalg import (
     FgAbGroup,
     GroupHom,
@@ -52,6 +53,7 @@ from oracles import (
     random_well_defined_matrix,
     rational_rank,
 )
+from test_famsolve import count_homs
 
 
 Z = FgAbGroup.free(1)
@@ -671,6 +673,63 @@ class TestCodecClosedForm:
         assert hg.encode(h) == hg.group.element(x)
         assert calls == []
         assert h.mat == expected
+
+
+class TestZeroHom:
+    """Each codec decodes zero coordinates to one zero hom, built and checked
+    once on its own groups, and encodes a zero-matrix hom to the zero element
+    with no hom built and no product taken."""
+
+    CODECS = [
+        (FgAbGroup.from_invariants(0, (2,)), FgAbGroup.from_invariants(0, (2,))),
+        (FgAbGroup.from_invariants(0, (4,)), FgAbGroup.from_invariants(0, (6,))),
+        (FgAbGroup.from_invariants(1, (6, 4)), _general(3, (1, 2, 0), (2, 1, 3), (3, 3, 3))),
+        (Z, Z),
+    ]
+
+    @pytest.mark.parametrize("src, tgt", CODECS)
+    def test_zero_coordinates_decode_to_one_zero_hom(self, src, tgt, monkeypatch):
+        cached = hom_group(src, tgt)
+        hg = HomGroup(src, tgt, cached.group, cached.summands)  # with no zero hom built yet
+        n = hg.group.ngens
+        built = count_homs(monkeypatch)
+        zero = hg.decode((0,) * n)
+        assert built == [zero] and zero.src is src and zero.tgt is tgt
+        assert zero.mat.entries == dense_decode(hg, (0,) * n).entries
+        for x in ([0] * n, hg.group.zero_element(), hg.group.element([o for _j, _i, o, _c in hg.summands])):
+            assert hg.decode(x) is zero
+        assert hg.zero_hom is zero and len(built) == 1
+
+    def test_coordinates_that_reduce_to_zero(self):
+        z2 = FgAbGroup.from_invariants(0, (2,))
+        hg = hom_group(z2, z2)
+        assert hg.decode(hg.group.element((2,))) is hg.decode((0,))
+        # raw coordinates are decoded as given, to a hom equal to zero
+        twice = hg.decode((2,))
+        assert twice.mat.entries == dense_decode(hg, (2,)).entries == ((2,),)
+        assert twice == hg.zero_hom and hg.encode(twice).is_zero
+
+    @pytest.mark.parametrize("src, tgt", CODECS)
+    def test_a_zero_matrix_encodes_to_zero_with_no_hom_or_product(self, src, tgt, monkeypatch):
+        hg = hom_group(src, tgt)
+        zeros = (GroupHom.zero(src, tgt), hg.zero_hom)
+        built, products = count_homs(monkeypatch), []
+        monkeypatch.setattr(exactalg, "_row_times", lambda *args: products.append(args))
+        monkeypatch.setattr(IntMatrix, "__matmul__", lambda *args: products.append(args))
+        for zero in zeros:
+            assert hg.encode(zero) == hg.group.zero_element()
+        assert built == [] and products == []
+
+    def test_a_zero_hom_of_the_wrong_shape_raises(self):
+        z2, z4 = FgAbGroup.from_invariants(0, (2,)), FgAbGroup.from_invariants(0, (4,))
+        hg = hom_group(z2, z4)
+        for src, tgt in ((z4, z2), (z2, Z), (Z, z4)):
+            with pytest.raises(ShapeMismatchError):
+                hg.encode(GroupHom.zero(src, tgt))
+        with pytest.raises(ShapeMismatchError):
+            hg.decode((0,) * (hg.group.ngens + 1))
+        with pytest.raises(ShapeMismatchError):
+            hg.decode(hom_group(z4, z4).group.zero_element())
 
 
 class TestHomAlgebra:

@@ -727,6 +727,74 @@ class TestArithmeticOnStoredComponents:
         assert built == []
 
 
+def count_reductions(monkeypatch):
+    """Every FgAbGroup.reduce call, recorded with its group."""
+    calls = []
+    original = FgAbGroup.reduce
+
+    def counted(self, coords):
+        calls.append(self)
+        return original(self, coords)
+
+    monkeypatch.setattr(FgAbGroup, "reduce", counted)
+    return calls
+
+
+class TestZeroComponents:
+    """A zero component is its codec's one zero hom: decoding builds at most
+    one zero hom per codec, encoding builds no hom, and the codecs still
+    invert each other."""
+
+    def test_companions_build_at_most_one_zero_hom_per_codec(self, monkeypatch):
+        transf = build_subsets_instance(3).transformations["T"]
+        built = count_homs(monkeypatch)
+        decoded, results, zero_built = [], [], 0
+        for base in ("01>012", "01>01", "0>012"):
+            tsr = transfer_subgroup(transf, base, 0)
+            del built[:]
+            for cls in members(tsr):
+                particular = tsr.companions(cls).particular
+                assert particular is not None
+                decoded += [(tsr.source_result, cls), (tsr.target_result, particular)]
+            zero_built += sum(is_zero_matrix(h.mat) for h in built)
+            results += [tsr.source_result, tsr.target_result]
+        codecs = [hg for result in results for hg in result.solution.hom_groups]
+        assert 0 < zero_built <= len(codecs)
+        zeros = 0
+        for result, cls in decoded:
+            for s, hg in zip(result.solution.summands, result.solution.hom_groups):
+                hom = cls.components[s.key]
+                if is_zero_matrix(hom.mat):
+                    assert hom is hg.zero_hom
+                    zeros += 1
+        assert zeros > len(codecs)  # every decode of a zero shares its codec's hom
+        pairs = []
+        for result in results:
+            pairs += [(result, x, result.decode(x)) for x in result.group.gens()]
+            for hg in result.solution.hom_groups:
+                pairs += [(hg, x, hg.decode(x)) for x in [hg.group.zero_element(), *hg.group.gens()]]
+        del built[:]
+        for codec, x, decoded_x in pairs:
+            assert codec.encode(decoded_x) == x
+        assert built == []
+
+    def test_a_zero_slice_gets_the_zero_hom_with_no_reduction(self, bundle, monkeypatch):
+        sol = family_group(bundle.functors["F"], "01>01", 0).solution
+        u = sol.unknowns.group.zero_element()
+        reduced = count_reductions(monkeypatch)
+        out = sol.decode_unknowns(u)
+        assert reduced == []
+        assert all(out[s.key] is hg.zero_hom for s, hg in zip(sol.summands, sol.hom_groups))
+
+    def test_zero_components_encode_to_zeros_with_no_element(self, bundle, monkeypatch):
+        sol = family_group(bundle.functors["F"], "01>01", 0).solution
+        zeros = {s.key: GroupHom.zero(s.src, s.tgt) for s in sol.summands}
+        built = count_homs(monkeypatch)
+        reduced = count_reductions(monkeypatch)
+        assert sol.encode_unknowns(zeros).is_zero
+        assert built == [] and reduced == [sol.unknowns.group]  # the sum, reduced once as a whole
+
+
 def fresh_companions(tsr, cls):
     """The companion system solved from scratch for one class: coop(G)'s
     constraints plus the links d_g o T = T o c_g, the class on the right."""

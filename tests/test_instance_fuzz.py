@@ -243,7 +243,7 @@ def test_the_writer_serializes_every_document_the_reader_accepts():
     bundles = parsed_mutations()
     for bundle in bundles:
         assert_written_back(bundle)
-    assert len(bundles) == 172
+    assert len(bundles) == 170
 
 
 def test_a_missing_product_table_is_reported():
@@ -383,11 +383,11 @@ def normal_form(doc: dict) -> dict:
 
 def test_the_writer_writes_the_normal_form_of_every_accepted_document():
     """bundle_to_json(parse_instance(doc)) is normal_form(doc) for each of
-    the 172 single-mutation documents that the reader accepts."""
+    the 170 single-mutation documents that the reader accepts."""
     accepted = [edited(SOURCES[name], path, value) for name, path, value, bundle, _ in single_mutations() if bundle is not None]
     for doc in accepted:
         assert bundle_to_json(parse_instance(doc)) == normal_form(doc)
-    assert len(accepted) == 172
+    assert len(accepted) == 170
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])

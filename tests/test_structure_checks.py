@@ -1,7 +1,8 @@
 """Every structure check of an instance has one home: a constructor.
 
 Site, GradedFunctor, NaturalTransf, TabulatedBivTheory and GrothTransf check
-every name their tables hold, and the instance reader only types JSON.
+every name their tables hold, a theory checks that it would read every entry
+it holds, and the instance reader only types JSON.
 CASES sends each check that the constructors make one input that fails it,
 and asserts the exact error; test_every_constructor_check_is_reached shows
 that the cases reach every raise the constructors make.  An instance file
@@ -24,8 +25,8 @@ from bivariant import bivcore, cli, site as site_module
 from bivariant.bivcore import GrothTransf, InvalidTransformationError, TabulatedBivTheory
 from bivariant.exactalg import FgAbGroup, GroupHom
 from bivariant.site import GradedFunctor, NaturalTransf, SiteStructureError
-from bivariant.workbench import build_subsets_instance, bundle_to_json
-from test_instance_fuzz import at
+from bivariant.workbench import build_subsets_instance, bundle_to_json, parse_instance
+from test_instance_fuzz import at, written_instances
 from test_site import arrow_site
 
 Z = FgAbGroup.free(1)
@@ -155,6 +156,26 @@ CASES = [
         bivcore.DegreeWindowError,
         "pullback entry ('0>0', '0>0', 1) has a degree outside the window (0, 0)",
     ),
+    ("theory-group-degree", lambda: theory(groups={("0>0", 3): Z}), SiteStructureError, "theory group at degree 3 outside the window (0, 0)"),
+    (
+        "theory-product-composable",
+        lambda: theory(products={**B._products, ("0>0", "E>0", 0, 0): (((1,),),)}),
+        SiteStructureError,
+        "product entry ('0>0', 'E>0', 0, 0) is not at a composable pair",
+    ),
+    (
+        "theory-pushforward-composable",
+        lambda: theory(pushforwards={("0>0", "E>0", 0): ONE}),
+        SiteStructureError,
+        "pushforward entry ('0>0', 'E>0', 0) is not at a composable pair",
+    ),
+    (
+        "theory-pushforward-confined",
+        lambda: TabulatedBivTheory(arrow_site(confined=["ix", "iy"]), (0, 0), {}, {}, {("f", "iy", 0): ONE}, {}, {}),
+        SiteStructureError,
+        "pushforward entry ('f', 'iy', 0) is along the non-confined morphism 'f'",
+    ),
+    ("theory-pullback-cospan", lambda: theory(pullbacks={("0>0", "E>E", 0): ONE}), SiteStructureError, "pullback entry ('0>0', 'E>E', 0) is not at a cospan"),
     ("theory-unit-name", lambda: theory(units={"zz": (1,)}), SiteStructureError, "unit at the unknown object 'zz'"),
     # GrothTransf
     (
@@ -195,6 +216,28 @@ def test_an_unknown_name_carries_its_table_and_key():
     with pytest.raises(SiteStructureError) as err:
         arrow_site(pullbacks={("f", "ix"): ("x", "ix", "ix")})
     assert (err.value.table, err.value.key) == (None, None)
+
+
+def test_a_theory_entry_that_is_never_read_carries_its_table_and_key():
+    # a group outside the window, a product off a composable pair, a
+    # pushforward along a non-confined morphism and a pullback off a cospan
+    for case_id, table, key in [
+        ("theory-group-degree", "groups", ("0>0", 3)),
+        ("theory-product-composable", "products", ("0>0", "E>0", 0, 0)),
+        ("theory-pushforward-confined", "pushforwards", ("f", "iy", 0)),
+        ("theory-pullback-cospan", "pullbacks", ("0>0", "E>E", 0)),
+    ]:
+        make = next(case[1] for case in CASES if case[0] == case_id)
+        with pytest.raises(SiteStructureError) as err:
+            make()
+        assert (err.value.table, err.value.key) == (table, key)
+
+
+def test_every_bundled_instance_reads_back():
+    """The writer writes only entries the constructors accept, so the reader
+    accepts every bundled instance as written."""
+    for name, doc in written_instances():
+        assert bundle_to_json(parse_instance(doc)) == doc, name
 
 
 @pytest.mark.parametrize(
@@ -324,16 +367,40 @@ UNKNOWN_NAMES = [
 ]
 
 
-@pytest.mark.parametrize("edit, location", [case[1:] for case in UNKNOWN_NAMES], ids=[case[0] for case in UNKNOWN_NAMES])
-def test_an_unknown_name_is_an_input_error_at_its_entry(tmp_path, edit, location):
-    doc = copy.deepcopy(bundle_to_json(SUBSETS))
-    edit(doc)
+def validate_exit(tmp_path, doc) -> tuple:
+    """(exit code, standard error) of the CLI's validate on doc."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(["validate", str(path)])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("edit, location", [case[1:] for case in UNKNOWN_NAMES], ids=[case[0] for case in UNKNOWN_NAMES])
+def test_an_unknown_name_is_an_input_error_at_its_entry(tmp_path, edit, location):
+    doc = copy.deepcopy(bundle_to_json(SUBSETS))
+    edit(doc)
+    code, err = validate_exit(tmp_path, doc)
     assert code == 2
     prefix = f"input error: {location}: "
-    assert err.getvalue().startswith(prefix)
-    assert "zz" in err.getvalue()[len(prefix) :]
+    assert err.startswith(prefix)
+    assert "zz" in err[len(prefix) :]
+
+
+def test_a_dead_theory_entry_is_an_input_error_at_its_entry(tmp_path):
+    # both documents used to parse and validate, and the writer dropped the
+    # group or wrote the pushforward back
+    doc = copy.deepcopy(bundle_to_json(SUBSETS))
+    doc["theories"]["B"]["groups"]["0>0@3"] = {"free_rank": 1}
+    code, err = validate_exit(tmp_path, doc)
+    assert (code, err) == (2, "input error: theories.B.groups.0>0@3: theory group at degree 3 outside the window (0, 0)\n")
+
+    doc = copy.deepcopy(bundle_to_json(SUBSETS))
+    doc["confined"].remove("E>0")
+    del doc["functors"], doc["transformations"]
+    idx = next(k for k, e in enumerate(doc["theories"]["B"]["pushforwards"]) if e["f"] == "E>0")
+    code, err = validate_exit(tmp_path, doc)
+    assert code == 2
+    assert err.startswith(f"input error: theories.B.pushforwards[{idx}]: pushforward entry ('E>0', ")
+    assert err.endswith(" is along the non-confined morphism 'E>0'\n")
