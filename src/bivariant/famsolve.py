@@ -19,9 +19,10 @@ helpers:
 Groups of classes are kernels of an integer constraint map: the unknown is
 the family (c_key) with c_key in Hom(src, tgt), and each constraint is a
 signed sum of terms post o c_key o pre that must vanish.  FamilySolution
-assembles the constraint map between the direct sums of the Hom groups and
-returns its kernel with an element <-> family codec; its assembler,
-constraint_map, also yields the transfer's link map on coop(F) and coop(G).
+assembles the constraint map between the direct sums of the Hom groups, with
+an element <-> family codec, and solves its kernel when the kernel is first
+read; its assembler, constraint_map, also yields the transfer's link map on
+coop(F) and coop(G).
 The assembler writes each term's block in place: its columns come from
 exactalg.induced_columns, the closed form that induced_hom is built on, and
 are added with their sign straight into the rows, so the only hom it builds,
@@ -113,7 +114,9 @@ class ConstraintSpec(Frozen):
 
 
 class FamilySolution:
-    """Kernel of the assembled constraint map, with decode/encode."""
+    """The assembled constraint map on the unknowns sum U, with decode/encode;
+    its kernel, the group of classes, is solved when it is first read, so a
+    caller that works in U alone (image_transfer) solves none."""
 
     def __init__(self, summands, constraints):
         self.summands = [s for s in summands if not hom_group(s.src, s.tgt).group.is_trivial]
@@ -124,7 +127,10 @@ class FamilySolution:
         self._pos = {s.key: idx for idx, s in enumerate(self.summands)}
         self.unknowns = direct_sum([hg.group for hg in self.hom_groups])
         self.constraints, self.targets, self.constraint_sum, self.constraint_hom = self.constraint_map(constraints)
-        self.kernel: Subgroup = kernel(self.constraint_hom)
+
+    @cached_property
+    def kernel(self) -> Subgroup:
+        return kernel(self.constraint_hom)
 
     def constraint_map(self, constraints):
         """(kept, codecs, sum, hom): the constraints in a nontrivial Hom group,
@@ -918,9 +924,31 @@ class NotSurjectiveError(InvalidTransformationError):
 
 
 class ImageTransfer(Frozen):
-    """Map cls(alpha) |-> cls(gamma(alpha)) between images of comparison maps."""
+    """Map cls(alpha) |-> cls(gamma(alpha)) between images of comparison maps.
+
+    source and target are subgroups of the unknowns sum U of their theory's
+    part (FamilySolution.unknowns), not of its group of classes: the same
+    relation lattices, possibly in another basis."""
 
     _fields = ("base", "degree", "source", "target", "mapping")  # mapping: source.group -> target.group
+
+
+def _comparison_image(variance: str, b: TabulatedBivTheory, base: str, degree: int) -> Subgroup:
+    """The image of B(f)^i -> U, alpha |-> the comparison family of alpha as a
+    vector of the unknowns sum U of b's part; no kernel is solved.
+
+    A family is a class exactly when the constraint map sends its vector to
+    zero; NotAClassError names the first generator whose family is not."""
+    part, formula = _comparison(variance, b)
+    solution = family_group(part, base, degree).solution
+    src, unknowns = b.group(base, degree), solution.unknowns.group
+    cols = []
+    for a in src.gens():
+        u = solution.encode_unknowns(formula(b, base, degree, a).components)
+        if not solution.constraint_hom(u).is_zero:
+            raise NotAClassError(a)
+        cols.append(u.coords)
+    return image(GroupHom(src, unknowns, IntMatrix.from_columns(cols, unknowns.ngens)))
 
 
 def image_transfer(variance: str, t: GrothTransf, base: str, degree: int, mode: str) -> ImageTransfer:
@@ -930,11 +958,12 @@ def image_transfer(variance: str, t: GrothTransf, base: str, degree: int, mode: 
     theory and needs gamma onto the part of the given variance, which
     t.surjectivity_witness checks once per variance and keeps, as t.report
     is kept, so a run of transfers along one t pays for it once.  Both images
-    are presented on the generators of their theory's group, so the relations
-    of the source image are exactly the kernel lattice of the source
-    comparison.  The mapping's own check is the well-definedness certificate:
-    building it checks that gamma sends each of those relations into the
-    kernel lattice of the target comparison.
+    are subgroups of the unknowns sum U of their theory's part, presented on
+    the generators of their theory's group B(f)^i: the group of classes sits
+    inside U, so the relations of an image are {alpha : the comparison family
+    of alpha is zero in U}, and no group of classes is solved.  The mapping's
+    own check is the well-definedness certificate: building it checks that
+    gamma sends each relation of the source image to one of the target's.
     """
     if mode != "full":
         raise ValueError("mode must be 'full'")
@@ -944,8 +973,8 @@ def image_transfer(variance: str, t: GrothTransf, base: str, degree: int, mode: 
     if witness is not None:
         raise NotSurjectiveError(variance, witness)
     to_target = t.component(base, degree)
-    source_sub = image(comparison_map(variance, t.src, base, degree))
-    target_sub = image(comparison_map(variance, t.tgt, base, degree))
+    source_sub = _comparison_image(variance, t.src, base, degree)
+    target_sub = _comparison_image(variance, t.tgt, base, degree)
     cols = [to_target(a).coords for a in t.src.group(base, degree).gens()]
     try:
         mapping = GroupHom(

@@ -22,9 +22,11 @@ kernel and element reduction as dense matrix-vector products on them, the
 references for the library's sparse walks (they share the Smith form, not
 its readers).  preimage_image_subtheory builds the image theory of a
 Grothendieck transformation from the target's operations, solving for a
-preimage of every table entry.
-The last three helpers read membership and build a class in ways only the
-tests need.
+preimage of every table entry.  image_transfer_reference takes an image
+transfer's images in the solved groups of classes, as image of
+comparison_map.  contains, in_transfer_subgroup and
+family_from_self_transformation read membership and build a class in ways
+only the tests need.
 """
 
 from itertools import combinations, product
@@ -44,7 +46,7 @@ from bivariant.exactalg import (
     padded_diagonal,
     smith_decomposition,
 )
-from bivariant.famsolve import ConstraintSpec, FamilyClass, FamilySolution, SummandSpec, TermSpec, family_group
+from bivariant.famsolve import ConstraintSpec, FamilyClass, FamilySolution, SummandSpec, TermSpec, comparison_map, family_group
 from bivariant.site import Site
 
 
@@ -585,3 +587,14 @@ def preimage_image_subtheory(t):
         idx = site.identity(x)
         units[x] = encode((idx, 0), t(idx, 0, t.src.unit(x)))
     return TabulatedBivTheory(site, t.src.window, groups, products, pushforwards, pullbacks, units)
+
+
+def image_transfer_reference(variance, t, base, degree):
+    """(source, target, mapping matrix) of the image transfer along t, each
+    image taken in its solved group of classes: image(comparison_map(...)).
+    The mapping sends the source's generators, those of t.src's group, to
+    their images under t."""
+    source = image(comparison_map(variance, t.src, base, degree))
+    target = image(comparison_map(variance, t.tgt, base, degree))
+    cols = [t.component(base, degree)(a).coords for a in t.src.group(base, degree).gens()]
+    return source, target, IntMatrix.from_columns(cols, target.group.ngens)
