@@ -10,14 +10,18 @@ and U's inverse.  The matrices met here are sparse, so the Smith form
 eliminates on sparse rows and columns and returns its transforms as it
 holds them: the rows of U, the columns of V and of U's inverse, each over
 its nonzero entries.  Every reader walks those vectors; no dense transform
-is built.  lattice_kernel densifies only the columns of V that it returns.
-kernel and image each build only their own half of kernel_image, which
-builds both on one lattice kernel.  The hom kernels walk only nonzero
-entries too: the well-definedness check scatters the image of each
-relation column from its nonzero entries, and the Hom codec adds one outer
-product of a sparse U^-1 column and U row per nonzero summand, with no
-matrix product.  Columns of a dense matrix are read by one transpose
-(IntMatrix.columns), never one index at a time.
+is built.  No pivot step rescans the remaining block: each row keeps its
+pivot key and gcd until an operation writes it, and the rows holding the
+pivot column are listed once per pivot.  The pivots and the operations
+are still those of the full rescan, kept in tests/oracles.py as
+smith_reference.  lattice_kernel densifies only the columns of V that it
+returns.  kernel and image each build only their own half of
+kernel_image, which builds both on one lattice kernel.  The hom kernels
+walk only nonzero entries too: the well-definedness check scatters the
+image of each relation column from its nonzero entries, and the Hom codec
+adds one outer product of a sparse U^-1 column and U row per nonzero
+summand, with no matrix product.  Columns of a dense matrix are read by
+one transpose (IntMatrix.columns), never one index at a time.
 """
 
 from __future__ import annotations
@@ -257,6 +261,15 @@ def _conjugated(u: tuple, mat: IntMatrix, u_inv: tuple) -> list:
     return out
 
 
+def _row_min(row: dict) -> tuple:
+    """(min |x|, the least column holding it) over a sparse row's entries,
+    (0, -1) for an empty row."""
+    if not row:
+        return 0, -1
+    a = min(map(abs, row.values()))
+    return a, min(j for j, x in row.items() if x == a or x == -a)
+
+
 @lru_cache(maxsize=SNF_CACHE_SIZE)
 def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
     """Deterministic Smith normal form: its diagonal, u, v and u's inverse.
@@ -270,74 +283,110 @@ def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
     is diagonal, and only its diagonal is returned; U, V and Ui are
     returned as the sparse vectors the elimination holds (see
     SmithDecomposition).
+
+    No step rescans the block's entries.  Each row of D caches its (min
+    |x|, column) and its gcd, and an operation that writes a row drops what
+    it changes, so a step recomputes only the rows written since they were
+    last read.  The pivot is the first row from t on with the smallest
+    cached |x|; the search stops at a unit.  The rows below t that hold
+    column t are listed once per pivot and again only after a column swap
+    into t.  Row operations empty that list from its first row on, and once
+    it is empty column t lives in row t alone, so a column operation writes
+    row t only.  The divisibility fix-up takes the first row below t whose
+    cached gcd the pivot does not divide.  The pivots and the sequence of
+    operations are those of a full rescan of the remaining block at every
+    step.
     """
     R, C = m.rows, m.cols
     D = [{j: x for j, x in enumerate(r) if x} for r in m.entries]
     U = [{i: 1} for i in range(R)]
     Ui = [{i: 1} for i in range(R)]
     V = [{j: 1} for j in range(C)]
+    mins = [None] * R  # _row_min of each row of D, None once the row is written
+    gcds = [None] * R  # gcd of each row of D, None once the row is written
 
     def row_add(i, j, q):  # row_i += q * row_j
         _axpy(D[i], D[j], q)
         _axpy(U[i], U[j], q)
         _axpy(Ui[j], Ui[i], -q)
+        mins[i] = gcds[i] = None
 
     def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-        Ui[i], Ui[j] = Ui[j], Ui[i]
+        for vecs in (D, U, Ui, mins, gcds):
+            vecs[i], vecs[j] = vecs[j], vecs[i]
 
-    def row_neg(i):
+    def row_neg(i):  # keeps every |x|, so the caches hold
         for vecs in (D, U, Ui):
             vecs[i] = {k: -x for k, x in vecs[i].items()}
 
-    def col_add(j, i, q):  # col_j += q * col_i
-        for row in D[t:]:
-            if i in row:
-                _axpy(row, {j: row[i]}, q)
-        _axpy(V[j], V[i], q)
+    def col_add(j, q):  # col_j += q * col_t, which only row t holds
+        _axpy(D[t], {j: D[t][t]}, q)
+        _axpy(V[j], V[t], q)
+        mins[t] = gcds[t] = None
 
-    def col_swap(i, j):
-        for row in D[t:]:
-            a, b = row.pop(i, 0), row.pop(j, 0)
-            if b:
-                row[i] = b
-            if a:
-                row[j] = a
+    def col_swap(i, j):  # keeps each row's gcd, not its min's column
+        for r in range(t, R):
+            row = D[r]
+            if i in row or j in row:
+                a, b = row.pop(i, 0), row.pop(j, 0)
+                if b:
+                    row[i] = b
+                if a:
+                    row[j] = a
+                mins[r] = None
         V[i], V[j] = V[j], V[i]
+
+    def holding_t():  # the rows below t that hold column t, last first
+        return [i for i in range(R - 1, t, -1) if t in D[i]]
+
+    def row_gcd(i):
+        if gcds[i] is None:
+            gcds[i] = gcd(*D[i].values())
+        return gcds[i]
 
     t = 0
     limit = min(R, C)
     while t < limit:
-        best = min(((abs(x), i, j) for i in range(t, R) for j, x in D[i].items()), default=None)
-        if best is None:
+        bi = None
+        for i in range(t, R):
+            key = mins[i]
+            if key is None:
+                key = mins[i] = _row_min(D[i])
+            if key[0] and (bi is None or key[0] < best):
+                (best, bj), bi = key, i
+                if best == 1:  # nothing is smaller
+                    break
+        if bi is None:
             break
-        _, bi, bj = best
         if bi != t:
             row_swap(t, bi)
         if bj != t:
             col_swap(t, bj)
         if D[t][t] < 0:
             row_neg(t)
+        below = holding_t()
         while True:
             p = D[t][t]
-            k = next((i for i in range(t + 1, R) if t in D[i]), None)
-            if k is not None:
+            if below:
+                k = below[-1]
                 q = D[k][t] // p
                 row_add(k, t, -q)
                 if t in D[k]:
                     row_swap(t, k)  # remainder in (0, p) becomes new pivot
+                else:
+                    below.pop()
                 continue
             k = min((j for j in D[t] if j != t), default=None)
             if k is not None:
                 q = D[t][k] // p
-                col_add(k, t, -q)
+                col_add(k, -q)
                 if k in D[t]:
                     col_swap(t, k)
+                    below = holding_t()
                 continue
             if p == 1:  # divides every entry
                 break
-            bad = next((i for i in range(t + 1, R) if any(x % p for x in D[i].values())), None)
+            bad = next((i for i in range(t + 1, R) if row_gcd(i) % p), None)
             if bad is None:
                 break
             row_add(t, bad, 1)

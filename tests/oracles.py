@@ -3,7 +3,10 @@
 These are deliberately naive: Laplace determinants, fraction-free row
 reduction for ranks and determinants, exhaustive enumeration, composition
 factor by factor.  None of them share code with the Smith-normal-form path
-they verify.  The direct-sum injections and projections build the
+they verify, except smith_reference: the Smith form's elimination with
+the full rescan of the remaining block at every step, the reference for
+the library's bookkept one, which shares only its sparse axpy and its
+output type.  The direct-sum injections and projections build the
 reference constraint map that the assembled one is checked against; hom_difference_is_zero is the
 reference for hom equality; dense_path is the reference for composing a
 class's components, and the dense_* operations rebuild each class
@@ -37,6 +40,8 @@ from bivariant.exactalg import (
     ZERO_GROUP,
     GroupHom,
     IntMatrix,
+    SmithDecomposition,
+    _axpy,
     direct_sum,
     hom_group,
     hom_preimage,
@@ -159,6 +164,100 @@ def naive_reduce(u_rows, u_inv_rows, diag, coords):
     c = [sum(a * x for a, x in zip(row, coords)) for row in u_rows]
     c = [x % d if d else x for x, d in zip(c, diag)]
     return tuple(sum(a * x for a, x in zip(row, c)) for row in u_inv_rows)
+
+
+def smith_reference(m: IntMatrix) -> SmithDecomposition:
+    """smith_decomposition as a full rescan, uncached: the reference that
+    the library's bookkept elimination must match entry for entry.
+
+    Deterministic Smith normal form: its diagonal, u, v and u's inverse.
+
+    Pivot selection always takes the smallest nonzero absolute value in the
+    remaining block, ties broken in row-major order, so the output is
+    bit-identical across runs.  The elimination runs on sparse vectors
+    {index: nonzero entry}: rows of D and U, columns of V and Ui.  At
+    step t, the rows and columns of D before t hold only their diagonal
+    entry, so column operations touch rows t onwards only.  When it ends D
+    is diagonal, and only its diagonal is returned; U, V and Ui are
+    returned as the sparse vectors the elimination holds (see
+    SmithDecomposition).
+    """
+    R, C = m.rows, m.cols
+    D = [{j: x for j, x in enumerate(r) if x} for r in m.entries]
+    U = [{i: 1} for i in range(R)]
+    Ui = [{i: 1} for i in range(R)]
+    V = [{j: 1} for j in range(C)]
+
+    def row_add(i, j, q):  # row_i += q * row_j
+        _axpy(D[i], D[j], q)
+        _axpy(U[i], U[j], q)
+        _axpy(Ui[j], Ui[i], -q)
+
+    def row_swap(i, j):
+        D[i], D[j] = D[j], D[i]
+        U[i], U[j] = U[j], U[i]
+        Ui[i], Ui[j] = Ui[j], Ui[i]
+
+    def row_neg(i):
+        for vecs in (D, U, Ui):
+            vecs[i] = {k: -x for k, x in vecs[i].items()}
+
+    def col_add(j, i, q):  # col_j += q * col_i
+        for row in D[t:]:
+            if i in row:
+                _axpy(row, {j: row[i]}, q)
+        _axpy(V[j], V[i], q)
+
+    def col_swap(i, j):
+        for row in D[t:]:
+            a, b = row.pop(i, 0), row.pop(j, 0)
+            if b:
+                row[i] = b
+            if a:
+                row[j] = a
+        V[i], V[j] = V[j], V[i]
+
+    t = 0
+    limit = min(R, C)
+    while t < limit:
+        best = min(((abs(x), i, j) for i in range(t, R) for j, x in D[i].items()), default=None)
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != t:
+            row_swap(t, bi)
+        if bj != t:
+            col_swap(t, bj)
+        if D[t][t] < 0:
+            row_neg(t)
+        while True:
+            p = D[t][t]
+            k = next((i for i in range(t + 1, R) if t in D[i]), None)
+            if k is not None:
+                q = D[k][t] // p
+                row_add(k, t, -q)
+                if t in D[k]:
+                    row_swap(t, k)  # remainder in (0, p) becomes new pivot
+                continue
+            k = min((j for j in D[t] if j != t), default=None)
+            if k is not None:
+                q = D[t][k] // p
+                col_add(k, t, -q)
+                if k in D[t]:
+                    col_swap(t, k)
+                continue
+            if p == 1:  # divides every entry
+                break
+            bad = next((i for i in range(t + 1, R) if any(x % p for x in D[i].values())), None)
+            if bad is None:
+                break
+            row_add(t, bad, 1)
+        t += 1
+
+    return SmithDecomposition(
+        tuple(D[i].get(i, 0) for i in range(limit)),
+        *(tuple(tuple(vec.items()) for vec in vecs) for vecs in (U, V, Ui)),
+    )
 
 
 def _dense_vectors(vectors, length):
